@@ -1,7 +1,11 @@
 """Command-line front end: batch checks with text or structured reports.
 
 Exit status: 0 when every requested check passes, 1 when a check fails
-(reports carry the residuals), 2 on syntax errors in the inputs.
+(reports carry the residuals), 2 on bad input (syntax errors, algebras that
+fail the Jacobi identity or are not presented nilpotently, malformed
+options), with a one-line message on standard error.  The shared options
+``--param``, ``--format`` and ``--seed`` may stand before or after the
+subcommand.
 """
 
 from __future__ import annotations
@@ -131,8 +135,33 @@ def _parse_param_args(pairs: Sequence[str]) -> Tuple[ParameterContext, Dict[str,
         raw.append((name, value.strip()))
     ctx = ParameterContext(tuple(sorted(names)))
     for name, value in raw:
-        bindings[name] = ctx.parse(value).as_fraction()
+        scalar = ctx.parse(value)
+        if not scalar.is_rational:
+            raise ScalarSyntaxError(
+                f"--param {name} needs a rational value, got {value!r}", 0)
+        bindings[name] = scalar.as_fraction()
     return ctx, bindings
+
+
+# Destination prefix of the shared options when given after the subcommand;
+# main() merges them into the values given before it.
+_AFTER = "after_"
+
+
+def _add_shared_options(parser: argparse.ArgumentParser, prefix: str = "") -> None:
+    """--param, --format and --seed, accepted before and after the subcommand."""
+    def default(value):
+        # after the subcommand an option that is not given must not mask
+        # the value given before it
+        return argparse.SUPPRESS if prefix else value
+
+    parser.add_argument("--param", dest=prefix + "param", action="append",
+                        default=default([]),
+                        metavar="NAME=VALUE", help="bind a parameter (repeatable)")
+    parser.add_argument("--format", dest=prefix + "format",
+                        choices=("text", "structured"), default=default("text"))
+    parser.add_argument("--seed", dest=prefix + "seed", type=int, default=default(0),
+                        help="seed for randomized evaluation points")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -140,31 +169,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="nilg2",
         description="exact torsion geometry checks on nilpotent Lie algebras",
     )
-    parser.add_argument("--param", action="append", default=[],
-                        metavar="NAME=VALUE", help="bind a parameter (repeatable)")
-    parser.add_argument("--format", choices=("text", "structured"), default="text")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized evaluation points")
+    _add_shared_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="Jacobi and nilpotency of an algebra")
-    p.add_argument("algebra")
-    p = sub.add_parser("betti", help="Betti numbers of an algebra")
-    p.add_argument("algebra")
-    p = sub.add_parser("fingerprint", help="isomorphism fingerprint of an algebra")
-    p.add_argument("algebra")
-    p = sub.add_parser("su3", help="torsion components of a structure file or family")
-    p.add_argument("structure_file")
-    p = sub.add_parser("g2t", help="product torsion report of a structure file or family")
-    p.add_argument("structure_file")
-    sub.add_parser("theorem", help="replay the classification witnesses")
-    p = sub.add_parser("contract", help="contraction limit of an algebra")
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        _add_shared_options(p, _AFTER)
+        return p
+
+    command("check", "Jacobi and nilpotency of an algebra").add_argument("algebra")
+    command("betti", "Betti numbers of an algebra").add_argument("algebra")
+    command("fingerprint", "isomorphism fingerprint of an algebra").add_argument("algebra")
+    command("su3", "torsion components of a structure file or family").add_argument(
+        "structure_file")
+    command("g2t", "product torsion report of a structure file or family").add_argument(
+        "structure_file")
+    command("theorem", "replay the classification witnesses")
+    p = command("contract", "contraction limit of an algebra")
     p.add_argument("algebra")
     p.add_argument("--exponents", required=True,
                    help="comma-separated integer exponent per coframe axis")
     p.add_argument("--direction", choices=("to-zero", "to-infinity"), required=True)
 
     args = parser.parse_args(argv)
+    args.param += getattr(args, _AFTER + "param", [])
+    args.format = getattr(args, _AFTER + "format", args.format)
+    args.seed = getattr(args, _AFTER + "seed", args.seed)
     started = time.perf_counter()
     try:
         ctx, bindings = _parse_param_args(args.param)
@@ -172,7 +202,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ScalarSyntaxError, SalamonSyntaxError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
+        # unreadable files; JacobiError, NilpotencyError and the other input checks
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     report.timing_ms = (time.perf_counter() - started) * 1000.0

@@ -32,7 +32,6 @@ from .exterior import (
     hodge,
     inner,
     interior,
-    type_decompose,
 )
 from .liealg import LieAlgebra
 from .scalars import Scalar
@@ -234,14 +233,10 @@ def dT_tests(g: G2Structure, report: TorsionReport) -> TorsionReport:
     ctx6 = g.base.omega.ctx
     pure, rest = drop_dt(report.dT, ctx6)
 
-    # (2,2)-ness: the derivative must live on the base and be pure type (2,2)
-    if not rest.is_zero:
-        type22 = False
-    elif pure.is_zero:
-        type22 = True
-    else:
-        parts = type_decompose(pure, g.base.J)
-        type22 = set(parts) == {(2, 2)}
+    # (2,2)-ness: the derivative must live on the base and be pure type (2,2).
+    # J acts on a real 4-form of type (p,q) + (q,p) as i^(p-q) with p-q in
+    # {-2, 0, 2}, so a 4-form is of type (2,2) exactly when it is J-invariant.
+    type22 = rest.is_zero and g.base.J(pure) == pure
 
     # V7-component: <dT, e^i ^ phi> = 0 for all i
     projector = _v7_projector_forms(g)

@@ -118,8 +118,29 @@ class LieAlgebra:
 
     def is_nilpotent_presentation(self) -> bool:
         if self._nilpotent is None:
-            self._nilpotent = self._check_filtration()
+            self._nilpotent = self._support_is_acyclic() or self._check_filtration()
         return self._nilpotent
+
+    def _support_is_acyclic(self) -> bool:
+        """Cheap certificate: the digraph i -> j (e^j occurs in d e^i) has no cycle.
+
+        A topological order of an acyclic support is itself an admissible
+        filtration (Salamon's ordered-basis convention), so this implies
+        nilpotency; a self-loop counts as a cycle.  False means only "not
+        certified here".
+        """
+        succ = [set() for _ in self.d_table]
+        for i, f in enumerate(self.d_table):
+            for mask in f.comps:
+                succ[i].update(j - 1 for j in _bits(mask))
+        # Kahn's algorithm: repeatedly drop vertices without successors
+        remaining = set(range(len(succ)))
+        while remaining:
+            sinks = {i for i in remaining if not succ[i] & remaining}
+            if not sinks:
+                return False
+            remaining -= sinks
+        return True
 
     def _check_filtration(self) -> bool:
         """V_{j+1} = {x : d x in Lambda^2 V_j} must exhaust Lambda^1."""
@@ -497,33 +518,6 @@ def betti(
 # ---------------------------------------------------------------------------
 
 
-def _structure_brackets(d_table: Sequence[Form], ctx: FrameContext):
-    """[e_a, e_b] = -sum_i c^i_{ab} e_i as coefficient vectors."""
-    n = ctx.dim
-    pctx = ctx.params
-    table: Dict[Tuple[int, int], List[Scalar]] = {}
-    for i, f in enumerate(d_table, start=1):
-        for mask, coeff in f.comps.items():
-            a, b = _bits(mask)
-            vec = table.setdefault((a, b), [pctx.zero] * n)
-            vec[i - 1] = vec[i - 1] - coeff
-
-    def bracket(x: Sequence[Scalar], y: Sequence[Scalar]) -> List[Scalar]:
-        out = [pctx.zero] * n
-        for (a, b), vec in table.items():
-            coeff = x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1]
-            if not coeff.is_zero:
-                out = [o + coeff * v for o, v in zip(out, vec)]
-        return out
-
-    return bracket
-
-
-def _span_basis(vectors: List[List[Scalar]], pctx) -> List[List[Scalar]]:
-    red, pivots = linalg.rref(vectors, pctx)
-    return [red[r] for r in range(len(pivots))]
-
-
 def _frac_rref(vectors):
     if not vectors:
         return [], []
@@ -796,9 +790,6 @@ class BasisChange:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def determinant(self) -> Scalar:
-        return linalg.determinant([list(r) for r in self.rows], self.params)
 
     def inverse_rows(self):
         if self._inverse is None:

@@ -146,28 +146,3 @@ def invert(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Optional[
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red[:n]]
-
-
-def determinant(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Scalar:
-    """Exact determinant by fraction-free-ish elimination over the field."""
-    m = _clone(rows)
-    n = len(m)
-    det = ctx.one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not m[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            return ctx.zero
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = ctx.one / m[c][c]
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det

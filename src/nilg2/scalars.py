@@ -6,10 +6,21 @@ declared by a :class:`ParameterContext`.  Values are immutable and kept in
 a canonical form (fraction reduced, denominator normalized under graded-lex
 monomial order; parameter-free values demote to plain rationals), so ``==``
 is decidable, syntactic equality.
+
+Arithmetic takes one of three paths.  Two parameter-free values combine as
+plain ``Fraction``s.  When both operands are polynomials (their denominators
+are constants), ``+``, ``-``, ``*`` and division by a constant run in
+the polynomial ring, and the result is put in canonical form without a gcd:
+a polynomial ``v`` is stored as ``clear_denoms(v)``, an integer-coefficient
+numerator over the positive least common denominator, which is the
+``(numer, denom)`` pair that the field's ``cancel`` produces.  Everything
+else (a non-constant denominator on either side, or division by a
+non-constant value) goes through the fraction field and its ``cancel``.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -17,10 +28,7 @@ from typing import Iterable, Mapping, Union
 from sympy.polys.domains import QQ
 from sympy.polys.fields import field as _sympy_field
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Scalar",
     "ParameterContext",
     "ScalarError",
@@ -134,7 +142,48 @@ class ParameterContext:
 
     def _lift(self, value: Fraction):
         """A field element with the given rational value (symbolic backend)."""
-        return self._field(_to_qq(value))
+        ring = self._field.ring
+        return self._field.raw_new(ring(value.numerator), ring(value.denominator))
+
+    def _poly(self, raw):
+        """``raw`` as a ring element (a ground element for a Fraction), or
+        None if its denominator is not constant."""
+        if isinstance(raw, Fraction):
+            return _to_qq(raw)
+        denom = raw.denom
+        if not denom.is_ground:
+            return None
+        if denom == 1:
+            return raw.numer
+        return raw.numer.quo_ground(denom.LC)
+
+    def _from_poly(self, poly):
+        """Canonical raw value of a ring element, without a gcd.
+
+        ``cancel`` of a polynomial over a constant clears the coefficient
+        denominators and nothing else, so ``clear_denoms`` gives the same
+        ``(numer, denom)`` pair; constants demote to Fractions.
+        """
+        if poly.is_ground:
+            return _qq_to_fraction(poly.LC) if poly else Fraction(0)
+        common, numer = poly.clear_denoms()
+        return self._field.raw_new(numer, self._field.ring.ground_new(common))
+
+    def _combine(self, op, a, b):
+        """``op(a, b)`` on raw values of which at least one is symbolic.
+
+        Polynomial operands take the ring path; ``truediv`` does so only when
+        the divisor is a constant.  Everything else goes through the field.
+        """
+        pa = self._poly(a)
+        pb = self._poly(b) if pa is not None else None
+        if pb is not None and (op is not operator.truediv or isinstance(b, Fraction)):
+            return self._from_poly(op(pa, pb))
+        if isinstance(a, Fraction):
+            a = self._lift(a)
+        elif isinstance(b, Fraction):
+            b = self._lift(b)
+        return _demote(self, op(a, b))
 
 
 def _demote(ctx: ParameterContext, raw):
@@ -187,79 +236,55 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _pair(self, other):
-        """(a, b) raw values in a common representation, or None."""
+    def _binary(self, other, op, reflected=False):
+        """``op(self, other)``, or ``op(other, self)`` when ``reflected``."""
         if isinstance(other, Scalar):
             if other.ctx is not self.ctx:
                 raise ScalarError("mixed parameter contexts")
-            a, b = self.raw, other.raw
+            b = other.raw
         elif isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            a, b = self.raw, Fraction(other)
+            b = Fraction(other)
         else:
-            return None
-        if isinstance(a, Fraction) and not isinstance(b, Fraction):
-            a = self.ctx._lift(a)
-        elif isinstance(b, Fraction) and not isinstance(a, Fraction):
-            b = self.ctx._lift(b)
-        return a, b
+            return NotImplemented
+        a = self.raw
+        if reflected:
+            a, b = b, a
+        if op is operator.truediv and not b:
+            raise ScalarError("division by zero scalar")
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return Scalar(self.ctx, op(a, b))
+        return Scalar(self.ctx, self.ctx._combine(op, a, b))
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Scalar(self.ctx, a + b if isinstance(a, Fraction) else _demote(self.ctx, a + b))
+        return self._binary(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Scalar(self.ctx, a - b if isinstance(a, Fraction) else _demote(self.ctx, a - b))
+        return self._binary(other, operator.sub)
 
     def __rsub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Scalar(self.ctx, b - a if isinstance(a, Fraction) else _demote(self.ctx, b - a))
+        return self._binary(other, operator.sub, reflected=True)
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Scalar(self.ctx, a * b if isinstance(a, Fraction) else _demote(self.ctx, a * b))
+        return self._binary(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if (b == 0) if isinstance(b, Fraction) else (not b):
-            raise ScalarError("division by zero scalar")
-        return Scalar(self.ctx, a / b if isinstance(a, Fraction) else _demote(self.ctx, a / b))
+        return self._binary(other, operator.truediv)
 
     def __rtruediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if (a == 0) if isinstance(a, Fraction) else (not a):
-            raise ScalarError("division by zero scalar")
-        return Scalar(self.ctx, b / a if isinstance(a, Fraction) else _demote(self.ctx, b / a))
+        return self._binary(other, operator.truediv, reflected=True)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0 and self.is_zero:
-            raise ScalarError("division by zero scalar")
-        raw = self.raw ** exponent
-        return Scalar(self.ctx, raw if isinstance(raw, Fraction) else _demote(self.ctx, raw))
+        if exponent < 0:
+            # the field's negative power skips cancel and can leave a
+            # denominator with a negative leading coefficient
+            return self.ctx.one / self ** -exponent
+        return Scalar(self.ctx, _demote(self.ctx, self.raw ** exponent))
 
     def __neg__(self):
         return Scalar(self.ctx, -self.raw)

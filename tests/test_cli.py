@@ -1,4 +1,8 @@
 import json
+import shlex
+from pathlib import Path
+
+import pytest
 
 from nilg2.cli import main
 from nilg2.exterior import FrameContext, parse_form
@@ -116,3 +120,41 @@ def test_fingerprint_command(capsys):
     data = doc["checks"][0]["data"]
     assert data["betti"] == "(2, 4, 6, 4, 2, 1)"
     assert data["lower_central"] == "(6, 4, 3, 1, 0)"
+
+
+def test_readme_param_after_subcommand(capsys):
+    """The README's bound-family example, options after the subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    line = "nilg2 g2t case1 --param lam=1 --param k=2"
+    assert line in readme.splitlines()
+    code, after, _ = run_cli(capsys, *shlex.split(line)[1:])
+    assert code == 0
+    assert "lam = 1" in after and "T = 136 + 145 + 2*146" in after
+    # the same options before the subcommand give the same report
+    code, before, _ = run_cli(capsys, "--param", "lam=1", "--param", "k=2", "g2t", "case1")
+    assert code == 0
+    assert after.splitlines()[:-1] == before.splitlines()[:-1]
+
+
+def test_shared_options_merge_across_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "--param", "lam=1", "g2t", "case1",
+                           "--param", "k=2", "--format", "structured")
+    assert code == 0
+    data = {c["name"]: c["data"] for c in json.loads(out)["checks"]}
+    assert data["lee-form"]["lam"] == "1"
+    assert data["torsion"]["T"].startswith("136 + 145 + 2*146")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("betti", "0,0,12,13,23,14+15"), "d(d e^6) != 0"),
+    (("fingerprint", "0,12,0,0,0,0"), "not presented nilpotently"),
+    (("contract", "0,0,12,13,23,14+25", "--exponents=1,2", "--direction", "to-zero"),
+     "one exponent per coframe axis"),
+    (("--param", "lam=k", "g2t", "case1"), "needs a rational value"),
+])
+def test_bad_input_exit_2_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+    assert "Traceback" not in err

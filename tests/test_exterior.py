@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,8 @@ from nilg2.exterior import (
     standard_su3_forms,
     type_decompose,
 )
+from nilg2.families import FAMILIES, instantiate
+from nilg2.g2 import build_product, drop_dt, torsion
 from nilg2.scalars import ParameterContext
 
 
@@ -171,6 +174,41 @@ def test_type_support_preserved_by_j(J, frame6):
     before = set(type_decompose(a, J))
     after = set(type_decompose(j_apply(J, a), J))
     assert before == after
+
+
+def _is_type_22(a, J):
+    return set(type_decompose(a, J)) == {(2, 2)}
+
+
+def test_j_invariance_is_type_22_on_random_4_forms(J, frame6, pctx):
+    """On real 4-forms J acts on type (p,q) as i^(p-q), p-q in {-2,0,2}, so
+    J-invariance is the (2,2) test; a + J a and a - J a are the (2,2) and the
+    (3,1)+(1,3) parts up to a factor 2, so both answers are exercised."""
+    rng = random.Random(17)
+    words = list(combinations(range(1, 7), 4))
+    seen = set()
+    for _ in range(30):
+        a = frame6.zero_form()
+        for word in rng.sample(words, rng.randint(1, 6)):
+            coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            a = a + frame6.basis(*word).scale(pctx.scalar(coeff))
+        for b in (a, a + j_apply(J, a), a - j_apply(J, a)):
+            if b.is_zero:
+                continue
+            invariant = j_apply(J, b) == b
+            assert invariant == _is_type_22(b, J), form_str(b)
+            seen.add(invariant)
+    assert seen == {True, False}
+
+
+def test_j_invariance_is_type_22_on_family_dT(J, pctx):
+    for name in FAMILIES:
+        _, structure = instantiate(name, params=pctx)
+        g = build_product(structure)
+        pure, rest = drop_dt(torsion(g).dT, structure.omega.ctx)
+        assert rest.is_zero and not pure.is_zero, name
+        assert j_apply(J, pure) == pure, name
+        assert _is_type_22(pure, J), name
 
 
 def test_j_equals_hodge_on_psi_line(J, iwasawa_structure):

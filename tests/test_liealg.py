@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from nilg2.exterior import parse_form
+from nilg2.exterior import FrameContext, parse_form
+from nilg2.families import FAMILIES
 from nilg2.liealg import (
+    NAMED_ALGEBRAS,
     BasisChange,
     GenericEvaluationError,
     JacobiError,
+    LieAlgebra,
     NilpotencyError,
     SalamonSyntaxError,
     betti,
@@ -285,6 +288,59 @@ def test_twin_entries_distinct_fingerprint_blind(pctx):
     plus = parse_salamon("0,0,0,12,23,14+35", pctx)
     minus = parse_salamon("0,0,0,12,23,14-35", pctx)
     assert fingerprint(plus) == fingerprint(minus)
+
+
+# ---------------------------------------------------------------------------
+# nilpotency: acyclic-support certificate against the exact filtration
+# ---------------------------------------------------------------------------
+
+
+def _named_and_family_algebras(pctx):
+    algebras = {name: parse_salamon(text, pctx) for name, text in NAMED_ALGEBRAS.items()}
+    for name, spec in FAMILIES.items():
+        algebras[name] = parse_salamon(spec.table, pctx)
+    return algebras
+
+
+def test_support_certificate_on_named_algebras_and_families(pctx):
+    for name, g in _named_and_family_algebras(pctx).items():
+        assert g._support_is_acyclic(), name
+        assert g._check_filtration(), name
+
+
+def test_support_certificate_fallback_on_cyclic_supports(pctx):
+    """Basis changes smear the support into cycles; the certificate then
+    declines and the exact filtration must still find the algebra nilpotent."""
+    rng = random.Random(23)
+    cyclic = 0
+    for name, g in _named_and_family_algebras(pctx).items():
+        for _ in range(4):
+            moved = change_basis(g, random_invertible(rng, pctx))
+            certified = moved._support_is_acyclic()
+            exact = moved._check_filtration()
+            assert exact, name
+            assert moved.is_nilpotent_presentation() is True
+            cyclic += not certified
+    assert cyclic >= 20
+
+
+@pytest.mark.parametrize("table", ["0,12,0,0,0,0", "0,13,12,0,0,0"])
+def test_support_certificate_rejects_non_nilpotent(pctx, table):
+    # a self-loop (d e^2 = e^12) and a two-cycle (e^2 <-> e^3); both satisfy
+    # Jacobi, neither is nilpotent
+    with pytest.raises(NilpotencyError):
+        parse_salamon(table, pctx)
+    ctx = FrameContext(6, pctx)
+    d_table = [ctx.zero_form() if t == "0" else parse_form(ctx, t) for t in table.split(",")]
+    g = LieAlgebra(ctx, d_table, require_nilpotent=False)
+    assert not g._support_is_acyclic()
+    assert not g._check_filtration()
+    assert not g.is_nilpotent_presentation()
+    rng = random.Random(5)
+    for _ in range(4):
+        moved = change_basis(g, random_invertible(rng, pctx))
+        assert not moved._support_is_acyclic()
+        assert not moved.is_nilpotent_presentation()
 
 
 # ---------------------------------------------------------------------------

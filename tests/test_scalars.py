@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from nilg2.scalars import (
     ParameterContext,
+    Scalar,
     ScalarError,
     ScalarSyntaxError,
     embed,
@@ -145,3 +146,85 @@ def test_evaluate_is_ring_homomorphism(ctx, data):
     }
     assert (a * b).evaluate(binding) == a.evaluate(binding) * b.evaluate(binding)
     assert (a + b).evaluate(binding) == a.evaluate(binding) + b.evaluate(binding)
+
+
+# ---------------------------------------------------------------------------
+# ring fast path against the fraction field and its cancel
+# ---------------------------------------------------------------------------
+
+
+def _via_field(ctx, raw):
+    """The canonical Scalar of a field element, built only by sympy's cancel."""
+    value = ctx._field.new(raw.numer, raw.denom)
+    if value.numer.is_ground and value.denom.is_ground:
+        num = Fraction(int(value.numer.LC.numerator), int(value.numer.LC.denominator)) \
+            if value.numer else Fraction(0)
+        den = Fraction(int(value.denom.LC.numerator), int(value.denom.LC.denominator))
+        return Scalar(ctx, num / den)
+    return Scalar(ctx, value)
+
+
+def _field_raw(ctx, s):
+    if s.is_rational:
+        q = s.as_fraction()
+        return ctx._field(q.numerator) / ctx._field(q.denominator)
+    return s.raw
+
+
+def _polynomials(ctx):
+    """Polynomial-valued scalars (constants included), canonicalized by cancel."""
+    ring = ctx._field.ring
+    monoms = st.tuples(*[st.integers(0, 2)] * len(ctx.names))
+    terms = st.dictionaries(monoms, small_fracs.filter(bool), max_size=4)
+
+    def build(coeffs):
+        poly = ring.from_dict({m: ring.domain(c.numerator, c.denominator)
+                               for m, c in coeffs.items()})
+        return _via_field(ctx, ctx._field.raw_new(poly, ring.one))
+
+    return terms.map(build)
+
+
+_FAST_OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+}
+
+
+@given(data=st.data())
+def test_fast_path_matches_field_cancel(ctx, data):
+    polys = _polynomials(ctx)
+    a = data.draw(polys)
+    name = data.draw(st.sampled_from(sorted(_FAST_OPS)))
+    # division takes the ring path only for a constant divisor
+    b = data.draw(small_fracs.filter(bool).map(ctx.scalar) if name == "div" else polys)
+    op = _FAST_OPS[name]
+    pairs = [(a, b)] if name == "div" else [(a, b), (b, a)]
+    for x, y in pairs:
+        expected = _via_field(ctx, op(_field_raw(ctx, x), _field_raw(ctx, y)))
+        # a constant operand also enters as a plain Fraction (the reflected ops)
+        results = [op(x, y)]
+        if x.is_rational:
+            results.append(op(x.as_fraction(), y))
+        if y.is_rational:
+            results.append(op(x, y.as_fraction()))
+        for got in results:
+            assert got == expected
+            assert type(got.raw) is type(expected.raw)
+            assert hash(got) == hash(expected)
+            if not got.is_rational:
+                assert (got.raw.numer, got.raw.denom) == \
+                    (expected.raw.numer, expected.raw.denom)
+
+
+def test_negative_powers_are_canonical(ctx):
+    lam = ctx.param("lam")
+    assert (-lam) ** -1 == ctx.one / (-lam)
+    assert hash((-lam) ** -1) == hash(ctx.parse("-1/lam"))
+    s = ctx.parse("(2 - lam*k)/(3*z)")
+    for n in (1, 2, 3):
+        assert s ** -n == ctx.one / s ** n
+    with pytest.raises(ScalarError, match="division by zero scalar"):
+        ctx.zero ** -1

@@ -26,13 +26,16 @@ from .families import (
     FAMILIES,
     TheoremWitnessError,
     contraction_limit,
+    family_context,
     instantiate,
     verify_theorem,
 )
 from .g2 import G2Error, build_product, dT_tests, torsion
 from .liealg import (
+    BasisChange,
     GenericEvaluationError,
     JacobiError,
+    LieAlgebra,
     NilpotencyError,
     SalamonSyntaxError,
     betti,
@@ -40,17 +43,16 @@ from .liealg import (
     parse_salamon,
     salamon_str,
 )
-from .scalars import ParameterContext, ScalarSyntaxError, _fold_unicode
+from .scalars import ParameterContext, ScalarError, ScalarSyntaxError, _fold_unicode
 from .su3 import (
     StructureError,
+    build_structure,
     is_half_integrable,
     load_structure_file,
     torsion_classes,
 )
 
 SCHEMA_VERSION = 1
-
-_DEFAULT_PARAMS = ("a1", "k", "lam", "t", "z")
 
 
 @dataclass
@@ -123,7 +125,7 @@ class Report:
 
 
 def _parse_param_args(pairs: Sequence[str]) -> Tuple[ParameterContext, Dict[str, Fraction]]:
-    names = set(_DEFAULT_PARAMS)
+    names = set(family_context().names)
     bindings: Dict[str, Fraction] = {}
     raw: List[Tuple[str, str]] = []
     for pair in pairs or ():
@@ -202,8 +204,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ScalarSyntaxError, SalamonSyntaxError) as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
-        # unreadable files; JacobiError, NilpotencyError and the other input checks
+    except (OSError, ValueError, ScalarError) as exc:
+        # unreadable files; JacobiError, NilpotencyError and the other input
+        # checks; unbound parameters and vanishing denominators of a binding
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     report.timing_ms = (time.perf_counter() - started) * 1000.0
@@ -286,12 +289,23 @@ def _cmd_fingerprint(text: str, ctx: ParameterContext,
 
 
 def _load_input_structure(path: str, ctx: ParameterContext, bindings):
-    """A structure file path, or a family name with --param bindings."""
+    """A family name or a structure file, bound by --param.
+
+    A file is bound at its [params] section overridden by --param; it stays
+    symbolic when neither binds anything.
+    """
     if path in FAMILIES:
         _, structure = instantiate(path, bindings or None, params=ctx)
         return structure
-    structure, _ = load_structure_file(path, ctx)
-    return structure
+    structure, file_bindings = load_structure_file(path, ctx)
+    bindings = {**file_bindings, **bindings}
+    if not bindings:
+        return structure
+    # raises ScalarError on an unbound parameter or a vanishing denominator
+    table = [f.evaluate(bindings) for f in structure.algebra.d_table]
+    bound = table[0].ctx
+    rows = [[c.evaluate(bindings) for c in row] for row in structure.adaptation.rows]
+    return build_structure(LieAlgebra(bound, table), BasisChange(bound.params, rows))
 
 
 def _cmd_su3(path: str, ctx: ParameterContext, bindings) -> Report:

@@ -67,7 +67,6 @@ def _mask(indices: Iterable[int]) -> Tuple[int, int]:
     """(sign, bitmask) of a possibly unsorted index word; sign 0 on repeats."""
     sign = 1
     mask = 0
-    seen: List[int] = []
     for idx in indices:
         bit = 1 << (idx - 1)
         if mask & bit:
@@ -76,7 +75,6 @@ def _mask(indices: Iterable[int]) -> Tuple[int, int]:
         higher = mask >> idx
         sign *= -1 if bin(higher).count("1") % 2 else 1
         mask |= bit
-        seen.append(idx)
     return sign, mask
 
 
@@ -625,9 +623,6 @@ def standard_su3_forms(ctx: FrameContext) -> Tuple[Form, Form, Form]:
 # form literal syntax
 # ---------------------------------------------------------------------------
 
-_TERM_SPLIT = re.compile(r"(?<![\^*/+\-(])\s*([+-])")
-
-
 def form_str(a: Form) -> str:
     """Render in the form-literal syntax, e.g. ``12 + 34 - 3/2*56``."""
     if not a.comps:
@@ -675,58 +670,66 @@ def parse_form(ctx: FrameContext, text: str) -> Form:
     strings (optionally prefixed with 'e') or 'dt' (dimension 7 only).
     The bare term '0' denotes the zero form; '1' with no '*' a 0-form.
     """
-    raw = _fold_unicode(text)
     total = ctx.zero_form()
-    pos = 0
-    length = len(raw)
+    for sign, chunk in _split_signed_terms(_fold_unicode(text), FormSyntaxError):
+        chunk = chunk.strip()
+        if not chunk:
+            raise FormSyntaxError("empty term", 0)
+        total = total + _parse_term(ctx, chunk, sign)
+    return total
+
+
+def _split_signed_terms(text: str, error) -> List[Tuple[int, str]]:
+    """Split on top-level +/- into (sign, chunk) pairs.
+
+    A sign after an operator or an opening parenthesis belongs to the term;
+    unbalanced parentheses raise ``error(message, position)``.
+    """
+    terms = []
     sign = 1
     depth = 0
-    term_start = 0
-    terms: List[Tuple[int, str]] = []
-
-    # split on top-level +/- (respecting parentheses)
-    current_sign = 1
-    buff_start = None
-    i = 0
-    while i < length:
-        ch = raw[i]
+    start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise FormSyntaxError("unbalanced ')'", i)
+                raise error("unbalanced ')'", i)
         elif ch in "+-" and depth == 0:
-            prev = raw[:i].rstrip()
+            prev = text[:i].rstrip()
             if prev and prev[-1] not in "+-*/^(":
-                terms.append((current_sign, raw[term_start:i]))
-                current_sign = 1 if ch == "+" else -1
-                term_start = i + 1
-                i += 1
-                continue
-            if not prev and buff_start is None:
-                current_sign = current_sign * (1 if ch == "+" else -1)
-                term_start = i + 1
-                i += 1
-                continue
-        i += 1
+                terms.append((sign, text[start:i]))
+                sign = 1 if ch == "+" else -1
+                start = i + 1
+            elif not prev:
+                sign = sign * (1 if ch == "+" else -1)
+                start = i + 1
     if depth != 0:
-        raise FormSyntaxError("unbalanced '('", length)
-    terms.append((current_sign, raw[term_start:]))
+        raise error("unbalanced '('", len(text))
+    terms.append((sign, text[start:]))
+    return terms
 
-    for tsign, chunk in terms:
-        chunk = chunk.strip()
-        if not chunk:
-            raise FormSyntaxError("empty term", 0)
-        total = total + _parse_term(ctx, chunk, tsign)
-    return total
+
+def _last_top_level_star(chunk: str, index_word: re.Pattern) -> Optional[int]:
+    """Position of the last top-level '*' if its right side matches ``index_word``."""
+    depth = 0
+    for i in range(len(chunk) - 1, -1, -1):
+        ch = chunk[i]
+        if ch == ")":
+            depth += 1
+        elif ch == "(":
+            depth -= 1
+        elif ch == "*" and depth == 0:
+            return i if index_word.match(chunk[i + 1 :].strip()) else None
+    return None
 
 
 _INDEX_WORD = re.compile(r"^(?:e)?(\d+)$|^dt$")
 
 
 def _parse_term(ctx: FrameContext, chunk: str, sign: int) -> Form:
-    star = _split_top_level_star(chunk)
+    star = _last_top_level_star(chunk, _INDEX_WORD)
     if star is None:
         coeff_text, index_text = None, chunk
     else:
@@ -762,20 +765,3 @@ def _parse_term(ctx: FrameContext, chunk: str, sign: int) -> Form:
     if sign < 0:
         base = -base
     return base
-
-
-def _split_top_level_star(chunk: str) -> Optional[int]:
-    """Position of the last top-level '*' whose right side is an index word."""
-    depth = 0
-    for i in range(len(chunk) - 1, -1, -1):
-        ch = chunk[i]
-        if ch == ")":
-            depth += 1
-        elif ch == "(":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            rhs = chunk[i + 1 :].strip()
-            if _INDEX_WORD.match(rhs):
-                return i
-            return None
-    return None

@@ -13,10 +13,22 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .exterior import Form, FrameContext, ExteriorError, _bits, _mask
+from .exterior import (
+    ExteriorError,
+    Form,
+    FrameContext,
+    _basis_masks,
+    _bits,
+    _form_vector,
+    _last_top_level_star,
+    _merge_sign,
+    _split_signed_terms,
+    interior,
+)
 from .scalars import ParameterContext, Scalar, ScalarSyntaxError, _fold_unicode
 
 __all__ = [
@@ -58,21 +70,20 @@ class SalamonSyntaxError(ValueError):
 
 
 def _d_on_form(d_table: Sequence[Form], a: Form) -> Form:
-    ctx = a.ctx
-    out = ctx.zero_form()
+    """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0)."""
+    comps: Dict[int, Scalar] = {}
     for mask, coeff in a.comps.items():
-        indices = _bits(mask)
-        for j, idx in enumerate(indices):
-            di = d_table[idx - 1]
-            if di.is_zero:
-                continue
-            rest_sign, rest_mask = _mask([i for i in indices if i != idx])
-            rest = Form(ctx, {rest_mask: ctx.params.one})
-            term = di.wedge(rest).scale(coeff)
-            if (j % 2 == 1) != (rest_sign < 0):
-                term = -term
-            out = out + term
-    return out
+        for j, idx in enumerate(_bits(mask)):
+            rest = mask & ~(1 << (idx - 1))
+            for m2, c2 in d_table[idx - 1].comps.items():
+                if m2 & rest:
+                    continue
+                term = c2 * coeff
+                if (j % 2 == 1) != (_merge_sign(m2, rest) < 0):
+                    term = -term
+                prev = comps.get(m2 | rest)
+                comps[m2 | rest] = term if prev is None else prev + term
+    return Form(a.ctx, comps)
 
 
 def jacobi_certificates(d_table: Sequence[Form]) -> List[Tuple[int, Form]]:
@@ -144,50 +155,7 @@ class LieAlgebra:
 
     def _check_filtration(self) -> bool:
         """V_{j+1} = {x : d x in Lambda^2 V_j} must exhaust Lambda^1."""
-        ctx = self.ctx
-        pctx = ctx.params
-        n = ctx.dim
-        v_basis: List[List[Scalar]] = []
-        while True:
-            forms = [Form(ctx, {1 << i: c for i, c in enumerate(vec) if not c.is_zero})
-                     for vec in v_basis]
-            span_rows = []
-            masks2 = [sum(1 << (i - 1) for i in combo)
-                      for combo in itertools.combinations(range(1, n + 1), 2)]
-            for f1, f2 in itertools.combinations_with_replacement(forms, 2):
-                w = f1.wedge(f2)
-                span_rows.append([w.comps.get(m, pctx.zero) for m in masks2])
-            # x = sum c_i e^i with d x inside that span: kernel computation
-            d_cols = []
-            for i in range(1, n + 1):
-                d_cols.append([self.d_table[i - 1].comps.get(m, pctx.zero) for m in masks2])
-            # {x : dx in Lambda^2 V} is the kernel of x -> dx mod the span
-            if span_rows:
-                red, pivots = linalg.rref(span_rows, pctx)
-                red = [r for r in red if any(not c.is_zero for c in r)]
-            else:
-                red, pivots = [], []
-            def reduce_vec(vec: List[Scalar]) -> List[Scalar]:
-                vec = list(vec)
-                for r, pc in enumerate(pivots):
-                    f = vec[pc]
-                    if not f.is_zero:
-                        vec = [a - f * b for a, b in zip(vec, red[r])]
-                return vec
-            residual_cols = [reduce_vec(d_cols[i]) for i in range(n)]
-            kernel_rows = []
-            for comp in range(len(masks2)):
-                row = [residual_cols[i][comp] for i in range(n)]
-                if any(not c.is_zero for c in row):
-                    kernel_rows.append(row)
-            new_v = linalg.kernel(kernel_rows, pctx) if kernel_rows else [
-                [pctx.one if i == j else pctx.zero for j in range(n)] for i in range(n)
-            ]
-            if len(new_v) == n:
-                return True
-            if len(new_v) <= len(v_basis):
-                return False
-            v_basis = new_v
+        return _climb(self.d_table, self.ctx, _pair_wedges)[-1] == self.ctx.dim
 
     def params(self) -> frozenset:
         used = set()
@@ -227,53 +195,7 @@ def check_jacobi(g_or_table) -> Tuple[bool, Optional[Form]]:
 # Salamon notation
 # ---------------------------------------------------------------------------
 
-def _split_signed_terms(text: str):
-    """Split on top-level +/- into (sign, chunk) pairs."""
-    terms = []
-    sign = 1
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SalamonSyntaxError("unbalanced ')'", i)
-        elif ch in "+-" and depth == 0:
-            prev = text[:i].rstrip()
-            if prev and prev[-1] not in "+-*/^(":
-                terms.append((sign, text[start:i]))
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-            elif not prev:
-                sign = sign * (1 if ch == "+" else -1)
-                start = i + 1
-        i += 1
-    if depth != 0:
-        raise SalamonSyntaxError("unbalanced '('", len(text))
-    terms.append((sign, text[start:]))
-    return terms
-
-
 _INDEX_PAIR = re.compile(r"^(?:e)?(\d\d)$")
-
-
-def _last_top_level_star(chunk: str):
-    depth = 0
-    for i in range(len(chunk) - 1, -1, -1):
-        ch = chunk[i]
-        if ch == ")":
-            depth += 1
-        elif ch == "(":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            if _INDEX_PAIR.match(chunk[i + 1 :].strip()):
-                return i
-            return None
-    return None
 
 
 def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None) -> LieAlgebra:
@@ -301,13 +223,13 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
         if not entry:
             raise SalamonSyntaxError(f"empty entry {entry_index}", position)
         form = ctx.zero_form()
-        for sign, chunk in _split_signed_terms(entry):
+        for sign, chunk in _split_signed_terms(entry, SalamonSyntaxError):
             chunk = chunk.strip()
             if not chunk:
                 raise SalamonSyntaxError(
                     f"empty term in entry {entry_index}", position
                 )
-            star = _last_top_level_star(chunk)
+            star = _last_top_level_star(chunk, _INDEX_PAIR)
             if star is None:
                 scalar_text, index_text = None, chunk
             else:
@@ -412,83 +334,11 @@ def _bound_tables(g: LieAlgebra, bindings: Optional[Mapping[str, Fraction]], see
     return tables, FrameContext(g.ctx.dim, target)
 
 
-def _table_fractions(d_table: Sequence[Form]):
-    """[{mask: Fraction}] when the table is parameter-free, else None."""
-    out = []
-    for f in d_table:
-        comps = {}
-        for m, c in f.comps.items():
-            if not c.is_rational:
-                return None
-            comps[m] = c.as_fraction()
-        out.append(comps)
-    return out
-
-
-def _merge_sign_int(a: int, b: int) -> int:
-    inversions = 0
-    bb = b
-    while bb:
-        low = bb & -bb
-        pos = low.bit_length()
-        inversions += bin(a >> pos).count("1")
-        bb ^= low
-    return -1 if inversions % 2 else 1
-
-
-def _d_monomial_fractions(table, mask: int):
-    """d e^I on a parameter-free table, as {mask: Fraction}.
-
-    Leibniz sign for the j-th index (0-based) is (-1)^j, which equals the
-    parity of the lower set bits.
-    """
-    out = {}
-    bit, idx = 1, 1
-    position = 0
-    while bit <= mask:
-        if mask & bit:
-            di = table[idx - 1]
-            if di:
-                rest = mask & ~bit
-                leibniz = -1 if position % 2 else 1
-                for m2, c2 in di.items():
-                    if m2 & rest:
-                        continue
-                    s2 = _merge_sign_int(m2, rest)
-                    key = m2 | rest
-                    out[key] = out.get(key, 0) + c2 * s2 * leibniz
-            position += 1
-        bit <<= 1
-        idx += 1
-    return {m: c for m, c in out.items() if c}
-
-
 def _rank_d_on_grade(d_table: Sequence[Form], ctx: FrameContext, k: int) -> int:
-    pctx = ctx.params
-    n = ctx.dim
-    source = list(itertools.combinations(range(1, n + 1), k))
-    target = list(itertools.combinations(range(1, n + 1), k + 1))
-    tpos = {sum(1 << (i - 1) for i in combo): col for col, combo in enumerate(target)}
-    frac_table = _table_fractions(d_table)
-    if frac_table is not None:
-        rows = []
-        for combo in source:
-            mask = sum(1 << (i - 1) for i in combo)
-            da = _d_monomial_fractions(frac_table, mask)
-            row = [Fraction(0)] * len(target)
-            for m, c in da.items():
-                row[tpos[m]] = c
-            rows.append(row)
-        return linalg.rank_fractions(rows) if rows else 0
-    rows = []
-    for combo in source:
-        sign, mask = _mask(combo)
-        da = _d_on_form(d_table, Form(ctx, {mask: pctx.one}))
-        row = [pctx.zero] * len(target)
-        for m, c in da.comps.items():
-            row[tpos[m]] = c
-        rows.append(row)
-    return linalg.rank(rows, pctx) if rows else 0
+    masks = _basis_masks(ctx.dim, k + 1)
+    images = [_d_on_form(d_table, Form(ctx, {m: ctx.params.one}))
+              for m in _basis_masks(ctx.dim, k)]
+    return linalg.rank(_coords(images, masks), ctx.params)
 
 
 def betti(
@@ -503,7 +353,6 @@ def betti(
     tables, ctx = _bound_tables(g, bindings, seed)
     values = []
     for table in tables:
-        from math import comb
         dim_k = comb(g.ctx.dim, k)
         rank_k = _rank_d_on_grade(table, ctx, k) if k < g.ctx.dim else 0
         rank_km1 = _rank_d_on_grade(table, ctx, k - 1) if k >= 1 else 0
@@ -514,125 +363,78 @@ def betti(
 
 
 # ---------------------------------------------------------------------------
-# brackets and characteristic series
+# characteristic series, read off the dual filtrations of Lambda^1
 # ---------------------------------------------------------------------------
 
 
-def _frac_rref(vectors):
-    if not vectors:
-        return [], []
-    m = [list(v) for v in vectors]
-    return linalg._rref_fractions(m)
+def _coords(forms: Sequence[Form], masks: Sequence[int]) -> List[List[Scalar]]:
+    return [_form_vector(f, masks) for f in forms]
 
 
-def _frac_span(vectors):
-    red, pivots = _frac_rref(vectors)
-    return [red[r] for r in range(len(pivots))]
+def _span(ctx: FrameContext, forms: Sequence[Form], grade: int) -> List[Form]:
+    """A basis of the span of homogeneous forms of the given grade."""
+    masks = _basis_masks(ctx.dim, grade)
+    red, pivots = linalg.rref(_coords(forms, masks), ctx.params)
+    return [Form(ctx, dict(zip(masks, row))) for row in red[: len(pivots)]]
 
 
-def _frac_kernel(rows, n):
-    if not rows:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                for i in range(n)]
-    red, pivots = _frac_rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+def _preimage(d_table: Sequence[Form], ctx: FrameContext, span: Sequence[Form]) -> List[Form]:
+    """A basis of the 1-forms x with d x in the span of the given 2-forms.
+
+    These are the x-parts of the kernel of (y, x) -> sum y_j s_j + sum x_i d e^i.
+    With the span's columns first, every free column of the span gives a
+    kernel vector with x = 0 and the other kernel vectors have independent
+    x-parts.
+    """
+    m = len(span)
+    columns = _coords(list(span) + list(d_table), _basis_masks(ctx.dim, 2))
+    solutions = linalg.kernel([list(row) for row in zip(*columns)], ctx.params)
+    return [Form(ctx, {1 << i: c for i, c in enumerate(v[m:])})
+            for v in solutions if any(v[m:])]
 
 
-def _frac_brackets(table, n):
-    """[e_a, e_b] = -sum_i c^i_{ab} e_i on a fraction table."""
-    pairs = {}
-    for i, comps in enumerate(table, start=1):
-        for mask, coeff in comps.items():
-            a = (mask & -mask).bit_length()
-            b = mask.bit_length()
-            vec = pairs.setdefault((a, b), [Fraction(0)] * n)
-            vec[i - 1] -= coeff
+def _climb(d_table: Sequence[Form], ctx: FrameContext, generators) -> List[int]:
+    """Dimensions of 0 = W_0 c W_1 c ... with W_{k+1} = d^{-1} span generators(W_k).
 
-    def bracket(x, y):
-        out = [Fraction(0)] * n
-        for (a, b), vec in pairs.items():
-            coeff = x[a - 1] * y[b - 1] - x[b - 1] * y[a - 1]
-            if coeff:
-                for idx, v in enumerate(vec):
-                    if v:
-                        out[idx] += coeff * v
-        return out
-
-    return bracket
+    The climb stops when W stops growing or fills Lambda^1.
+    """
+    w: List[Form] = []
+    dims = [0]
+    while len(w) < ctx.dim:
+        nxt = _preimage(d_table, ctx, generators(ctx, w))
+        if len(nxt) == len(w):
+            break
+        w = nxt
+        dims.append(len(w))
+    return dims
 
 
-def _series_dims_bound(d_table: Sequence[Form], ctx: FrameContext):
+def _pair_wedges(ctx: FrameContext, w: Sequence[Form]) -> List[Form]:
+    """Lambda^2 W: ann g^{k+1} = {a : d a in Lambda^2 ann g^k}."""
+    return [a.wedge(b) for a, b in itertools.combinations(w, 2)]
+
+
+def _ideal_wedges(ctx: FrameContext, w: Sequence[Form]) -> List[Form]:
+    """W ^ Lambda^1: ann g^(k+1) = {a : d a in ann g^(k) ^ Lambda^1}."""
+    return [a.wedge(ctx.basis(i)) for a in w for i in range(1, ctx.dim + 1)]
+
+
+def _series(d_table: Sequence[Form], ctx: FrameContext):
+    """(lower central, derived, upper central) dimensions of a parameter-free table."""
     n = ctx.dim
-    frac_table = _table_fractions(d_table)
-    if frac_table is None:
-        raise GenericEvaluationError("series require a parameter-free table")
-    bracket = _frac_brackets(frac_table, n)
-    unit = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-    def bracket_span(xs, ys):
-        vecs = []
-        for x in xs:
-            for y in ys:
-                w = bracket(x, y)
-                if any(w):
-                    vecs.append(w)
-        return _frac_span(vecs)
-
-    lower = [unit]
-    while True:
-        nxt = bracket_span(unit, lower[-1])
-        lower.append(nxt)
-        if len(nxt) == 0:
+    lower = tuple(n - k for k in _climb(d_table, ctx, _pair_wedges))
+    derived = tuple(n - k for k in _climb(d_table, ctx, _ideal_wedges))
+    # ann Z_{k+1} = span{e_a _| d a : a in ann Z_k}, from ann Z_0 = Lambda^1
+    unit = [ctx.basis(i) for i in range(1, n + 1)]
+    upper: List[int] = []
+    ann = unit
+    while ann:
+        images = [_d_on_form(d_table, a) for a in ann]
+        ann = _span(ctx, [interior(e, da) for da in images for e in unit], 1)
+        if upper and upper[-1] == n - len(ann):
             break
-    derived = [unit]
-    while True:
-        nxt = bracket_span(derived[-1], derived[-1])
-        derived.append(nxt)
-        if len(nxt) == 0:
-            break
-
-    upper_dims = []
-    z_basis = []
-    while True:
-        red, pivots = _frac_rref(z_basis) if z_basis else ([], [])
-
-        def reduce_vec(vec):
-            vec = list(vec)
-            for r, pc in enumerate(pivots):
-                f = vec[pc]
-                if f:
-                    vec = [a - f * b for a, b in zip(vec, red[r])]
-            return vec
-
-        rows = []
-        for j in range(n):
-            imgs = [reduce_vec(bracket(unit[i], unit[j])) for i in range(n)]
-            for comp in range(n):
-                row = [imgs[i][comp] for i in range(n)]
-                if any(row):
-                    rows.append(row)
-        new_z = _frac_kernel(rows, n) if rows else unit
-        dim = len(new_z)
-        if upper_dims and dim == upper_dims[-1]:
-            break
-        upper_dims.append(dim)
-        z_basis = new_z
-        if dim == n:
-            break
-
-    return (
-        tuple(len(level) for level in lower),
-        tuple(len(level) for level in derived),
-        tuple(upper_dims),
-    )
+        upper.append(n - len(ann))
+    return lower, derived, tuple(upper)
 
 
 def series_dims(
@@ -642,7 +444,7 @@ def series_dims(
 ):
     """(lower central, derived, upper central) dimension sequences."""
     tables, ctx = _bound_tables(g, bindings, seed)
-    results = [_series_dims_bound(t, ctx) for t in tables]
+    results = [_series(t, ctx) for t in tables]
     if len(set(results)) > 1:
         raise GenericEvaluationError("non-generic evaluation")
     return results[0]
@@ -664,62 +466,18 @@ class Fingerprint:
     """(rank of d on 1-forms, dim span{x^y : x,y exact}, dim of the wedge radical)."""
 
 
-def _wedge2_fractions(x, y):
-    out = {}
-    for ma, ca in x.items():
-        for mb, cb in y.items():
-            if ma & mb:
-                continue
-            s = _merge_sign_int(ma, mb)
-            key = ma | mb
-            out[key] = out.get(key, 0) + ca * cb * s
-    return {m: c for m, c in out.items() if c}
-
-
 def _exact_two_form_data(d_table: Sequence[Form], ctx: FrameContext):
-    n = ctx.dim
-    frac_table = _table_fractions(d_table)
-    if frac_table is None:
-        raise GenericEvaluationError("wedge data requires a parameter-free table")
-    masks2 = [sum(1 << (i - 1) for i in c) for c in itertools.combinations(range(1, n + 1), 2)]
-    pos2 = {m: i for i, m in enumerate(masks2)}
-    rows = []
-    for comps in frac_table:
-        if comps:
-            row = [Fraction(0)] * len(masks2)
-            for m, c in comps.items():
-                row[pos2[m]] = c
-            rows.append(row)
-    basis_rows = _frac_span(rows)
-    basis = [
-        {masks2[i]: row[i] for i in range(len(masks2)) if row[i]}
-        for row in basis_rows
-    ]
-    masks4 = [sum(1 << (i - 1) for i in c) for c in itertools.combinations(range(1, n + 1), 4)]
-    pos4 = {m: i for i, m in enumerate(masks4)}
-    wedge_rows = []
-    decomposable = True
-    for i, x in enumerate(basis):
-        for j in range(i, len(basis)):
-            w = _wedge2_fractions(x, basis[j])
-            if w:
-                decomposable = False
-            row = [Fraction(0)] * len(masks4)
-            for m, c in w.items():
-                row[pos4[m]] = c
-            wedge_rows.append(row)
-    wedge_span = linalg.rank_fractions(wedge_rows) if wedge_rows else 0
-    radical_rows = []
-    for y in basis:
-        products = [_wedge2_fractions(x, y) for x in basis]
-        for m4 in masks4:
-            row = [p.get(m4, Fraction(0)) for p in products]
-            if any(row):
-                radical_rows.append(row)
-    if basis:
-        radical_dim = len(_frac_kernel(radical_rows, len(basis)))
-    else:
-        radical_dim = 0
+    pctx = ctx.params
+    masks4 = _basis_masks(ctx.dim, 4)
+    basis = _span(ctx, d_table, 2)
+    products = [[x.wedge(y) for y in basis] for x in basis]
+    decomposable = all(p.is_zero for row in products for p in row)
+    upper_half = [p for i, row in enumerate(products) for p in row[i:]]
+    wedge_span = linalg.rank(_coords(upper_half, masks4), pctx)
+    # the radical: combinations y of the basis with x ^ y = 0 for every x
+    radical_rows = [list(row) for x_products in products
+                    for row in zip(*_coords(x_products, masks4)) if any(row)]
+    radical_dim = len(linalg.kernel(radical_rows, pctx)) if radical_rows else len(basis)
     return len(basis), wedge_span, radical_dim, decomposable
 
 
@@ -730,14 +488,13 @@ def fingerprint(
 ) -> Fingerprint:
     tables, ctx = _bound_tables(g, bindings, seed)
     results = []
-    from math import comb
     for table in tables:
         ranks = {k: _rank_d_on_grade(table, ctx, k) for k in range(0, ctx.dim + 1)}
         b = tuple(
             comb(ctx.dim, k) - ranks[k] - ranks[k - 1]
             for k in range(1, ctx.dim + 1)
         )
-        series = _series_dims_bound(table, ctx)
+        series = _series(table, ctx)
         rank_d, wedge_span, radical, decomposable = _exact_two_form_data(table, ctx)
         results.append(
             Fingerprint(

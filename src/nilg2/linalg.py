@@ -7,7 +7,6 @@ elimination with exact arithmetic is entirely adequate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .scalars import ParameterContext, Scalar
@@ -15,83 +14,44 @@ from .scalars import ParameterContext, Scalar
 Row = List[Scalar]
 
 
-def _clone(rows: Sequence[Sequence[Scalar]]) -> List[Row]:
-    return [list(r) for r in rows]
+def rref(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form and pivot column list.
 
-
-def _rref_fractions(m: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+    Parameter-free matrices are reduced as plain Fractions, which the same
+    elimination loop handles, and are returned as Scalars again.
+    """
+    if not rows:
+        return [], []
+    demoted = all(x.is_rational for row in rows for x in row)
+    if demoted:
+        m = [[x.as_fraction() for x in row] for row in rows]
+    else:
+        m = [list(r) for r in rows]
     ncols = len(m[0])
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        # rows are sparse: zero entries are skipped, not multiplied
+        row = m[r] = [x * inv if x else x for x in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], row)]
         pivots.append(c)
         r += 1
         if r == len(m):
             break
+    if demoted:
+        m = [[Scalar(ctx, x) for x in row] for row in m]
     return m, pivots
-
-
-def rref(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form and pivot column list.
-
-    Parameter-free matrices take a plain-Fraction fast path.
-    """
-    if not rows:
-        return [], []
-    if all(x.is_rational for row in rows for x in row):
-        frac = [[x.as_fraction() for x in row] for row in rows]
-        red, pivots = _rref_fractions(frac)
-        return [[ctx.scalar(x) for x in row] for row in red], pivots
-    m = _clone(rows)
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ctx.one / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rank_fractions(rows: Sequence[Sequence[Fraction]]) -> int:
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    return len(_rref_fractions(m)[1])
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> int:
-    if rows and all(x.is_rational for row in rows for x in row):
-        return rank_fractions([[x.as_fraction() for x in row] for row in rows])
     return len(rref(rows, ctx)[1])
 
 

@@ -240,6 +240,78 @@ def _row_basis(vectors: List[List[Fraction]]) -> Tuple[List[List[Fraction]], Lis
     return basis, pivots
 
 
+def _unit(dim: int) -> List[List[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+
+
+def _vector_bracket(table: Dict[int, OForm], dim: int):
+    """The bracket of coordinate vectors, from the basis brackets."""
+    bracket = _brackets(table)
+
+    def br(u: List[Fraction], v: List[Fraction]) -> List[Fraction]:
+        out = [Fraction(0)] * dim
+        for a, ua in enumerate(u, start=1):
+            if not ua:
+                continue
+            for b, vb in enumerate(v, start=1):
+                if vb:
+                    for i, c in bracket(a, b).items():
+                        out[i - 1] += ua * vb * c
+        return out
+
+    return br
+
+
+def series_dims(table: Dict[int, OForm], dim: int = N - 1):
+    """(lower central, derived, upper central) dimension sequences.
+
+    Straight from the definitions on coordinate vectors: g^{k+1} = [g, g^k]
+    and g^(k+1) = [g^(k), g^(k)] down to where they stop shrinking, and
+    Z_{k+1} = {x : [x, g] c Z_k} from Z_0 = 0 up to where it stops growing.
+    """
+    br = _vector_bracket(table, dim)
+    unit = _unit(dim)
+
+    def descend(step):
+        spaces = [unit]
+        while spaces[-1]:
+            nxt, _ = _row_basis([br(x, y) for x in step(spaces[-1]) for y in spaces[-1]])
+            if len(nxt) == len(spaces[-1]):
+                break
+            spaces.append(nxt)
+        return tuple(len(space) for space in spaces)
+
+    upper: List[int] = []
+    center: List[List[Fraction]] = []
+    while True:
+        basis, pivots = _row_basis(center)
+
+        def modulo_center(v):
+            for b, p in zip(basis, pivots):
+                v = [x - v[p] * y for x, y in zip(v, b)]
+            return v
+
+        # x in Z_{k+1} iff every [x, e_j] vanishes modulo Z_k; linear in x
+        images = [[modulo_center(br(ea, ej)) for ea in unit] for ej in unit]
+        rows = [[img[a][c] for a in range(dim)] for img in images for c in range(dim)]
+        reduced, bound = _row_basis(rows)
+        center = []
+        for f in range(dim):
+            if f in bound:
+                continue
+            v = [Fraction(0)] * dim
+            v[f] = Fraction(1)
+            for r, p in zip(reduced, bound):
+                v[p] = -r[f]
+            center.append(v)
+        if upper and len(center) == upper[-1]:
+            break
+        upper.append(len(center))
+        if len(center) == dim:
+            break
+    return descend(lambda space: unit), descend(lambda space: space), tuple(upper)
+
+
 def _binary_cubic_discriminant(a, b, c, d) -> Fraction:
     return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
             - 27 * a * a * d * d + 18 * a * b * c * d)
@@ -270,21 +342,9 @@ def double_bracket_real_lines(table: Dict[int, OForm]) -> Optional[int]:
     Returns None where the invariant is not defined; raises ValueError when
     the fixed lines disagree (D = 0 is then no union of three lines).
     """
-    bracket = _brackets(table)
     dim = N - 1
-
-    def br(u: List[Fraction], v: List[Fraction]) -> List[Fraction]:
-        out = [Fraction(0)] * dim
-        for a, ua in enumerate(u, start=1):
-            if not ua:
-                continue
-            for b, vb in enumerate(v, start=1):
-                if vb:
-                    for i, c in bracket(a, b).items():
-                        out[i - 1] += ua * vb * c
-        return out
-
-    unit = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    br = _vector_bracket(table, dim)
+    unit = _unit(dim)
     gamma2, pivots2 = _row_basis([br(x, y) for x in unit for y in unit])
     gamma3, _ = _row_basis([br(x, w) for x in unit for w in gamma2])
     gamma4, _ = _row_basis([br(x, w) for x in unit for w in gamma3])

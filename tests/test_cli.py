@@ -158,3 +158,63 @@ def test_bad_input_exit_2_one_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err
     assert "Traceback" not in err
+
+
+def _report_body(out):
+    """A text report without its input line and its timing line."""
+    return out.splitlines()[1:-1]
+
+
+def test_structure_file_params_bind(capsys, tmp_path):
+    """[params] binds the file: the report is that of the table with the
+    value written in, and --param overrides the file."""
+    table = "0,lam*35,0,-lam*15,0,lam*13"
+    bound = tmp_path / "bound.su3"
+    bound.write_text(f"[algebra]\n{table}\n[params]\nlam = 3/2\n")
+    for value in ("3/2", "2"):
+        written = tmp_path / f"written{value.replace('/', '_')}.su3"
+        written.write_text(f"[algebra]\n{table.replace('lam', value)}\n")
+        code, expected, _ = run_cli(capsys, "g2t", str(written))
+        assert code == 0
+        argv = ["g2t", str(bound)] + ([] if value == "3/2" else ["--param", f"lam={value}"])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert _report_body(out) == _report_body(expected)
+        assert f"lam = {value}" in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[algebra]\n0,lam*35,0,-lam*15,0,a1*14-a1*23+lam*13\n[params]\nlam = 1\n",
+     "unbound parameter 'a1'"),
+    ("[algebra]\n0,0,1/lam*12,13,23,14\n[params]\nlam = 0\n",
+     "denominator vanishes at binding"),
+    ("[algebra]\n0,0,12,13,23,14\n[params]\nlam = k\n", "not parameter-free"),
+])
+def test_structure_file_bad_binding_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.su3"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "su3", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+    assert "Traceback" not in err
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_command_lines():
+    """The `nilg2 ...` lines of the README's "Command line" block."""
+    block = _README.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.splitlines()
+            if line.startswith("nilg2 ") and "COMMAND" not in line]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines(),
+                         ids=lambda line: " ".join(shlex.split(line, comments=True)[1:]))
+def test_readme_command_line_runs(capsys, monkeypatch, line):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    argv = shlex.split(line, comments=True)[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    assert code == (1 if argv[0] == "theorem" else 0), out

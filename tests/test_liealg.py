@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilg2.exterior import FrameContext, parse_form
+from nilg2.exterior import FormSyntaxError, FrameContext, parse_form
 from nilg2.families import FAMILIES
 from nilg2.liealg import (
     NAMED_ALGEBRAS,
@@ -51,6 +51,21 @@ def test_parse_errors(pctx):
         parse_salamon("0,0,12,13,23,11", pctx)  # repeated index
     with pytest.raises(SalamonSyntaxError):
         parse_salamon("0,0,12,13,23,19", pctx)  # out of range
+
+
+def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
+    """One splitter and one star finder serve both parsers; each parser
+    keeps its own error class."""
+    entry = "-(lam+1)*13 - 2*24 + -3*15+e34"
+    g = parse_salamon(f"0,0,0,0,0,{entry}", pctx)
+    assert g.d_table[5] == parse_form(frame6, entry)
+    for text, message in (("(lam*12", "unbalanced '(' (at position 7)"),
+                          ("lam)*12", "unbalanced ')' (at position 3)")):
+        with pytest.raises(FormSyntaxError) as form_error:
+            parse_form(frame6, text)
+        with pytest.raises(SalamonSyntaxError) as salamon_error:
+            parse_salamon(f"0,0,0,0,0,{text}", pctx)
+        assert str(form_error.value) == str(salamon_error.value) == message
 
 
 def test_parse_rejects_non_jacobi(pctx):

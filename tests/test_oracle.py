@@ -15,10 +15,11 @@ from oracle import (
     laplacian,
     scale,
 )
+from oracle import series_dims as oracle_series_dims
 from test_liealg import random_invertible
 
 from nilg2.families import instantiate
-from nilg2.liealg import change_basis, parse_salamon
+from nilg2.liealg import NAMED_ALGEBRAS, change_basis, parse_salamon, series_dims
 
 
 @pytest.mark.parametrize(
@@ -86,3 +87,31 @@ def test_real_lines_invariant_under_basis_change(pctx):
 def test_real_lines_undefined_off_three_step():
     assert double_bracket_real_lines({}) is None
     assert double_bracket_real_lines(oracle_family_table("case3", lam=1, a1=0)) is None
+
+
+_SERIES_BINDINGS = {
+    "case1": ({"lam": 1, "k": 2}, {"lam": Fraction(-3, 2), "k": 5}),
+    "case2": ({"lam": 2, "z": 3, "a1": 5}, {"lam": -1, "z": Fraction(1, 2), "a1": 4}),
+    "case3": ({"lam": 3, "a1": Fraction(-2, 7)}, {"lam": Fraction(1, 2), "a1": 0}),
+}
+
+
+def test_series_dims_match_bracket_oracle(pctx):
+    """The dual filtrations of liealg give the bracket-side series: on every
+    named algebra, the families at two bindings each and seeded basis
+    changes of all of them."""
+    algebras = {name: parse_salamon(text, pctx) for name, text in NAMED_ALGEBRAS.items()}
+    for name, bindings in _SERIES_BINDINGS.items():
+        for binding in bindings:
+            algebras[f"{name} {binding}"], _ = instantiate(name, binding, params=pctx)
+    rng = random.Random(23)
+    upper_lengths = set()
+    for name, g in algebras.items():
+        expected = oracle_series_dims(table_to_oracle(g))
+        upper_lengths.add(len(expected[2]))
+        assert series_dims(g) == expected, name
+        for _ in range(4):
+            moved = change_basis(g, random_invertible(rng, g.ctx.params))
+            assert series_dims(moved) == oracle_series_dims(table_to_oracle(moved)), name
+    # the set covers nilpotency steps 1 (the torus) to 4
+    assert upper_lengths == {1, 2, 3, 4}

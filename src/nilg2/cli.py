@@ -32,10 +32,8 @@ from .families import (
 )
 from .g2 import G2Error, build_product, dT_tests, torsion
 from .liealg import (
-    BasisChange,
     GenericEvaluationError,
     JacobiError,
-    LieAlgebra,
     NilpotencyError,
     SalamonSyntaxError,
     betti,
@@ -46,7 +44,6 @@ from .liealg import (
 from .scalars import ParameterContext, ScalarError, ScalarSyntaxError, _fold_unicode
 from .su3 import (
     StructureError,
-    build_structure,
     is_half_integrable,
     load_structure_file,
     torsion_classes,
@@ -297,15 +294,7 @@ def _load_input_structure(path: str, ctx: ParameterContext, bindings):
     if path in FAMILIES:
         _, structure = instantiate(path, bindings or None, params=ctx)
         return structure
-    structure, file_bindings = load_structure_file(path, ctx)
-    bindings = {**file_bindings, **bindings}
-    if not bindings:
-        return structure
-    # raises ScalarError on an unbound parameter or a vanishing denominator
-    table = [f.evaluate(bindings) for f in structure.algebra.d_table]
-    bound = table[0].ctx
-    rows = [[c.evaluate(bindings) for c in row] for row in structure.adaptation.rows]
-    return build_structure(LieAlgebra(bound, table), BasisChange(bound.params, rows))
+    return load_structure_file(path, ctx, bindings)[0]
 
 
 def _cmd_su3(path: str, ctx: ParameterContext, bindings) -> Report:

@@ -535,7 +535,12 @@ def primitive_11_basis(omega: Form, psi_plus: Form, psi_minus: Form) -> List[For
 
 @functools.lru_cache(maxsize=32)
 def _lefschetz_solver(omega: Form, psi_plus: Form, psi_minus: Form, slot: str):
-    """Cached inverse of the (constant per structure) decomposition matrix."""
+    """Cached inverse of the (constant per structure) decomposition matrix.
+
+    Each row of the inverse is kept as the ``(column, entry)`` pairs of its
+    nonzero entries (33 of 225 for the standard forms), with the column of
+    each 4-form mask; ``rows`` is None when the matrix is singular.
+    """
     ctx = omega.ctx
     pctx = ctx.params
     psi = psi_plus if slot == "plus" else psi_minus
@@ -547,7 +552,11 @@ def _lefschetz_solver(omega: Form, psi_plus: Form, psi_minus: Form, slot: str):
     masks4 = _basis_masks(6, 4)
     matrix_rows = [[col.comps.get(m, pctx.zero) for col in columns] for m in masks4]
     inverse = linalg.invert(matrix_rows, pctx)
-    return inverse, w2_basis, tuple(masks4), psi, omega2
+    rows = None if inverse is None else tuple(
+        tuple((j, x) for j, x in enumerate(row) if x) for row in inverse
+    )
+    column_of = {m: j for j, m in enumerate(masks4)}
+    return rows, column_of, w2_basis, psi, omega2
 
 
 def lefschetz_coefficients(
@@ -563,6 +572,11 @@ def lefschetz_coefficients(
     psi_minus.  W2 is primitive of type (1,1).  Raises ExteriorError with
     the residual if the (always square, normally invertible) system is
     singular for the given structure forms.
+
+    The inverse of the system is cached per structure and kept sparse, so
+    the solve multiplies only nonzero inverse entries by the nonzero
+    components of ``a``; the reconstruction check below still compares
+    the whole 4-form.
     """
     ctx = a.ctx
     pctx = ctx.params
@@ -570,21 +584,22 @@ def lefschetz_coefficients(
         raise ExteriorError("lefschetz decomposition requires a 6-dimensional frame")
     if a.homogeneous_grade() not in (None, 4):
         raise ExteriorError("lefschetz decomposition expects a 4-form")
-    inverse, w2_basis, masks4, psi, omega2 = _lefschetz_solver(
+    rows, column_of, w2_basis, psi, omega2 = _lefschetz_solver(
         omega, psi_plus, psi_minus, slot
     )
-    if inverse is None:
+    if rows is None:
         raise ExteriorError("form outside expected module")
-    rhs = _form_vector(a, masks4)
+    rhs = {column_of[m]: c for m, c in a.comps.items()}
     sol = [
-        sum((row[j] * rhs[j] for j in range(15)), pctx.zero)
-        for row in inverse
+        sum((x * rhs[j] for j, x in row if j in rhs), pctx.zero)
+        for row in rows
     ]
     c0 = sol[0]
     gamma = Form(ctx, {1 << i: sol[1 + i] for i in range(6)})
     w2 = ctx.zero_form()
     for coeff, basis_form in zip(sol[7:], w2_basis):
-        w2 = w2 + basis_form.scale(coeff)
+        if coeff:
+            w2 = w2 + basis_form.scale(coeff)
     # exactness check (guards against inputs outside the module span)
     recon = gamma.wedge(psi) + w2.wedge(omega) + omega2.scale(c0)
     if recon != a:
@@ -671,7 +686,7 @@ def parse_form(ctx: FrameContext, text: str) -> Form:
     The bare term '0' denotes the zero form; '1' with no '*' a 0-form.
     """
     total = ctx.zero_form()
-    for sign, chunk in _split_signed_terms(_fold_unicode(text), FormSyntaxError):
+    for sign, _, chunk in _split_signed_terms(_fold_unicode(text), FormSyntaxError):
         chunk = chunk.strip()
         if not chunk:
             raise FormSyntaxError("empty term", 0)
@@ -679,8 +694,9 @@ def parse_form(ctx: FrameContext, text: str) -> Form:
     return total
 
 
-def _split_signed_terms(text: str, error) -> List[Tuple[int, str]]:
-    """Split on top-level +/- into (sign, chunk) pairs.
+def _split_signed_terms(text: str, error) -> List[Tuple[int, int, str]]:
+    """Split on top-level +/- into (sign, start, chunk) triples, where
+    ``chunk`` is ``text[start:...]``.
 
     A sign after an operator or an opening parenthesis belongs to the term;
     unbalanced parentheses raise ``error(message, position)``.
@@ -699,7 +715,7 @@ def _split_signed_terms(text: str, error) -> List[Tuple[int, str]]:
         elif ch in "+-" and depth == 0:
             prev = text[:i].rstrip()
             if prev and prev[-1] not in "+-*/^(":
-                terms.append((sign, text[start:i]))
+                terms.append((sign, start, text[start:i]))
                 sign = 1 if ch == "+" else -1
                 start = i + 1
             elif not prev:
@@ -707,7 +723,7 @@ def _split_signed_terms(text: str, error) -> List[Tuple[int, str]]:
                 start = i + 1
     if depth != 0:
         raise error("unbalanced '('", len(text))
-    terms.append((sign, text[start:]))
+    terms.append((sign, start, text[start:]))
     return terms
 
 

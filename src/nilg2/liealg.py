@@ -204,8 +204,14 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
     Each entry is 0 or a signed sum of terms ``[scalar*]ij`` with two index
     digits (possibly out of order, e.g. ``42`` for e4^e2).
     """
-    raw = _fold_unicode(text).strip()
-    entries = [chunk.strip() for chunk in raw.split(",")]
+    folded = _fold_unicode(text)
+    # (position in the folded text, stripped entry): every error is
+    # reported at a position in the whole text
+    entries = []
+    start = 0
+    for piece in folded.split(","):
+        entries.append((start + len(piece) - len(piece.lstrip()), piece.strip()))
+        start += len(piece) + 1
     n = dim if dim is not None else len(entries)
     if len(entries) != n or n not in (6, 7):
         raise SalamonSyntaxError(
@@ -213,22 +219,21 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
         )
     ctx = FrameContext(n, params)
     table = []
-    offset = 0
-    for entry_index, entry in enumerate(entries, start=1):
-        position = raw.find(entry, offset)
-        offset = position + len(entry) if position >= 0 else offset
+    for entry_index, (position, entry) in enumerate(entries, start=1):
         if entry == "0":
             table.append(ctx.zero_form())
             continue
         if not entry:
             raise SalamonSyntaxError(f"empty entry {entry_index}", position)
         form = ctx.zero_form()
-        for sign, chunk in _split_signed_terms(entry, SalamonSyntaxError):
+        terms = _split_signed_terms(
+            entry, lambda message, at: SalamonSyntaxError(message, position + at)
+        )
+        for sign, offset, chunk in terms:
+            at = position + offset + len(chunk) - len(chunk.lstrip())
             chunk = chunk.strip()
             if not chunk:
-                raise SalamonSyntaxError(
-                    f"empty term in entry {entry_index}", position
-                )
+                raise SalamonSyntaxError(f"empty term in entry {entry_index}", at)
             star = _last_top_level_star(chunk, _INDEX_PAIR)
             if star is None:
                 scalar_text, index_text = None, chunk
@@ -238,22 +243,18 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
             if not m:
                 raise SalamonSyntaxError(
                     f"expected a two-digit index word in entry {entry_index}: {chunk!r}",
-                    position,
+                    at,
                 )
             i, j = int(m.group(1)[0]), int(m.group(1)[1])
             if i == j:
-                raise SalamonSyntaxError(
-                    f"repeated index {i} in entry {entry_index}", position
-                )
+                raise SalamonSyntaxError(f"repeated index {i} in entry {entry_index}", at)
             if not (1 <= i <= n and 1 <= j <= n):
-                raise SalamonSyntaxError(
-                    f"index out of range in entry {entry_index}", position
-                )
+                raise SalamonSyntaxError(f"index out of range in entry {entry_index}", at)
             try:
                 coeff = params.parse(scalar_text) if scalar_text else params.one
             except ScalarSyntaxError as exc:
                 raise SalamonSyntaxError(
-                    f"bad scalar in entry {entry_index}: {exc}", position
+                    f"bad scalar in entry {entry_index}: {exc.message}", at + exc.position
                 ) from None
             if sign < 0:
                 coeff = -coeff

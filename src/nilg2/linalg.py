@@ -14,20 +14,18 @@ from .scalars import ParameterContext, Scalar
 Row = List[Scalar]
 
 
-def rref(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form and pivot column list.
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> Tuple[list, List[int], bool]:
+    """The elimination loop: (reduced rows, pivot columns, demoted).
 
-    Parameter-free matrices are reduced as plain Fractions, which the same
-    elimination loop handles, and are returned as Scalars again.
+    Parameter-free matrices are reduced as plain Fractions (``demoted``),
+    which the same loop handles; the rows are then left as Fractions.
     """
-    if not rows:
-        return [], []
     demoted = all(x.is_rational for row in rows for x in row)
     if demoted:
         m = [[x.as_fraction() for x in row] for row in rows]
     else:
         m = [list(r) for r in rows]
-    ncols = len(m[0])
+    ncols = len(m[0]) if m else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -46,13 +44,24 @@ def rref(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Tuple[List[
         r += 1
         if r == len(m):
             break
+    return m, pivots, demoted
+
+
+def rref(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Tuple[List[Row], List[int]]:
+    """Reduced row echelon form and pivot column list.
+
+    Parameter-free matrices are reduced as plain Fractions and returned as
+    Scalars again.
+    """
+    m, pivots, demoted = _eliminate(rows)
     if demoted:
         m = [[Scalar(ctx, x) for x in row] for row in m]
     return m, pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> int:
-    return len(rref(rows, ctx)[1])
+    """Number of pivots; the reduced rows are not copied back to Scalars."""
+    return len(_eliminate(rows)[1])
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> List[Row]:

@@ -16,6 +16,13 @@ numerator over the positive least common denominator, which is the
 ``(numer, denom)`` pair that the field's ``cancel`` produces.  Everything
 else (a non-constant denominator on either side, or division by a
 non-constant value) goes through the fraction field and its ``cancel``.
+
+A symbolic operation with a rational operand 0, 1 or -1 takes neither of
+the last two paths: ``x + 0``, ``0 + x`` and ``x - 0`` give ``x``, ``0 - x``
+gives ``-x``, ``x*0``, ``0*x`` and ``0/x`` give 0, and ``x*(±1)``,
+``(±1)*x`` and ``x/(±1)`` give ``±x``.  These are identities on canonical
+values and negation keeps a value canonical, so the result is the one the
+ring or the field would build, without the cost.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ class ScalarSyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -172,9 +180,28 @@ class ParameterContext:
     def _combine(self, op, a, b):
         """``op(a, b)`` on raw values of which at least one is symbolic.
 
-        Polynomial operands take the ring path; ``truediv`` does so only when
+        A rational operand 0, 1 or -1 gives the result by its identity;
+        polynomial operands take the ring path; ``truediv`` does so only when
         the divisor is a constant.  Everything else goes through the field.
         """
+        if isinstance(b, Fraction):
+            if not b:  # x + 0, x - 0, x * 0 (x / 0 is refused by the caller)
+                return b if op is operator.mul else a
+            if op is operator.mul or op is operator.truediv:
+                if b == 1:
+                    return a
+                if b == -1:
+                    return -a
+        elif isinstance(a, Fraction):
+            if not a:  # 0 + x, 0 - x, 0 * x, 0 / x
+                if op is operator.add:
+                    return b
+                return -b if op is operator.sub else a
+            if op is operator.mul:
+                if a == 1:
+                    return b
+                if a == -1:
+                    return -b
         pa = self._poly(a)
         pb = self._poly(b) if pa is not None else None
         if pb is not None and (op is not operator.truediv or isinstance(b, Fraction)):

@@ -43,7 +43,7 @@ from .exterior import (
     standard_su3_forms,
 )
 from .liealg import BasisChange, LieAlgebra, change_basis
-from .scalars import Scalar
+from .scalars import ParameterContext, Scalar, _fold_unicode
 
 __all__ = [
     "SU3Structure",
@@ -251,10 +251,16 @@ def laplacian(s: SU3Structure, a: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 
-def load_structure_file(path, params) -> Tuple[SU3Structure, dict]:
+def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict]:
     """Read a structure description: [algebra], optional [adaptation], [params].
 
-    Returns the structure and the parameter bindings (name -> Fraction).
+    The file is parsed in ``params`` extended by the names its [params]
+    section binds.  It is bound at those values, overridden by
+    ``bindings`` (name -> Fraction), before the structure is built, so an
+    adaptation needs to be orthogonal only at the binding; with nothing
+    bound the structure stays symbolic.  Returns the structure and the
+    bindings applied.  An unbound parameter or a vanishing denominator at
+    the binding raises ScalarError.
     """
     from .liealg import parse_salamon
 
@@ -274,6 +280,13 @@ def load_structure_file(path, params) -> Tuple[SU3Structure, dict]:
             sections[current].append(line)
     if "algebra" not in sections or not sections["algebra"]:
         raise StructureError("missing [algebra] section")
+    values = {}
+    for line in sections.get("params", []):
+        if "=" not in line:
+            raise StructureError(f"bad [params] line: {line!r}")
+        name, value = line.split("=", 1)
+        values[_fold_unicode(name.strip())] = value.strip()
+    params = ParameterContext(params.names + tuple(values))
     algebra = parse_salamon(" ".join(sections["algebra"]), params, dim=6)
     if "adaptation" in sections and sections["adaptation"]:
         rows = []
@@ -285,13 +298,15 @@ def load_structure_file(path, params) -> Tuple[SU3Structure, dict]:
         adaptation = BasisChange(params, rows)
     else:
         adaptation = BasisChange.identity(params, 6)
-    bindings = {}
-    for line in sections.get("params", []):
-        if "=" not in line:
-            raise StructureError(f"bad [params] line: {line!r}")
-        name, value = line.split("=", 1)
-        bindings[name.strip()] = params.parse(value.strip())
-    frac_bindings = {}
-    for name, scalar in bindings.items():
-        frac_bindings[name] = scalar.as_fraction()
-    return build_structure(algebra, adaptation), frac_bindings
+    bindings = {
+        **{name: params.parse(value).as_fraction() for name, value in values.items()},
+        **(bindings or {}),
+    }
+    if bindings:
+        table = [f.evaluate(bindings) for f in algebra.d_table]
+        bound = table[0].ctx
+        algebra = LieAlgebra(bound, table)
+        adaptation = BasisChange(
+            bound.params, [[c.evaluate(bindings) for c in row] for row in adaptation.rows]
+        )
+    return build_structure(algebra, adaptation), bindings

@@ -183,6 +183,46 @@ def test_structure_file_params_bind(capsys, tmp_path):
         assert f"lam = {value}" in out
 
 
+def _rotation_rows(t, z):
+    """Rotations of the e1,e2 and e3,e4 planes in opposite senses; where
+    t^2 + z^2 = 1 they are orthogonal and keep omega, psi+ and psi-."""
+    return (f"{t} -{z} 0 0 0 0\n{z} {t} 0 0 0 0\n0 0 {t} {z} 0 0\n"
+            f"0 0 -{z} {t} 0 0\n0 0 0 0 1 0\n0 0 0 0 0 1\n")
+
+
+def test_structure_file_bound_before_build(capsys, tmp_path):
+    """An adaptation orthogonal only at the file's binding is accepted, and
+    the report is that of the file with the numbers written in."""
+    algebra = "[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n"
+    bound = tmp_path / "bound.su3"
+    bound.write_text(algebra + _rotation_rows("t", "z") + "[params]\nt = 3/5\nz = 4/5\n")
+    written = tmp_path / "written.su3"
+    written.write_text(algebra + _rotation_rows("3/5", "4/5"))
+    for command in ("su3", "g2t"):
+        code, expected, _ = run_cli(capsys, command, str(written))
+        assert code == 0
+        code, out, err = run_cli(capsys, command, str(bound))
+        assert (code, err) == (0, "")
+        assert _report_body(out) == _report_body(expected)
+
+
+def test_structure_file_own_parameter_name(capsys, tmp_path):
+    """A [params] name outside the default names binds like any other, and
+    --param overrides it."""
+    path = tmp_path / "mu.su3"
+    path.write_text("[algebra]\n0,lam*35,0,-lam*15,0,mu*13\n[params]\nmu = 3/2\nlam = 3/2\n")
+    for value in ("3/2", "2"):
+        written = tmp_path / "written.su3"
+        written.write_text(f"[algebra]\n0,3/2*35,0,-3/2*15,0,{value}*13\n")
+        for command in ("su3", "g2t"):
+            expected_code, expected, _ = run_cli(capsys, command, str(written))
+            argv = [command, str(path)] + ([] if value == "3/2" else ["--param", f"mu={value}"])
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (expected_code, "")
+            assert _report_body(out) == _report_body(expected)
+    assert expected_code == 1  # at mu = 2 the g2t check fails on both files
+
+
 @pytest.mark.parametrize("text, message", [
     ("[algebra]\n0,lam*35,0,-lam*15,0,a1*14-a1*23+lam*13\n[params]\nlam = 1\n",
      "unbound parameter 'a1'"),

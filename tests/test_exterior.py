@@ -5,9 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from nilg2 import linalg
 from nilg2.exterior import (
     ExteriorError,
     FrameContext,
+    _lefschetz_solver,
     form_str,
     hodge,
     inner,
@@ -15,6 +17,7 @@ from nilg2.exterior import (
     j_apply,
     lefschetz_coefficients,
     parse_form,
+    primitive_11_basis,
     standard_su3_forms,
     type_decompose,
 )
@@ -250,6 +253,70 @@ def test_lefschetz_mixed_grade_rejected(std_forms, frame6):
     om, psip, psim = std_forms
     with pytest.raises(ExteriorError):
         lefschetz_coefficients(frame6.basis(1, 2), om, psip, psim)
+
+
+def _dense_lefschetz(a, om, psip, psim, slot):
+    """The same 15x15 system as lefschetz_coefficients, solved densely."""
+    ctx, pctx = a.ctx, a.ctx.params
+    psi = psip if slot == "plus" else psim
+    w2_basis = primitive_11_basis(om, psip, psim)
+    columns = [om.wedge(om)] + [ctx.basis(i).wedge(psi) for i in range(1, 7)]
+    columns += [w.wedge(om) for w in w2_basis]
+    masks = [ctx.basis(*combo) for combo in combinations(range(1, 7), 4)]
+    rows = [[inner(col, m) for col in columns] for m in masks]
+    x = linalg.solve(rows, [inner(a, m) for m in masks], pctx)
+    gamma = sum((ctx.basis(i + 1).scale(x[1 + i]) for i in range(6)), ctx.zero_form())
+    w2 = sum((w.scale(c) for w, c in zip(w2_basis, x[7:])), ctx.zero_form())
+    return x[0], gamma, w2
+
+
+@pytest.mark.parametrize("slot", ["plus", "minus"])
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_lefschetz_sparse_solve_matches_dense(std_forms, frame6, pctx, slot, symbolic):
+    om, psip, psim = std_forms
+    psi = psip if slot == "plus" else psim
+    w2_basis = primitive_11_basis(om, psip, psim)
+    params = [pctx.param(name) for name in ("lam", "k", "z")]
+    rng = random.Random(f"lefschetz/{slot}/{symbolic}")
+
+    def coeff():
+        value = pctx.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        if symbolic and rng.random() < 0.5:
+            value = value * rng.choice(params) + rng.choice((0, 1, -2))
+        return value
+
+    for _ in range(6):
+        # sparse inputs too: each part is left out now and then
+        c0 = coeff() if rng.random() < 0.7 else pctx.zero
+        gamma = sum((frame6.basis(i).scale(coeff()) for i in range(1, 7)
+                     if rng.random() < 0.5), frame6.zero_form())
+        w2 = sum((w.scale(coeff()) for w in w2_basis if rng.random() < 0.4),
+                 frame6.zero_form())
+        a = gamma.wedge(psi) + w2.wedge(om) + om.wedge(om).scale(c0)
+        got = lefschetz_coefficients(a, om, psip, psim, slot)
+        assert got == (c0, gamma, w2)
+        assert got == _dense_lefschetz(a, om, psip, psim, slot)
+        before = _lefschetz_solver.cache_info()
+        assert lefschetz_coefficients(a, om, psip, psim, slot) == got
+        after = _lefschetz_solver.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_lefschetz_form_outside_module_rejected(frame6, std_forms):
+    """With a degenerate omega the 4-forms the decomposition reaches are a
+    proper subspace, and one outside it is refused."""
+    _, psip, psim = std_forms
+    e = frame6.basis
+    om = e(1, 2) + e(3, 4)
+    a = e(3, 4, 5, 6)
+    pctx = frame6.params
+    masks = [e(*combo) for combo in combinations(range(1, 7), 4)]
+    columns = [om.wedge(om)] + [e(i).wedge(psip) for i in range(1, 7)]
+    columns += [w.wedge(om) for w in primitive_11_basis(om, psip, psim)]
+    span = [[inner(col, m) for m in masks] for col in columns]
+    assert linalg.rank(span + [[inner(a, m) for m in masks]], pctx) > linalg.rank(span, pctx)
+    with pytest.raises(ExteriorError, match="outside expected module"):
+        lefschetz_coefficients(a, om, psip, psim)
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,33 @@ def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
     entry = "-(lam+1)*13 - 2*24 + -3*15+e34"
     g = parse_salamon(f"0,0,0,0,0,{entry}", pctx)
     assert g.d_table[5] == parse_form(frame6, entry)
-    for text, message in (("(lam*12", "unbalanced '(' (at position 7)"),
-                          ("lam)*12", "unbalanced ')' (at position 3)")):
+    # the Salamon position counts in the whole text, whose last entry
+    # starts at 10
+    for text, message, position in (("(lam*12", "unbalanced '('", 7),
+                                    ("lam)*12", "unbalanced ')'", 3)):
         with pytest.raises(FormSyntaxError) as form_error:
             parse_form(frame6, text)
         with pytest.raises(SalamonSyntaxError) as salamon_error:
             parse_salamon(f"0,0,0,0,0,{text}", pctx)
-        assert str(form_error.value) == str(salamon_error.value) == message
+        assert str(form_error.value) == f"{message} (at position {position})"
+        assert str(salamon_error.value) == f"{message} (at position {10 + position})"
+
+
+@pytest.mark.parametrize("text, message, position", [
+    # splitter error: the unclosed parenthesis runs to the end of the text
+    ("0,0,0,0,0,(lam*12", "unbalanced '('", 17),
+    ("0, 0,12,13,23,14 - lam)*25", "unbalanced ')'", 22),
+    # term errors: at the term, and inside a bad scalar at the bad token
+    ("0,0,12,13,23,14 +  11", "repeated index 1 in entry 6", 19),
+    ("0,0,12,13,23,14+2*1x", "expected a two-digit index word in entry 6: '2*1x'", 16),
+    ("0,0,12,13,23,14-(lam+$)*25", "bad scalar in entry 6: unexpected character '$'", 21),
+    (" 0,0,,13,23,14", "empty entry 3", 5),
+])
+def test_salamon_errors_at_whole_text_positions(pctx, text, message, position):
+    with pytest.raises(SalamonSyntaxError) as err:
+        parse_salamon(text, pctx)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
 
 
 def test_parse_rejects_non_jacobi(pctx):

@@ -219,6 +219,41 @@ def test_fast_path_matches_field_cancel(ctx, data):
                     (expected.raw.numer, expected.raw.denom)
 
 
+def _symbolic(ctx):
+    """Non-constant polynomials and quotients of polynomials, the fixed
+    non-polynomial example among them."""
+    polys = _polynomials(ctx)
+    quotients = st.tuples(polys, polys.filter(bool)).map(
+        lambda pq: _via_field(ctx, _field_raw(ctx, pq[0]) / _field_raw(ctx, pq[1])))
+    fixed = st.just(ctx.parse("(2 - lam*k)/(3*z)"))
+    return st.one_of(fixed, polys, quotients).filter(lambda s: not s.is_rational)
+
+
+@given(data=st.data())
+def test_identity_operands_match_field_cancel(ctx, data):
+    """0, 1 and -1, as Scalars and as plain Fractions, on either side of a
+    symbolic operand give the value, type, hash and (numer, denom) pair of
+    the fraction field and its cancel."""
+    x = data.draw(_symbolic(ctx))
+    for unit in (Fraction(0), Fraction(1), Fraction(-1)):
+        for u in (unit, ctx.scalar(unit)):
+            for name, op in _FAST_OPS.items():
+                for a, b in ((x, u), (u, x)):
+                    if name == "div" and b is u and not unit:
+                        with pytest.raises(ScalarError, match="division by zero"):
+                            op(a, b)
+                        continue
+                    expected = _via_field(ctx, op(_field_raw(ctx, ctx.scalar(a)),
+                                                  _field_raw(ctx, ctx.scalar(b))))
+                    got = op(a, b)
+                    assert got == expected, (name, a, b)
+                    assert type(got.raw) is type(expected.raw)
+                    assert hash(got) == hash(expected)
+                    if not got.is_rational:
+                        assert (got.raw.numer, got.raw.denom) == \
+                            (expected.raw.numer, expected.raw.denom)
+
+
 def test_negative_powers_are_canonical(ctx):
     lam = ctx.param("lam")
     assert (-lam) ** -1 == ctx.one / (-lam)

@@ -28,7 +28,8 @@ from . import linalg
 from .scalars import (
     ParameterContext,
     Scalar,
-    _fold_unicode,
+    ScalarSyntaxError,
+    _fold_with_origins,
 )
 
 __all__ = [
@@ -239,13 +240,6 @@ class Form:
         for m, c in self.comps.items():
             out[m] = target.scalar(c.evaluate(bindings))
         return Form(FrameContext(self.ctx.dim, target), out)
-
-    def embed(self, target_params: ParameterContext) -> "Form":
-        """Re-express coefficients in a larger parameter context."""
-        from .scalars import embed as embed_scalar
-
-        ctx = FrameContext(self.ctx.dim, target_params)
-        return Form(ctx, {m: embed_scalar(c, target_params) for m, c in self.comps.items()})
 
     def __str__(self):
         return form_str(self)
@@ -685,12 +679,22 @@ def parse_form(ctx: FrameContext, text: str) -> Form:
     strings (optionally prefixed with 'e') or 'dt' (dimension 7 only).
     The bare term '0' denotes the zero form; '1' with no '*' a 0-form.
     """
+    folded, origins = _fold_with_origins(text)
+
+    def error(message: str, at: int) -> FormSyntaxError:
+        # ``at`` counts in the folded text; report it in the text as given
+        return FormSyntaxError(message, origins[at])
+
     total = ctx.zero_form()
-    for sign, _, chunk in _split_signed_terms(_fold_unicode(text), FormSyntaxError):
+    for sign, start, chunk in _split_signed_terms(folded, error):
+        at = start + len(chunk) - len(chunk.lstrip())
         chunk = chunk.strip()
         if not chunk:
-            raise FormSyntaxError("empty term", 0)
-        total = total + _parse_term(ctx, chunk, sign)
+            raise error("empty term", at)
+        try:
+            total = total + _parse_term(ctx, chunk, sign, lambda message: error(message, at))
+        except ScalarSyntaxError as exc:
+            raise ScalarSyntaxError(exc.message, origins[at + exc.position]) from None
     return total
 
 
@@ -744,7 +748,7 @@ def _last_top_level_star(chunk: str, index_word: re.Pattern) -> Optional[int]:
 _INDEX_WORD = re.compile(r"^(?:e)?(\d+)$|^dt$")
 
 
-def _parse_term(ctx: FrameContext, chunk: str, sign: int) -> Form:
+def _parse_term(ctx: FrameContext, chunk: str, sign: int, error) -> Form:
     star = _last_top_level_star(chunk, _INDEX_WORD)
     if star is None:
         coeff_text, index_text = None, chunk
@@ -768,12 +772,10 @@ def _parse_term(ctx: FrameContext, chunk: str, sign: int) -> Form:
             return ctx.zero_form()
         indices = tuple(int(d) for d in digits)
         if any(d == 0 for d in indices):
-            raise FormSyntaxError(f"index 0 in term {chunk!r}", 0)
+            raise error(f"index 0 in term {chunk!r}")
     for idx in indices:
         if idx > ctx.dim:
-            raise FormSyntaxError(
-                f"index {idx} out of range for dimension {ctx.dim}", 0
-            )
+            raise error(f"index {idx} out of range for dimension {ctx.dim}")
     base = ctx.basis(*indices)
     if coeff_text is not None:
         coeff = ctx.params.parse(coeff_text)

@@ -2,9 +2,14 @@
 
 An algebra is given by the 2-forms d e^i (Salamon notation); the bracket is
 recovered by the Chevalley-Eilenberg convention d e^i(X, Y) = -e^i([X, Y]).
-The differential extends to all grades as the unique degree +1 derivation,
-and rank computations over parameterized tables follow a generic-evaluation
-policy: ranks are taken at two disjoint prime bindings and must agree.
+The differential extends to all grades as the unique degree +1 derivation.
+
+The invariants (``betti``, ``series_dims``, ``fingerprint``) are computed by
+exact elimination over Q.  With bindings they are the exact values of the
+table at the binding.  A table with unbound parameters is evaluated at two
+points with disjoint prime coordinates, moved by ``seed``; the two values
+must agree, else :class:`GenericEvaluationError` is raised.  That is a
+sampled generic value, not an identity in the parameters.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .exterior import (
     _split_signed_terms,
     interior,
 )
-from .scalars import ParameterContext, Scalar, ScalarSyntaxError, _fold_unicode
+from .scalars import ParameterContext, Scalar, ScalarSyntaxError, _fold_with_origins
 
 __all__ = [
     "LieAlgebra",
@@ -39,8 +44,6 @@ __all__ = [
     "NilpotencyError",
     "SalamonSyntaxError",
     "parse_salamon",
-    "extend_d",
-    "check_jacobi",
     "jacobi_certificates",
     "betti",
     "series_dims",
@@ -176,21 +179,6 @@ class LieAlgebra:
         return f"LieAlgebra({salamon_str(self)})"
 
 
-def extend_d(g: LieAlgebra, a: Form) -> Form:
-    if a.ctx != g.ctx:
-        raise ExteriorError("frame context mismatch")
-    return g.d(a)
-
-
-def check_jacobi(g_or_table) -> Tuple[bool, Optional[Form]]:
-    """(True, None) if d^2 = 0; else (False, first offending 3-form)."""
-    table = g_or_table.d_table if isinstance(g_or_table, LieAlgebra) else g_or_table
-    bad = jacobi_certificates(table)
-    if bad:
-        return False, bad[0][1]
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # Salamon notation
 # ---------------------------------------------------------------------------
@@ -204,7 +192,12 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
     Each entry is 0 or a signed sum of terms ``[scalar*]ij`` with two index
     digits (possibly out of order, e.g. ``42`` for e4^e2).
     """
-    folded = _fold_unicode(text)
+    folded, origins = _fold_with_origins(text)
+
+    def error(message: str, at: int) -> SalamonSyntaxError:
+        # ``at`` counts in the folded text; report it in the text as given
+        return SalamonSyntaxError(message, origins[at])
+
     # (position in the folded text, stripped entry): every error is
     # reported at a position in the whole text
     entries = []
@@ -214,9 +207,7 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
         start += len(piece) + 1
     n = dim if dim is not None else len(entries)
     if len(entries) != n or n not in (6, 7):
-        raise SalamonSyntaxError(
-            f"expected {dim or '6 or 7'} comma-separated entries, got {len(entries)}", 0
-        )
+        raise error(f"expected {dim or '6 or 7'} comma-separated entries, got {len(entries)}", 0)
     ctx = FrameContext(n, params)
     table = []
     for entry_index, (position, entry) in enumerate(entries, start=1):
@@ -224,16 +215,16 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
             table.append(ctx.zero_form())
             continue
         if not entry:
-            raise SalamonSyntaxError(f"empty entry {entry_index}", position)
+            raise error(f"empty entry {entry_index}", position)
         form = ctx.zero_form()
         terms = _split_signed_terms(
-            entry, lambda message, at: SalamonSyntaxError(message, position + at)
+            entry, lambda message, at: error(message, position + at)
         )
         for sign, offset, chunk in terms:
             at = position + offset + len(chunk) - len(chunk.lstrip())
             chunk = chunk.strip()
             if not chunk:
-                raise SalamonSyntaxError(f"empty term in entry {entry_index}", at)
+                raise error(f"empty term in entry {entry_index}", at)
             star = _last_top_level_star(chunk, _INDEX_PAIR)
             if star is None:
                 scalar_text, index_text = None, chunk
@@ -241,19 +232,19 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
                 scalar_text, index_text = chunk[:star], chunk[star + 1 :].strip()
             m = _INDEX_PAIR.match(index_text)
             if not m:
-                raise SalamonSyntaxError(
+                raise error(
                     f"expected a two-digit index word in entry {entry_index}: {chunk!r}",
                     at,
                 )
             i, j = int(m.group(1)[0]), int(m.group(1)[1])
             if i == j:
-                raise SalamonSyntaxError(f"repeated index {i} in entry {entry_index}", at)
+                raise error(f"repeated index {i} in entry {entry_index}", at)
             if not (1 <= i <= n and 1 <= j <= n):
-                raise SalamonSyntaxError(f"index out of range in entry {entry_index}", at)
+                raise error(f"index out of range in entry {entry_index}", at)
             try:
                 coeff = params.parse(scalar_text) if scalar_text else params.one
             except ScalarSyntaxError as exc:
-                raise SalamonSyntaxError(
+                raise error(
                     f"bad scalar in entry {entry_index}: {exc.message}", at + exc.position
                 ) from None
             if sign < 0:
@@ -317,14 +308,12 @@ def _generic_bindings(names: Sequence[str], seed: int = 0):
 
 
 def _bound_tables(g: LieAlgebra, bindings: Optional[Mapping[str, Fraction]], seed: int = 0):
-    """One or two parameter-free copies of the d-table, per the rank policy."""
+    """Parameter-free copies of the d-table: the one at ``bindings`` when
+    given, else the two at the seeded generic points."""
     names = g.params()
     if not names:
         return [g.d_table], g.ctx
-    ref_a, ref_b = _generic_bindings(sorted(names), seed)
-    chosen = [dict(bindings) if bindings else ref_a]
-    second = ref_b if (not bindings or any(bindings.get(k) != ref_b[k] for k in names)) else ref_a
-    chosen.append(second)
+    chosen = [bindings] if bindings else _generic_bindings(sorted(names), seed)
     target = ParameterContext(())
     tables = []
     for bind in chosen:
@@ -557,19 +546,6 @@ class BasisChange:
             self._inverse = tuple(tuple(r) for r in inv)
         return self._inverse
 
-    def compose(self, first: "BasisChange") -> "BasisChange":
-        """The change applying ``first`` then ``self`` (matrix product self @ first)."""
-        n = self.dim
-        rows = [
-            [
-                sum((self.rows[i][k] * first.rows[k][j] for k in range(n)),
-                    self.params.zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return BasisChange(self.params, rows)
-
     def is_orthogonal(self) -> bool:
         n = self.dim
         for i in range(n):
@@ -647,21 +623,11 @@ def change_basis(g: LieAlgebra, B: BasisChange, require_nilpotent: bool = False)
     return LieAlgebra(g.ctx, new_table, require_nilpotent=require_nilpotent)
 
 
-def is_isomorphic_via(
-    g: LieAlgebra,
-    B: BasisChange,
-    target: LieAlgebra,
-    bindings: Optional[Mapping[str, Fraction]] = None,
-) -> bool:
+def is_isomorphic_via(g: LieAlgebra, B: BasisChange, target: LieAlgebra) -> bool:
     """True iff change_basis(g, B) has exactly the target d-table."""
     if g.ctx.dim != target.ctx.dim:
         raise ValueError("dimension mismatch")
-    moved = change_basis(g, B)
-    if bindings is None:
-        return moved.d_table == target.d_table
-    lhs = tuple(f.evaluate(bindings) for f in moved.d_table)
-    rhs = tuple(f.evaluate(bindings) for f in target.d_table)
-    return lhs == rhs
+    return change_basis(g, B).d_table == target.d_table
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,6 @@ __all__ = [
     "ParameterContext",
     "ScalarError",
     "ScalarSyntaxError",
-    "normalize",
-    "evaluate",
-    "embed",
 ]
 
 
@@ -73,9 +70,21 @@ _UNICODE_MAP = {
 
 
 def _fold_unicode(text: str) -> str:
-    for src, dst in _UNICODE_MAP.items():
-        text = text.replace(src, dst)
-    return text
+    return _fold_with_origins(text)[0]
+
+
+def _fold_with_origins(text: str):
+    """The folded text, and for each of its positions and its end the
+    position in ``text`` it comes from, so errors count characters as typed."""
+    if text.isascii():  # every alias is non-ASCII
+        return text, range(len(text) + 1)
+    pieces, origins = [], []
+    for i, ch in enumerate(text):
+        piece = _UNICODE_MAP.get(ch, ch)
+        pieces.append(piece)
+        origins.extend([i] * len(piece))
+    origins.append(len(text))
+    return "".join(pieces), origins
 
 
 def _to_qq(value: Fraction):
@@ -146,7 +155,11 @@ class ParameterContext:
         return Scalar(self, Fraction(value))
 
     def parse(self, text: str) -> "Scalar":
-        return _Parser(self, text).parse()
+        folded, origins = _fold_with_origins(text)
+        try:
+            return _Parser(self, folded).parse()
+        except ScalarSyntaxError as exc:
+            raise ScalarSyntaxError(exc.message, origins[exc.position]) from None
 
     def _lift(self, value: Fraction):
         """A field element with the given rational value (symbolic backend)."""
@@ -350,16 +363,6 @@ class Scalar:
             raise ScalarError("denominator vanishes at binding")
         return num / den
 
-    def monic_parts(self):
-        """(numerator, denominator) scalars with the denominator monic."""
-        if isinstance(self.raw, Fraction):
-            return Scalar(self.ctx, self.raw), self.ctx.one
-        lc = _qq_to_fraction(self.raw.denom.LC)
-        field = self.ctx._field
-        num = Scalar(self.ctx, _demote(self.ctx, field.new(self.raw.numer) / field(_to_qq(Fraction(lc)))))
-        den = Scalar(self.ctx, _demote(self.ctx, field.new(self.raw.denom) / field(_to_qq(Fraction(lc)))))
-        return num, den
-
     # -- printing -----------------------------------------------------------
 
     def __str__(self):
@@ -378,42 +381,6 @@ def _eval_poly(poly, names, bindings) -> Fraction:
                 term *= bindings[name] ** exp
         total += term
     return total
-
-
-def normalize(s: Scalar) -> Scalar:
-    """Return the canonical form of ``s``.
-
-    Construction already canonicalizes, so this is the identity; it exists so
-    canonical-form expectations are a named, testable operation (idempotent).
-    """
-    return s
-
-
-def evaluate(s: Scalar, bindings: Mapping[str, Union[int, Fraction]]) -> Fraction:
-    return s.evaluate(bindings)
-
-
-def embed(s: Scalar, target: ParameterContext) -> Scalar:
-    """Re-express a scalar in a context whose parameters contain its own."""
-    if isinstance(s.raw, Fraction):
-        return Scalar(target, s.raw)
-    missing = s.params() - set(target.names)
-    if missing:
-        raise ScalarError(f"target context lacks parameters {sorted(missing)}")
-
-    def poly_embed(poly):
-        total = target.zero
-        for mono, coeff in poly.terms():
-            term = target.scalar(_qq_to_fraction(coeff))
-            for name, exp in zip(s.ctx.names, mono):
-                if exp:
-                    term = term * target.param(name) ** exp
-            total = total + term
-        return total
-
-    num = poly_embed(s.raw.numer)
-    den = poly_embed(s.raw.denom)
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +451,7 @@ class _Parser:
 
     def __init__(self, ctx: ParameterContext, text: str):
         self.ctx = ctx
-        self.text = _fold_unicode(text)
+        self.text = text
         self.tokens = []
         self._tokenize()
         self.index = 0

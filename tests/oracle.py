@@ -382,3 +382,27 @@ def double_bracket_real_lines(table: Dict[int, OForm]) -> Optional[int]:
     if len(counts) != 1:
         raise ValueError(f"double-bracket cubic is not a union of lines: {counts}")
     return counts.pop()
+
+
+def contraction(table: Dict[int, OForm], exponents, direction: str):
+    """Limit of the d-table in the coframe f^i = t^(e_i) e^i as t tends to 0
+    ("to-zero") or infinity ("to-infinity"); None when it diverges.
+
+    Worked on the bracket side: the dual frame is f_a = t^(-e_a) e_a, so
+    [f_a, f_b] = sum_i t^(e_i - e_a - e_b) c^i_ab f_i, and each power tends
+    to 0, stays 1 or diverges.  Coefficients are only negated, so they may
+    be of any ring type.
+    """
+    if direction not in ("to-zero", "to-infinity"):
+        raise ValueError(direction)
+    bracket = _brackets(table)
+    limit: Dict[int, OForm] = {}
+    for a, b in combinations(range(1, len(exponents) + 1), 2):
+        for i, c in bracket(a, b).items():
+            power = exponents[i - 1] - exponents[a - 1] - exponents[b - 1]
+            if power == 0:
+                # d f^i (f_a, f_b) = -f^i([f_a, f_b])
+                limit.setdefault(i, {})[(a, b)] = -c
+            elif (power < 0) == (direction == "to-zero"):
+                return None
+    return limit

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilg2.cli import main
 from nilg2.exterior import FrameContext, parse_form
+from nilg2.families import FAMILIES
+from nilg2.liealg import NAMED_ALGEBRAS
 from nilg2.scalars import ParameterContext
 
 
@@ -101,6 +106,57 @@ def test_contract_command(capsys):
     )
     assert code == 1
     assert "undefined in this direction" in out
+
+
+@pytest.mark.parametrize("direction", ["to-zero", "to-infinity"])
+def test_contract_parameter_named_t(capsys, direction):
+    """A parameter named t is an ordinary coefficient: the identity scaling
+    keeps the algebra in both directions."""
+    code, out, _ = run_cli(capsys, "contract", "0,0,0,0,0,t*12",
+                           "--exponents=0,0,0,0,0,0", "--direction", direction)
+    assert code == 0
+    assert "limit = 0,0,0,0,0,t*12" in out
+
+
+_CONTRACT_TABLES = (list(NAMED_ALGEBRAS.values())
+                    + [spec.table for spec in FAMILIES.values()] + ["0,0,0,0,0,t*12"])
+
+
+@st.composite
+def _edited_tables(draw):
+    """A valid table with up to two single-character edits."""
+    text = draw(st.sampled_from(_CONTRACT_TABLES))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "replace", "delete")))
+        ch = "" if kind == "delete" else draw(st.sampled_from(",+-*/^() 0123456789tλ₁x"))
+        text = text[:i] + ch + text[i + (kind != "insert"):]
+    return text
+
+
+_EXPONENT_LISTS = st.one_of(
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.lists(st.integers(-3, 3), max_size=8).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,-+ .x", max_size=14),
+)
+
+
+@settings(max_examples=200)
+@given(algebra=_edited_tables(), exponents=_EXPONENT_LISTS,
+       direction=st.sampled_from(("to-zero", "to-infinity")))
+def test_contract_fuzz_exit_status(algebra, exponents, direction):
+    """Malformed exponent lists, wrong lengths and edited algebras: exit
+    status 0, 1 or 2, one stderr line on 2, and never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["contract", f"--exponents={exponents}", "--direction", direction,
+                     "--", algebra])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_param_binding_and_unicode(capsys):

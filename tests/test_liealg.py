@@ -15,8 +15,6 @@ from nilg2.liealg import (
     SalamonSyntaxError,
     betti,
     change_basis,
-    check_jacobi,
-    extend_d,
     fingerprint,
     is_isomorphic_via,
     jacobi_certificates,
@@ -25,6 +23,7 @@ from nilg2.liealg import (
     salamon_str,
     series_dims,
 )
+from nilg2.scalars import ScalarSyntaxError
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +87,27 @@ def test_salamon_errors_at_whole_text_positions(pctx, text, message, position):
     assert str(err.value) == f"{message} (at position {position})"
 
 
+def test_error_positions_count_characters_as_typed(pctx, frame6):
+    """λ folds to the three characters of lam and a subscript digit to one;
+    all three parsers count positions in the text as given."""
+    cases = [
+        # λ0 *1 a2 ₁3 4 +5 6 ?7
+        (ScalarSyntaxError, lambda: pctx.parse("λ*a₁ + ?"), 7),
+        # the unclosed parenthesis runs to the end of the 15 characters
+        (SalamonSyntaxError, lambda: parse_salamon("0,0,0,0,0,(λ*12", pctx), 15),
+        # entry 6 starts at 16, its bad scalar token at 18
+        (SalamonSyntaxError, lambda: parse_salamon("0,0,0,0,a₁*λ*13,λ*$*12", pctx), 18),
+        (FormSyntaxError, lambda: parse_form(frame6, "λ*12 + a₁*(34"), 13),
+        # a term error at its term, a bad scalar at its token
+        (FormSyntaxError, lambda: parse_form(frame6, "λ*12 + 19"), 7),
+        (ScalarSyntaxError, lambda: parse_form(frame6, "λ*12 - a₁*$*34"), 10),
+    ]
+    for error, parse, position in cases:
+        with pytest.raises(error) as err:
+            parse()
+        assert err.value.position == position, err.value
+
+
 def test_parse_rejects_non_jacobi(pctx):
     with pytest.raises(JacobiError):
         parse_salamon("0,0,12,13,23,15", pctx)
@@ -110,7 +130,7 @@ def test_salamon_roundtrip(pctx):
 def test_extend_d_leibniz_by_hand(iwasawa):
     ctx = iwasawa.ctx
     e5, e6 = ctx.basis(5), ctx.basis(6)
-    d_e56 = extend_d(iwasawa, ctx.basis(5, 6))
+    d_e56 = iwasawa.d(ctx.basis(5, 6))
     manual = iwasawa.d_table[4].wedge(e6) - e5.wedge(iwasawa.d_table[5])
     assert d_e56 == manual
     assert d_e56 == parse_form(ctx, "136-145-235-246")
@@ -146,17 +166,16 @@ def test_check_jacobi_certificate(pctx):
     certificate = bad[0][1]
     expected = e(1, 3, 5).scale(-lam * (z2 - a3))
     assert certificate == expected
-    ok, cert = check_jacobi(d_table)
-    assert not ok and cert == certificate
+    assert bad == [(6, certificate)]
     # with z2 = a3 the table passes
     fixed = list(d_table)
     fixed[5] = e(1, 2).scale(a3) - e(3, 4).scale(a3) + e(1, 3).scale(lam)
-    assert check_jacobi(fixed) == (True, None)
+    assert jacobi_certificates(fixed) == []
 
 
 def test_abelian_jacobi(pctx):
     g = parse_salamon("0,0,0,0,0,0", pctx)
-    assert check_jacobi(g) == (True, None)
+    assert jacobi_certificates(g.d_table) == []
 
 
 def test_nilpotency_rejected(pctx):
@@ -195,9 +214,18 @@ def test_betti_parameterized_generic(pctx):
 
 
 def test_betti_non_generic_binding(pctx):
+    """A binding is evaluated exactly, also off the generic locus: at
+    lam = k = 0 the table is the abelian one, b1 = 6, while the generic
+    value is 2.  Unbound tables are still sampled at two seeded points."""
     g = parse_salamon("0,lam*35,k*15,-lam*15+k*25,0,lam*13", pctx)
+    assert betti(g, 1, {"lam": Fraction(0), "k": Fraction(0)}) == 6
+    assert betti(g, 1, {"lam": Fraction(0), "k": Fraction(1)}) == 4
+    assert betti(g, 1) == 2
+    # seed 0 samples lam = 2, a zero of the coefficient; seed 1 does not
+    h = parse_salamon("0,0,0,0,0,(lam-2)*12", pctx)
     with pytest.raises(GenericEvaluationError):
-        betti(g, 1, {"lam": Fraction(0), "k": Fraction(0)})
+        betti(h, 1)
+    assert betti(h, 1, seed=1) == 5
 
 
 def test_euler_characteristic_vanishes(pctx):
@@ -314,7 +342,7 @@ def test_jacobi_preserved_by_change_basis(pctx, iwasawa):
     for _ in range(8):
         B = random_invertible(rng, pctx)
         moved = change_basis(iwasawa, B)   # constructor re-checks d^2 = 0
-        assert check_jacobi(moved) == (True, None)
+        assert jacobi_certificates(moved.d_table) == []
 
 
 def test_twin_entries_distinct_fingerprint_blind(pctx):

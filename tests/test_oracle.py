@@ -10,6 +10,7 @@ from conftest import ORACLE_OMEGA, oracle_family_table, oracle_table, table_to_o
 from oracle import (
     add,
     codifferential,
+    contraction,
     d_of,
     double_bracket_real_lines,
     laplacian,
@@ -18,7 +19,7 @@ from oracle import (
 from oracle import series_dims as oracle_series_dims
 from test_liealg import random_invertible
 
-from nilg2.families import instantiate
+from nilg2.families import FAMILIES, ContractionError, contraction_limit, instantiate
 from nilg2.liealg import NAMED_ALGEBRAS, change_basis, parse_salamon, series_dims
 
 
@@ -115,3 +116,35 @@ def test_series_dims_match_bracket_oracle(pctx):
             assert series_dims(moved) == oracle_series_dims(table_to_oracle(moved)), name
     # the set covers nilpotency steps 1 (the torus) to 4
     assert upper_lengths == {1, 2, 3, 4}
+
+
+def _terms(g):
+    """The d-table as {i: {(a, b): coefficient}}, coefficients as they are."""
+    return {i: dict(f.terms()) for i, f in enumerate(g.d_table, start=1) if not f.is_zero}
+
+
+def test_contraction_limit_matches_bracket_oracle(pctx):
+    """contraction_limit agrees with the bracket-side oracle, divergence
+    included, on every named algebra, the three symbolic families and two
+    tables in a parameter named t, under seeded exponent vectors in
+    [-2, 2]^6 and both directions."""
+    texts = dict(NAMED_ALGEBRAS)
+    texts.update({name: spec.table for name, spec in FAMILIES.items()})
+    texts.update(t_only="0,0,0,0,0,t*12", t_twin="0,0,12,13,23,14+t*25")
+    rng = random.Random(12)
+    vectors = [(0,) * 6, (-1, 1, 0, -1, 1, -2)]
+    vectors += [tuple(rng.randint(-2, 2) for _ in range(6)) for _ in range(30)]
+    outcomes = set()
+    for name, text in texts.items():
+        g = parse_salamon(text, pctx)
+        for exponents in vectors:
+            for direction in ("to-zero", "to-infinity"):
+                expected = contraction(_terms(g), exponents, direction)
+                try:
+                    got = _terms(contraction_limit(g, exponents, direction))
+                except ContractionError:
+                    got = None
+                assert got == expected, (name, exponents, direction)
+                outcomes.add("diverges" if got is None else
+                             "unchanged" if got == _terms(g) else "contracts")
+    assert outcomes == {"diverges", "unchanged", "contracts"}

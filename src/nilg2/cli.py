@@ -3,9 +3,10 @@
 Exit status: 0 when every requested check passes, 1 when a check fails
 (reports carry the residuals), 2 on bad input (syntax errors, algebras that
 fail the Jacobi identity or are not presented nilpotently, malformed
-options), with a one-line message on standard error.  The shared options
-``--param``, ``--format`` and ``--seed`` may stand before or after the
-subcommand.
+structure files, a --param binding that leaves a parameter unbound or makes
+a denominator vanish, malformed options), with a one-line message on
+standard error.  The shared options ``--param``, ``--format`` and ``--seed``
+may stand before or after the subcommand.
 """
 
 from __future__ import annotations
@@ -202,8 +203,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, ScalarError) as exc:
-        # unreadable files; JacobiError, NilpotencyError and the other input
-        # checks; unbound parameters and vanishing denominators of a binding
+        # unreadable or malformed files; JacobiError, NilpotencyError and the
+        # other input checks; unbound parameters and vanishing denominators
+        # of a binding
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     report.timing_ms = (time.perf_counter() - started) * 1000.0

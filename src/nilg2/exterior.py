@@ -37,12 +37,10 @@ __all__ = [
     "Form",
     "ComplexStructure",
     "ExteriorError",
-    "wedge",
     "hodge",
     "inner",
     "interior",
     "j_apply",
-    "type_decompose",
     "lefschetz_coefficients",
     "parse_form",
     "standard_su3_forms",
@@ -253,10 +251,6 @@ class Form:
 # ---------------------------------------------------------------------------
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
 def hodge(a: Form) -> Form:
     """Hodge star; requires a homogeneous form."""
     a.homogeneous_grade()
@@ -326,9 +320,6 @@ class ComplexStructure:
             return -1, idx + 1
         return 1, idx - 1
 
-    def __call__(self, a: Form) -> Form:
-        return j_apply(self, a)
-
     def __eq__(self, other):
         return isinstance(other, ComplexStructure) and self.ctx == other.ctx
 
@@ -355,137 +346,6 @@ def j_apply(J: ComplexStructure, a: Form) -> Form:
         prev = comps.get(pmask)
         comps[pmask] = term if prev is None else prev + term
     return Form(a.ctx, comps)
-
-
-# ---------------------------------------------------------------------------
-# type decomposition
-# ---------------------------------------------------------------------------
-
-
-def _complex_expand(a: Form):
-    """Rewrite in the basis alpha^m = e^{2m-1} + i e^{2m} and conjugates.
-
-    Returns a dict keyed by (alpha mask, bar mask) over {1,2,3} (bit m-1 for
-    line m), values (re, im) scalar pairs.  Factor order is all alphas
-    ascending, then all bars ascending.
-    """
-    ctx = a.ctx
-    zero = ctx.params.zero
-    half = ctx.params.scalar(Fraction(1, 2))
-
-    out: Dict[Tuple[int, int], Tuple[Scalar, Scalar]] = {}
-
-    for m, c in a.comps.items():
-        # words: list of (alpha_mask, bar_mask, (re, im))
-        words = [(0, 0, (c, zero))]
-        for idx in _bits(m):
-            line = (idx + 1) // 2
-            bit = 1 << (line - 1)
-            new_words = []
-            if idx % 2 == 1:
-                # e^{2m-1} = (alpha + bar)/2
-                options = [("a", (half, zero)), ("b", (half, zero))]
-            else:
-                # e^{2m} = -i/2 alpha + i/2 bar
-                options = [("a", (zero, -half)), ("b", (zero, half))]
-            for amask, bmask, (re, im) in words:
-                for which, (fr, fi) in options:
-                    if which == "a":
-                        if amask & bit:
-                            continue
-                        # append alpha^line: move left past all bars and greater alphas
-                        swaps = bin(bmask).count("1") + bin(amask >> line).count("1")
-                        namask, nbmask = amask | bit, bmask
-                    else:
-                        if bmask & bit:
-                            continue
-                        swaps = bin(bmask >> line).count("1")
-                        namask, nbmask = amask, bmask | bit
-                    sgn = -1 if swaps % 2 else 1
-                    nre = re * fr - im * fi
-                    nim = re * fi + im * fr
-                    if sgn < 0:
-                        nre, nim = -nre, -nim
-                    new_words.append((namask, nbmask, (nre, nim)))
-            words = new_words
-        for amask, bmask, (re, im) in words:
-            pre, pim = out.get((amask, bmask), (zero, zero))
-            out[(amask, bmask)] = (pre + re, pim + im)
-    return {k: v for k, v in out.items() if not (v[0].is_zero and v[1].is_zero)}
-
-
-def _complex_contract(ctx: FrameContext, bucket) -> Tuple[Form, Form]:
-    """Expand alpha-basis words back to the real coframe; (real, imag) forms."""
-    zero = ctx.params.zero
-    one = ctx.params.one
-    re_comps: Dict[int, Scalar] = {}
-    im_comps: Dict[int, Scalar] = {}
-    for (amask, bmask), (cre, cim) in bucket.items():
-        words = [(0, (cre, cim))]
-        factors = [("a", line + 1) for line in range(3) if amask & (1 << line)]
-        factors += [("b", line + 1) for line in range(3) if bmask & (1 << line)]
-        for which, line in factors:
-            odd_idx, even_idx = 2 * line - 1, 2 * line
-            sign_i = one if which == "a" else -one
-            new_words = []
-            for mask, (re, im) in words:
-                for idx, (fr, fi) in ((odd_idx, (one, zero)), (even_idx, (zero, sign_i))):
-                    bit = 1 << (idx - 1)
-                    if mask & bit:
-                        continue
-                    swaps = bin(mask >> idx).count("1")
-                    sgn = -1 if swaps % 2 else 1
-                    nre = re * fr - im * fi
-                    nim = re * fi + im * fr
-                    if sgn < 0:
-                        nre, nim = -nre, -nim
-                    new_words.append((mask | bit, (nre, nim)))
-            words = new_words
-        for mask, (re, im) in words:
-            if not re.is_zero:
-                re_comps[mask] = re_comps.get(mask, zero) + re
-            if not im.is_zero:
-                im_comps[mask] = im_comps.get(mask, zero) + im
-    return Form(ctx, re_comps), Form(ctx, im_comps)
-
-
-def type_decompose(a: Form, J: ComplexStructure) -> Dict[Tuple[int, int], Form]:
-    """Split a real homogeneous form by complex type.
-
-    Returns real forms keyed by (p, q) with p >= q; the key (p, q) with
-    p > q carries the combined (p,q)+(q,p) real part.  The values sum to
-    the input.
-    """
-    if a.ctx != J.ctx:
-        raise ExteriorError("frame context mismatch")
-    grade = a.homogeneous_grade()
-    if grade is None:
-        return {}
-    expanded = _complex_expand(a)
-    buckets: Dict[Tuple[int, int], Dict] = {}
-    for (amask, bmask), coeff in expanded.items():
-        p, q = bin(amask).count("1"), bin(bmask).count("1")
-        key = (p, q) if p >= q else (q, p)
-        if (p, q) != key:
-            continue  # the conjugate bucket carries the same real content
-        buckets.setdefault(key, {})[(amask, bmask)] = coeff
-    out: Dict[Tuple[int, int], Form] = {}
-    for (p, q), bucket in sorted(buckets.items()):
-        re, im = _complex_contract(a.ctx, bucket)
-        if p == q:
-            if not im.is_zero:
-                raise ExteriorError("diagonal type component of a real form must be real")
-            part = re
-        else:
-            part = re.scale(2)
-        if not part.is_zero:
-            out[(p, q)] = part
-    total = a.ctx.zero_form()
-    for part in out.values():
-        total = total + part
-    if total != a:
-        raise ExteriorError("type decomposition failed to reassemble the input")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .exterior import (
     hodge,
     inner,
     interior,
+    j_apply,
 )
 from .liealg import LieAlgebra
 from .scalars import Scalar
@@ -236,7 +237,7 @@ def dT_tests(g: G2Structure, report: TorsionReport) -> TorsionReport:
     # (2,2)-ness: the derivative must live on the base and be pure type (2,2).
     # J acts on a real 4-form of type (p,q) + (q,p) as i^(p-q) with p-q in
     # {-2, 0, 2}, so a 4-form is of type (2,2) exactly when it is J-invariant.
-    type22 = rest.is_zero and g.base.J(pure) == pure
+    type22 = rest.is_zero and j_apply(g.base.J, pure) == pure
 
     # V7-component: <dT, e^i ^ phi> = 0 for all i
     projector = _v7_projector_forms(g)

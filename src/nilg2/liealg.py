@@ -6,10 +6,12 @@ The differential extends to all grades as the unique degree +1 derivation.
 
 The invariants (``betti``, ``series_dims``, ``fingerprint``) are computed by
 exact elimination over Q.  With bindings they are the exact values of the
-table at the binding.  A table with unbound parameters is evaluated at two
-points with disjoint prime coordinates, moved by ``seed``; the two values
-must agree, else :class:`GenericEvaluationError` is raised.  That is a
-sampled generic value, not an identity in the parameters.
+table at the binding; a binding that leaves a parameter unbound or makes a
+denominator vanish raises ``ScalarError``.  A table with unbound parameters
+is evaluated at two points with disjoint prime coordinates, moved by
+``seed``; the two values must agree, else :class:`GenericEvaluationError`
+is raised.  That is a sampled generic value, not an identity in the
+parameters.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .exterior import (
     _split_signed_terms,
     interior,
 )
-from .scalars import ParameterContext, Scalar, ScalarSyntaxError, _fold_with_origins
+from .scalars import ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _fold_with_origins
 
 __all__ = [
     "LieAlgebra",
@@ -309,19 +311,34 @@ def _generic_bindings(names: Sequence[str], seed: int = 0):
 
 def _bound_tables(g: LieAlgebra, bindings: Optional[Mapping[str, Fraction]], seed: int = 0):
     """Parameter-free copies of the d-table: the one at ``bindings`` when
-    given, else the two at the seeded generic points."""
+    given, else the two at the seeded generic points.
+
+    A given binding is input: one that leaves a parameter unbound or makes a
+    denominator vanish raises ScalarError.  At a seeded point a vanishing
+    denominator is a non-generic evaluation.
+    """
     names = g.params()
     if not names:
         return [g.d_table], g.ctx
-    chosen = [bindings] if bindings else _generic_bindings(sorted(names), seed)
-    target = ParameterContext(())
+    ctx = FrameContext(g.ctx.dim, ParameterContext(()))
+    if bindings:
+        return [tuple(f.evaluate(bindings) for f in g.d_table)], ctx
     tables = []
-    for bind in chosen:
+    for bind in _generic_bindings(sorted(names), seed):
         try:
             tables.append(tuple(f.evaluate(bind) for f in g.d_table))
-        except Exception as exc:
+        except ScalarError as exc:
             raise GenericEvaluationError(f"binding failed: {exc}") from None
-    return tables, FrameContext(g.ctx.dim, target)
+    return tables, ctx
+
+
+def _generic_value(g: LieAlgebra, bindings, seed: int, compute):
+    """``compute(table, ctx)`` on each bound table; the values must agree."""
+    tables, ctx = _bound_tables(g, bindings, seed)
+    values = {compute(table, ctx) for table in tables}
+    if len(values) > 1:
+        raise GenericEvaluationError("non-generic evaluation")
+    return values.pop()
 
 
 def _rank_d_on_grade(d_table: Sequence[Form], ctx: FrameContext, k: int) -> int:
@@ -340,16 +357,14 @@ def betti(
     """dim ker(d|Lambda^k) - rank(d|Lambda^{k-1}), by exact elimination."""
     if not 0 <= k <= g.ctx.dim:
         raise ValueError(f"degree {k} out of range")
-    tables, ctx = _bound_tables(g, bindings, seed)
-    values = []
-    for table in tables:
-        dim_k = comb(g.ctx.dim, k)
-        rank_k = _rank_d_on_grade(table, ctx, k) if k < g.ctx.dim else 0
+    n = g.ctx.dim
+
+    def value(table, ctx):
+        rank_k = _rank_d_on_grade(table, ctx, k) if k < n else 0
         rank_km1 = _rank_d_on_grade(table, ctx, k - 1) if k >= 1 else 0
-        values.append(dim_k - rank_k - rank_km1)
-    if len(set(values)) > 1:
-        raise GenericEvaluationError("non-generic evaluation")
-    return values[0]
+        return comb(n, k) - rank_k - rank_km1
+
+    return _generic_value(g, bindings, seed, value)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +448,7 @@ def series_dims(
     seed: int = 0,
 ):
     """(lower central, derived, upper central) dimension sequences."""
-    tables, ctx = _bound_tables(g, bindings, seed)
-    results = [_series(t, ctx) for t in tables]
-    if len(set(results)) > 1:
-        raise GenericEvaluationError("non-generic evaluation")
-    return results[0]
+    return _generic_value(g, bindings, seed, _series)
 
 
 # ---------------------------------------------------------------------------
@@ -476,29 +487,25 @@ def fingerprint(
     bindings: Optional[Mapping[str, Fraction]] = None,
     seed: int = 0,
 ) -> Fingerprint:
-    tables, ctx = _bound_tables(g, bindings, seed)
-    results = []
-    for table in tables:
-        ranks = {k: _rank_d_on_grade(table, ctx, k) for k in range(0, ctx.dim + 1)}
-        b = tuple(
-            comb(ctx.dim, k) - ranks[k] - ranks[k - 1]
-            for k in range(1, ctx.dim + 1)
-        )
-        series = _series(table, ctx)
-        rank_d, wedge_span, radical, decomposable = _exact_two_form_data(table, ctx)
-        results.append(
-            Fingerprint(
-                betti=b,
-                lower_central=series[0],
-                derived=series[1],
-                upper_central=series[2],
-                exact_two_forms_decomposable=decomposable,
-                wedge_data=(rank_d, wedge_span, radical),
-            )
-        )
-    if len(set(results)) > 1:
-        raise GenericEvaluationError("non-generic evaluation")
-    return results[0]
+    return _generic_value(g, bindings, seed, _fingerprint_of_table)
+
+
+def _fingerprint_of_table(table: Sequence[Form], ctx: FrameContext) -> Fingerprint:
+    ranks = {k: _rank_d_on_grade(table, ctx, k) for k in range(0, ctx.dim + 1)}
+    b = tuple(
+        comb(ctx.dim, k) - ranks[k] - ranks[k - 1]
+        for k in range(1, ctx.dim + 1)
+    )
+    series = _series(table, ctx)
+    rank_d, wedge_span, radical, decomposable = _exact_two_form_data(table, ctx)
+    return Fingerprint(
+        betti=b,
+        lower_central=series[0],
+        derived=series[1],
+        upper_central=series[2],
+        exact_two_forms_decomposable=decomposable,
+        wedge_data=(rank_d, wedge_span, radical),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +565,6 @@ class BasisChange:
                 if dot != expected:
                     return False
         return True
-
-    def transform(self, a: Form, target_ctx: Optional[FrameContext] = None) -> Form:
-        """Rewrite a form given in the old coframe in the new coframe."""
-        ctx = target_ctx or a.ctx
-        inv = self.inverse_rows()
-        return substitute_coframe(a, inv, ctx)
 
     def pull_standard(self, a: Form, source_ctx: Optional[FrameContext] = None) -> Form:
         """Express a form written in the *new* coframe in the old one (f^i -> rows)."""

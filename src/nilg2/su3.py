@@ -49,6 +49,7 @@ __all__ = [
     "SU3Structure",
     "TorsionClasses",
     "StructureError",
+    "StructureFileError",
     "build_structure",
     "standard_structure",
     "torsion_classes",
@@ -62,6 +63,10 @@ __all__ = [
 
 class StructureError(ValueError):
     pass
+
+
+class StructureFileError(ValueError):
+    """A malformed structure file: bad input, not a failed structure check."""
 
 
 @dataclass(frozen=True)
@@ -250,6 +255,8 @@ def laplacian(s: SU3Structure, a: Form) -> Form:
 # structure description files
 # ---------------------------------------------------------------------------
 
+_SECTIONS = ("algebra", "adaptation", "params")
+
 
 def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict]:
     """Read a structure description: [algebra], optional [adaptation], [params].
@@ -260,32 +267,43 @@ def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict
     adaptation needs to be orthogonal only at the binding; with nothing
     bound the structure stays symbolic.  Returns the structure and the
     bindings applied.  An unbound parameter or a vanishing denominator at
-    the binding raises ScalarError.
+    the binding raises ScalarError; a malformed file (content before a
+    header, an unknown or repeated section, a missing [algebra], a bad
+    [params] line, an [adaptation] that is not 6x6) raises
+    StructureFileError.
     """
     from .liealg import parse_salamon
 
     sections: dict = {}
     current: Optional[str] = None
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip().lower()
+                if current not in _SECTIONS:
+                    raise StructureFileError(f"line {number}: unknown section {line}")
+                if current in sections:
+                    raise StructureFileError(f"line {number}: repeated section {line}")
                 sections[current] = []
                 continue
             if current is None:
-                raise StructureError(f"content before any section header: {line!r}")
+                raise StructureFileError(
+                    f"line {number}: content before any section header: {line!r}")
             sections[current].append(line)
-    if "algebra" not in sections or not sections["algebra"]:
-        raise StructureError("missing [algebra] section")
+    if not sections.get("algebra"):
+        raise StructureFileError("missing [algebra] section")
     values = {}
     for line in sections.get("params", []):
-        if "=" not in line:
-            raise StructureError(f"bad [params] line: {line!r}")
-        name, value = line.split("=", 1)
-        values[_fold_unicode(name.strip())] = value.strip()
+        name, eq, value = line.partition("=")
+        name = _fold_unicode(name.strip())
+        if not eq:
+            raise StructureFileError(f"bad [params] line: {line!r}")
+        if name in values:
+            raise StructureFileError(f"parameter {name!r} bound twice in [params]")
+        values[name] = value.strip()
     params = ParameterContext(params.names + tuple(values))
     algebra = parse_salamon(" ".join(sections["algebra"]), params, dim=6)
     if "adaptation" in sections and sections["adaptation"]:
@@ -294,7 +312,7 @@ def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict
             parts = [p for chunk in line.split(",") for p in chunk.split()]
             rows.append([params.parse(p) for p in parts])
         if len(rows) != 6 or any(len(r) != 6 for r in rows):
-            raise StructureError("[adaptation] must contain a 6x6 matrix")
+            raise StructureFileError("[adaptation] must contain a 6x6 matrix")
         adaptation = BasisChange(params, rows)
     else:
         adaptation = BasisChange.identity(params, 6)

@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from oracle import PSI_PLUS
+
 from nilg2.exterior import ComplexStructure, FrameContext, standard_su3_forms
 from nilg2.families import family_context
 from nilg2.liealg import BasisChange, parse_salamon
@@ -83,10 +85,7 @@ def table_to_oracle(algebra, bindings=None):
 
 # phi = omega ^ dt + psi+ with omega = 12+34+56 and psi+ = 135-146-236-245
 ORACLE_OMEGA = {(1, 2): Fraction(1), (3, 4): Fraction(1), (5, 6): Fraction(1)}
-ORACLE_PSI_PLUS = {
-    (1, 3, 5): Fraction(1), (1, 4, 6): Fraction(-1),
-    (2, 3, 6): Fraction(-1), (2, 4, 5): Fraction(-1),
-}
+ORACLE_PSI_PLUS = PSI_PLUS
 ORACLE_PHI = {
     (1, 2, 7): Fraction(1), (3, 4, 7): Fraction(1), (5, 6, 7): Fraction(1),
     **ORACLE_PSI_PLUS,

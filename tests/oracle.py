@@ -222,6 +222,33 @@ def laplacian(table: Dict[int, OForm], a: OForm) -> OForm:
                codifferential(table, d_of(table, a)))
 
 
+# psi+ = Re (e1 + i e2)(e3 + i e4)(e5 + i e6) on the first six coframe elements
+PSI_PLUS: OForm = {
+    (1, 3, 5): Fraction(1), (1, 4, 6): Fraction(-1),
+    (2, 3, 6): Fraction(-1), (2, 4, 5): Fraction(-1),
+}
+
+
+def is_type_22(form: OForm) -> bool:
+    """True iff a real 4-form on the first six coframe elements is of type (2,2).
+
+    Lambda^4 splits orthogonally as [[Lambda^{2,2}]] + [[Lambda^{3,1}]] with
+    [[Lambda^{3,1}]] = Lambda^1 ^ psi+ (Chiossi and Salamon, "The intrinsic
+    torsion of SU(3) and G2 structures", 2002), so the (2,2) forms are those
+    orthogonal to the six forms e^i ^ psi+; no complex structure is applied.
+    A form of another grade or with a seventh-coframe component is not of
+    type (2,2) on the base.  Coefficients are only multiplied by integers
+    and added, so they may be of any ring type.
+    """
+    if any(len(key) != 4 or max(key) > N - 1 for key in form):
+        return False
+    for i in range(1, N):
+        probe = wedge({(i,): Fraction(1)}, PSI_PLUS)
+        if sum(v * int(probe[key]) for key, v in form.items() if key in probe):
+            return False
+    return True
+
+
 def _row_basis(vectors: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon basis of the span, with its pivot columns."""
     rows = [list(v) for v in vectors if any(v)]

@@ -123,9 +123,9 @@ _CONTRACT_TABLES = (list(NAMED_ALGEBRAS.values())
 
 
 @st.composite
-def _edited_tables(draw):
-    """A valid table with up to two single-character edits."""
-    text = draw(st.sampled_from(_CONTRACT_TABLES))
+def _edited_tables(draw, tables=_CONTRACT_TABLES):
+    """A table from ``tables`` with up to two single-character edits."""
+    text = draw(st.sampled_from(tables))
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(text)))
         kind = draw(st.sampled_from(("insert", "replace", "delete")))
@@ -141,22 +141,102 @@ _EXPONENT_LISTS = st.one_of(
 )
 
 
-@settings(max_examples=200)
-@given(algebra=_edited_tables(), exponents=_EXPONENT_LISTS,
-       direction=st.sampled_from(("to-zero", "to-infinity")))
-def test_contract_fuzz_exit_status(algebra, exponents, direction):
-    """Malformed exponent lists, wrong lengths and edited algebras: exit
-    status 0, 1 or 2, one stderr line on 2, and never a traceback."""
+def _assert_exit_contract(argv):
+    """Exit status 0, 1 or 2, one stderr line and no report on 2, nothing on
+    stderr otherwise, and never a traceback (an uncaught exception fails)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["contract", f"--exponents={exponents}", "--direction", direction,
-                     "--", algebra])
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
     else:
         assert err.getvalue() == ""
+
+
+@settings(max_examples=200)
+@given(algebra=_edited_tables(), exponents=_EXPONENT_LISTS,
+       direction=st.sampled_from(("to-zero", "to-infinity")))
+def test_contract_fuzz_exit_status(algebra, exponents, direction):
+    """Malformed exponent lists, wrong lengths and edited algebras."""
+    _assert_exit_contract(["contract", f"--exponents={exponents}", "--direction", direction,
+                           "--", algebra])
+
+
+# tables that fail Jacobi, nilpotency or a seeded sample point
+_ALGEBRA_TABLES = _CONTRACT_TABLES + [
+    "0,0,12,13,23,15", "0,12,0,0,0,0", "0,0,0,0,0,1/(lam-2)*12", "0,0,lam*12,k*13,0,0"]
+
+_PARAM_ARGS = st.one_of(
+    st.sampled_from(("lam=1", "k=2", "z=-1", "a1=3/2", "t=0", "lam=2", "mu=2")),
+    st.builds("{}={}".format,
+              st.sampled_from(("lam", "k", "z", "a1", "t", "λ", "a₁", "x", "", " lam")),
+              st.sampled_from(("0", "1", "-2", "3/2", "2", "1/0", "k", "", "2*", "(1", "½"))),
+    st.text(alphabet="lamkz=0123/-*( ", max_size=8),
+)
+
+
+@settings(max_examples=80)
+@given(command=st.sampled_from(("check", "betti", "fingerprint")),
+       algebra=_edited_tables(_ALGEBRA_TABLES), params=st.lists(_PARAM_ARGS, max_size=2))
+def test_algebra_commands_fuzz_exit_status(command, algebra, params):
+    """Edited tables and malformed or partial --param bindings."""
+    argv = [f"--param={p}" for p in params]
+    _assert_exit_contract(argv + [command, "--", algebra])
+
+
+_IWASAWA_ROWS = ("1 0 0 0 0 0\n0 -1 0 0 0 0\n0 0 1 0 0 0\n"
+                 "0 0 0 -1 0 0\n0 0 0 0 1 0\n0 0 0 0 0 1\n")
+
+
+_STRUCTURE_FILES = (
+    "[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n" + _IWASAWA_ROWS,
+    "[algebra]\n0,lam*35,0,-lam*15,0,a1*14-a1*23+lam*13\n[params]\nlam = 1\na1 = 2\n",
+    "[algebra]\n0,lam*35,k*15,-lam*15+k*25,0,lam*13\n[params]\nlam = 3/2\nk = -1\n",
+    # an adaptation that is not orthogonal; a structure whose g2t check fails
+    "[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n2" + _IWASAWA_ROWS[1:],
+    "[algebra]\n0,lam*35,0,-lam*15,0,mu*13\n[params]\nmu = 2\nlam = 3/2\n",
+)
+
+
+@st.composite
+def _edited_structure_files(draw):
+    """A valid structure file with up to two line edits (a header renamed, a
+    line dropped, doubled or moved) and up to two character edits."""
+    lines = draw(st.sampled_from(_STRUCTURE_FILES)).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("header", "drop", "double", "move")))
+        if kind == "header":
+            lines[i] = draw(st.sampled_from(
+                ("[algebra]", "[adaptation]", "[params]", "[adaptaton]", "[]", "[Params]")))
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "double":
+            lines.insert(i, lines[i])
+        else:
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        if not lines:
+            break
+    text = "\n".join(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "replace", "delete")))
+        ch = "" if kind == "delete" else draw(st.sampled_from(",+-*/=[]#\n 0123456789lamkλ"))
+        text = text[:i] + ch + text[i + (kind != "insert"):]
+    return text
+
+
+@settings(max_examples=60)
+@given(command=st.sampled_from(("su3", "g2t")), text=_edited_structure_files(),
+       params=st.lists(_PARAM_ARGS, max_size=1))
+def test_structure_commands_fuzz_exit_status(tmp_path_factory, command, text, params):
+    """Structure files with edited headers, rows and [params]."""
+    path = tmp_path_factory.mktemp("fuzz") / "s.su3"
+    path.write_text(text, encoding="utf-8")
+    argv = [f"--param={p}" for p in params]
+    _assert_exit_contract(argv + [command, str(path)])
 
 
 def test_param_binding_and_unicode(capsys):
@@ -207,6 +287,14 @@ def test_shared_options_merge_across_subcommand(capsys):
     (("contract", "0,0,12,13,23,14+25", "--exponents=1,2", "--direction", "to-zero"),
      "one exponent per coframe axis"),
     (("--param", "lam=k", "g2t", "case1"), "needs a rational value"),
+    # a --param binding is input; only the seeded sample points of an
+    # unbound table give a failed check
+    (("--param", "lam=1", "fingerprint", "0,0,lam*12,k*13,0,0"), "unbound parameter 'k'"),
+    (("--param", "lam=1", "betti", "0,0,lam*12,k*13,0,0"), "unbound parameter 'k'"),
+    (("--param", "lam=2", "betti", "0,0,0,0,0,1/(lam-2)*12"),
+     "denominator vanishes at binding"),
+    (("--param", "lam=2", "fingerprint", "0,0,0,0,0,1/(lam-2)*12"),
+     "denominator vanishes at binding"),
 ])
 def test_bad_input_exit_2_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -294,6 +382,51 @@ def test_structure_file_bad_binding_exit_2(capsys, tmp_path, text, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("0,0,0,0,13+42,14+23\n[algebra]\n0,0,0,0,13+42,14+23\n",
+                 "line 1: content before any section header", id="content-before-header"),
+    pytest.param("[params]\nlam = 1\n", "missing [algebra] section", id="missing-algebra"),
+    pytest.param("[algebra]\n0,0,0,0,0,lam*12\n[params]\nlam 1\n",
+                 "bad [params] line: 'lam 1'", id="bad-params-line"),
+    pytest.param("[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n1 0 0 0 0 0\n0 -1 0 0 0 0\n",
+                 "[adaptation] must contain a 6x6 matrix", id="adaptation-not-6x6"),
+    pytest.param("[algebra]\n0,0,0,0,13+42,14+23\n[adaptaton]\n" + _IWASAWA_ROWS,
+                 "line 3: unknown section [adaptaton]", id="unknown-section"),
+    pytest.param("[algebra]\n0,0,0,0,0,0\n[algebra]\n0,0,0,0,13+42,14+23\n",
+                 "line 3: repeated section [algebra]", id="repeated-section"),
+    pytest.param("[algebra]\n0,0,0,0,0,lam*12\n[params]\nlam = 1\nλ = 2\n",
+                 "parameter 'lam' bound twice in [params]", id="parameter-bound-twice"),
+])
+@pytest.mark.parametrize("command", ["su3", "g2t"])
+def test_structure_file_syntax_exit_2(capsys, tmp_path, command, text, message):
+    """A malformed file is bad input, not a failed structure check."""
+    path = tmp_path / "bad.su3"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and message in err
+
+
+def test_structure_file_failed_checks_exit_1(capsys, tmp_path):
+    """A non-orthogonal or orientation-reversing adaptation is a failed check."""
+    algebra = "[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n"
+    for rows, message in (
+        (_IWASAWA_ROWS.replace("1 0 0 0 0 0", "2 0 0 0 0 0", 1), "not orthogonal"),
+        (_IWASAWA_ROWS.replace("0 -1 0 0 0 0", "0 1 0 0 0 0", 1), "compatibility failure"),
+    ):
+        path = tmp_path / "failed.su3"
+        path.write_text(algebra + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "su3", str(path))
+        assert (code, err) == (1, "")
+        assert "[FAIL] structure" in out and message in out
+
+
+def test_unbound_table_at_sample_zero_fails_check(capsys):
+    code, out, err = run_cli(capsys, "betti", "0,0,0,0,0,1/(lam-2)*12")
+    assert (code, err) == (1, "")
+    assert "[FAIL] betti: binding failed: denominator vanishes" in out
 
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -5,6 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import form_to_oracle
+from oracle import is_type_22
+
 from nilg2 import linalg
 from nilg2.exterior import (
     ExteriorError,
@@ -19,7 +22,6 @@ from nilg2.exterior import (
     parse_form,
     primitive_11_basis,
     standard_su3_forms,
-    type_decompose,
 )
 from nilg2.families import FAMILIES, instantiate
 from nilg2.g2 import build_product, drop_dt, torsion
@@ -145,48 +147,12 @@ def test_j_apply(J, std_forms, frame6):
         assert j_apply(J, j_apply(J, e)) == -e
 
 
-def test_type_decompose_omega(J, std_forms):
-    om, _, _ = std_forms
-    parts = type_decompose(om, J)
-    assert set(parts) == {(1, 1)}
-    assert parts[(1, 1)] == om
-
-
-def test_type_decompose_e1234_is_22(J, frame6):
-    a = frame6.basis(1, 2, 3, 4)
-    parts = type_decompose(a, J)
-    assert set(parts) == {(2, 2)}
-
-
-def test_type_decompose_e135(J, frame6, std_forms):
-    om, psip, psim = std_forms
-    a = frame6.basis(1, 3, 5)
-    parts = type_decompose(a, J)
-    assert set(parts) == {(3, 0), (2, 1)}
-    # frozen expected values: the psi-line projection gives the (3,0)+(0,3) part
-    assert parts[(3, 0)] == psip.scale(Fraction(1, 4))
-    assert parts[(2, 1)] == a - psip.scale(Fraction(1, 4))
-    total = frame6.zero_form()
-    for p in parts.values():
-        total = total + p
-    assert total == a
-
-
-def test_type_support_preserved_by_j(J, frame6):
-    a = frame6.basis(1, 3, 5) + frame6.basis(1, 2, 3)
-    before = set(type_decompose(a, J))
-    after = set(type_decompose(j_apply(J, a), J))
-    assert before == after
-
-
-def _is_type_22(a, J):
-    return set(type_decompose(a, J)) == {(2, 2)}
-
-
 def test_j_invariance_is_type_22_on_random_4_forms(J, frame6, pctx):
     """On real 4-forms J acts on type (p,q) as i^(p-q), p-q in {-2,0,2}, so
-    J-invariance is the (2,2) test; a + J a and a - J a are the (2,2) and the
-    (3,1)+(1,3) parts up to a factor 2, so both answers are exercised."""
+    J-invariance is the (2,2) test; it agrees with the oracle, which uses no
+    J (orthogonality to Lambda^1 ^ psi+).  a + J a and a - J a are the (2,2)
+    and the (3,1)+(1,3) parts up to a factor 2, so both answers are
+    exercised."""
     rng = random.Random(17)
     words = list(combinations(range(1, 7), 4))
     seen = set()
@@ -199,19 +165,20 @@ def test_j_invariance_is_type_22_on_random_4_forms(J, frame6, pctx):
             if b.is_zero:
                 continue
             invariant = j_apply(J, b) == b
-            assert invariant == _is_type_22(b, J), form_str(b)
+            assert invariant == is_type_22(form_to_oracle(b)), form_str(b)
             seen.add(invariant)
     assert seen == {True, False}
 
 
 def test_j_invariance_is_type_22_on_family_dT(J, pctx):
+    """Exact in the parameters: the oracle reads the symbolic coefficients."""
     for name in FAMILIES:
         _, structure = instantiate(name, params=pctx)
         g = build_product(structure)
         pure, rest = drop_dt(torsion(g).dT, structure.omega.ctx)
         assert rest.is_zero and not pure.is_zero, name
         assert j_apply(J, pure) == pure, name
-        assert _is_type_22(pure, J), name
+        assert is_type_22(dict(pure.terms())), name
 
 
 def test_j_equals_hodge_on_psi_line(J, iwasawa_structure):

@@ -8,13 +8,16 @@ import pytest
 
 from conftest import ORACLE_OMEGA, oracle_family_table, oracle_table, table_to_oracle
 from oracle import (
+    PSI_PLUS,
     add,
     codifferential,
     contraction,
     d_of,
     double_bracket_real_lines,
+    is_type_22,
     laplacian,
     scale,
+    wedge,
 )
 from oracle import series_dims as oracle_series_dims
 from test_liealg import random_invertible
@@ -53,6 +56,23 @@ def test_codifferential_is_adjoint_of_d():
         for _ in range(4):
             a, b = random_form(grade - 1), random_form(grade)
             assert inner(d_of(table, a), b) == inner(a, codifferential(table, b))
+
+
+def test_is_type_22_pins():
+    """e1234 and omega^2 are of type (2,2); a (3,1)+(1,3) part is not."""
+    assert is_type_22({(1, 2, 3, 4): Fraction(1)})
+    assert is_type_22(wedge(ORACLE_OMEGA, ORACLE_OMEGA))
+    assert is_type_22({})
+    assert not is_type_22({(1, 2, 3, 7): Fraction(1)})
+
+
+@pytest.mark.parametrize("i", range(1, 7))
+def test_is_type_22_false_on_each_psi_line(i):
+    """Every one of the six conditions is needed: e^i ^ psi+ fails, also
+    with a (2,2) form added."""
+    line = wedge({(i,): Fraction(1)}, PSI_PLUS)
+    assert not is_type_22(line)
+    assert not is_type_22(add(line, {(1, 2, 3, 4): Fraction(3)}))
 
 
 @pytest.mark.parametrize(

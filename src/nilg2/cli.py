@@ -37,7 +37,7 @@ from .liealg import (
     JacobiError,
     NilpotencyError,
     SalamonSyntaxError,
-    betti,
+    betti_numbers,
     fingerprint,
     parse_salamon,
     salamon_str,
@@ -161,11 +161,18 @@ def _add_shared_options(parser: argparse.ArgumentParser, prefix: str = "") -> No
     parser.add_argument("--format", dest=prefix + "format",
                         choices=("text", "structured"), default=default("text"))
     parser.add_argument("--seed", dest=prefix + "seed", type=int, default=default(0),
-                        help="seed for randomized evaluation points")
+                        metavar="SEED", help="seed for randomized evaluation points")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Malformed options exit 2 with one line on standard error, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilg2",
         description="exact torsion geometry checks on nilpotent Lie algebras",
     )
@@ -256,7 +263,7 @@ def _cmd_betti(text: str, ctx: ParameterContext,
     report = Report(command="betti", input_description=text)
     g = parse_salamon(text, ctx)
     try:
-        values = {k: betti(g, k, bindings or None, seed) for k in range(1, g.ctx.dim + 1)}
+        values = dict(enumerate(betti_numbers(g, bindings or None, seed), start=1))
     except GenericEvaluationError as exc:
         report.add("betti", False, str(exc))
         return report

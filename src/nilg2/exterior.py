@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from . import linalg
 from .scalars import (
@@ -357,11 +357,6 @@ def _basis_masks(dim: int, grade: int) -> List[int]:
     from itertools import combinations
 
     return [sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, dim + 1), grade)]
-
-
-def _form_vector(a: Form, masks: Sequence[int]) -> List[Scalar]:
-    zero = a.ctx.params.zero
-    return [a.comps.get(m, zero) for m in masks]
 
 
 def primitive_11_basis(omega: Form, psi_plus: Form, psi_minus: Form) -> List[Form]:

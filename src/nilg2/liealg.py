@@ -30,7 +30,6 @@ from .exterior import (
     FrameContext,
     _basis_masks,
     _bits,
-    _form_vector,
     _last_top_level_star,
     _merge_sign,
     _split_signed_terms,
@@ -48,6 +47,7 @@ __all__ = [
     "parse_salamon",
     "jacobi_certificates",
     "betti",
+    "betti_numbers",
     "series_dims",
     "fingerprint",
     "change_basis",
@@ -342,10 +342,28 @@ def _generic_value(g: LieAlgebra, bindings, seed: int, compute):
 
 
 def _rank_d_on_grade(d_table: Sequence[Form], ctx: FrameContext, k: int) -> int:
-    masks = _basis_masks(ctx.dim, k + 1)
-    images = [_d_on_form(d_table, Form(ctx, {m: ctx.params.one}))
+    images = [_d_on_form(d_table, Form(ctx, {m: ctx.params.one})).comps
               for m in _basis_masks(ctx.dim, k)]
-    return linalg.rank(_coords(images, masks), ctx.params)
+    return linalg.sparse_rank(images, _basis_masks(ctx.dim, k + 1))
+
+
+def _betti_of_table(d_table: Sequence[Form], ctx: FrameContext, rank_1: Optional[int] = None):
+    """(b_1, ..., b_n) of a parameter-free table; rank(d|Lambda^1) may be given.
+
+    Each rank of d is computed at most once: rank d_0 = rank d_n = 0, and
+    when rank d_{n-1} = 0 the algebra is unimodular and Poincare duality
+    gives rank d_k = rank d_{n-1-k} (Koszul, Bull. SMF 78, 1950).
+    """
+    n = ctx.dim
+    ranks = [0] * (n + 1)
+    ranks[1] = _rank_d_on_grade(d_table, ctx, 1) if rank_1 is None else rank_1
+    ranks[n - 1] = _rank_d_on_grade(d_table, ctx, n - 1)
+    for k in range(2, n - 1):
+        if ranks[n - 1] == 0 and n - 1 - k < k:
+            ranks[k] = ranks[n - 1 - k]
+        else:
+            ranks[k] = _rank_d_on_grade(d_table, ctx, k)
+    return tuple(comb(n, k) - ranks[k] - ranks[k - 1] for k in range(1, n + 1))
 
 
 def betti(
@@ -367,20 +385,29 @@ def betti(
     return _generic_value(g, bindings, seed, value)
 
 
+def betti_numbers(g: LieAlgebra, bindings=None, seed: int = 0) -> Tuple[int, ...]:
+    """(b_1, ..., b_n) in one pass, under the same evaluation policy as ``betti``."""
+    return _generic_value(g, bindings, seed, _betti_of_table)
+
+
 # ---------------------------------------------------------------------------
 # characteristic series, read off the dual filtrations of Lambda^1
 # ---------------------------------------------------------------------------
 
 
-def _coords(forms: Sequence[Form], masks: Sequence[int]) -> List[List[Scalar]]:
-    return [_form_vector(f, masks) for f in forms]
+def _transpose(forms: Sequence[Form]) -> List[Dict[int, Scalar]]:
+    """Sparse rows of the matrix whose column j holds the components of forms[j]."""
+    rows: Dict[int, Dict[int, Scalar]] = {}
+    for j, f in enumerate(forms):
+        for mask, c in f.comps.items():
+            rows.setdefault(mask, {})[j] = c
+    return list(rows.values())
 
 
 def _span(ctx: FrameContext, forms: Sequence[Form], grade: int) -> List[Form]:
     """A basis of the span of homogeneous forms of the given grade."""
-    masks = _basis_masks(ctx.dim, grade)
-    red, pivots = linalg.rref(_coords(forms, masks), ctx.params)
-    return [Form(ctx, dict(zip(masks, row))) for row in red[: len(pivots)]]
+    red, _ = linalg.sparse_rref([f.comps for f in forms], _basis_masks(ctx.dim, grade), ctx.params)
+    return [Form(ctx, row) for row in red]
 
 
 def _preimage(d_table: Sequence[Form], ctx: FrameContext, span: Sequence[Form]) -> List[Form]:
@@ -392,10 +419,10 @@ def _preimage(d_table: Sequence[Form], ctx: FrameContext, span: Sequence[Form]) 
     x-parts.
     """
     m = len(span)
-    columns = _coords(list(span) + list(d_table), _basis_masks(ctx.dim, 2))
-    solutions = linalg.kernel([list(row) for row in zip(*columns)], ctx.params)
-    return [Form(ctx, {1 << i: c for i, c in enumerate(v[m:])})
-            for v in solutions if any(v[m:])]
+    forms = list(span) + list(d_table)
+    solutions = linalg.sparse_kernel(_transpose(forms), range(len(forms)), ctx.params)
+    x_parts = [{1 << (j - m): c for j, c in v.items() if j >= m} for v in solutions]
+    return [Form(ctx, x) for x in x_parts if x]
 
 
 def _climb(d_table: Sequence[Form], ctx: FrameContext, generators) -> List[int]:
@@ -468,17 +495,14 @@ class Fingerprint:
 
 
 def _exact_two_form_data(d_table: Sequence[Form], ctx: FrameContext):
-    pctx = ctx.params
-    masks4 = _basis_masks(ctx.dim, 4)
     basis = _span(ctx, d_table, 2)
     products = [[x.wedge(y) for y in basis] for x in basis]
     decomposable = all(p.is_zero for row in products for p in row)
-    upper_half = [p for i, row in enumerate(products) for p in row[i:]]
-    wedge_span = linalg.rank(_coords(upper_half, masks4), pctx)
+    upper_half = [p.comps for i, row in enumerate(products) for p in row[i:]]
+    wedge_span = linalg.sparse_rank(upper_half, _basis_masks(ctx.dim, 4))
     # the radical: combinations y of the basis with x ^ y = 0 for every x
-    radical_rows = [list(row) for x_products in products
-                    for row in zip(*_coords(x_products, masks4)) if any(row)]
-    radical_dim = len(linalg.kernel(radical_rows, pctx)) if radical_rows else len(basis)
+    radical_rows = [row for x_products in products for row in _transpose(x_products)]
+    radical_dim = len(basis) - linalg.sparse_rank(radical_rows, range(len(basis)))
     return len(basis), wedge_span, radical_dim, decomposable
 
 
@@ -491,15 +515,10 @@ def fingerprint(
 
 
 def _fingerprint_of_table(table: Sequence[Form], ctx: FrameContext) -> Fingerprint:
-    ranks = {k: _rank_d_on_grade(table, ctx, k) for k in range(0, ctx.dim + 1)}
-    b = tuple(
-        comb(ctx.dim, k) - ranks[k] - ranks[k - 1]
-        for k in range(1, ctx.dim + 1)
-    )
-    series = _series(table, ctx)
     rank_d, wedge_span, radical, decomposable = _exact_two_form_data(table, ctx)
+    series = _series(table, ctx)
     return Fingerprint(
-        betti=b,
+        betti=_betti_of_table(table, ctx, rank_d),
         lower_central=series[0],
         derived=series[1],
         upper_central=series[2],

@@ -1,84 +1,107 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact sparse linear algebra over the scalar field.
 
-Everything here works on lists of lists of :class:`~nilg2.scalars.Scalar`
-(rows).  Sizes in this package never exceed a few dozen, so plain Gaussian
-elimination with exact arithmetic is entirely adequate.
+The ``sparse_*`` functions take rows as mappings ``{column: Scalar}`` without
+zero entries plus a column order (a Form's ``comps`` is one, with basis masks
+as columns); ``rref``, ``rank``, ``kernel``, ``solve`` and ``invert`` take dense
+rows (lists of Scalars).  All run the one Gauss-Jordan loop, with exact arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import ParameterContext, Scalar
 
 Row = List[Scalar]
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]]) -> Tuple[list, List[int], bool]:
-    """The elimination loop: (reduced rows, pivot columns, demoted).
+def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
+    """The elimination loop: (pivot rows, pivot columns, demoted).
 
-    Parameter-free matrices are reduced as plain Fractions (``demoted``),
-    which the same loop handles; the rows are then left as Fractions.
+    A pivot row is cleared from the later rows and, with ``full`` (the reduced
+    row echelon form; the rank needs none of it), from the earlier pivot rows.
+    Parameter-free matrices are reduced, and left, as plain Fractions (``demoted``).
     """
-    demoted = all(x.is_rational for row in rows for x in row)
+    demoted = all(x.is_rational for row in rows for x in row.values())
     if demoted:
-        m = [[x.as_fraction() for x in row] for row in rows]
+        pending = [{c: x.as_fraction() for c, x in row.items()} for row in rows if row]
     else:
-        m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        pending = [dict(row) for row in rows if row]
+    done: List[dict] = []
+    pivots: list = []
+    for c in cols:
+        pivot = next((i for i, row in enumerate(pending) if c in row), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        # rows are sparse: zero entries are skipped, not multiplied
-        row = m[r] = [x * inv if x else x for x in m[r]]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [a - f * b if b else a for a, b in zip(m[i], row)]
+        row = pending.pop(pivot)
+        if row[c] != 1:
+            inv = 1 / row[c]
+            row = {k: x * inv for k, x in row.items()}
+        for other in pending + done if full else pending:
+            f = other.get(c)
+            if f is None:
+                continue
+            for k, b in row.items():
+                a = other.get(k)
+                a = -(f * b) if a is None else a - f * b
+                if a:
+                    other[k] = a
+                else:
+                    del other[k]
+        done.append(row)
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots, demoted
+    return done, pivots, demoted
+
+
+def sparse_rref(rows: Sequence[Mapping], cols: Sequence, ctx: ParameterContext):
+    """(nonzero rows of the reduced row echelon form, their pivot columns)."""
+    red, pivots, demoted = _eliminate(rows, cols)
+    if demoted:
+        red = [{c: Scalar(ctx, x) for c, x in row.items()} for row in red]
+    return red, pivots
+
+
+def sparse_rank(rows: Sequence[Mapping], cols: Sequence) -> int:
+    """Number of pivots, read off the echelon form."""
+    return len(_eliminate(rows, cols, full=False)[1])
+
+
+def sparse_kernel(rows: Sequence[Mapping], cols: Sequence, ctx: ParameterContext):
+    """Basis of the right kernel: one vector per free column, in column order."""
+    red, pivots = sparse_rref(rows, cols, ctx)
+    return [
+        {fc: ctx.one, **{pc: -row[fc] for row, pc in zip(red, pivots) if fc in row}}
+        for fc in cols if fc not in pivots
+    ]
+
+
+def _sparse(rows: Sequence[Sequence[Scalar]]) -> List[dict]:
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(rows: Sequence[Mapping], ncols: int, ctx: ParameterContext) -> List[Row]:
+    return [[row.get(c, ctx.zero) for c in range(ncols)] for row in rows]
 
 
 def rref(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form and pivot column list.
-
-    Parameter-free matrices are reduced as plain Fractions and returned as
-    Scalars again.
-    """
-    m, pivots, demoted = _eliminate(rows)
-    if demoted:
-        m = [[Scalar(ctx, x) for x in row] for row in m]
-    return m, pivots
+    """Reduced row echelon form (zero rows last) and pivot column list."""
+    if not rows:
+        return [], []
+    red, pivots = sparse_rref(_sparse(rows), range(len(rows[0])), ctx)
+    return _dense(red + [{}] * (len(rows) - len(red)), len(rows[0]), ctx), pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> int:
-    """Number of pivots; the reduced rows are not copied back to Scalars."""
-    return len(_eliminate(rows)[1])
+    """Number of pivots."""
+    return sparse_rank(_sparse(rows), range(len(rows[0]))) if rows else 0
 
 
 def kernel(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> List[Row]:
     """Basis of the right kernel of the matrix."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows, ctx)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: List[Row] = []
-    for fc in free:
-        vec = [ctx.zero] * ncols
-        vec[fc] = ctx.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+    n = len(rows[0])
+    return _dense(sparse_kernel(_sparse(rows), range(n), ctx), n, ctx)
 
 
 def solve(
@@ -92,26 +115,19 @@ def solve(
     """
     if not rows:
         return [] if all(b.is_zero for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ctx)
-    for r in range(len(red)):
-        if all(red[r][c].is_zero for c in range(ncols)) and not red[r][ncols].is_zero:
-            return None
-    x = [ctx.zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][ncols]
-    return x
+    n = len(rows[0])
+    aug = _sparse([list(r) + [b] for r, b in zip(rows, rhs)])
+    red, pivots = sparse_rref(aug, range(n + 1), ctx)
+    if n in pivots:
+        return None
+    return _dense([{pc: row[n] for row, pc in zip(red, pivots) if n in row}], n, ctx)[0]
 
 
 def invert(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Optional[List[Row]]:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(rows)
-    aug = [list(r) + [ctx.one if i == j else ctx.zero for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug, ctx)
+    aug = [{**row, n + i: ctx.one} for i, row in enumerate(_sparse(rows))]
+    red, pivots = sparse_rref(aug, range(2 * n), ctx)
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in red[:n]]
+    return [[row.get(n + c, ctx.zero) for c in range(n)] for row in red]

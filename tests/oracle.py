@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 N = 7
@@ -265,6 +266,17 @@ def _row_basis(vectors: List[List[Fraction]]) -> Tuple[List[List[Fraction]], Lis
         basis.append(pivot)
         pivots.append(c)
     return basis, pivots
+
+
+def betti_numbers(table: Dict[int, OForm], dim: int = N - 1) -> Tuple[int, ...]:
+    """(b_1, ..., b_dim) from the full rank of d on every grade; no duality."""
+    ranks = []
+    for k in range(dim + 1):
+        keys = list(combinations(range(1, dim + 1), k + 1))
+        images = [d_of(table, {word: Fraction(1)}) for word in combinations(range(1, dim + 1), k)]
+        basis, _ = _row_basis([[image.get(key, Fraction(0)) for key in keys] for image in images])
+        ranks.append(len(basis))
+    return tuple(comb(dim, k) - ranks[k] - ranks[k - 1] for k in range(1, dim + 1))
 
 
 def _unit(dim: int) -> List[List[Fraction]]:

@@ -14,8 +14,16 @@ from nilg2.liealg import NAMED_ALGEBRAS
 from nilg2.scalars import ParameterContext
 
 
+def _main(argv):
+    """main's exit status, also when argparse exits on its own."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = _main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -146,7 +154,7 @@ def _assert_exit_contract(argv):
     stderr otherwise, and never a traceback (an uncaught exception fails)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = _main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
@@ -177,12 +185,19 @@ _PARAM_ARGS = st.one_of(
 )
 
 
+def _param_argv(params, spaced):
+    """--param=VALUE, or --param VALUE as two words (a VALUE that starts
+    with '-' is then an argparse error)."""
+    return [a for p in params for a in (("--param", p) if spaced else (f"--param={p}",))]
+
+
 @settings(max_examples=80)
 @given(command=st.sampled_from(("check", "betti", "fingerprint")),
-       algebra=_edited_tables(_ALGEBRA_TABLES), params=st.lists(_PARAM_ARGS, max_size=2))
-def test_algebra_commands_fuzz_exit_status(command, algebra, params):
+       algebra=_edited_tables(_ALGEBRA_TABLES), params=st.lists(_PARAM_ARGS, max_size=2),
+       spaced=st.booleans())
+def test_algebra_commands_fuzz_exit_status(command, algebra, params, spaced):
     """Edited tables and malformed or partial --param bindings."""
-    argv = [f"--param={p}" for p in params]
+    argv = _param_argv(params, spaced)
     _assert_exit_contract(argv + [command, "--", algebra])
 
 
@@ -230,12 +245,12 @@ def _edited_structure_files(draw):
 
 @settings(max_examples=60)
 @given(command=st.sampled_from(("su3", "g2t")), text=_edited_structure_files(),
-       params=st.lists(_PARAM_ARGS, max_size=1))
-def test_structure_commands_fuzz_exit_status(tmp_path_factory, command, text, params):
+       params=st.lists(_PARAM_ARGS, max_size=1), spaced=st.booleans())
+def test_structure_commands_fuzz_exit_status(tmp_path_factory, command, text, params, spaced):
     """Structure files with edited headers, rows and [params]."""
     path = tmp_path_factory.mktemp("fuzz") / "s.su3"
     path.write_text(text, encoding="utf-8")
-    argv = [f"--param={p}" for p in params]
+    argv = _param_argv(params, spaced)
     _assert_exit_contract(argv + [command, str(path)])
 
 
@@ -295,6 +310,11 @@ def test_shared_options_merge_across_subcommand(capsys):
      "denominator vanishes at binding"),
     (("--param", "lam=2", "fingerprint", "0,0,0,0,0,1/(lam-2)*12"),
      "denominator vanishes at binding"),
+    # argparse's own errors: one line, without the usage text
+    (("--param",), "argument --param: expected one argument"),
+    (("--param", "-x", "g2t", "case1"), "argument --param: expected one argument"),
+    (("bogus",), "invalid choice: 'bogus'"),
+    (("g2t",), "nilg2 g2t: error: the following arguments are required: structure_file"),
 ])
 def test_bad_input_exit_2_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -302,6 +322,14 @@ def test_bad_input_exit_2_one_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("g2t", "-h")])
+def test_help_exit_0_with_seed_metavar(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: nilg2")
+    assert "[--seed SEED]" in out and "AFTER" not in out
 
 
 def _report_body(out):

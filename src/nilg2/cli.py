@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -171,7 +172,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@lru_cache(maxsize=None)
+def _build_parser() -> argparse.ArgumentParser:
+    """The option parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="nilg2",
         description="exact torsion geometry checks on nilpotent Lie algebras",
@@ -197,9 +200,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--exponents", required=True,
                    help="comma-separated integer exponent per coframe axis")
     p.add_argument("--direction", choices=("to-zero", "to-infinity"), required=True)
+    return parser
 
-    args = parser.parse_args(argv)
-    args.param += getattr(args, _AFTER + "param", [])
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    # a new list: the parser's shared default must not collect bindings
+    args.param = args.param + getattr(args, _AFTER + "param", [])
     args.format = getattr(args, _AFTER + "format", args.format)
     args.seed = getattr(args, _AFTER + "seed", args.seed)
     started = time.perf_counter()

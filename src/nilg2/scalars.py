@@ -8,21 +8,25 @@ monomial order; parameter-free values demote to plain rationals), so ``==``
 is decidable, syntactic equality.
 
 Arithmetic takes one of three paths.  Two parameter-free values combine as
-plain ``Fraction``s.  When both operands are polynomials (their denominators
-are constants), ``+``, ``-``, ``*`` and division by a constant run in
-the polynomial ring, and the result is put in canonical form without a gcd:
-a polynomial ``v`` is stored as ``clear_denoms(v)``, an integer-coefficient
-numerator over the positive least common denominator, which is the
-``(numer, denom)`` pair that the field's ``cancel`` produces.  Everything
-else (a non-constant denominator on either side, or division by a
-non-constant value) goes through the fraction field and its ``cancel``.
+plain ``Fraction``s.  A polynomial (a value with a constant denominator) is
+stored as the pair of an integer-coefficient numerator and a positive int
+denominator coprime to the numerator's content, which is the
+``(numer, denom)`` pair that the field's ``cancel`` produces; a ``Fraction``
+p/q is the pair (p, q).  When both operands are such pairs, ``+``, ``-``,
+``*`` and division by a constant act on the pairs: numerators are scaled
+by ints and added or multiplied, denominators combine by lcm or product,
+and the result is reduced by the gcd of its denominator and its
+numerator's content.  No fraction-field element is built and no
+polynomial gcd is taken.  Everything else (a non-constant denominator on
+either side, or division by a non-constant value) goes through the
+fraction field and its ``cancel``.
 
 A symbolic operation with a rational operand 0, 1 or -1 takes neither of
 the last two paths: ``x + 0``, ``0 + x`` and ``x - 0`` give ``x``, ``0 - x``
 gives ``-x``, ``x*0``, ``0*x`` and ``0/x`` give 0, and ``x*(±1)``,
 ``(±1)*x`` and ``x/(±1)`` give ``±x``.  These are identities on canonical
 values and negation keeps a value canonical, so the result is the one the
-ring or the field would build, without the cost.
+pair arithmetic or the field would build, without the cost.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 from sympy.polys.domains import QQ
@@ -87,10 +92,6 @@ def _fold_with_origins(text: str):
     return "".join(pieces), origins
 
 
-def _to_qq(value: Fraction):
-    return QQ(value.numerator, value.denominator)
-
-
 def _qq_to_fraction(value) -> Fraction:
     return Fraction(int(value.numerator), int(value.denominator))
 
@@ -123,6 +124,7 @@ class ParameterContext:
             fld_and_gens = _sympy_field(",".join(key), QQ, order="grlex")
             self._field = fld_and_gens[0]
             self._gens = dict(zip(key, fld_and_gens[1:]))
+            self._zero_monom = self._field.ring.zero_monom
         else:
             self._field = None
             self._gens = {}
@@ -166,35 +168,63 @@ class ParameterContext:
         ring = self._field.ring
         return self._field.raw_new(ring(value.numerator), ring(value.denominator))
 
-    def _poly(self, raw):
-        """``raw`` as a ring element (a ground element for a Fraction), or
-        None if its denominator is not constant."""
+    def _pair(self, raw):
+        """``raw`` as its pair (integer-coefficient numerator, positive int
+        denominator), the numerator an int for a Fraction and a ring element
+        otherwise; None if the denominator is not constant."""
         if isinstance(raw, Fraction):
-            return _to_qq(raw)
+            return raw.numerator, raw.denominator
         denom = raw.denom
         if not denom.is_ground:
             return None
-        if denom == 1:
-            return raw.numer
-        return raw.numer.quo_ground(denom.LC)
+        return raw.numer, int(denom[self._zero_monom])
 
-    def _from_poly(self, poly):
-        """Canonical raw value of a ring element, without a gcd.
+    def _pair_op(self, op, a, b):
+        """The canonical raw value of ``op`` on two pairs, at least one of
+        them polynomial; ``truediv`` only by a rational.
 
-        ``cancel`` of a polynomial over a constant clears the coefficient
-        denominators and nothing else, so ``clear_denoms`` gives the same
-        ``(numer, denom)`` pair; constants demote to Fractions.
+        Sums bring both numerators over the lcm of the denominators, products
+        multiply numerators and denominators, and division by q/e multiplies
+        by e/q; the result is reduced by the gcd of its denominator and the
+        content of its numerator.  That gives the integer-coefficient
+        numerator over the positive denominator, coprime to its content,
+        that the field's ``cancel`` builds; constants demote to Fractions.
         """
-        if poly.is_ground:
-            return _qq_to_fraction(poly.LC) if poly else Fraction(0)
-        common, numer = poly.clear_denoms()
-        return self._field.raw_new(numer, self._field.ring.ground_new(common))
+        (p, d), (q, e) = a, b
+        if op is operator.truediv:
+            op, q, e = operator.mul, (e if q > 0 else -e), abs(q)
+        if op is operator.mul and type(p) is int:
+            (p, d), (q, e) = (q, e), (p, d)
+        if op is operator.mul and type(q) is int:
+            # p/d is canonical and q/e reduced, so the gcd of the content of
+            # q*p and of d*e is gcd(q, d) * gcd(content(p), e)
+            g = gcd(q, d)
+            h = gcd(e, *map(int, p.values())) if e > 1 else 1
+            return self._raw(p.mul_ground(QQ(q // g, h) if h > 1 else q // g),
+                             d // g * (e // h))
+        if op is operator.mul:
+            numer, denom = p * q, d * e
+        else:
+            denom = d * e // gcd(d, e)
+            numer = op(_scaled(p, denom // d), _scaled(q, denom // e))
+        if numer.is_ground:
+            return Fraction(int(numer[self._zero_monom]) if numer else 0, denom)
+        g = gcd(denom, *map(int, numer.values())) if denom > 1 else 1
+        if g > 1:
+            numer, denom = numer.mul_ground(QQ(1, g)), denom // g
+        return self._raw(numer, denom)
+
+    def _raw(self, numer, denom: int):
+        """The field element numer/denom of a non-constant numerator."""
+        if denom == 1:
+            return self._field.raw_new(numer, self._field.ring.one)
+        return self._field.raw_new(numer, numer.new({self._zero_monom: QQ(denom)}))
 
     def _combine(self, op, a, b):
         """``op(a, b)`` on raw values of which at least one is symbolic.
 
         A rational operand 0, 1 or -1 gives the result by its identity;
-        polynomial operands take the ring path; ``truediv`` does so only when
+        polynomial operands take the pair path; ``truediv`` does so only when
         the divisor is a constant.  Everything else goes through the field.
         """
         if isinstance(b, Fraction):
@@ -215,15 +245,22 @@ class ParameterContext:
                     return b
                 if a == -1:
                     return -b
-        pa = self._poly(a)
-        pb = self._poly(b) if pa is not None else None
+        pa = self._pair(a)
+        pb = self._pair(b) if pa is not None else None
         if pb is not None and (op is not operator.truediv or isinstance(b, Fraction)):
-            return self._from_poly(op(pa, pb))
+            return self._pair_op(op, pa, pb)
         if isinstance(a, Fraction):
             a = self._lift(a)
         elif isinstance(b, Fraction):
             b = self._lift(b)
         return _demote(self, op(a, b))
+
+
+def _scaled(x, k: int):
+    """An int (as a ground element) or a ring element, times the positive int k."""
+    if type(x) is int:
+        return QQ(x * k)
+    return x.mul_ground(k) if k > 1 else x
 
 
 def _demote(ctx: ParameterContext, raw):
@@ -255,8 +292,6 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        if isinstance(self.raw, Fraction):
-            return self.raw == 0
         return not self.raw
 
     @property
@@ -340,7 +375,7 @@ class Scalar:
         return hash((self.ctx.names, self.raw))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.raw)
 
     # -- conversions --------------------------------------------------------
 
@@ -354,8 +389,9 @@ class Scalar:
         if isinstance(self.raw, Fraction):
             return self.raw
         folded = {_fold_unicode(k): Fraction(v) for k, v in bindings.items()}
-        for name in self.params():
-            if name not in folded:
+        used = self.params()
+        for name in self.ctx.names:  # sorted, so the message does not follow hashing
+            if name in used and name not in folded:
                 raise ScalarError(f"unbound parameter {name!r}")
         num = _eval_poly(self.raw.numer, self.ctx.names, folded)
         den = _eval_poly(self.raw.denom, self.ctx.names, folded)

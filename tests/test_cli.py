@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilg2.cli import main
+import nilg2
+from nilg2.cli import _build_parser, main
 from nilg2.exterior import FrameContext, parse_form
 from nilg2.families import FAMILIES
 from nilg2.liealg import NAMED_ALGEBRAS
@@ -330,6 +334,35 @@ def test_help_exit_0_with_seed_metavar(capsys, argv):
     assert code == 0 and err == ""
     assert out.startswith("usage: nilg2")
     assert "[--seed SEED]" in out and "AFTER" not in out
+
+
+def test_parser_built_once_keeps_no_state(capsys):
+    """Calls in one process share one parser; a --param binding of one call
+    does not reach the next, and errors and help behave as on a fresh one."""
+    assert _build_parser() is _build_parser()
+    code, out, _ = run_cli(capsys, "g2t", "case1", "--param", "lam=1", "--param", "k=2")
+    assert code == 0 and "theta = 7\n" in out and "lam*" not in out
+    code, out, _ = run_cli(capsys, "g2t", "case1")
+    assert code == 0 and "theta = lam*7\n" in out
+    code, out, err = run_cli(capsys, "bogus")
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: nilg2")
+
+
+def test_unbound_parameter_message_independent_of_hashing():
+    """The unbound parameter named is the first in the context's order,
+    whatever the string hash seed of the process."""
+    argv = [sys.executable, "-m", "nilg2", "--param", "lam=0", "betti",
+            "0,lam*35,0,-lam*15,(z+a1)*13,a1*14+z*23+lam*13"]
+    src = str(Path(nilg2.__file__).resolve().parents[1])
+    errors = set()
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        errors.add(proc.stderr)
+    assert errors == {"input error: unbound parameter 'a1'\n"}
 
 
 def _report_body(out):

@@ -176,12 +176,20 @@ _FAST_OPS = {
 }
 
 
+def _assert_same_canonical(got, expected):
+    assert got == expected
+    assert type(got.raw) is type(expected.raw)
+    assert hash(got) == hash(expected)
+    if not got.is_rational:
+        assert (got.raw.numer, got.raw.denom) == (expected.raw.numer, expected.raw.denom)
+
+
 @given(data=st.data())
 def test_fast_path_matches_field_cancel(ctx, data):
     polys = _polynomials(ctx)
     a = data.draw(polys)
     name = data.draw(st.sampled_from(sorted(_FAST_OPS)))
-    # division takes the ring path only for a constant divisor
+    # division takes the pair path only for a constant divisor
     b = data.draw(small_fracs.filter(bool).map(ctx.scalar) if name == "div" else polys)
     op = _FAST_OPS[name]
     pairs = [(a, b)] if name == "div" else [(a, b), (b, a)]
@@ -194,12 +202,58 @@ def test_fast_path_matches_field_cancel(ctx, data):
         if y.is_rational:
             results.append(op(x, y.as_fraction()))
         for got in results:
-            assert got == expected
-            assert type(got.raw) is type(expected.raw)
-            assert hash(got) == hash(expected)
-            if not got.is_rational:
-                assert (got.raw.numer, got.raw.denom) == \
-                    (expected.raw.numer, expected.raw.denom)
+            _assert_same_canonical(got, expected)
+
+
+_PAIR_CASES = [
+    # numerator content sharing a factor with the denominator
+    ("6*lam/4", "mul", Fraction(2, 3)),
+    ("6*lam/4", "mul", "2/3"),
+    ("6*lam/4", "div", Fraction(-3, 2)),
+    ("lam/6", "add", "lam/6 + k/3"),
+    ("9*lam/4 + 3*k", "mul", Fraction(4, 15)),
+    # negative rationals on either side
+    ("3*lam/10 + 1/4", "mul", Fraction(-5, 6)),
+    ("3*lam/2", "div", Fraction(-9, 4)),
+    ("-lam/4 + k", "sub", Fraction(-7, 8)),
+    # Fraction - poly and poly + Fraction
+    (Fraction(1, 6), "sub", "lam/6 + k/3"),
+    ("lam/4 - k/6", "add", Fraction(5, 12)),
+    # sums that cancel to a constant or to 0
+    ("lam/3 + 1", "sub", "lam/3"),
+    ("lam/2 + k/3", "sub", "lam/2 + k/3 - 1/5"),
+    ("lam/3 - k", "sub", "lam/3 - k"),
+    ("-lam/3 + k", "add", "lam/3 - k"),
+    # products of non-monic polynomials
+    ("2*lam + 4*k", "mul", "3*lam - 6*z"),
+    ("2*lam/3 + 4*k/9", "mul", "3*lam/4 - 6*z"),
+]
+
+
+def _operand(ctx, value):
+    return ctx.parse(value) if isinstance(value, str) else value
+
+
+@pytest.mark.parametrize("left, name, right", _PAIR_CASES)
+def test_pair_arithmetic_matches_field_cancel(ctx, left, name, right):
+    """Each reduction of the (numerator, denominator) arithmetic, in both
+    operand orders where the op allows, gives the value, raw type, hash and
+    (numer, denom) pair of the fraction field and its cancel."""
+    x, y = _operand(ctx, left), _operand(ctx, right)
+    op = _FAST_OPS[name]
+    orders = [(x, y)] if name == "div" else [(x, y), (y, x)]
+    for a, b in orders:
+        expected = _via_field(ctx, op(_field_raw(ctx, ctx.scalar(a)),
+                                      _field_raw(ctx, ctx.scalar(b))))
+        _assert_same_canonical(op(a, b), expected)
+
+
+def test_pair_arithmetic_demotes_constants(ctx):
+    for text in ("lam - lam + 1", "lam/3 + k/2 - (k/2 + lam/3)", "(2*lam + 4)/6 - lam/3"):
+        value = ctx.parse(text)
+        assert value.is_rational and type(value.raw) is Fraction
+    assert ctx.parse("lam - lam + 1") == 1
+    assert ctx.parse("(2*lam + 4)/6 - lam/3") == Fraction(2, 3)
 
 
 def _symbolic(ctx):
@@ -228,13 +282,7 @@ def test_identity_operands_match_field_cancel(ctx, data):
                         continue
                     expected = _via_field(ctx, op(_field_raw(ctx, ctx.scalar(a)),
                                                   _field_raw(ctx, ctx.scalar(b))))
-                    got = op(a, b)
-                    assert got == expected, (name, a, b)
-                    assert type(got.raw) is type(expected.raw)
-                    assert hash(got) == hash(expected)
-                    if not got.is_rational:
-                        assert (got.raw.numer, got.raw.denom) == \
-                            (expected.raw.numer, expected.raw.denom)
+                    _assert_same_canonical(op(a, b), expected)
 
 
 def test_negative_powers_are_canonical(ctx):

@@ -112,8 +112,8 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in declared["end_to_end"]}
 
     doc = {
-        "change": {"checkout": str(ROOT), "sha": git_sha(ROOT)},
-        "parent": {"checkout": str(parent), "sha": git_sha(parent)},
+        "change": {"sha": git_sha(ROOT)},
+        "parent": {"sha": git_sha(parent)},
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seed_base": args.seed_base,

@@ -17,7 +17,9 @@ and quartiles over the pairs and the number of pairs each side won (ties
 count for neither).
 
 Writes ``BENCH_<short-sha>.json`` at the root of this checkout, named after
-its HEAD commit, and prints the summary.  Exits 1 if any run failed or
+its HEAD commit, and prints the summary.  Either side's sha gets a
+``-dirty`` suffix when its tracked files differ from its HEAD commit, so a
+run from an uncommitted tree is not filed under the commit it started from.  Exits 1 if any run failed or
 reported a wrong output.
 """
 
@@ -36,9 +38,13 @@ HOST_LOOP = re.compile(r"host Fraction loop \(ms[^)]*\): start ([\d.]+), end ([\
 
 
 def git_sha(checkout: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+    """Short HEAD sha, with ``-dirty`` when tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout,
+                              capture_output=True, text=True).stdout.strip()
+
+    sha = git("rev-parse", "--short", "HEAD") or "unknown"
+    return sha + "-dirty" if git("status", "--porcelain", "--untracked-files=no") else sha
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:

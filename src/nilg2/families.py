@@ -29,6 +29,7 @@ integer powers in the algebra's own parameter context.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -115,27 +116,34 @@ def instantiate(
 ) -> Tuple[LieAlgebra, SU3Structure]:
     """A family algebra with its standard adapted structure.
 
-    Symbolic in the family parameters when no bindings are given; bindings
-    must respect the nondegeneracy constraints.
+    Symbolic in the family parameters when no bindings are given (built once
+    per name and parameter context, and shared); bindings must respect the
+    nondegeneracy constraints.
     """
     try:
         spec = FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown family {name!r}; choose from {sorted(FAMILIES)}") from None
     ctx = params or family_context()
+    if bindings is None:
+        return _symbolic_family(name, ctx)
     algebra = parse_salamon(spec.table, ctx)
-    if bindings is not None:
-        bindings = {k: Fraction(v) for k, v in bindings.items()}
-        missing = [p for p in spec.parameters if p not in bindings]
-        if missing:
-            raise DegenerateParameterError(f"missing bindings for {missing}")
-        for expr in spec.nonzero:
-            if ctx.parse(expr).evaluate(bindings) == 0:
-                raise DegenerateParameterError(f"degenerate parameter: {expr} = 0")
-        table = tuple(f.evaluate(bindings) for f in algebra.d_table)
-        algebra = LieAlgebra(table[0].ctx, table)
-    structure = standard_structure(algebra)
-    return algebra, structure
+    bindings = {k: Fraction(v) for k, v in bindings.items()}
+    missing = [p for p in spec.parameters if p not in bindings]
+    if missing:
+        raise DegenerateParameterError(f"missing bindings for {missing}")
+    for expr in spec.nonzero:
+        if ctx.parse(expr).evaluate(bindings) == 0:
+            raise DegenerateParameterError(f"degenerate parameter: {expr} = 0")
+    table = tuple(f.evaluate(bindings) for f in algebra.d_table)
+    algebra = LieAlgebra(table[0].ctx, table)
+    return algebra, standard_structure(algebra)
+
+
+@functools.lru_cache(maxsize=32)
+def _symbolic_family(name: str, ctx: ParameterContext) -> Tuple[LieAlgebra, SU3Structure]:
+    algebra = parse_salamon(FAMILIES[name].table, ctx)
+    return algebra, standard_structure(algebra)
 
 
 def case2_gauge_rotation(params: ParameterContext, c, s) -> BasisChange:

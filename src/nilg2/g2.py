@@ -2,8 +2,12 @@
 
 With base forms (omega, psi+, psi-) and the closed circle coordinate dt as
 the seventh coframe element, phi = omega ^ dt + psi+ and
-*phi = psi- ^ dt + (1/2) omega ^ omega (verified at build time; this pins
-the orientation convention).
+*phi = psi- ^ dt + (1/2) omega ^ omega (verified once per frame, when the
+product forms are first built; this pins the orientation convention).
+Everything that depends only on these forms (the *phi check, the V7
+projector forms, the (X _| *phi) ^ omega^2 identity and the elimination of
+the Lee-form system) is built and checked once per form and cached; each
+check's result is a fixed function of its cache key.
 
 The torsion 3-form of the unique metric connection preserving phi with
 totally skew torsion is computed two ways and cross-checked:
@@ -21,6 +25,7 @@ solves the connection equations directly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
@@ -105,20 +110,55 @@ class TorsionReport:
     dT_in_R_plus_S2: Optional[bool] = None
 
 
-def build_product(s: SU3Structure) -> G2Structure:
-    ctx6 = s.omega.ctx
-    ctx7 = FrameContext(7, ctx6.params)
-    d_table = [lift(f, ctx7) for f in s.adapted.d_table] + [ctx7.zero_form()]
-    # nilpotency is inherited from the (already verified) base algebra
-    product = LieAlgebra(ctx7, d_table, require_nilpotent=False)
+@functools.lru_cache(maxsize=32)
+def _product_forms(omega: Form, psi_plus: Form, psi_minus: Form):
+    """(ctx7, dt, phi, *phi) of the product; *phi is checked once per frame."""
+    ctx7 = FrameContext(7, omega.ctx.params)
     dt = ctx7.basis(7)
-    phi = lift(s.omega, ctx7).wedge(dt) + lift(s.psi_plus, ctx7)
-    om7 = lift(s.omega, ctx7)
-    expected = lift(s.psi_minus, ctx7).wedge(dt) + om7.wedge(om7).scale(Fraction(1, 2))
+    om7 = lift(omega, ctx7)
+    phi = om7.wedge(dt) + lift(psi_plus, ctx7)
+    expected = lift(psi_minus, ctx7).wedge(dt) + om7.wedge(om7).scale(Fraction(1, 2))
     star_phi = hodge(phi)
     if star_phi != expected:
         raise G2Error("orientation convention broken: *phi mismatch", star_phi - expected)
+    return ctx7, dt, phi, star_phi
+
+
+def build_product(s: SU3Structure) -> G2Structure:
+    ctx7, dt, phi, star_phi = _product_forms(s.omega, s.psi_plus, s.psi_minus)
+    d_table = [lift(f, ctx7) for f in s.adapted.d_table] + [ctx7.zero_form()]
+    # nilpotency is inherited from the (already verified) base algebra
+    product = LieAlgebra(ctx7, d_table, require_nilpotent=False)
     return G2Structure(base=s, product=product, phi=phi, star_phi=star_phi, dt=dt)
+
+
+@functools.lru_cache(maxsize=32)
+def _lee_solver(star_phi: Form):
+    """One elimination of the system d*phi = theta ^ *phi, for any right side.
+
+    The equations are the 5-form masks of the columns e^i ^ *phi; each
+    carries a marker entry keyed by its own mask, so the reduced row of a
+    pivot (a 1-form mask) records the combination of equations that gave
+    it.  Returns, per pivot, that combination as its nonzero ``(mask, entry)``
+    pairs: the pivot's component of theta is their dot product with d*phi,
+    and free unknowns are zero, as in ``linalg.solve``.  For the standard
+    *phi the columns are orthogonal with Gram 3 I and each combination has
+    one entry.
+    """
+    ctx = star_phi.ctx
+    one = ctx.params.one
+    unknowns = [1 << i for i in range(ctx.dim)]
+    equations: Dict[int, Dict[int, Scalar]] = {}
+    for i, u in enumerate(unknowns, start=1):
+        for m, c in ctx.basis(i).wedge(star_phi).comps.items():
+            equations.setdefault(m, {m: one})[u] = c
+    red, pivots = linalg.sparse_rref(
+        [equations[m] for m in sorted(equations)], unknowns, ctx.params
+    )
+    return tuple(
+        (p, tuple((m, x) for m, x in row.items() if m in equations))
+        for row, p in zip(red, pivots)
+    )
 
 
 def extract_theta(g: G2Structure) -> Form:
@@ -131,16 +171,19 @@ def extract_theta(g: G2Structure) -> Form:
     ctx = g.ctx
     pctx = ctx.params
     target = g.d(g.star_phi)
-    columns = [ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)]
-    masks = sorted(
-        set().union(*[set(c.comps) for c in columns], set(target.comps))
-    )
-    rows = [[col.comps.get(m, pctx.zero) for col in columns] for m in masks]
-    rhs = [target.comps.get(m, pctx.zero) for m in masks]
-    sol = linalg.solve(rows, rhs, pctx)
-    if sol is None:
+    b = target.comps
+    theta = Form(ctx, {
+        p: sum((x * b[m] for m, x in row if m in b), pctx.zero)
+        for p, row in _lee_solver(g.star_phi)
+    })
+    # the exact check stands for the consistency test of the whole system
+    if theta.wedge(g.star_phi) != target:
         # best-effort witness for the error report
-        red, pivots = linalg.rref([r + [b] for r, b in zip(rows, rhs)], pctx)
+        columns = [ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)]
+        masks = sorted(set().union(*[set(c.comps) for c in columns], set(b)))
+        rows = [[col.comps.get(m, pctx.zero) for col in columns] for m in masks]
+        rhs = [b.get(m, pctx.zero) for m in masks]
+        red, pivots = linalg.rref([r + [x] for r, x in zip(rows, rhs)], pctx)
         attempt = [pctx.zero] * 7
         for r, pc in enumerate(pivots):
             if pc < 7:
@@ -148,7 +191,6 @@ def extract_theta(g: G2Structure) -> Form:
         theta_try = Form(ctx, {1 << i: attempt[i] for i in range(7)})
         residual = target - theta_try.wedge(g.star_phi)
         raise G2Error("not a G2T-structure", residual)
-    theta = Form(ctx, {1 << i: sol[i] for i in range(7)})
     if not g.d(theta).is_zero:
         raise G2Error("extracted Lee form is not closed (convention bug)", g.d(theta))
     return theta
@@ -208,11 +250,11 @@ def torsion(g: G2Structure) -> TorsionReport:
     )
 
 
-def _v7_projector_forms(g: G2Structure):
+@functools.lru_cache(maxsize=32)
+def _v7_projector_forms(phi: Form) -> Tuple[Form, ...]:
     """The seven forms e^i ^ phi; verified independent with diagonal Gram."""
-    ctx = g.ctx
-    pctx = ctx.params
-    forms = [ctx.basis(i).wedge(g.phi) for i in range(1, 8)]
+    ctx = phi.ctx
+    forms = tuple(ctx.basis(i).wedge(phi) for i in range(1, 8))
     gram_diag = None
     for i, fi in enumerate(forms):
         for j in range(i, len(forms)):
@@ -229,6 +271,18 @@ def _v7_projector_forms(g: G2Structure):
     return forms
 
 
+@functools.lru_cache(maxsize=32)
+def _check_contraction_identity(star_phi: Form, omega: Form) -> None:
+    """The identity behind the V7 statement: (X _| *phi) ^ omega^2 = 0."""
+    ctx = star_phi.ctx
+    om7 = lift(omega, ctx)
+    om7_sq = om7.wedge(om7)
+    for i in range(1, 8):
+        contracted = interior(ctx.basis(i), star_phi)
+        if not contracted.wedge(om7_sq).is_zero:
+            raise G2Error("(X _| *phi) ^ omega^2 != 0 (convention bug)")
+
+
 def dT_tests(g: G2Structure, report: TorsionReport) -> TorsionReport:
     """Fill the representation-theoretic flags of the report."""
     ctx6 = g.base.omega.ctx
@@ -240,16 +294,8 @@ def dT_tests(g: G2Structure, report: TorsionReport) -> TorsionReport:
     type22 = rest.is_zero and j_apply(g.base.J, pure) == pure
 
     # V7-component: <dT, e^i ^ phi> = 0 for all i
-    projector = _v7_projector_forms(g)
-    in_r_s2 = all(inner(report.dT, p).is_zero for p in projector)
-
-    # sanity identity behind the statement: (X _| *phi) ^ omega^2 = 0
-    om7 = lift(g.base.omega, g.ctx)
-    om7_sq = om7.wedge(om7)
-    for i in range(1, 8):
-        contracted = interior(g.ctx.basis(i), g.star_phi)
-        if not contracted.wedge(om7_sq).is_zero:
-            raise G2Error("(X _| *phi) ^ omega^2 != 0 (convention bug)")
+    in_r_s2 = all(inner(report.dT, p).is_zero for p in _v7_projector_forms(g.phi))
+    _check_contraction_identity(g.star_phi, g.base.omega)
 
     return dataclasses.replace(
         report,

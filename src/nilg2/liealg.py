@@ -573,16 +573,16 @@ class BasisChange:
         return self._inverse
 
     def is_orthogonal(self) -> bool:
+        """True iff B B^T = I; the transpose is then recorded as the inverse."""
         n = self.dim
+        nonzero = [{k: x for k, x in enumerate(row) if x} for row in self.rows]
         for i in range(n):
             for j in range(i, n):
-                dot = sum(
-                    (self.rows[i][k] * self.rows[j][k] for k in range(n)),
-                    self.params.zero,
-                )
-                expected = self.params.one if i == j else self.params.zero
-                if dot != expected:
+                ri, rj = nonzero[i], nonzero[j]
+                dot = sum((x * rj[k] for k, x in ri.items() if k in rj), self.params.zero)
+                if dot != (1 if i == j else 0):
                     return False
+        self._inverse = tuple(zip(*self.rows))
         return True
 
     def pull_standard(self, a: Form, source_ctx: Optional[FrameContext] = None) -> Form:

@@ -167,7 +167,6 @@ def torsion_classes(s: SU3Structure) -> TorsionClasses:
     d_om = s.d(om)
     d_psip = s.d(psip)
     d_psim = s.d(psim)
-    om3 = om.wedge(om).wedge(om)
 
     # W1 via dpsi ^ omega = W1 omega^3 (coefficient of the volume over 6)
     vol_mask = ctx.full_mask

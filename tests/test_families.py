@@ -23,6 +23,7 @@ from nilg2.liealg import (
     parse_salamon,
     salamon_str,
 )
+from nilg2.scalars import ParameterContext
 from nilg2.su3 import g2t_residual, is_half_integrable, torsion_classes
 
 
@@ -73,6 +74,21 @@ def test_degenerate_bindings_rejected(pctx):
     with pytest.raises(DegenerateParameterError):
         instantiate("case1", {"lam": Fraction(1)}, params=pctx)
     with pytest.raises(ValueError):
+        instantiate("case9", params=pctx)
+
+
+def test_symbolic_instantiate_is_memoized(pctx):
+    """Bare families are parsed and adapted once per (name, context); bound
+    calls build afresh, and an unknown name still raises."""
+    first = instantiate("case2", params=pctx)
+    second = instantiate("case2", params=pctx)
+    assert second[0] is first[0] and second[1] is first[1]
+    other = instantiate("case2", params=ParameterContext(pctx.names + ("w",)))
+    assert other[0] is not first[0]
+    binding = {"lam": Fraction(1), "z": Fraction(2), "a1": Fraction(1)}
+    bound = instantiate("case2", binding, params=pctx)
+    assert bound[0] is not instantiate("case2", binding, params=pctx)[0]
+    with pytest.raises(ValueError, match="unknown family 'case9'"):
         instantiate("case9", params=pctx)
 
 

@@ -1,15 +1,21 @@
+import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import form_to_oracle, table_to_oracle
 from oracle import characteristic_torsion
 
-from nilg2.exterior import FrameContext, hodge, inner, parse_form
-from nilg2.families import instantiate
+from nilg2 import linalg
+from nilg2.exterior import Form, FrameContext, hodge, inner, parse_form
+from nilg2.families import case2_gauge_rotation, instantiate
 from nilg2.g2 import (
     G2Error,
+    _lee_solver,
+    _product_forms,
+    _v7_projector_forms,
     build_product,
     dT_tests,
     extract_theta,
@@ -18,7 +24,7 @@ from nilg2.g2 import (
     torsion,
 )
 from nilg2.liealg import parse_salamon
-from nilg2.su3 import standard_structure
+from nilg2.su3 import build_structure, load_structure_file, standard_structure
 
 
 @pytest.fixture(scope="module")
@@ -287,9 +293,123 @@ def test_v7_projector_sanity(iwasawa_product):
     from nilg2.g2 import _v7_projector_forms
     from nilg2.exterior import interior
 
-    forms = _v7_projector_forms(g)
+    forms = _v7_projector_forms(g.phi)
     assert len(forms) == 7
+    assert forms == tuple(g.ctx.basis(i).wedge(g.phi) for i in range(1, 8))
     om7 = lift(g.base.omega, g.ctx)
     om7_sq = om7.wedge(om7)
     for i in range(1, 8):
         assert interior(g.ctx.basis(i), g.star_phi).wedge(om7_sq).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the per-frame cache: Lee-form solver, product forms and their checks
+# ---------------------------------------------------------------------------
+
+
+def _full_system(g):
+    """The 21x7 Lee-form system d*phi = theta ^ *phi, written out densely."""
+    pctx = g.ctx.params
+    columns = [g.ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)]
+    target = g.d(g.star_phi)
+    masks = sorted(set().union(*[set(c.comps) for c in columns], set(target.comps)))
+    rows = [[col.comps.get(m, pctx.zero) for col in columns] for m in masks]
+    rhs = [target.comps.get(m, pctx.zero) for m in masks]
+    return rows, rhs
+
+
+def _bumped(g, *word):
+    phi = g.phi + g.ctx.basis(*word)
+    return dataclasses.replace(g, phi=phi, star_phi=hodge(phi))
+
+
+def _rotated_products(pctx, seed, count):
+    """Products of the families in seeded gauge-rotated adapted coframes."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        m = rng.randint(2, 12)
+        n = rng.randint(1, m - 1)
+        hyp = m * m + n * n
+        c, s = Fraction(m * m - n * n, hyp), Fraction(2 * m * n, hyp)
+        algebra, _ = instantiate(("case1", "case2", "case3")[k % 3], params=pctx)
+        rotation = case2_gauge_rotation(pctx, c * rng.choice((1, -1)), s * rng.choice((1, -1)))
+        out.append(build_product(build_structure(algebra, rotation)))
+    return out
+
+
+def test_lee_solver_matches_full_solve(pctx, iwasawa_product):
+    """The cached elimination gives the theta that linalg.solve gives on the
+    whole 21x7 system, and fails exactly where that system is inconsistent."""
+    repo = Path(__file__).resolve().parents[1]
+    products = [build_product(instantiate(name, params=pctx)[1])
+                for name in ("case1", "case2", "case3")]
+    products.append(build_product(load_structure_file(repo / "scripts" / "iwasawa.su3", pctx)[0]))
+    products += _rotated_products(pctx, seed=20261018, count=9)
+    products += [_bumped(iwasawa_product, 1, 2, 5), _bumped(iwasawa_product, 1, 3, 6)]
+    outcomes = set()
+    for g in products:
+        rows, rhs = _full_system(g)
+        sol = linalg.solve(rows, rhs, g.ctx.params)
+        if sol is None:
+            with pytest.raises(G2Error, match="not a G2T-structure"):
+                extract_theta(g)
+        else:
+            assert extract_theta(g) == Form(g.ctx, {1 << i: sol[i] for i in range(7)})
+        outcomes.add(sol is None)
+    assert outcomes == {True, False}
+
+
+def test_lee_error_residual_is_rref_witness(pctx, iwasawa_product):
+    """The e136 bump reports the residual of the rref witness: pivot unknowns
+    read from the reduced augmented system, free unknowns zero."""
+    g = _bumped(iwasawa_product, 1, 3, 6)
+    rows, rhs = _full_system(g)
+    red, pivots = linalg.rref([r + [b] for r, b in zip(rows, rhs)], pctx)
+    assert 7 in pivots          # inconsistent
+    attempt = {1 << pc: red[r][7] for r, pc in enumerate(pivots) if pc < 7}
+    witness = g.d(g.star_phi) - Form(g.ctx, attempt).wedge(g.star_phi)
+    with pytest.raises(G2Error) as err:
+        extract_theta(g)
+    assert err.value.residual == witness
+    assert str(err.value) == f"not a G2T-structure; residual {witness}"
+
+
+def test_build_product_cache_hit(iwasawa_structure):
+    build_product(iwasawa_structure)
+    before = _product_forms.cache_info()
+    g = build_product(iwasawa_structure)
+    after = _product_forms.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    extract_theta(g)
+    before = _lee_solver.cache_info()
+    extract_theta(g)
+    after = _lee_solver.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_replaced_phi_gets_its_own_entry(iwasawa_product):
+    g = iwasawa_product
+    _lee_solver.cache_clear()
+    _v7_projector_forms.cache_clear()
+    dT_tests(g, torsion(g))
+    bump = _bumped(g, 1, 2, 5)
+    assert bump.star_phi != g.star_phi
+    assert extract_theta(bump).is_zero
+    assert _lee_solver.cache_info().misses == 2
+    with pytest.raises(G2Error, match="V7 projector"):
+        _v7_projector_forms(bump.phi)
+    doubled = g.phi.scale(2)
+    assert _v7_projector_forms(doubled)[0] == g.ctx.basis(1).wedge(doubled)
+    assert _v7_projector_forms.cache_info().misses == 3
+    assert _v7_projector_forms.cache_info().currsize == 2
+
+
+def test_cached_builder_checks_orientation(std_forms):
+    """With psi- negated the *phi check fails, on every call: a raising
+    call leaves no cache entry."""
+    omega, psi_plus, psi_minus = std_forms
+    for _ in range(2):
+        with pytest.raises(G2Error, match=r"orientation convention broken: \*phi mismatch") as err:
+            _product_forms(omega, psi_plus, -psi_minus)
+        assert not err.value.residual.is_zero

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nilg2.exterior import FormSyntaxError, FrameContext, parse_form
-from nilg2.families import FAMILIES
+from nilg2 import linalg
+from nilg2.families import FAMILIES, case2_gauge_rotation
 from nilg2.liealg import (
     NAMED_ALGEBRAS,
     BasisChange,
@@ -343,6 +344,55 @@ def test_jacobi_preserved_by_change_basis(pctx, iwasawa):
         B = random_invertible(rng, pctx)
         moved = change_basis(iwasawa, B)   # constructor re-checks d^2 = 0
         assert jacobi_certificates(moved.d_table) == []
+
+
+def _seeded_orthogonal(rng, pctx):
+    """A signed permutation times a gauge rotation at a seeded circle point."""
+    m = rng.randint(2, 9)
+    n = rng.randint(1, m - 1)
+    hyp = m * m + n * n
+    R = case2_gauge_rotation(pctx, Fraction(m * m - n * n, hyp), Fraction(2 * m * n, hyp))
+    perm = list(range(6))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(6)]
+    return [[R.rows[perm[i]][j] * signs[i] for j in range(6)] for i in range(6)]
+
+
+def test_is_orthogonal_records_transpose_as_inverse(pctx):
+    rng = random.Random(4242)
+    for _ in range(12):
+        rows = _seeded_orthogonal(rng, pctx)
+        B = BasisChange(pctx, rows)
+        assert B.is_orthogonal()
+        inverse = linalg.invert(rows, pctx)
+        assert B.inverse_rows() == tuple(tuple(r) for r in inverse)
+        assert B.inverse_rows() == tuple(zip(*B.rows))
+
+
+def test_is_orthogonal_rejects_every_one_entry_perturbation(pctx):
+    rng = random.Random(4243)
+    rows = _seeded_orthogonal(rng, pctx)
+    norm_only = 0
+    for i in range(6):
+        for j in range(6):
+            bumped = [list(r) for r in rows]
+            bumped[i][j] = bumped[i][j] + Fraction(rng.randint(1, 9), 13)
+            # opposite zeros in every other row: no dot product between two
+            # rows changes, only the norm of row i
+            norm_only += all(rows[k][j].is_zero for k in range(6) if k != i)
+            B = BasisChange(pctx, bumped)
+            assert not B.is_orthogonal(), (i, j)
+            assert B.inverse_rows() == tuple(tuple(r) for r in linalg.invert(bumped, pctx))
+    assert norm_only >= 2
+
+
+def test_is_orthogonal_rejects_singular(pctx):
+    rows = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
+    rows[5] = list(rows[4])
+    B = BasisChange(pctx, rows)
+    assert not B.is_orthogonal()
+    with pytest.raises(ValueError, match="singular basis change"):
+        B.inverse_rows()
 
 
 def test_twin_entries_distinct_fingerprint_blind(pctx):

@@ -290,7 +290,6 @@ def test_v7_projector_sanity(iwasawa_product):
     """The seven projector forms have diagonal Gram; the contraction identity
     (X _| *phi) ^ omega^2 = 0 holds for every coframe direction."""
     g = iwasawa_product
-    from nilg2.g2 import _v7_projector_forms
     from nilg2.exterior import interior
 
     forms = _v7_projector_forms(g.phi)

@@ -322,7 +322,11 @@ def _cmd_su3(path: str, ctx: ParameterContext, bindings) -> Report:
         return report
     report.add("structure", True, "compatible SU(3)-structure",
                algebra=salamon_str(structure.algebra))
-    classes = torsion_classes(structure)
+    try:
+        classes = torsion_classes(structure)
+    except StructureError as exc:
+        report.add("torsion-classes", False, str(exc))
+        return report
     report.add(
         "torsion-classes", True,
         detail=f"half-integrable: {is_half_integrable(structure)}",

@@ -3,23 +3,39 @@
 Every coefficient in this package is a ``Scalar``: an element of the field
 Q(p1, ..., pn) of rational functions over the rationals in the parameters
 declared by a :class:`ParameterContext`.  Values are immutable and kept in
-a canonical form (fraction reduced, denominator normalized under graded-lex
-monomial order; parameter-free values demote to plain rationals), so ``==``
-is decidable, syntactic equality.
+a canonical form, so ``==`` is decidable, syntactic equality.  The raw
+value of a Scalar is one of three kinds, fixed by the value itself:
 
-Arithmetic takes one of three paths.  Two parameter-free values combine as
-plain ``Fraction``s.  A polynomial (a value with a constant denominator) is
-stored as the pair of an integer-coefficient numerator and a positive int
-denominator coprime to the numerator's content, which is the
-``(numer, denom)`` pair that the field's ``cancel`` produces; a ``Fraction``
-p/q is the pair (p, q).  When both operands are such pairs, ``+``, ``-``,
-``*`` and division by a constant act on the pairs: numerators are scaled
-by ints and added or multiplied, denominators combine by lcm or product,
-and the result is reduced by the gcd of its denominator and its
-numerator's content.  No fraction-field element is built and no
-polynomial gcd is taken.  Everything else (a non-constant denominator on
-either side, or division by a non-constant value) goes through the
-fraction field and its ``cancel``.
+* a ``Fraction``, for a parameter-free value;
+* a ``_Poly``, for a non-constant polynomial (a value with a constant
+  denominator): a sparse integer polynomial, a dict from exponent tuple to
+  nonzero int, over a positive int denominator coprime to the gcd of the
+  coefficients;
+* an element of sympy's fraction field Q(p1, ..., pn) in graded-lex order,
+  reduced by the field's ``cancel``, for a value whose denominator is not
+  constant.
+
+A ``_Poly`` is the (numerator, denominator) pair that ``cancel`` builds
+for the same value.  Its ``numer`` and ``denom`` read like those of a field
+element (``terms()`` in descending graded-lex order, ``monoms()``,
+``is_ground``), so printing, ``params`` and ``evaluate`` treat both kinds
+alike.
+
+Arithmetic takes one of three paths.  Two Fractions combine as Fractions.
+When both operands are Fractions or ``_Poly``s, ``+``, ``-``, ``*`` and
+division by a constant act on the pairs in Python ints: numerators are
+scaled by ints and added or multiplied, denominators combine by lcm or
+product, and the result is reduced by the gcd of its denominator and its
+numerator's content.  Everything else (an operand of the third kind, or
+division by a non-constant value) goes through the fraction field and its
+``cancel``, and a result with a constant denominator is turned back into a
+Fraction or a ``_Poly``.
+
+sympy is imported, and a context's field built, only when an operation
+first takes the field path.  Every torsion quantity of the paper's
+families is a polynomial in the parameters, so such runs never load it;
+rational-function values, such as the basis-change witnesses
+(``1/(k*lam)``) that ``families.verify_theorem`` replays, do.
 
 A symbolic operation with a rational operand 0, 1 or -1 takes neither of
 the last two paths: ``x + 0``, ``0 + x`` and ``x - 0`` give ``x``, ``0 - x``
@@ -36,9 +52,6 @@ import re
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
-
-from sympy.polys.domains import QQ
-from sympy.polys.fields import field as _sympy_field
 
 __all__ = [
     "Scalar",
@@ -93,7 +106,104 @@ def _fold_with_origins(text: str):
 
 
 def _qq_to_fraction(value) -> Fraction:
+    """An int or a sympy rational as a Fraction."""
     return Fraction(int(value.numerator), int(value.denominator))
+
+
+def _grlex(term):
+    monom = term[0]
+    return sum(monom), monom
+
+
+class _IntPoly:
+    """A sparse integer polynomial, read the way sympy's ``PolyElement`` is
+    read: ``terms()`` in descending graded-lex order, ``monoms()`` and
+    ``is_ground``."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = coeffs
+
+    @property
+    def is_ground(self) -> bool:
+        return not any(map(any, self.coeffs))
+
+    def terms(self):
+        return sorted(self.coeffs.items(), key=_grlex, reverse=True)
+
+    def monoms(self):
+        return [monom for monom, _ in self.terms()]
+
+
+class _Poly:
+    """A non-constant polynomial value: ``coeffs`` (exponent tuple -> nonzero
+    int) over the positive int ``den``, which is coprime to the gcd of the
+    coefficients.  Never mutated once built."""
+
+    __slots__ = ("coeffs", "den")
+
+    def __init__(self, coeffs: dict, den: int):
+        self.coeffs = coeffs
+        self.den = den
+
+    @property
+    def numer(self) -> _IntPoly:
+        return _IntPoly(self.coeffs)
+
+    @property
+    def denom(self) -> _IntPoly:
+        zero = (0,) * len(next(iter(self.coeffs)))
+        return _IntPoly({zero: self.den})
+
+    def __neg__(self):
+        return _Poly({m: -c for m, c in self.coeffs.items()}, self.den)
+
+    def __eq__(self, other):
+        return type(other) is _Poly and self.den == other.den and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((frozenset(self.coeffs.items()), self.den))
+
+
+def _reduced(numer: dict, denom: int, zero: tuple):
+    """The canonical raw value of numer/denom, numer an integer polynomial
+    without zero coefficients and denom a positive int."""
+    if not numer:
+        return Fraction(0)
+    if zero in numer and len(numer) == 1:
+        return Fraction(numer[zero], denom)
+    if denom > 1:
+        g = gcd(denom, *numer.values())
+        if g > 1:
+            numer, denom = {m: c // g for m, c in numer.items()}, denom // g
+    return _Poly(numer, denom)
+
+
+def _lincomb(p, s: int, q, t: int, zero: tuple) -> dict:
+    """p*s + q*t for nonzero ints s, t and polynomials p, q, each a
+    coefficient dict or a nonzero int (not both ints)."""
+    if type(p) is int:
+        p, s, q, t = q, t, p, s
+    out = {m: c * s for m, c in p.items()} if s != 1 else dict(p)
+    for m, c in ({zero: q} if type(q) is int else q).items():
+        v = out.get(m, 0) + c * t
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return out
+
+
+def _product(p: dict, q: dict) -> dict:
+    """The product of two coefficient dicts."""
+    out = {}
+    q_terms = list(q.items())
+    for m, c in p.items():
+        for n, e in q_terms:
+            k = tuple(map(operator.add, m, n))
+            out[k] = out.get(k, 0) + c * e
+    return {m: c for m, c in out.items() if c}
 
 
 _CONTEXTS: dict = {}
@@ -120,15 +230,13 @@ class ParameterContext:
                 raise ValueError(
                     f"parameter name {name!r} collides with coframe index notation"
                 )
-        if key:
-            fld_and_gens = _sympy_field(",".join(key), QQ, order="grlex")
-            self._field = fld_and_gens[0]
-            self._gens = dict(zip(key, fld_and_gens[1:]))
-            self._zero_monom = self._field.ring.zero_monom
-        else:
-            self._field = None
-            self._gens = {}
         self.names = key
+        self._zero_monom = (0,) * len(key)
+        self._gens = {
+            name: _Poly({tuple(int(j == i) for j in range(len(key))): 1}, 1)
+            for i, name in enumerate(key)
+        }
+        self._field = None
         self.zero = Scalar(self, Fraction(0))
         self.one = Scalar(self, Fraction(1))
         _CONTEXTS[key] = self
@@ -163,69 +271,77 @@ class ParameterContext:
         except ScalarSyntaxError as exc:
             raise ScalarSyntaxError(exc.message, origins[exc.position]) from None
 
-    def _lift(self, value: Fraction):
-        """A field element with the given rational value (symbolic backend)."""
-        ring = self._field.ring
-        return self._field.raw_new(ring(value.numerator), ring(value.denominator))
+    def _to_field(self, raw):
+        """``raw`` as an element of the fraction field, which is built, and
+        sympy imported, on first use.  A Fraction here is nonzero."""
+        if self._field is None:
+            from sympy.polys.domains import QQ
+            from sympy.polys.fields import field
 
-    def _pair(self, raw):
-        """``raw`` as its pair (integer-coefficient numerator, positive int
-        denominator), the numerator an int for a Fraction and a ring element
-        otherwise; None if the denominator is not constant."""
+            self._field = field(",".join(self.names), QQ, order="grlex")[0]
         if isinstance(raw, Fraction):
-            return raw.numerator, raw.denominator
-        denom = raw.denom
-        if not denom.is_ground:
-            return None
-        return raw.numer, int(denom[self._zero_monom])
+            numer, den = {self._zero_monom: raw.numerator}, raw.denominator
+        elif type(raw) is _Poly:
+            numer, den = raw.coeffs, raw.den
+        else:
+            return raw
+        poly, coeff = self._field.ring.dtype, self._field.domain.dtype
+        return self._field.raw_new(poly({m: coeff(c) for m, c in numer.items()}),
+                                   poly({self._zero_monom: coeff(den)}))
+
+    def _from_field(self, value):
+        """The canonical raw value of a field element reduced by cancel: the
+        element itself, unless its denominator is constant.  cancel leaves
+        integer coefficients over a positive integer constant."""
+        if not value.denom.is_ground:
+            return value
+        return _reduced({m: int(c.numerator) for m, c in value.numer.items()},
+                        int(value.denom.LC.numerator), self._zero_monom)
 
     def _pair_op(self, op, a, b):
-        """The canonical raw value of ``op`` on two pairs, at least one of
-        them polynomial; ``truediv`` only by a rational.
+        """The canonical raw value of ``op`` on two Fractions or ``_Poly``s,
+        at least one of them a ``_Poly``; ``truediv`` only by a Fraction.
 
-        Sums bring both numerators over the lcm of the denominators, products
-        multiply numerators and denominators, and division by q/e multiplies
-        by e/q; the result is reduced by the gcd of its denominator and the
-        content of its numerator.  That gives the integer-coefficient
-        numerator over the positive denominator, coprime to its content,
-        that the field's ``cancel`` builds; constants demote to Fractions.
+        Each operand is a pair (p, d) of a numerator, an int or a coefficient
+        dict, and a positive int denominator.  Sums bring both numerators
+        over the lcm of the denominators, products multiply numerators and
+        denominators, and division by q/e multiplies by e/q; the result is
+        reduced by the gcd of its denominator and the content of its
+        numerator, which gives the pair that the field's ``cancel`` builds.
         """
-        (p, d), (q, e) = a, b
+        (p, d), (q, e) = _as_pair(a), _as_pair(b)
         if op is operator.truediv:
             op, q, e = operator.mul, (e if q > 0 else -e), abs(q)
-        if op is operator.mul and type(p) is int:
-            (p, d), (q, e) = (q, e), (p, d)
-        if op is operator.mul and type(q) is int:
+        if op is operator.mul:
+            if type(p) is int:
+                (p, d), (q, e) = (q, e), (p, d)
+            if type(q) is not int:
+                return _reduced(_product(p, q), d * e, self._zero_monom)
             # p/d is canonical and q/e reduced, so the gcd of the content of
             # q*p and of d*e is gcd(q, d) * gcd(content(p), e)
             g = gcd(q, d)
-            h = gcd(e, *map(int, p.values())) if e > 1 else 1
-            return self._raw(p.mul_ground(QQ(q // g, h) if h > 1 else q // g),
-                             d // g * (e // h))
-        if op is operator.mul:
-            numer, denom = p * q, d * e
-        else:
-            denom = d * e // gcd(d, e)
-            numer = op(_scaled(p, denom // d), _scaled(q, denom // e))
-        if numer.is_ground:
-            return Fraction(int(numer[self._zero_monom]) if numer else 0, denom)
-        g = gcd(denom, *map(int, numer.values())) if denom > 1 else 1
-        if g > 1:
-            numer, denom = numer.mul_ground(QQ(1, g)), denom // g
-        return self._raw(numer, denom)
-
-    def _raw(self, numer, denom: int):
-        """The field element numer/denom of a non-constant numerator."""
-        if denom == 1:
-            return self._field.raw_new(numer, self._field.ring.one)
-        return self._field.raw_new(numer, numer.new({self._zero_monom: QQ(denom)}))
+            h = gcd(e, *p.values()) if e > 1 else 1
+            k = q // g
+            if h > 1:
+                coeffs = {m: c // h * k for m, c in p.items()}
+            elif k != 1:
+                coeffs = {m: c * k for m, c in p.items()}
+            else:
+                coeffs = p
+            return _Poly(coeffs, d // g * (e // h))
+        denom = d * e // gcd(d, e)
+        t = denom // e
+        numer = _lincomb(p, denom // d, q, -t if op is operator.sub else t,
+                         self._zero_monom)
+        return _reduced(numer, denom, self._zero_monom)
 
     def _combine(self, op, a, b):
         """``op(a, b)`` on raw values of which at least one is symbolic.
 
         A rational operand 0, 1 or -1 gives the result by its identity;
-        polynomial operands take the pair path; ``truediv`` does so only when
-        the divisor is a constant.  Everything else goes through the field.
+        Fraction and ``_Poly`` operands take the pair path, ``truediv`` only
+        when the divisor is a Fraction.  Everything else goes through the
+        fraction field.
         """
         if isinstance(b, Fraction):
             if not b:  # x + 0, x - 0, x * 0 (x / 0 is refused by the caller)
@@ -245,41 +361,38 @@ class ParameterContext:
                     return b
                 if a == -1:
                     return -b
-        pa = self._pair(a)
-        pb = self._pair(b) if pa is not None else None
-        if pb is not None and (op is not operator.truediv or isinstance(b, Fraction)):
-            return self._pair_op(op, pa, pb)
-        if isinstance(a, Fraction):
-            a = self._lift(a)
-        elif isinstance(b, Fraction):
-            b = self._lift(b)
-        return _demote(self, op(a, b))
+        if type(a) in _PAIR_KINDS and (
+            type(b) is Fraction or (type(b) is _Poly and op is not operator.truediv)
+        ):
+            return self._pair_op(op, a, b)
+        return self._from_field(op(self._to_field(a), self._to_field(b)))
+
+    def _power(self, raw, n: int):
+        """``raw`` to the non-negative int power ``n``."""
+        if isinstance(raw, Fraction):
+            return raw ** n
+        result = Fraction(1)
+        for _ in range(n):
+            result = self._combine(operator.mul, result, raw)
+        return result
 
 
-def _scaled(x, k: int):
-    """An int (as a ground element) or a ring element, times the positive int k."""
-    if type(x) is int:
-        return QQ(x * k)
-    return x.mul_ground(k) if k > 1 else x
+_PAIR_KINDS = (Fraction, _Poly)
 
 
-def _demote(ctx: ParameterContext, raw):
-    """Canonical representation: parameter-free values live as Fractions."""
-    if isinstance(raw, Fraction):
-        return raw
-    if raw.numer.is_ground and raw.denom.is_ground:
-        num = _qq_to_fraction(raw.numer.LC) if raw.numer else Fraction(0)
-        den = _qq_to_fraction(raw.denom.LC)
-        return num / den
-    return raw
+def _as_pair(raw):
+    """A Fraction p/q as (p, q), a ``_Poly`` as (coefficient dict, denominator)."""
+    if type(raw) is _Poly:
+        return raw.coeffs, raw.den
+    return raw.numerator, raw.denominator
 
 
 class Scalar:
     """An element of the rational function field of a :class:`ParameterContext`.
 
-    Internally either a plain Fraction (parameter-free values) or a reduced
-    fraction of polynomials; construction canonicalizes, so equality is
-    syntactic.
+    Internally a plain Fraction (parameter-free values), a ``_Poly``
+    (polynomials) or a reduced fraction-field element; construction
+    canonicalizes, so equality is syntactic.
     """
 
     __slots__ = ("ctx", "raw")
@@ -356,10 +469,8 @@ class Scalar:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            # the field's negative power skips cancel and can leave a
-            # denominator with a negative leading coefficient
             return self.ctx.one / self ** -exponent
-        return Scalar(self.ctx, _demote(self.ctx, self.raw ** exponent))
+        return Scalar(self.ctx, self.ctx._power(self.raw, exponent))
 
     def __neg__(self):
         return Scalar(self.ctx, -self.raw)
@@ -434,11 +545,9 @@ def _mono_str(names, mono) -> str:
     return "*".join(pieces)
 
 
-def _poly_str(poly, names) -> str:
-    if not poly:
-        return "0"
+def _poly_str(terms, names) -> str:
     chunks = []
-    for mono, coeff in poly.terms():
+    for mono, coeff in terms:
         c = _qq_to_fraction(coeff)
         m = _mono_str(names, mono)
         sign = "-" if c < 0 else "+"
@@ -460,15 +569,15 @@ def _poly_str(poly, names) -> str:
 def _render(s: Scalar) -> str:
     if isinstance(s.raw, Fraction):
         return str(s.raw)
-    num, den = s.raw.numer, s.raw.denom
+    num, den = s.raw.numer.terms(), s.raw.denom.terms()
     names = s.ctx.names
     num_str = _poly_str(num, names)
-    if den == s.ctx._field.ring.one:
-        return num_str
     den_str = _poly_str(den, names)
-    if len(num.terms()) > 1 or num_str.startswith("-"):
+    if den_str == "1":
+        return num_str
+    if len(num) > 1 or num_str.startswith("-"):
         num_str = f"({num_str})"
-    if len(den.terms()) > 1 or "*" in den_str or "^" in den_str:
+    if len(den) > 1 or "*" in den_str or "^" in den_str:
         den_str = f"({den_str})"
     return f"{num_str}/{den_str}"
 

@@ -202,7 +202,10 @@ def torsion_classes(s: SU3Structure) -> TorsionClasses:
         - psim.scale(nu_minus)
     )
     if not Omega.wedge(om).is_zero:
-        raise StructureError("W3 component is not primitive (convention bug)")
+        raise StructureError(
+            "W3 component is not primitive: omega ^ d omega != 1/2 beta ^ omega^2 "
+            "(the second G2T equation fails)"
+        )
 
     vartheta = -j_apply(s.J, codifferential(s, om))
     return TorsionClasses(

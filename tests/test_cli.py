@@ -365,6 +365,78 @@ def test_unbound_parameter_message_independent_of_hashing():
     assert errors == {"input error: unbound parameter 'a1'\n"}
 
 
+_FRESH_RUN = """
+import contextlib, io, json, sys
+from nilg2 import cli
+from nilg2.scalars import ParameterContext
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        if argv == ["parse"]:
+            print(ParameterContext(("k", "lam")).parse("1/(k*lam)"))
+            status = 0
+        else:
+            status = cli.main(["--format", "structured", *argv])
+    results.append([status, out.getvalue(), "sympy" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def _fresh_runs(commands):
+    """Each argv of ``commands`` through cli.main with structured output, in
+    order, in one new interpreter: (status, output, whether sympy is loaded)
+    after each.  ``["parse"]`` prints ctx.parse("1/(k*lam)") instead."""
+    src = str(Path(nilg2.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+def _untimed(out):
+    doc = json.loads(out)
+    doc.pop("timing_ms")
+    return doc
+
+
+_IWASAWA_FILE = str(Path(__file__).resolve().parents[1] / "scripts" / "iwasawa.su3")
+
+
+def test_polynomial_commands_never_import_sympy(capsys):
+    """Every value of these commands is a polynomial in the parameters, so
+    sympy is never imported; the reports equal those of this process,
+    where sympy is loaded."""
+    commands = [
+        ["g2t", "case1"],
+        ["g2t", _IWASAWA_FILE],
+        ["su3", _IWASAWA_FILE],
+        ["su3", "case3"],
+        ["check", "0,0,12,13,23,14"],
+        ["contract", "0,0,12,13,23,14+25", "--exponents=-1,1,0,-1,1,-2",
+         "--direction", "to-infinity"],
+        ["betti", FAMILIES["case2"].table],
+        ["fingerprint", FAMILIES["case2"].table],
+    ]
+    for argv, (status, out, sympy_loaded) in zip(commands, _fresh_runs(commands)):
+        assert not sympy_loaded, argv
+        code, here, _ = run_cli(capsys, "--format", "structured", *argv)
+        assert (status, _untimed(out)) == (code, _untimed(here)), argv
+
+
+def test_rational_function_values_import_sympy(capsys):
+    """The theorem's witnesses and a parsed 1/(k*lam) have non-constant
+    denominators: sympy is loaded, and the results are those of this
+    process."""
+    (status, out, theorem_loaded), = _fresh_runs([["theorem"]])
+    code, here, _ = run_cli(capsys, "--format", "structured", "theorem")
+    assert theorem_loaded and status == code == 1
+    assert _untimed(out) == _untimed(here)
+    (_, text, parse_loaded), = _fresh_runs([["parse"]])
+    assert parse_loaded and text == "1/(k*lam)\n"
+
+
 def _report_body(out):
     """A text report without its input line and its timing line."""
     return out.splitlines()[1:-1]
@@ -482,6 +554,34 @@ def test_structure_file_failed_checks_exit_1(capsys, tmp_path):
         code, out, err = run_cli(capsys, "su3", str(path))
         assert (code, err) == (1, "")
         assert "[FAIL] structure" in out and message in out
+
+
+# case1's table in a coframe where omega ^ d omega != 1/2 beta ^ omega^2
+_CASE1_NOT_G2T = """[algebra]
+0,lam*35,k*15,-lam*15+k*25,0,lam*13
+[adaptation]
+0 0 0 21/29 0 -20/29
+0 -20/29 -21/29 0 0 0
+0 0 0 -20/29 0 -21/29
+0 -21/29 20/29 0 0 0
+0 0 0 0 1 0
+-1 0 0 0 0 0
+"""
+
+
+def test_su3_torsion_class_failure_exit_1(capsys, tmp_path):
+    """A compatible structure outside the G2T class fails the primitivity
+    check of W3: a failed check, as under g2t, not bad input."""
+    path = tmp_path / "case1_not_g2t.su3"
+    path.write_text(_CASE1_NOT_G2T, encoding="utf-8")
+    code, out, err = run_cli(capsys, "su3", str(path))
+    assert (code, err) == (1, "")
+    assert "[pass] structure" in out
+    assert "[FAIL] torsion-classes: W3 component is not primitive" in out
+    assert "second G2T equation fails" in out
+    code, out, err = run_cli(capsys, "g2t", str(path))
+    assert (code, err) == (1, "")
+    assert "[FAIL] g2t" in out
 
 
 def test_unbound_table_at_sample_zero_fails_check(capsys):

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import symbols
+from sympy.parsing.sympy_parser import parse_expr
+from sympy.polys.domains import QQ
+from sympy.polys.fields import field
 
 from nilg2.scalars import (
     ParameterContext,
-    Scalar,
     ScalarError,
     ScalarSyntaxError,
 )
@@ -32,6 +35,17 @@ def test_construction_canonicalizes(ctx):
     t = ctx.parse("lam/(2*z + 2*a1)")
     assert t == ctx.parse("lam/2") / ctx.parse("z + a1")
     assert t.raw == (ctx.parse("lam/2") / ctx.parse("z + a1")).raw
+
+
+def test_mixed_paths_reach_the_same_canonical_value(ctx):
+    """A field quotient that is a polynomial, or a constant, has the raw
+    value and hash of the same value built without the field."""
+    s = ctx.parse("(lam^2-k^2)/(lam+k)")
+    direct = ctx.param("lam") - ctx.param("k")
+    assert s.raw == direct.raw and hash(s) == hash(direct) and str(s) == "-k + lam"
+    one = (1 / ctx.param("k")) * ctx.param("k")
+    assert type(one.raw) is Fraction and one.raw == 1 and one == 1
+    assert hash(one) == hash(ctx.one)
 
 
 def test_evaluate_examples(ctx):
@@ -132,40 +146,92 @@ def test_evaluate_is_ring_homomorphism(ctx, data):
 
 
 # ---------------------------------------------------------------------------
-# ring fast path against the fraction field and its cancel
+# pair arithmetic and printing against sympy's fraction field and its cancel
 # ---------------------------------------------------------------------------
 
-
-def _via_field(ctx, raw):
-    """The canonical Scalar of a field element, built only by sympy's cancel."""
-    value = ctx._field.new(raw.numer, raw.denom)
-    if value.numer.is_ground and value.denom.is_ground:
-        num = Fraction(int(value.numer.LC.numerator), int(value.numer.LC.denominator)) \
-            if value.numer else Fraction(0)
-        den = Fraction(int(value.denom.LC.numerator), int(value.denom.LC.denominator))
-        return Scalar(ctx, num / den)
-    return Scalar(ctx, value)
+_NAMES = ("a1", "k", "lam", "z")
+# Q(a1, k, lam, z) in graded-lex order, built here and not taken from nilg2
+_FIELD = field(",".join(_NAMES), QQ, order="grlex")[0]
+_SYMBOLS = dict(zip(_NAMES, symbols(_NAMES)))
 
 
-def _field_raw(ctx, s):
-    if s.is_rational:
-        q = s.as_fraction()
-        return ctx._field(q.numerator) / ctx._field(q.denominator)
-    return s.raw
+def _to_field(value):
+    """A Scalar, Fraction or int as an element of ``_FIELD``, read from its
+    text by sympy's parser; the field's constructor reduces it by cancel."""
+    return _FIELD.from_expr(parse_expr(str(value).replace("^", "**"), local_dict=_SYMBOLS))
+
+
+def _poly_text(poly) -> str:
+    chunks = []
+    for monom, coeff in poly.terms():  # sympy's descending grlex order
+        c = Fraction(int(coeff.numerator), int(coeff.denominator))
+        m = "*".join(name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(_NAMES, monom) if e)
+        body = str(abs(c)) if not m else m if abs(c) == 1 else f"{abs(c)}*{m}"
+        chunks.append(("-" if c < 0 else "+", body))
+    out = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in chunks[1:])
+
+
+def _cancel_text(value) -> str:
+    """How nilg2 prints the field element ``value``: the (numer, denom)
+    pair of cancel, a constant as its Fraction."""
+    numer, denom = value.numer, value.denom
+    if numer.is_ground and denom.is_ground:
+        return str(value.as_expr())  # sympy prints a Rational as Fraction does
+    num_text, den_text = _poly_text(numer), _poly_text(denom)
+    if den_text == "1":
+        return num_text
+    if len(numer) > 1 or num_text.startswith("-"):
+        num_text = f"({num_text})"
+    if len(denom) > 1 or "*" in den_text or "^" in den_text:
+        den_text = f"({den_text})"
+    return f"{num_text}/{den_text}"
+
+
+def _assert_cancels_to(ctx, got, expected):
+    """``got`` is the canonical value of the field element ``expected``:
+    printed as cancel's pair, rational exactly when constant, and equal,
+    with an equal hash, to the same value parsed from text."""
+    text = _cancel_text(expected)
+    assert str(got) == text
+    assert got.is_rational == (expected.numer.is_ground and expected.denom.is_ground)
+    reparsed = ctx.parse(text)
+    assert got == reparsed and hash(got) == hash(reparsed)
+
+
+_MONOMS = st.tuples(*[st.integers(0, 2)] * len(_NAMES))
+_COEFFS = st.dictionaries(_MONOMS, small_fracs.filter(bool), max_size=4)
+
+
+def _monomial(ctx, monom):
+    value = ctx.one
+    for name, e in zip(_NAMES, monom):
+        value = value * ctx.param(name) ** e
+    return value
 
 
 def _polynomials(ctx):
-    """Polynomial-valued scalars (constants included), canonicalized by cancel."""
-    ring = ctx._field.ring
-    monoms = st.tuples(*[st.integers(0, 2)] * len(ctx.names))
-    terms = st.dictionaries(monoms, small_fracs.filter(bool), max_size=4)
+    """Polynomial-valued scalars (constants included), built by arithmetic."""
+    return _COEFFS.map(lambda coeffs: sum(
+        (c * _monomial(ctx, m) for m, c in coeffs.items()), ctx.zero))
 
-    def build(coeffs):
-        poly = ring.from_dict({m: ring.domain(c.numerator, c.denominator)
-                               for m, c in coeffs.items()})
-        return _via_field(ctx, ctx._field.raw_new(poly, ring.one))
 
-    return terms.map(build)
+def _ring_element(coeffs):
+    ring = _FIELD.ring
+    return _FIELD.field_new(ring.from_dict(
+        {m: QQ(c.numerator, c.denominator) for m, c in coeffs.items()}))
+
+
+@given(data=st.data())
+def test_printing_matches_sympy_grlex_terms(ctx, data):
+    """str() of a polynomial, and of a quotient of two, is the rendering of
+    sympy's grlex terms() of the same value built in sympy's own ring."""
+    p, q = data.draw(_COEFFS), data.draw(_COEFFS.filter(bool))
+    x = sum((c * _monomial(ctx, m) for m, c in p.items()), ctx.zero)
+    y = sum((c * _monomial(ctx, m) for m, c in q.items()), ctx.zero)
+    assert str(x) == _cancel_text(_ring_element(p))
+    assert str(x / y) == _cancel_text(_ring_element(p) / _ring_element(q))
 
 
 _FAST_OPS = {
@@ -174,14 +240,6 @@ _FAST_OPS = {
     "mul": lambda x, y: x * y,
     "div": lambda x, y: x / y,
 }
-
-
-def _assert_same_canonical(got, expected):
-    assert got == expected
-    assert type(got.raw) is type(expected.raw)
-    assert hash(got) == hash(expected)
-    if not got.is_rational:
-        assert (got.raw.numer, got.raw.denom) == (expected.raw.numer, expected.raw.denom)
 
 
 @given(data=st.data())
@@ -194,7 +252,7 @@ def test_fast_path_matches_field_cancel(ctx, data):
     op = _FAST_OPS[name]
     pairs = [(a, b)] if name == "div" else [(a, b), (b, a)]
     for x, y in pairs:
-        expected = _via_field(ctx, op(_field_raw(ctx, x), _field_raw(ctx, y)))
+        expected = op(_to_field(x), _to_field(y))
         # a constant operand also enters as a plain Fraction (the reflected ops)
         results = [op(x, y)]
         if x.is_rational:
@@ -202,7 +260,7 @@ def test_fast_path_matches_field_cancel(ctx, data):
         if y.is_rational:
             results.append(op(x, y.as_fraction()))
         for got in results:
-            _assert_same_canonical(got, expected)
+            _assert_cancels_to(ctx, got, expected)
 
 
 _PAIR_CASES = [
@@ -227,6 +285,15 @@ _PAIR_CASES = [
     # products of non-monic polynomials
     ("2*lam + 4*k", "mul", "3*lam - 6*z"),
     ("2*lam/3 + 4*k/9", "mul", "3*lam/4 - 6*z"),
+    # products whose content meets both denominators
+    ("3*lam/2 + 3/2", "mul", "2*k/9 - 4/9"),
+    # the field path: a non-constant divisor, and quotients whose result
+    # is a polynomial again or a constant
+    ("lam^2 - k^2", "div", "lam + k"),
+    ("1/k", "mul", "k"),
+    ("1/(k*lam)", "mul", "2*k*lam/3"),
+    ("1/(z + a1)", "add", "lam/(z + a1)"),
+    ("lam/(z + a1)", "sub", "(lam - 2)/(z + a1)"),
 ]
 
 
@@ -236,16 +303,15 @@ def _operand(ctx, value):
 
 @pytest.mark.parametrize("left, name, right", _PAIR_CASES)
 def test_pair_arithmetic_matches_field_cancel(ctx, left, name, right):
-    """Each reduction of the (numerator, denominator) arithmetic, in both
-    operand orders where the op allows, gives the value, raw type, hash and
-    (numer, denom) pair of the fraction field and its cancel."""
+    """Each reduction of the (numerator, denominator) arithmetic, and of the
+    field path with its return to a polynomial or a constant, in both
+    operand orders where the op allows, prints as the (numer, denom) pair
+    of sympy's cancel and has its value and hash."""
     x, y = _operand(ctx, left), _operand(ctx, right)
     op = _FAST_OPS[name]
     orders = [(x, y)] if name == "div" else [(x, y), (y, x)]
     for a, b in orders:
-        expected = _via_field(ctx, op(_field_raw(ctx, ctx.scalar(a)),
-                                      _field_raw(ctx, ctx.scalar(b))))
-        _assert_same_canonical(op(a, b), expected)
+        _assert_cancels_to(ctx, op(a, b), op(_to_field(a), _to_field(b)))
 
 
 def test_pair_arithmetic_demotes_constants(ctx):
@@ -260,8 +326,7 @@ def _symbolic(ctx):
     """Non-constant polynomials and quotients of polynomials, the fixed
     non-polynomial example among them."""
     polys = _polynomials(ctx)
-    quotients = st.tuples(polys, polys.filter(bool)).map(
-        lambda pq: _via_field(ctx, _field_raw(ctx, pq[0]) / _field_raw(ctx, pq[1])))
+    quotients = st.tuples(polys, polys.filter(bool)).map(lambda pq: pq[0] / pq[1])
     fixed = st.just(ctx.parse("(2 - lam*k)/(3*z)"))
     return st.one_of(fixed, polys, quotients).filter(lambda s: not s.is_rational)
 
@@ -269,20 +334,20 @@ def _symbolic(ctx):
 @given(data=st.data())
 def test_identity_operands_match_field_cancel(ctx, data):
     """0, 1 and -1, as Scalars and as plain Fractions, on either side of a
-    symbolic operand give the value, type, hash and (numer, denom) pair of
+    symbolic operand give the value, hash and printed (numer, denom) pair of
     the fraction field and its cancel."""
     x = data.draw(_symbolic(ctx))
+    fx = _to_field(x)
     for unit in (Fraction(0), Fraction(1), Fraction(-1)):
+        fu = _to_field(unit)
         for u in (unit, ctx.scalar(unit)):
             for name, op in _FAST_OPS.items():
-                for a, b in ((x, u), (u, x)):
+                for a, b, expected in ((x, u, (fx, fu)), (u, x, (fu, fx))):
                     if name == "div" and b is u and not unit:
                         with pytest.raises(ScalarError, match="division by zero"):
                             op(a, b)
                         continue
-                    expected = _via_field(ctx, op(_field_raw(ctx, ctx.scalar(a)),
-                                                  _field_raw(ctx, ctx.scalar(b))))
-                    _assert_same_canonical(op(a, b), expected)
+                    _assert_cancels_to(ctx, op(a, b), op(*expected))
 
 
 def test_negative_powers_are_canonical(ctx):

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -196,28 +197,36 @@ def _assert_cancels_to(ctx, got, expected):
     text = _cancel_text(expected)
     assert str(got) == text
     assert got.is_rational == (expected.numer.is_ground and expected.denom.is_ground)
-    reparsed = ctx.parse(text)
+    reparsed = _parsed(ctx, text)
     assert got == reparsed and hash(got) == hash(reparsed)
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(ctx, text):
+    return ctx.parse(text)
 
 
 _MONOMS = st.tuples(*[st.integers(0, 2)] * len(_NAMES))
 _COEFFS = st.dictionaries(_MONOMS, small_fracs.filter(bool), max_size=4)
 
 
-def _monomial(ctx, monom):
-    value = ctx.one
-    for name, e in zip(_NAMES, monom):
-        value = value * ctx.param(name) ** e
+def _from_coeffs(ctx, coeffs):
+    """The Scalar sum of c * params^monom, built by arithmetic."""
+    value = ctx.zero
+    for monom, c in coeffs.items():
+        term = ctx.scalar(c)
+        for name, e in zip(_NAMES, monom):
+            term = term * ctx.param(name) ** e
+        value = value + term
     return value
 
 
 def _polynomials(ctx):
-    """Polynomial-valued scalars (constants included), built by arithmetic."""
-    return _COEFFS.map(lambda coeffs: sum(
-        (c * _monomial(ctx, m) for m, c in coeffs.items()), ctx.zero))
+    """Polynomial-valued scalars (constants included)."""
+    return _COEFFS.map(lambda coeffs: _from_coeffs(ctx, coeffs))
 
 
-def _ring_element(coeffs):
+def _field_element(coeffs):
     ring = _FIELD.ring
     return _FIELD.field_new(ring.from_dict(
         {m: QQ(c.numerator, c.denominator) for m, c in coeffs.items()}))
@@ -228,10 +237,9 @@ def test_printing_matches_sympy_grlex_terms(ctx, data):
     """str() of a polynomial, and of a quotient of two, is the rendering of
     sympy's grlex terms() of the same value built in sympy's own ring."""
     p, q = data.draw(_COEFFS), data.draw(_COEFFS.filter(bool))
-    x = sum((c * _monomial(ctx, m) for m, c in p.items()), ctx.zero)
-    y = sum((c * _monomial(ctx, m) for m, c in q.items()), ctx.zero)
-    assert str(x) == _cancel_text(_ring_element(p))
-    assert str(x / y) == _cancel_text(_ring_element(p) / _ring_element(q))
+    x, y = _from_coeffs(ctx, p), _from_coeffs(ctx, q)
+    assert str(x) == _cancel_text(_field_element(p))
+    assert str(x / y) == _cancel_text(_field_element(p) / _field_element(q))
 
 
 _FAST_OPS = {

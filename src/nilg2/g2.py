@@ -178,19 +178,13 @@ def extract_theta(g: G2Structure) -> Form:
     })
     # the exact check stands for the consistency test of the whole system
     if theta.wedge(g.star_phi) != target:
-        # best-effort witness for the error report
-        columns = [ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)]
-        masks = sorted(set().union(*[set(c.comps) for c in columns], set(b)))
-        rows = [[col.comps.get(m, pctx.zero) for col in columns] for m in masks]
-        rhs = [b.get(m, pctx.zero) for m in masks]
-        red, pivots = linalg.rref([r + [x] for r, x in zip(rows, rhs)], pctx)
-        attempt = [pctx.zero] * 7
-        for r, pc in enumerate(pivots):
-            if pc < 7:
-                attempt[pc] = red[r][7]
-        theta_try = Form(ctx, {1 << i: attempt[i] for i in range(7)})
-        residual = target - theta_try.wedge(g.star_phi)
-        raise G2Error("not a G2T-structure", residual)
+        # theta -> theta ^ *phi is injective, so the solver's theta solves the
+        # system whenever it is consistent.  Here it is not: the reduced
+        # augmented system has a pivot in the right-hand side, whose row
+        # clears that column from every other row, so the rref witness
+        # (pivot unknowns read off, free ones zero) is theta = 0, and the
+        # residual is d*phi itself.
+        raise G2Error("not a G2T-structure", target)
     if not g.d(theta).is_zero:
         raise G2Error("extracted Lee form is not closed (convention bug)", g.d(theta))
     return theta

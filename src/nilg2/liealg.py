@@ -5,7 +5,8 @@ recovered by the Chevalley-Eilenberg convention d e^i(X, Y) = -e^i([X, Y]).
 The differential extends to all grades as the unique degree +1 derivation.
 
 The invariants (``betti``, ``series_dims``, ``fingerprint``) are computed by
-exact elimination over Q.  With bindings they are the exact values of the
+exact elimination over Q; the fingerprint section lists which elimination
+gives which field.  With bindings they are the exact values of the
 table at the binding; a binding that leaves a parameter unbound or makes a
 denominator vanish raises ``ScalarError``.  A table with unbound parameters
 is evaluated at two points with disjoint prime coordinates, moved by
@@ -33,7 +34,6 @@ from .exterior import (
     _last_top_level_star,
     _merge_sign,
     _split_signed_terms,
-    interior,
 )
 from .scalars import ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _fold_with_origins
 
@@ -74,20 +74,28 @@ class SalamonSyntaxError(ValueError):
         self.position = position
 
 
+def _d_on_word(d_table: Sequence[Form], mask: int) -> Dict[int, Scalar]:
+    """d e^I of a basis word, without zeros: each term is a table entry times
+    a sign (Leibniz rule, d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j}, j from 0)."""
+    comps: Dict[int, Scalar] = {}
+    for j, idx in enumerate(_bits(mask)):
+        rest = mask & ~(1 << (idx - 1))
+        for m2, c2 in d_table[idx - 1].comps.items():
+            if m2 & rest:
+                continue
+            term = -c2 if (j % 2 == 1) != (_merge_sign(m2, rest) < 0) else c2
+            prev = comps.get(m2 | rest)
+            comps[m2 | rest] = term if prev is None else prev + term
+    return {m: c for m, c in comps.items() if c}
+
+
 def _d_on_form(d_table: Sequence[Form], a: Form) -> Form:
-    """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0)."""
     comps: Dict[int, Scalar] = {}
     for mask, coeff in a.comps.items():
-        for j, idx in enumerate(_bits(mask)):
-            rest = mask & ~(1 << (idx - 1))
-            for m2, c2 in d_table[idx - 1].comps.items():
-                if m2 & rest:
-                    continue
-                term = c2 * coeff
-                if (j % 2 == 1) != (_merge_sign(m2, rest) < 0):
-                    term = -term
-                prev = comps.get(m2 | rest)
-                comps[m2 | rest] = term if prev is None else prev + term
+        for m, c in _d_on_word(d_table, mask).items():
+            term = c * coeff
+            prev = comps.get(m)
+            comps[m] = term if prev is None else prev + term
     return Form(a.ctx, comps)
 
 
@@ -160,7 +168,8 @@ class LieAlgebra:
 
     def _check_filtration(self) -> bool:
         """V_{j+1} = {x : d x in Lambda^2 V_j} must exhaust Lambda^1."""
-        return _climb(self.d_table, self.ctx, _pair_wedges)[-1] == self.ctx.dim
+        kernel = _d_on_one_forms(self.d_table, self.ctx)[1]
+        return _climb(self.d_table, self.ctx, _pair_wedges, kernel)[-1] == self.ctx.dim
 
     def params(self) -> frozenset:
         used = set()
@@ -342,8 +351,7 @@ def _generic_value(g: LieAlgebra, bindings, seed: int, compute):
 
 
 def _rank_d_on_grade(d_table: Sequence[Form], ctx: FrameContext, k: int) -> int:
-    images = [_d_on_form(d_table, Form(ctx, {m: ctx.params.one})).comps
-              for m in _basis_masks(ctx.dim, k)]
+    images = [_d_on_word(d_table, m) for m in _basis_masks(ctx.dim, k)]
     return linalg.sparse_rank(images, _basis_masks(ctx.dim, k + 1))
 
 
@@ -404,40 +412,46 @@ def _transpose(forms: Sequence[Form]) -> List[Dict[int, Scalar]]:
     return list(rows.values())
 
 
-def _span(ctx: FrameContext, forms: Sequence[Form], grade: int) -> List[Form]:
-    """A basis of the span of homogeneous forms of the given grade."""
-    red, _ = linalg.sparse_rref([f.comps for f in forms], _basis_masks(ctx.dim, grade), ctx.params)
-    return [Form(ctx, row) for row in red]
+def _d_on_one_forms(d_table: Sequence[Form], ctx: FrameContext):
+    """Bases of d Lambda^1 and ker d|Lambda^1 from one reduction of the rows
+    [d e^i | e_i], with columns Lambda^2, then e^n, ..., e^1: the rows with a
+    pivot in Lambda^2 and those with an empty Lambda^2 part.  Each kernel form
+    is 1 at its highest index, where the others vanish, as in ``_preimage``."""
+    one = ctx.params.one
+    rows = [{**f.comps, 1 << i: one} for i, f in enumerate(d_table)]
+    cols = _basis_masks(ctx.dim, 2) + [1 << i for i in reversed(range(ctx.dim))]
+    reduced = list(zip(*linalg.sparse_rref(rows, cols, ctx.params)))
+    image = [Form(ctx, {m: c for m, c in row.items() if m & (m - 1)})
+             for row, pivot in reduced if pivot & (pivot - 1)]
+    return image, [Form(ctx, row) for row, pivot in reduced if not pivot & (pivot - 1)]
 
 
 def _preimage(d_table: Sequence[Form], ctx: FrameContext, span: Sequence[Form]) -> List[Form]:
-    """A basis of the 1-forms x with d x in the span of the given 2-forms.
+    """A basis of the 1-forms x with d x in the span of independent 2-forms.
 
-    These are the x-parts of the kernel of (y, x) -> sum y_j s_j + sum x_i d e^i.
-    With the span's columns first, every free column of the span gives a
-    kernel vector with x = 0 and the other kernel vectors have independent
-    x-parts.
+    These are the x-parts of the kernel of (y, x) -> sum y_j s_j + sum x_i d e^i;
+    the span's columns, placed first, are all pivots.  A free column's kernel
+    vector is 1 there and elsewhere nonzero only in earlier pivot columns: each
+    x-part is 1 at its highest index, where the others vanish.
     """
     m = len(span)
     forms = list(span) + list(d_table)
     solutions = linalg.sparse_kernel(_transpose(forms), range(len(forms)), ctx.params)
-    x_parts = [{1 << (j - m): c for j, c in v.items() if j >= m} for v in solutions]
-    return [Form(ctx, x) for x in x_parts if x]
+    return [Form(ctx, {1 << (j - m): c for j, c in v.items() if j >= m}) for v in solutions]
 
 
-def _climb(d_table: Sequence[Form], ctx: FrameContext, generators) -> List[int]:
-    """Dimensions of 0 = W_0 c W_1 c ... with W_{k+1} = d^{-1} span generators(W_k).
+def _climb(d_table: Sequence[Form], ctx: FrameContext, generators, w: List[Form]) -> List[int]:
+    """Dimensions of 0 c W_1 c W_2 ... with W_{k+1} = d^{-1} span generators(W_k),
+    from the basis ``w`` of W_1 = ker d|Lambda^1.
 
     The climb stops when W stops growing or fills Lambda^1.
     """
-    w: List[Form] = []
     dims = [0]
-    while len(w) < ctx.dim:
-        nxt = _preimage(d_table, ctx, generators(ctx, w))
-        if len(nxt) == len(w):
-            break
-        w = nxt
+    while len(w) > dims[-1]:
         dims.append(len(w))
+        if len(w) == ctx.dim:
+            break
+        w = _preimage(d_table, ctx, generators(ctx, w))
     return dims
 
 
@@ -447,25 +461,40 @@ def _pair_wedges(ctx: FrameContext, w: Sequence[Form]) -> List[Form]:
 
 
 def _ideal_wedges(ctx: FrameContext, w: Sequence[Form]) -> List[Form]:
-    """W ^ Lambda^1: ann g^(k+1) = {a : d a in ann g^(k) ^ Lambda^1}."""
-    return [a.wedge(ctx.basis(i)) for a in w for i in range(1, ctx.dim + 1)]
+    """W ^ Lambda^1: ann g^(k+1) = {a : d a in ann g^(k) ^ Lambda^1}.
+
+    A basis: Lambda^2 W and w ^ e^j for j outside the highest indices of
+    the w (in the shape ``_preimage`` returns), whose e^j complement W.
+    """
+    leads = {max(a.comps) for a in w}
+    rest = [ctx.basis(i) for i in range(1, ctx.dim + 1) if 1 << (i - 1) not in leads]
+    return _pair_wedges(ctx, w) + [a.wedge(e) for a in w for e in rest]
 
 
-def _series(d_table: Sequence[Form], ctx: FrameContext):
-    """(lower central, derived, upper central) dimensions of a parameter-free table."""
+def _series(d_table: Sequence[Form], ctx: FrameContext, kernel: List[Form]):
+    """(lower central, derived, upper central) dimensions of a parameter-free
+    table, given a basis of ker d|Lambda^1 from ``_d_on_one_forms``."""
     n = ctx.dim
-    lower = tuple(n - k for k in _climb(d_table, ctx, _pair_wedges))
-    derived = tuple(n - k for k in _climb(d_table, ctx, _ideal_wedges))
-    # ann Z_{k+1} = span{e_a _| d a : a in ann Z_k}, from ann Z_0 = Lambda^1
-    unit = [ctx.basis(i) for i in range(1, n + 1)]
+    lower = tuple(n - k for k in _climb(d_table, ctx, _pair_wedges, kernel))
+    derived = tuple(n - k for k in _climb(d_table, ctx, _ideal_wedges, kernel))
+    # ann Z_{k+1} = span{e_b _| d a : a in ann Z_k}, from ann Z_0 = Lambda^1
+    cols = [1 << i for i in range(n)]
     upper: List[int] = []
-    ann = unit
-    while ann:
-        images = [_d_on_form(d_table, a) for a in ann]
-        ann = _span(ctx, [interior(e, da) for da in images for e in unit], 1)
+    images = d_table
+    while True:
+        # each e_b _| d a in one pass over d a: c e^{ij} (i < j) gives c e^j
+        # to e_i and -c e^i to e_j
+        rows: Dict[tuple, Dict[int, Scalar]] = {}
+        for k, da in enumerate(images):
+            for mask, c in da.comps.items():
+                low = mask & -mask
+                rows.setdefault((k, low), {})[mask ^ low] = c
+                rows.setdefault((k, mask ^ low), {})[low] = -c
+        ann, _ = linalg.sparse_rref(list(rows.values()), cols, ctx.params)
         if upper and upper[-1] == n - len(ann):
             break
         upper.append(n - len(ann))
+        images = [_d_on_form(d_table, Form(ctx, a)) for a in ann]
     return lower, derived, tuple(upper)
 
 
@@ -475,11 +504,20 @@ def series_dims(
     seed: int = 0,
 ):
     """(lower central, derived, upper central) dimension sequences."""
-    return _generic_value(g, bindings, seed, _series)
+    return _generic_value(g, bindings, seed, lambda t, c: _series(t, c, _d_on_one_forms(t, c)[1]))
 
 
 # ---------------------------------------------------------------------------
 # fingerprints
+#
+# The eliminations of one table and the fields they give:
+# - the rows [d e^i | e_i], once: wedge_data[0] = rank d|Lambda^1, a basis of
+#   d Lambda^1, and a basis of W_1 = ker d|Lambda^1 for both climbs;
+# - two ranks on the products of that basis: wedge_data[1:] (the products
+#   give exact_two_forms_decomposable);
+# - one kernel per climb step after W_1: lower_central and derived;
+# - one reduction of the contractions e_b _| d a per level: upper_central;
+# - d on Lambda^{n-1} and on each grade duality does not give: betti.
 # ---------------------------------------------------------------------------
 
 
@@ -494,8 +532,9 @@ class Fingerprint:
     """(rank of d on 1-forms, dim span{x^y : x,y exact}, dim of the wedge radical)."""
 
 
-def _exact_two_form_data(d_table: Sequence[Form], ctx: FrameContext):
-    basis = _span(ctx, d_table, 2)
+def _exact_two_form_data(basis: Sequence[Form], ctx: FrameContext):
+    """Rank d|Lambda^1, dim span{x ^ y}, dim of the wedge radical and
+    decomposability, from a basis of the exact 2-forms d Lambda^1."""
     products = [[x.wedge(y) for y in basis] for x in basis]
     decomposable = all(p.is_zero for row in products for p in row)
     upper_half = [p.comps for i, row in enumerate(products) for p in row[i:]]
@@ -515,13 +554,14 @@ def fingerprint(
 
 
 def _fingerprint_of_table(table: Sequence[Form], ctx: FrameContext) -> Fingerprint:
-    rank_d, wedge_span, radical, decomposable = _exact_two_form_data(table, ctx)
-    series = _series(table, ctx)
+    image, kernel = _d_on_one_forms(table, ctx)
+    rank_d, wedge_span, radical, decomposable = _exact_two_form_data(image, ctx)
+    lower, derived, upper = _series(table, ctx, kernel)
     return Fingerprint(
         betti=_betti_of_table(table, ctx, rank_d),
-        lower_central=series[0],
-        derived=series[1],
-        upper_central=series[2],
+        lower_central=lower,
+        derived=derived,
+        upper_central=upper,
         exact_two_forms_decomposable=decomposable,
         wedge_data=(rank_d, wedge_span, radical),
     )

@@ -106,14 +106,13 @@ def build_structure(g: LieAlgebra, adaptation: BasisChange) -> SU3Structure:
     psip_pres = adaptation.pull_standard(psi_plus)
     psim_pres = adaptation.pull_standard(psi_minus)
     volume = ctx.volume().scale(4)
-    residual = psip_pres.wedge(psim_pres) - volume
+    psi_square = psip_pres.wedge(psim_pres)
+    residual = psi_square - volume
     if not residual.is_zero:
         raise StructureError(
             f"compatibility failure: psi+ ^ psi- - (2/3) omega^3 residual {residual}"
         )
-    compat = psip_pres.wedge(psim_pres) - om_pres.wedge(om_pres).wedge(om_pres).scale(
-        Fraction(2, 3)
-    )
+    compat = psi_square - om_pres.wedge(om_pres).wedge(om_pres).scale(Fraction(2, 3))
     if not compat.is_zero:
         raise StructureError(f"compatibility failure: residual {compat}")
     adapted = change_basis(g, adaptation)

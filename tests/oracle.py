@@ -279,6 +279,35 @@ def betti_numbers(table: Dict[int, OForm], dim: int = N - 1) -> Tuple[int, ...]:
     return tuple(comb(dim, k) - ranks[k] - ranks[k - 1] for k in range(1, dim + 1))
 
 
+def exact_two_form_data(table: Dict[int, OForm], dim: int = N - 1) -> Tuple[int, int, int, bool]:
+    """(rank of d on 1-forms, dim span{x ^ y : x, y exact}, dim of the wedge
+    radical {y exact : x ^ y = 0 for every exact x}, whether every exact
+    2-form is decomposable).
+
+    Works on the spanning set d e^1, ..., d e^dim, not on a basis: the radical
+    is the space of coefficient vectors c with d e^k ^ sum_i c_i d e^i = 0 for
+    every k, less those with sum_i c_i d e^i = 0.  A 2-form x is decomposable
+    iff x ^ x = 0, which holds on every exact x iff it holds on each d e^i and
+    each d e^i + d e^j.
+    """
+    exact = [table.get(i, {}) for i in range(1, dim + 1)]
+    keys2 = list(combinations(range(1, dim + 1), 2))
+    keys4 = list(combinations(range(1, dim + 1), 4))
+
+    def rank(vectors: List[List[Fraction]]) -> int:
+        return len(_row_basis(vectors)[0])
+
+    rank_d = rank([[x.get(key, Fraction(0)) for key in keys2] for x in exact])
+    products = [[wedge(x, y) for y in exact] for x in exact]
+    wedge_span = rank([[p.get(key, Fraction(0)) for key in keys4] for row in products for p in row])
+    conditions = [[products[k][i].get(key, Fraction(0)) for i in range(dim)]
+                  for k in range(dim) for key in keys4]
+    radical = (dim - rank(conditions)) - (dim - rank_d)
+    squares = [wedge(x, x) for x in exact]
+    squares += [wedge(add(x, y), add(x, y)) for x, y in combinations(exact, 2)]
+    return rank_d, wedge_span, radical, not any(squares)
+
+
 def _unit(dim: int) -> List[List[Fraction]]:
     return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
 

@@ -404,11 +404,15 @@ def _untimed(out):
 _IWASAWA_FILE = str(Path(__file__).resolve().parents[1] / "scripts" / "iwasawa.su3")
 
 
-def test_polynomial_commands_never_import_sympy(capsys):
+def test_polynomial_commands_never_import_sympy(capsys, tmp_path):
     """Every value of these commands is a polynomial in the parameters, so
     sympy is never imported; the reports equal those of this process,
-    where sympy is loaded."""
+    where sympy is loaded.  This holds for a failed g2t check too: its
+    residual is d*phi."""
+    not_g2t = tmp_path / "case1_not_g2t.su3"
+    not_g2t.write_text(_CASE1_NOT_G2T, encoding="utf-8")
     commands = [
+        ["g2t", str(not_g2t)],
         ["g2t", "case1"],
         ["g2t", _IWASAWA_FILE],
         ["su3", _IWASAWA_FILE],
@@ -419,7 +423,9 @@ def test_polynomial_commands_never_import_sympy(capsys):
         ["betti", FAMILIES["case2"].table],
         ["fingerprint", FAMILIES["case2"].table],
     ]
-    for argv, (status, out, sympy_loaded) in zip(commands, _fresh_runs(commands)):
+    results = _fresh_runs(commands)
+    assert [status for status, _, _ in results] == [1] + [0] * (len(commands) - 1)
+    for argv, (status, out, sympy_loaded) in zip(commands, results):
         assert not sympy_loaded, argv
         code, here, _ = run_cli(capsys, "--format", "structured", *argv)
         assert (status, _untimed(out)) == (code, _untimed(here)), argv
@@ -608,3 +614,24 @@ def test_readme_command_line_runs(capsys, monkeypatch, line):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     assert code == (1 if argv[0] == "theorem" else 0), out
+
+
+def test_readme_scripts_exit_status():
+    """The README's "Scripts" run with their documented exit statuses: the
+    family survey exits 0; the classification report exits 1, with one
+    FAIL line, for the unrealizable 0,0,0,12,23,14-35 row."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(nilg2.__file__).resolve().parents[1])
+    outcomes = {}
+    for script in ("family_survey.py", "classification_report.py"):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / script)], cwd=root,
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.stderr == "", script
+        fails = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+        outcomes[script] = (proc.returncode, fails)
+    assert outcomes == {
+        "family_survey.py": (0, []),
+        "classification_report.py": (1, ["0,0,0,12,23,14-35"]),
+    }

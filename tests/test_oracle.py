@@ -15,6 +15,7 @@ from oracle import (
     contraction,
     d_of,
     double_bracket_real_lines,
+    exact_two_form_data,
     is_type_22,
     laplacian,
     scale,
@@ -164,6 +165,39 @@ def test_betti_numbers_match_full_rank_oracle(pctx):
         algebras.append(LieAlgebra(ctx, d_table, require_nilpotent=False))
     for g in algebras:
         assert fingerprint(g).betti == betti_numbers(table_to_oracle(g)), g
+
+
+def test_fingerprint_matches_oracle(pctx):
+    """Every field of the fingerprint against the oracle: the Betti numbers
+    by full ranks, the series from brackets, the exact two-form data from
+    the spanning set d e^i.  On every named algebra, the families at two
+    bindings each, so(3)+so(3) (where d is injective on 1-forms), the three
+    non-unimodular tables and 60 seeded basis changes of them."""
+    algebras = [parse_salamon(text, pctx) for text in NAMED_ALGEBRAS.values()]
+    for name, bindings in _SERIES_BINDINGS.items():
+        algebras += [instantiate(name, binding, params=pctx)[0] for binding in bindings]
+    ctx = FrameContext(6, pctx)
+    for table in ("-23,13,-12,-56,46,-45", "0,12,0,0,0,0", "0,12,13,0,0,0", "0,12,0,34,0,0"):
+        d_table = [ctx.zero_form() if t == "0" else parse_form(ctx, t) for t in table.split(",")]
+        algebras.append(LieAlgebra(ctx, d_table, require_nilpotent=False))
+    rng = random.Random(41)
+    for g in rng.choices(algebras, k=60):
+        algebras.append(change_basis(g, random_invertible(rng, g.ctx.params)))
+    seen = set()
+    for g in algebras:
+        table = table_to_oracle(g)
+        fp = fingerprint(g)
+        assert fp.betti == betti_numbers(table), g
+        assert (fp.lower_central, fp.derived, fp.upper_central) == oracle_series_dims(table), g
+        data = (*fp.wedge_data, fp.exact_two_forms_decomposable)
+        assert data == exact_two_form_data(table), g
+        seen.add(data)
+    # so(3)+so(3); decomposable and not; a radical neither 0 nor everything
+    assert (6, 9, 0, False) in seen
+    assert {True, False} == {data[3] for data in seen}
+    assert any(0 < data[2] < data[0] for data in seen)
+    assert {True, False} == {data[3] for data in seen}
+    assert any(0 < data[2] < data[0] for data in seen)
 
 
 def _terms(g):

@@ -74,28 +74,24 @@ class SalamonSyntaxError(ValueError):
         self.position = position
 
 
-def _d_on_word(d_table: Sequence[Form], mask: int) -> Dict[int, Scalar]:
-    """d e^I of a basis word, without zeros: each term is a table entry times
-    a sign (Leibniz rule, d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j}, j from 0)."""
-    comps: Dict[int, Scalar] = {}
-    for j, idx in enumerate(_bits(mask)):
-        rest = mask & ~(1 << (idx - 1))
-        for m2, c2 in d_table[idx - 1].comps.items():
-            if m2 & rest:
-                continue
-            term = -c2 if (j % 2 == 1) != (_merge_sign(m2, rest) < 0) else c2
-            prev = comps.get(m2 | rest)
-            comps[m2 | rest] = term if prev is None else prev + term
-    return {m: c for m, c in comps.items() if c}
-
-
 def _d_on_form(d_table: Sequence[Form], a: Form) -> Form:
+    """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0).
+
+    A coefficient that is the context's one multiplies nothing: d on a basis
+    word takes the table entries with their signs."""
+    one = a.ctx.params.one
     comps: Dict[int, Scalar] = {}
     for mask, coeff in a.comps.items():
-        for m, c in _d_on_word(d_table, mask).items():
-            term = c * coeff
-            prev = comps.get(m)
-            comps[m] = term if prev is None else prev + term
+        for j, idx in enumerate(_bits(mask)):
+            rest = mask & ~(1 << (idx - 1))
+            for m2, c2 in d_table[idx - 1].comps.items():
+                if m2 & rest:
+                    continue
+                term = c2 if coeff is one else c2 * coeff
+                if (j % 2 == 1) != (_merge_sign(m2, rest) < 0):
+                    term = -term
+                prev = comps.get(m2 | rest)
+                comps[m2 | rest] = term if prev is None else prev + term
     return Form(a.ctx, comps)
 
 
@@ -351,7 +347,8 @@ def _generic_value(g: LieAlgebra, bindings, seed: int, compute):
 
 
 def _rank_d_on_grade(d_table: Sequence[Form], ctx: FrameContext, k: int) -> int:
-    images = [_d_on_word(d_table, m) for m in _basis_masks(ctx.dim, k)]
+    images = [_d_on_form(d_table, Form(ctx, {m: ctx.params.one})).comps
+              for m in _basis_masks(ctx.dim, k)]
     return linalg.sparse_rank(images, _basis_masks(ctx.dim, k + 1))
 
 
@@ -556,12 +553,12 @@ def fingerprint(
 def _fingerprint_of_table(table: Sequence[Form], ctx: FrameContext) -> Fingerprint:
     image, kernel = _d_on_one_forms(table, ctx)
     rank_d, wedge_span, radical, decomposable = _exact_two_form_data(image, ctx)
-    lower, derived, upper = _series(table, ctx, kernel)
+    series = _series(table, ctx, kernel)
     return Fingerprint(
         betti=_betti_of_table(table, ctx, rank_d),
-        lower_central=lower,
-        derived=derived,
-        upper_central=upper,
+        lower_central=series[0],
+        derived=series[1],
+        upper_central=series[2],
         exact_two_forms_decomposable=decomposable,
         wedge_data=(rank_d, wedge_span, radical),
     )

@@ -196,8 +196,6 @@ def test_fingerprint_matches_oracle(pctx):
     assert (6, 9, 0, False) in seen
     assert {True, False} == {data[3] for data in seen}
     assert any(0 < data[2] < data[0] for data in seen)
-    assert {True, False} == {data[3] for data in seen}
-    assert any(0 < data[2] < data[0] for data in seen)
 
 
 def _terms(g):

@@ -39,7 +39,6 @@ from .liealg import (
     BasisChange,
     LieAlgebra,
     NAMED_ALGEBRAS,
-    change_basis,
     fingerprint,
     is_isomorphic_via,
     parse_salamon,
@@ -57,8 +56,6 @@ __all__ = [
     "TheoremWitnessError",
     "instantiate",
     "verify_theorem",
-    "diagonal_solve",
-    "DiagonalSolveError",
     "contraction_limit",
     "ContractionError",
     "family_context",
@@ -170,196 +167,6 @@ def case2_gauge_rotation(params: ParameterContext, c, s) -> BasisChange:
         [zero, zero, zero, zero, one, zero],
         [zero, zero, zero, zero, zero, one],
     ])
-
-
-# ---------------------------------------------------------------------------
-# diagonal normalization
-# ---------------------------------------------------------------------------
-
-
-class DiagonalSolveError(ValueError):
-    pass
-
-
-def _nth_root_fraction(value: Fraction, n: int) -> Optional[Fraction]:
-    if n == 1:
-        return value
-    if value < 0 and n % 2 == 0:
-        return None
-
-    def iroot(x: int) -> Optional[int]:
-        if x < 0:
-            r = iroot(-x)
-            return None if (r is None or n % 2 == 0) else -r
-        lo, hi = 0, max(1, x)
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            p = mid ** n
-            if p == x:
-                return mid
-            if p < x:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None
-
-    num = iroot(value.numerator)
-    den = iroot(value.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _scalar_power(value: Scalar, q: Fraction) -> Optional[Scalar]:
-    """value**q when it exists in the field (rational values only for roots)."""
-    if q.denominator == 1:
-        return value ** q.numerator
-    if not value.is_rational:
-        return None
-    root = _nth_root_fraction(value.as_fraction(), q.denominator)
-    if root is None:
-        return None
-    return value.ctx.scalar(root) ** q.numerator
-
-
-def diagonal_solve(g: LieAlgebra, target: LieAlgebra) -> BasisChange:
-    """A diagonal basis change with change_basis(g, B) = target, if one exists.
-
-    Both tables must have the same monomial shape.  Each matching monomial
-    yields a multiplicative constraint d_i / (d_a d_b) = ratio; constraints
-    are propagated (solving for one unknown at a time, extracting rational
-    roots with a sign branch where an even power appears), stalled unknowns
-    default to 1, and every completed assignment is verified exactly.
-    """
-    if g.ctx != target.ctx:
-        raise DiagonalSolveError("context mismatch")
-    n = g.ctx.dim
-    pctx = g.ctx.params
-    constraints: List[Tuple[Dict[int, int], Scalar]] = []
-    for i in range(1, n + 1):
-        src, dst = g.d_table[i - 1], target.d_table[i - 1]
-        if set(src.comps) != set(dst.comps):
-            raise DiagonalSolveError(
-                f"no diagonal witness: entry {i} has mismatched shape"
-            )
-        for mask, coeff in src.comps.items():
-            ratio = dst.comps[mask] / coeff
-            exps: Dict[int, int] = {i - 1: 1}
-            bit, idx = 1, 1
-            while bit <= mask:
-                if mask & bit:
-                    exps[idx - 1] = exps.get(idx - 1, 0) - 1
-                bit <<= 1
-                idx += 1
-            exps = {v: e for v, e in exps.items() if e}
-            constraints.append((exps, ratio))
-
-    matrix = [[exps.get(j, 0) for j in range(n)] for exps, _ in constraints]
-    values = [r for _, r in constraints]
-    diag, U, V = _smith_normal_form(matrix, n)
-    m = len(matrix)
-
-    def power_product(scalars: Sequence[Scalar], exponents: Sequence[int]) -> Scalar:
-        out = pctx.one
-        for sc, e in zip(scalars, exponents):
-            if e:
-                out = out * sc ** e
-        return out
-
-    transformed = [power_product(values, U[i]) for i in range(m)]
-    rank_d = sum(1 for i in range(min(m, n)) if diag[i])
-    for i in range(rank_d, m):
-        if transformed[i] != pctx.one:
-            raise DiagonalSolveError("no diagonal witness: inconsistent system")
-    y_options: List[List[Scalar]] = [[]]
-    for i in range(n):
-        if i < rank_d and diag[i]:
-            root = _scalar_power(transformed[i], Fraction(1, diag[i]))
-            if root is None:
-                raise DiagonalSolveError("no diagonal witness: irrational scaling")
-            choices = [root, -root] if diag[i] % 2 == 0 else [root]
-        else:
-            choices = [pctx.one]
-        y_options = [prefix + [c] for prefix in y_options for c in choices]
-    for y in y_options:
-        assign = [power_product(y, [V[j][i] for i in range(n)]) for j in range(n)]
-        if any(x.is_zero for x in assign):
-            continue
-        candidate = BasisChange.diagonal(pctx, assign)
-        if change_basis(g, candidate).d_table == target.d_table:
-            return candidate
-    raise DiagonalSolveError("no diagonal witness: inconsistent system")
-
-
-def _smith_normal_form(matrix: List[List[int]], ncols: int):
-    """Smith normal form with transform tracking: U @ M @ V = diag.
-
-    Returns (diagonal entries, U, V) over the integers; standard pivot
-    reduction, adequate for the tiny systems arising here.
-    """
-    M = [list(row) for row in matrix]
-    m = len(M)
-    n = ncols
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, j, q):      # row_i -= q * row_j
-        M[i] = [a - q * b for a, b in zip(M[i], M[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):      # col_i -= q * col_j
-        for row in M:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if M[i][j] and (best is None or abs(M[i][j]) < best):
-                    best = abs(M[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        done = False
-        while not done:
-            done = True
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    row_op(i, t, q)
-                    if M[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    col_op(j, t, q)
-                    if M[t][j]:
-                        swap_cols(t, j)
-                        done = False
-        if M[t][t] < 0:
-            M[t] = [-a for a in M[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    diag = [M[i][i] if i < n else 0 for i in range(min(m, n))]
-    diag += [0] * max(0, n - len(diag))
-    return diag, U, V
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ __all__ = [
     "change_basis",
     "is_isomorphic_via",
     "NAMED_ALGEBRAS",
-    "load_algebra_list",
 ]
 
 
@@ -622,10 +621,9 @@ class BasisChange:
         self._inverse = tuple(zip(*self.rows))
         return True
 
-    def pull_standard(self, a: Form, source_ctx: Optional[FrameContext] = None) -> Form:
+    def pull_standard(self, a: Form) -> Form:
         """Express a form written in the *new* coframe in the old one (f^i -> rows)."""
-        ctx = source_ctx or a.ctx
-        return substitute_coframe(a, self.rows, ctx)
+        return substitute_coframe(a, self.rows, a.ctx)
 
     def __repr__(self):
         body = "; ".join(
@@ -704,18 +702,3 @@ NAMED_ALGEBRAS: Dict[str, str] = {
     "torus": "0,0,0,0,0,0",
     "entry_0000_1213": "0,0,0,0,12,13",
 }
-
-
-def load_algebra_list(path, params: ParameterContext) -> Dict[str, LieAlgebra]:
-    """Load ``name : salamon`` lines; '#' starts a comment."""
-    out: Dict[str, LieAlgebra] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise SalamonSyntaxError(f"line {lineno}: expected 'name : algebra'", 0)
-            name, body = line.split(":", 1)
-            out[name.strip()] = parse_salamon(body.strip(), params)
-    return out

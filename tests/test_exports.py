@@ -1,7 +1,10 @@
-"""Every name a module exports exists, so ``from nilg2.x import *`` works."""
+"""Every name a module exports exists, so ``from nilg2.x import *`` works,
+and no module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,30 @@ def test_exported_names_exist(name):
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
     exec(f"from nilg2.{name} import *", {})
+
+
+def _unused_imports(path):
+    """Names a module imports but never reads; names in ``__all__`` are read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "nilg2").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    assert paths
+    assert [hit for path in paths for hit in _unused_imports(path)] == []

@@ -5,17 +5,14 @@ import pytest
 from nilg2.families import (
     ContractionError,
     DegenerateParameterError,
-    DiagonalSolveError,
     FAMILIES,
     TheoremWitnessError,
     contraction_limit,
-    diagonal_solve,
     instantiate,
     verify_theorem,
 )
 from nilg2.g2 import build_product, dT_tests, torsion
 from nilg2.liealg import (
-    BasisChange,
     betti,
     change_basis,
     fingerprint,
@@ -196,43 +193,6 @@ def test_two_parameter_family_of_structures(pctx):
     """case2 carries two essential parameters (z, a1) besides the scale."""
     assert FAMILIES["case2"].essential_parameters == 2
     assert FAMILIES["case1"].essential_parameters == 1
-
-
-# ---------------------------------------------------------------------------
-# diagonal solve
-# ---------------------------------------------------------------------------
-
-
-def test_diagonal_solve_identity(pctx):
-    g = parse_salamon("0,0,12,13,23,14", pctx)
-    B = diagonal_solve(g, g)
-    assert change_basis(g, B).d_table == g.d_table
-
-
-def test_diagonal_solve_roundtrip(pctx):
-    g = parse_salamon("0,lam*35,k*15,-lam*15+k*25,0,lam*13", pctx)
-    D = BasisChange.diagonal(pctx, [2, 3, 5, 7, 11, 13])
-    target = change_basis(g, D)
-    B = diagonal_solve(g, target)
-    assert change_basis(g, B).d_table == target.d_table
-
-
-def test_diagonal_solve_square_roots(pctx):
-    e7 = parse_salamon("0,0,12,13,23,14+25", pctx)
-    scaled = parse_salamon("0,0,4*12,2*13,2*23,8*14+2*25", pctx)
-    B = diagonal_solve(scaled, e7)
-    assert change_basis(scaled, B).d_table == e7.d_table
-
-
-def test_diagonal_solve_errors(pctx):
-    g = parse_salamon("0,0,12,13,23,14", pctx)
-    other = parse_salamon("0,0,0,12,13,23", pctx)
-    with pytest.raises(DiagonalSolveError, match="mismatched shape"):
-        diagonal_solve(g, other)
-    plus = parse_salamon("0,0,12,13,23,14+25", pctx)
-    minus = parse_salamon("0,0,12,13,23,14-25", pctx)
-    with pytest.raises(DiagonalSolveError):
-        diagonal_solve(plus, minus)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from nilg2.liealg import (
     fingerprint,
     is_isomorphic_via,
     jacobi_certificates,
-    load_algebra_list,
     parse_salamon,
     salamon_str,
     series_dims,
@@ -454,20 +453,3 @@ def test_support_certificate_rejects_non_nilpotent(pctx, table):
         moved = change_basis(g, random_invertible(rng, pctx))
         assert not moved._support_is_acyclic()
         assert not moved.is_nilpotent_presentation()
-
-
-# ---------------------------------------------------------------------------
-# algebra list files
-# ---------------------------------------------------------------------------
-
-
-def test_load_algebra_list(tmp_path, pctx):
-    path = tmp_path / "algebras.txt"
-    path.write_text(
-        "# comment line\n"
-        "entry6 : 0,0,12,13,23,14\n"
-        "iwasawa: 0,0,0,0,13+42,14+23\n"
-    )
-    algebras = load_algebra_list(path, pctx)
-    assert set(algebras) == {"entry6", "iwasawa"}
-    assert betti(algebras["entry6"], 2) == 4

@@ -26,7 +26,6 @@ from .families import (
     ContractionError,
     DegenerateParameterError,
     FAMILIES,
-    TheoremWitnessError,
     contraction_limit,
     family_context,
     instantiate,
@@ -371,12 +370,7 @@ def _cmd_g2t(path: str, ctx: ParameterContext, bindings) -> Report:
 
 def _cmd_theorem() -> Report:
     report = Report(command="theorem", input_description="classification replay")
-    try:
-        table = verify_theorem()
-        rows = table.rows
-    except TheoremWitnessError as exc:
-        rows = exc.table.rows
-    for row in rows:
+    for row in verify_theorem():
         report.add(
             f"entry {row.entry}", row.passed,
             detail=row.note,

@@ -14,11 +14,13 @@ d e^5 = (z + a1) e^{13} (any other multiple leaves d psi+ proportional to
 e^{1234} and nonzero), and that is the table instantiated here.
 
 Each classified algebra from the matching list is reached from a family by
-an explicit, frozen basis-change witness which ``verify_theorem`` replays.
-The sign dichotomy among the 14+-25 twins is decided by sign(a1*z); the
-14-35 twin admits no realization (the two twins are distinguished by the
-count of real zero lines of the cubic u -> [u,[u,.]], which every family
-instance gets wrong for 14-35), so its row fails with that analysis.
+an explicit, frozen basis-change witness.  The table ``_THEOREM_ROWS``
+holds these witnesses, and ``verify_theorem`` replays them and returns one
+row per listed algebra.  The sign dichotomy among the 14+-25 twins is
+decided by sign(a1*z); the 14-35 twin admits no realization (the two twins
+are distinguished by the count of real zero lines of the cubic
+u -> [u,[u,.]], which every family instance gets wrong for 14-35), so its
+row fails with that analysis.
 
 The twins 14+25 and 14-25 are linked to 14 by a contraction, the diagonal
 degeneration of nilpotent Lie algebras (Grunewald and O'Halloran, J. Algebra
@@ -32,7 +34,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .exterior import Form, _bits
 from .liealg import (
@@ -52,8 +54,6 @@ __all__ = [
     "case2_gauge_rotation",
     "DegenerateParameterError",
     "TheoremRow",
-    "TheoremTable",
-    "TheoremWitnessError",
     "instantiate",
     "verify_theorem",
     "contraction_limit",
@@ -72,7 +72,6 @@ class FamilySpec:
     table: str
     parameters: Tuple[str, ...]
     nonzero: Tuple[str, ...]          # scalar expressions that must not vanish
-    essential_parameters: int
 
 
 FAMILIES: Dict[str, FamilySpec] = {
@@ -81,21 +80,18 @@ FAMILIES: Dict[str, FamilySpec] = {
         table="0,lam*35,k*15,-lam*15+k*25,0,lam*13",
         parameters=("lam", "k"),
         nonzero=("lam", "k"),
-        essential_parameters=1,
     ),
     "case2": FamilySpec(
         name="case2",
         table="0,lam*35,0,-lam*15,(z+a1)*13,a1*14+z*23+lam*13",
         parameters=("lam", "z", "a1"),
         nonzero=("lam", "z+a1"),
-        essential_parameters=2,
     ),
     "case3": FamilySpec(
         name="case3",
         table="0,lam*35,0,-lam*15,0,a1*14-a1*23+lam*13",
         parameters=("lam", "a1"),
         nonzero=("lam",),
-        essential_parameters=1,
     ),
 }
 
@@ -126,9 +122,6 @@ def instantiate(
         return _symbolic_family(name, ctx)
     algebra = parse_salamon(spec.table, ctx)
     bindings = {k: Fraction(v) for k, v in bindings.items()}
-    missing = [p for p in spec.parameters if p not in bindings]
-    if missing:
-        raise DegenerateParameterError(f"missing bindings for {missing}")
     for expr in spec.nonzero:
         if ctx.parse(expr).evaluate(bindings) == 0:
             raise DegenerateParameterError(f"degenerate parameter: {expr} = 0")
@@ -235,182 +228,63 @@ class TheoremRow:
         return self.witness_ok and self.fingerprint_ok
 
 
-@dataclass(frozen=True)
-class TheoremTable:
-    rows: Tuple[TheoremRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-
-class TheoremWitnessError(ValueError):
-    def __init__(self, table: TheoremTable):
-        failing = [row.entry for row in table.rows if not row.passed]
-        super().__init__(f"witness failure for entries: {', '.join(failing)}")
-        self.table = table
-
-
-def _witness_entries(name: str):
-    """Frozen witness matrices: new coframe rows as {column: scalar text}."""
-    table = {
-        "case1_to_entry_14": [
-            {5: "1"},
-            {1: "1"},
-            {3: "-1/k"},
-            {2: "1/(k*lam)"},
-            {6: "-1/(k*lam)"},
-            {4: "-1/(k^2*lam)", 3: "-1/k^3"},
-        ],
-        "case2_to_entry_14p25": [
-            {1: "1"},
-            {3: "1"},
-            {5: "1/2"},
-            {4: "-1/2"},
-            {2: "1/2"},
-            {6: "-1/2", 5: "1/4"},
-        ],
-        "case2_to_entry_14m25": [
-            {1: "1"},
-            {3: "2"},
-            {5: "-2/3"},
-            {4: "2/3"},
-            {2: "-4/3"},
-            {6: "2/3", 5: "2/9"},
-        ],
-        "case3_to_entry_14p35": [
-            {1: "1"},
-            {5: "-a1*lam"},
-            {3: "1"},
-            {4: "a1", 3: "lam"},
-            {2: "a1"},
-            {6: "1"},
-        ],
-        "case3_to_entry_121323": [
-            {3: "1"},
-            {5: "1"},
-            {1: "1"},
-            {2: "1/lam"},
-            {6: "-1/lam"},
-            {4: "1/lam"},
-        ],
-    }
-    return table[name]
-
-
-def _witness(ctx: ParameterContext, name: str) -> BasisChange:
-    rows = []
-    for spec in _witness_entries(name):
-        row = ["0"] * 6
-        for idx, text in spec.items():
-            row[idx - 1] = text
-        rows.append([ctx.parse(cell) for cell in row])
-    return BasisChange(ctx, rows)
-
-
-def _bound_case2(ctx: ParameterContext, lam, z, a1) -> LieAlgebra:
-    """A case2 instance expressed inside the symbolic context (exact literals)."""
-    return parse_salamon(
-        f"0,({lam})*35,0,({-lam})*15,({z + a1})*13,({a1})*14+({z})*23+({lam})*13",
-        ctx,
-    )
-
-
-def verify_theorem(params: Optional[ParameterContext] = None) -> TheoremTable:
-    """Replay the classification witnesses, one row per listed algebra.
-
-    Raises :class:`TheoremWitnessError` carrying the full table if any row
-    fails; the table is available on the exception for reporting.
-    """
-    ctx = params or family_context()
-    rows: List[TheoremRow] = []
-
-    def witness_row(entry_key: str, family: str, witness_name: str,
-                    source: LieAlgebra, sample_binding: Dict[str, Fraction],
-                    note: str):
-        target = parse_salamon(NAMED_ALGEBRAS[entry_key], ctx)
-        witness = _witness(ctx, witness_name)
-        ok = is_isomorphic_via(source, witness, target)
-        bound_algebra, _ = instantiate(family, sample_binding, params=ctx)
-        fp_ok = fingerprint(bound_algebra) == fingerprint(target)
-        rows.append(
-            TheoremRow(
-                entry=NAMED_ALGEBRAS[entry_key],
-                family=family,
-                binding=dict(sample_binding),
-                witness=witness,
-                witness_ok=ok,
-                fingerprint_ok=fp_ok,
-                note=note,
-            )
-        )
-
-    case1_sym, _ = instantiate("case1", params=ctx)
-    case2_sym, _ = instantiate("case2", params=ctx)
-    case3_sym, _ = instantiate("case3", params=ctx)
-    case3_a1_zero = parse_salamon("0,lam*35,0,-lam*15,0,lam*13", ctx)
-
-    witness_row(
-        "entry_14", "case1", "case1_to_entry_14", case1_sym,
-        {"lam": Fraction(1), "k": Fraction(1)},
-        "witness verified identically in lam, k",
-    )
-    witness_row(
-        "entry_14p25", "case2", "case2_to_entry_14p25",
-        _bound_case2(ctx, 1, 1, 1),
-        {"lam": Fraction(1), "z": Fraction(1), "a1": Fraction(1)},
-        "realized exactly when a1*z > 0",
-    )
-    witness_row(
-        "entry_14m25", "case2", "case2_to_entry_14m25",
-        _bound_case2(ctx, 1, -4, 1),
-        {"lam": Fraction(1), "z": Fraction(-4), "a1": Fraction(1)},
-        "realized exactly when a1*z < 0",
-    )
-    witness_row(
-        "entry_14p35", "case3", "case3_to_entry_14p35", case3_sym,
-        {"lam": Fraction(1), "a1": Fraction(1)},
-        "witness valid for every nonzero a1, either sign",
-    )
-
+# The listed algebras in listing order.  Each row: NAMED_ALGEBRAS key, family,
+# binding at which the family's fingerprint is compared with the entry's,
+# source table in the family parameters, frozen witness (the new coframe
+# rows as {column: scalar text}) carrying the source onto the entry, note.
+_THEOREM_ROWS = (
+    ("entry_14", "case1", {"lam": 1, "k": 1}, FAMILIES["case1"].table,
+     ({5: "1"}, {1: "1"}, {3: "-1/k"}, {2: "1/(k*lam)"}, {6: "-1/(k*lam)"},
+      {4: "-1/(k^2*lam)", 3: "-1/k^3"}),
+     "witness verified identically in lam, k"),
+    ("entry_14m25", "case2", {"lam": 1, "z": -4, "a1": 1},
+     "0,35,0,-15,-3*13,14-4*23+13",
+     ({1: "1"}, {3: "2"}, {5: "-2/3"}, {4: "2/3"}, {2: "-4/3"}, {6: "2/3", 5: "2/9"}),
+     "realized exactly when a1*z < 0"),
+    ("entry_14p25", "case2", {"lam": 1, "z": 1, "a1": 1},
+     "0,35,0,-15,2*13,14+23+13",
+     ({1: "1"}, {3: "1"}, {5: "1/2"}, {4: "-1/2"}, {2: "1/2"}, {6: "-1/2", 5: "1/4"}),
+     "realized exactly when a1*z > 0"),
+    ("entry_14p35", "case3", {"lam": 1, "a1": 1}, FAMILIES["case3"].table,
+     ({1: "1"}, {5: "-a1*lam"}, {3: "1"}, {4: "a1", 3: "lam"}, {2: "a1"}, {6: "1"}),
+     "witness valid for every nonzero a1, either sign"),
     # The 14-35 twin: no family instance is isomorphic to it.  The cubic
     # u -> [u,[u,.]] has three real projective zero lines on every case3
     # instance and on the 14+35 entry, but only one on 14-35; the count is a
-    # basis-change invariant, so no witness exists.  The row is recorded as
-    # failing with that analysis.
-    target_m35 = parse_salamon(NAMED_ALGEBRAS["entry_14m35"], ctx)
-    rows.append(
-        TheoremRow(
-            entry=NAMED_ALGEBRAS["entry_14m35"],
-            family="case3",
-            binding=None,
-            witness=None,
-            witness_ok=False,
-            fingerprint_ok=fingerprint(
-                instantiate("case3", {"lam": Fraction(1), "a1": Fraction(1)})[0]
-            ) == fingerprint(target_m35),
-            note=(
-                "unrealizable: the real zero-line count of the double-bracket "
-                "cubic is 3 on every case3 instance but 1 on this algebra"
-            ),
-        )
-    )
+    # basis-change invariant, so no witness exists and the row fails.  Its
+    # binding serves only the fingerprint comparison; the row reports none.
+    ("entry_14m35", "case3", {"lam": 1, "a1": 1}, FAMILIES["case3"].table, None,
+     "unrealizable: the real zero-line count of the double-bracket "
+     "cubic is 3 on every case3 instance but 1 on this algebra"),
+    ("entry_121323", "case3", {"lam": 1, "a1": 0}, "0,lam*35,0,-lam*15,0,lam*13",
+     ({3: "1"}, {5: "1"}, {1: "1"}, {2: "1/lam"}, {6: "-1/lam"}, {4: "1/lam"}),
+     "case3 at a1 = 0; witness valid for every nonzero lam"),
+)
 
-    witness_row(
-        "entry_121323", "case3", "case3_to_entry_121323", case3_a1_zero,
-        {"lam": Fraction(1), "a1": Fraction(0)},
-        "case3 at a1 = 0; witness valid for every nonzero lam",
-    )
-    # reorder rows to the listing order
-    order = {
-        NAMED_ALGEBRAS[k]: i
-        for i, k in enumerate(
-            ["entry_14", "entry_14m25", "entry_14p25",
-             "entry_14p35", "entry_14m35", "entry_121323"]
+
+def verify_theorem() -> Tuple[TheoremRow, ...]:
+    """Replay the classification witnesses, one row per listed algebra.
+
+    A row passes when its witness carries the source table onto the entry
+    and the family's fingerprint at the binding matches the entry's.
+    """
+    ctx = family_context()
+    rows = []
+    for key, family, binding, source, cells, note in _THEOREM_ROWS:
+        target = parse_salamon(NAMED_ALGEBRAS[key], ctx)
+        binding = {name: Fraction(v) for name, v in binding.items()}
+        witness = None if cells is None else BasisChange(
+            ctx, [[ctx.parse(row.get(j, "0")) for j in range(1, 7)] for row in cells]
         )
-    }
-    rows.sort(key=lambda row: order[row.entry])
-    table = TheoremTable(rows=tuple(rows))
-    if not table.passed:
-        raise TheoremWitnessError(table)
-    return table
+        rows.append(TheoremRow(
+            entry=NAMED_ALGEBRAS[key],
+            family=family,
+            binding=None if witness is None else binding,
+            witness=witness,
+            witness_ok=witness is not None
+            and is_isomorphic_via(parse_salamon(source, ctx), witness, target),
+            fingerprint_ok=fingerprint(instantiate(family, binding, params=ctx)[0])
+            == fingerprint(target),
+            note=note,
+        ))
+    return tuple(rows)

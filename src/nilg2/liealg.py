@@ -662,7 +662,7 @@ def substitute_coframe(a: Form, matrix_rows, ctx: FrameContext) -> Form:
     return Form(ctx, out)
 
 
-def change_basis(g: LieAlgebra, B: BasisChange, require_nilpotent: bool = False) -> LieAlgebra:
+def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     """The algebra in the coframe f = B e; Jacobi is re-verified on build."""
     if B.dim != g.ctx.dim:
         raise ValueError("dimension mismatch")
@@ -675,7 +675,7 @@ def change_basis(g: LieAlgebra, B: BasisChange, require_nilpotent: bool = False)
             if not c.is_zero:
                 df = df + g.d_table[j].scale(c)
         new_table.append(substitute_coframe(df, inv, g.ctx))
-    return LieAlgebra(g.ctx, new_table, require_nilpotent=require_nilpotent)
+    return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
 
 
 def is_isomorphic_via(g: LieAlgebra, B: BasisChange, target: LieAlgebra) -> bool:

@@ -324,6 +324,9 @@ def test_shared_options_merge_across_subcommand(capsys):
     (("--param", "-x", "g2t", "case1"), "argument --param: expected one argument"),
     (("bogus",), "invalid choice: 'bogus'"),
     (("g2t",), "nilg2 g2t: error: the following arguments are required: structure_file"),
+    # a family bound at some of its parameters
+    (("--param", "lam=1", "su3", "case2"), "unbound parameter 'a1'"),
+    (("--param", "lam=1", "g2t", "case1"), "unbound parameter 'k'"),
 ])
 def test_bad_input_exit_2_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -44,6 +44,7 @@ def _unused_imports(path):
 
 def test_no_unused_imports():
     root = Path(__file__).resolve().parents[1]
-    paths = sorted((root / "src" / "nilg2").glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    paths = [path for folder in ("src/nilg2", "scripts", "tests")
+             for path in sorted((root / folder).glob("*.py"))]
     assert paths
     assert [hit for path in paths for hit in _unused_imports(path)] == []

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from nilg2 import families
 from nilg2.families import (
     ContractionError,
     DegenerateParameterError,
     FAMILIES,
-    TheoremWitnessError,
     contraction_limit,
     instantiate,
     verify_theorem,
@@ -20,7 +20,7 @@ from nilg2.liealg import (
     parse_salamon,
     salamon_str,
 )
-from nilg2.scalars import ParameterContext
+from nilg2.scalars import ParameterContext, ScalarError
 from nilg2.su3 import g2t_residual, is_half_integrable, torsion_classes
 
 
@@ -68,7 +68,7 @@ def test_degenerate_bindings_rejected(pctx):
     with pytest.raises(DegenerateParameterError):
         instantiate("case2", {"lam": Fraction(1), "z": Fraction(2), "a1": Fraction(-2)},
                     params=pctx)
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(ScalarError, match="unbound parameter 'k'"):
         instantiate("case1", {"lam": Fraction(1)}, params=pctx)
     with pytest.raises(ValueError):
         instantiate("case9", params=pctx)
@@ -120,20 +120,38 @@ def test_b1_at_most_three_on_families(pctx):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_theorem_rows(pctx):
+def test_verify_theorem_rows():
     """Five of the six listed algebras are realized by explicit witnesses;
-    the 14-35 twin admits none (see the row note), so the replay raises
-    with exactly that row failing."""
-    with pytest.raises(TheoremWitnessError) as err:
-        verify_theorem(pctx)
-    table = err.value.table
-    assert len(table.rows) == 6
-    failing = [row for row in table.rows if not row.passed]
+    the 14-35 twin admits none (see the row note), so exactly that row
+    fails."""
+    rows = verify_theorem()
+    assert len(rows) == 6
+    failing = [row for row in rows if not row.passed]
     assert [row.entry for row in failing] == ["0,0,0,12,23,14-35"]
     assert "unrealizable" in failing[0].note
-    for row in table.rows:
+    for row in rows:
         if row.passed:
             assert row.fingerprint_ok and row.witness_ok
+
+
+WITNESS_ROWS = [i for i, row in enumerate(families._THEOREM_ROWS) if row[4] is not None]
+
+
+@pytest.mark.parametrize("index", WITNESS_ROWS, ids=lambda i: families._THEOREM_ROWS[i][0])
+def test_verify_theorem_checks_each_witness(monkeypatch, index):
+    """Doubling one cell of a witness (the last coframe row's first entry)
+    fails that row's witness check and no other row's."""
+    table = list(families._THEOREM_ROWS)
+    key, family, binding, source, cells, note = table[index]
+    last = dict(cells[-1])
+    column = min(last)
+    last[column] = f"2*({last[column]})"
+    table[index] = (key, family, binding, source, cells[:-1] + (last,), note)
+    monkeypatch.setattr(families, "_THEOREM_ROWS", tuple(table))
+    rows = verify_theorem()
+    witness_failures = {row.entry for row in rows if not row.witness_ok}
+    assert witness_failures == {"0,0,0,12,23,14-35", rows[index].entry}
+    assert all(row.fingerprint_ok for row in rows)
 
 
 def test_sign_dichotomy_for_twins(pctx):
@@ -187,12 +205,6 @@ def test_sign_dichotomy_for_twins(pctx):
     assert twin_quadric_definite(plus) != twin_quadric_definite(minus)
     assert twin_quadric_definite(pos) == twin_quadric_definite(plus)
     assert twin_quadric_definite(neg) == twin_quadric_definite(minus)
-
-
-def test_two_parameter_family_of_structures(pctx):
-    """case2 carries two essential parameters (z, a1) besides the scale."""
-    assert FAMILIES["case2"].essential_parameters == 2
-    assert FAMILIES["case1"].essential_parameters == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Exit status: 0 when every requested check passes, 1 when a check fails
 (reports carry the residuals), 2 on bad input (syntax errors, algebras that
 fail the Jacobi identity or are not presented nilpotently, malformed
-structure files, a --param binding that leaves a parameter unbound or makes
-a denominator vanish, malformed options), with a one-line message on
-standard error.  The shared options ``--param``, ``--format`` and ``--seed``
-may stand before or after the subcommand.
+structure files, a --param binding that leaves a parameter unbound, makes
+a denominator vanish or violates a family's nonzero condition, malformed
+options), with a one-line message on standard error.  The shared options
+``--param``, ``--format`` and ``--seed`` may stand before or after the
+subcommand.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from . import __version__
 from .exterior import form_str
 from .families import (
     ContractionError,
-    DegenerateParameterError,
     FAMILIES,
     contraction_limit,
     family_context,
@@ -268,8 +268,10 @@ def _cmd_betti(text: str, ctx: ParameterContext,
                bindings: Dict[str, Fraction], seed: int) -> Report:
     report = Report(command="betti", input_description=text)
     g = parse_salamon(text, ctx)
+    if bindings:
+        g = g.bind(bindings)
     try:
-        values = dict(enumerate(betti_numbers(g, bindings or None, seed), start=1))
+        values = dict(enumerate(betti_numbers(g, seed), start=1))
     except GenericEvaluationError as exc:
         report.add("betti", False, str(exc))
         return report
@@ -282,8 +284,10 @@ def _cmd_fingerprint(text: str, ctx: ParameterContext,
                      bindings: Dict[str, Fraction], seed: int) -> Report:
     report = Report(command="fingerprint", input_description=text)
     g = parse_salamon(text, ctx)
+    if bindings:
+        g = g.bind(bindings)
     try:
-        fp = fingerprint(g, bindings or None, seed)
+        fp = fingerprint(g, seed)
     except GenericEvaluationError as exc:
         report.add("fingerprint", False, str(exc))
         return report
@@ -316,7 +320,7 @@ def _cmd_su3(path: str, ctx: ParameterContext, bindings) -> Report:
     report = Report(command="su3", input_description=path)
     try:
         structure = _load_input_structure(path, ctx, bindings)
-    except (StructureError, DegenerateParameterError) as exc:
+    except StructureError as exc:
         report.add("structure", False, str(exc))
         return report
     report.add("structure", True, "compatible SU(3)-structure",
@@ -345,7 +349,7 @@ def _cmd_g2t(path: str, ctx: ParameterContext, bindings) -> Report:
         structure = _load_input_structure(path, ctx, bindings)
         product = build_product(structure)
         result = dT_tests(product, torsion(product))
-    except (StructureError, G2Error, DegenerateParameterError) as exc:
+    except (StructureError, G2Error) as exc:
         residual = getattr(exc, "residual", None)
         report.add("g2t", False, str(exc),
                    **({"residual": form_str(residual)} if residual is not None else {}))

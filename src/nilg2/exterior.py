@@ -231,14 +231,6 @@ class Form:
                 comps[m] = term if prev is None else prev + term
         return Form(self.ctx, comps)
 
-    def evaluate(self, bindings) -> "Form":
-        """Bind parameters, producing a form over the empty parameter context."""
-        target = ParameterContext(())
-        out: Dict[int, Scalar] = {}
-        for m, c in self.comps.items():
-            out[m] = target.scalar(c.evaluate(bindings))
-        return Form(FrameContext(self.ctx.dim, target), out)
-
     def __str__(self):
         return form_str(self)
 

@@ -110,8 +110,8 @@ def instantiate(
     """A family algebra with its standard adapted structure.
 
     Symbolic in the family parameters when no bindings are given (built once
-    per name and parameter context, and shared); bindings must respect the
-    nondegeneracy constraints.
+    per name and parameter context, and shared); with bindings, which must
+    respect the nondegeneracy constraints, the shared algebra is bound.
     """
     try:
         spec = FAMILIES[name]
@@ -120,13 +120,12 @@ def instantiate(
     ctx = params or family_context()
     if bindings is None:
         return _symbolic_family(name, ctx)
-    algebra = parse_salamon(spec.table, ctx)
+    symbolic, _ = _symbolic_family(name, ctx)
     bindings = {k: Fraction(v) for k, v in bindings.items()}
     for expr in spec.nonzero:
         if ctx.parse(expr).evaluate(bindings) == 0:
             raise DegenerateParameterError(f"degenerate parameter: {expr} = 0")
-    table = tuple(f.evaluate(bindings) for f in algebra.d_table)
-    algebra = LieAlgebra(table[0].ctx, table)
+    algebra = symbolic.bind(bindings)
     return algebra, standard_structure(algebra)
 
 

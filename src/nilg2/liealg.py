@@ -4,15 +4,14 @@ An algebra is given by the 2-forms d e^i (Salamon notation); the bracket is
 recovered by the Chevalley-Eilenberg convention d e^i(X, Y) = -e^i([X, Y]).
 The differential extends to all grades as the unique degree +1 derivation.
 
-The invariants (``betti``, ``series_dims``, ``fingerprint``) are computed by
-exact elimination over Q; the fingerprint section lists which elimination
-gives which field.  With bindings they are the exact values of the
-table at the binding; a binding that leaves a parameter unbound or makes a
-denominator vanish raises ``ScalarError``.  A table with unbound parameters
-is evaluated at two points with disjoint prime coordinates, moved by
-``seed``; the two values must agree, else :class:`GenericEvaluationError`
-is raised.  That is a sampled generic value, not an identity in the
-parameters.
+The invariants (``betti_numbers``, ``fingerprint``) are computed by exact
+elimination over Q; the fingerprint section lists which elimination gives
+which field.  ``LieAlgebra.bind`` evaluates the table at a binding; a
+binding that leaves a parameter unbound or makes a denominator vanish raises
+``ScalarError``.  An invariant of a table with unbound parameters is
+evaluated at two points with disjoint prime coordinates, moved by ``seed``;
+the two values must agree, else :class:`GenericEvaluationError` is raised.
+That is a sampled generic value, not an identity in the parameters.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ __all__ = [
     "SalamonSyntaxError",
     "parse_salamon",
     "jacobi_certificates",
-    "betti",
     "betti_numbers",
-    "series_dims",
     "fingerprint",
     "change_basis",
     "is_isomorphic_via",
@@ -165,6 +162,11 @@ class LieAlgebra:
         """V_{j+1} = {x : d x in Lambda^2 V_j} must exhaust Lambda^1."""
         kernel = _d_on_one_forms(self.d_table, self.ctx)[1]
         return _climb(self.d_table, self.ctx, _pair_wedges, kernel)[-1] == self.ctx.dim
+
+    def bind(self, bindings: Mapping[str, Fraction]) -> "LieAlgebra":
+        """The algebra at ``bindings``, over the empty parameter context;
+        Jacobi and nilpotency are checked again."""
+        return LieAlgebra(*_bind_table(self.d_table, bindings))
 
     def params(self) -> frozenset:
         used = set()
@@ -313,33 +315,31 @@ def _generic_bindings(names: Sequence[str], seed: int = 0):
     return a, b
 
 
-def _bound_tables(g: LieAlgebra, bindings: Optional[Mapping[str, Fraction]], seed: int = 0):
-    """Parameter-free copies of the d-table: the one at ``bindings`` when
-    given, else the two at the seeded generic points.
+def _bind_table(d_table: Sequence[Form], bindings: Mapping[str, Fraction]):
+    """``(ctx, table)``: the d-table at ``bindings``, over the empty parameter
+    context.  A parameter left unbound or a vanishing denominator raises
+    ScalarError."""
+    ctx = FrameContext(len(d_table), ParameterContext(()))
+    scalar = ctx.params.scalar
+    table = tuple(Form(ctx, {m: scalar(c.evaluate(bindings)) for m, c in f.comps.items()})
+                  for f in d_table)
+    return ctx, table
 
-    A given binding is input: one that leaves a parameter unbound or makes a
-    denominator vanish raises ScalarError.  At a seeded point a vanishing
-    denominator is a non-generic evaluation.
-    """
+
+def _generic_value(g: LieAlgebra, seed: int, compute):
+    """``compute(table, ctx)`` on a parameter-free table; a table with
+    parameters is bound at the two seeded points, where the values must agree
+    and a vanishing denominator is a non-generic evaluation."""
     names = g.params()
     if not names:
-        return [g.d_table], g.ctx
-    ctx = FrameContext(g.ctx.dim, ParameterContext(()))
-    if bindings:
-        return [tuple(f.evaluate(bindings) for f in g.d_table)], ctx
-    tables = []
-    for bind in _generic_bindings(sorted(names), seed):
+        return compute(g.d_table, g.ctx)
+    values = set()
+    for point in _generic_bindings(names, seed):
         try:
-            tables.append(tuple(f.evaluate(bind) for f in g.d_table))
+            ctx, table = _bind_table(g.d_table, point)
         except ScalarError as exc:
             raise GenericEvaluationError(f"binding failed: {exc}") from None
-    return tables, ctx
-
-
-def _generic_value(g: LieAlgebra, bindings, seed: int, compute):
-    """``compute(table, ctx)`` on each bound table; the values must agree."""
-    tables, ctx = _bound_tables(g, bindings, seed)
-    values = {compute(table, ctx) for table in tables}
+        values.add(compute(table, ctx))
     if len(values) > 1:
         raise GenericEvaluationError("non-generic evaluation")
     return values.pop()
@@ -370,28 +370,10 @@ def _betti_of_table(d_table: Sequence[Form], ctx: FrameContext, rank_1: Optional
     return tuple(comb(n, k) - ranks[k] - ranks[k - 1] for k in range(1, n + 1))
 
 
-def betti(
-    g: LieAlgebra,
-    k: int,
-    bindings: Optional[Mapping[str, Fraction]] = None,
-    seed: int = 0,
-) -> int:
-    """dim ker(d|Lambda^k) - rank(d|Lambda^{k-1}), by exact elimination."""
-    if not 0 <= k <= g.ctx.dim:
-        raise ValueError(f"degree {k} out of range")
-    n = g.ctx.dim
-
-    def value(table, ctx):
-        rank_k = _rank_d_on_grade(table, ctx, k) if k < n else 0
-        rank_km1 = _rank_d_on_grade(table, ctx, k - 1) if k >= 1 else 0
-        return comb(n, k) - rank_k - rank_km1
-
-    return _generic_value(g, bindings, seed, value)
-
-
-def betti_numbers(g: LieAlgebra, bindings=None, seed: int = 0) -> Tuple[int, ...]:
-    """(b_1, ..., b_n) in one pass, under the same evaluation policy as ``betti``."""
-    return _generic_value(g, bindings, seed, _betti_of_table)
+def betti_numbers(g: LieAlgebra, seed: int = 0) -> Tuple[int, ...]:
+    """(b_1, ..., b_n): dim ker(d|Lambda^k) - rank(d|Lambda^{k-1}), by exact
+    elimination."""
+    return _generic_value(g, seed, _betti_of_table)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +476,6 @@ def _series(d_table: Sequence[Form], ctx: FrameContext, kernel: List[Form]):
     return lower, derived, tuple(upper)
 
 
-def series_dims(
-    g: LieAlgebra,
-    bindings: Optional[Mapping[str, Fraction]] = None,
-    seed: int = 0,
-):
-    """(lower central, derived, upper central) dimension sequences."""
-    return _generic_value(g, bindings, seed, lambda t, c: _series(t, c, _d_on_one_forms(t, c)[1]))
-
-
 # ---------------------------------------------------------------------------
 # fingerprints
 #
@@ -541,12 +514,8 @@ def _exact_two_form_data(basis: Sequence[Form], ctx: FrameContext):
     return len(basis), wedge_span, radical_dim, decomposable
 
 
-def fingerprint(
-    g: LieAlgebra,
-    bindings: Optional[Mapping[str, Fraction]] = None,
-    seed: int = 0,
-) -> Fingerprint:
-    return _generic_value(g, bindings, seed, _fingerprint_of_table)
+def fingerprint(g: LieAlgebra, seed: int = 0) -> Fingerprint:
+    return _generic_value(g, seed, _fingerprint_of_table)
 
 
 def _fingerprint_of_table(table: Sequence[Form], ctx: FrameContext) -> Fingerprint:

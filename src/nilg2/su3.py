@@ -42,7 +42,7 @@ from .exterior import (
     lefschetz_coefficients,
     standard_su3_forms,
 )
-from .liealg import BasisChange, LieAlgebra, change_basis
+from .liealg import BasisChange, LieAlgebra, change_basis, parse_salamon
 from .scalars import ParameterContext, Scalar, _fold_unicode
 
 __all__ = [
@@ -273,8 +273,6 @@ def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict
     [params] line, an [adaptation] that is not 6x6) raises
     StructureFileError.
     """
-    from .liealg import parse_salamon
-
     sections: dict = {}
     current: Optional[str] = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -322,10 +320,8 @@ def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict
         **(bindings or {}),
     }
     if bindings:
-        table = [f.evaluate(bindings) for f in algebra.d_table]
-        bound = table[0].ctx
-        algebra = LieAlgebra(bound, table)
+        algebra = algebra.bind(bindings)
         adaptation = BasisChange(
-            bound.params, [[c.evaluate(bindings) for c in row] for row in adaptation.rows]
+            algebra.ctx.params, [[c.evaluate(bindings) for c in row] for row in adaptation.rows]
         )
     return build_structure(algebra, adaptation), bindings

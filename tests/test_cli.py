@@ -327,6 +327,10 @@ def test_shared_options_merge_across_subcommand(capsys):
     # a family bound at some of its parameters
     (("--param", "lam=1", "su3", "case2"), "unbound parameter 'a1'"),
     (("--param", "lam=1", "g2t", "case1"), "unbound parameter 'k'"),
+    # a family bound where its nonzero condition fails
+    (("--param", "lam=0", "--param", "k=1", "g2t", "case1"), "degenerate parameter: lam = 0"),
+    (("--param", "lam=1", "--param", "z=1", "--param", "a1=-1", "su3", "case2"),
+     "degenerate parameter: z+a1 = 0"),
 ])
 def test_bad_input_exit_2_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

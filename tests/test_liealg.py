@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilg2.exterior import FormSyntaxError, FrameContext, parse_form
-from nilg2 import linalg
+from nilg2 import families, linalg
 from nilg2.families import FAMILIES, case2_gauge_rotation
 from nilg2.liealg import (
     NAMED_ALGEBRAS,
@@ -14,16 +14,15 @@ from nilg2.liealg import (
     LieAlgebra,
     NilpotencyError,
     SalamonSyntaxError,
-    betti,
+    betti_numbers,
     change_basis,
     fingerprint,
     is_isomorphic_via,
     jacobi_certificates,
     parse_salamon,
     salamon_str,
-    series_dims,
 )
-from nilg2.scalars import ScalarSyntaxError
+from nilg2.scalars import ParameterContext, ScalarError, ScalarSyntaxError
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +201,13 @@ def test_nilpotency_rejected(pctx):
 )
 def test_betti_golden(pctx, table, b1, b2):
     g = parse_salamon(table, pctx)
-    assert betti(g, 1) == b1
-    assert betti(g, 2) == b2
+    assert betti_numbers(g)[:2] == (b1, b2)
 
 
 def test_betti_parameterized_generic(pctx):
     g = parse_salamon("0,lam*35,k*15,-lam*15+k*25,0,lam*13", pctx)
-    assert betti(g, 1) == 2
-    assert betti(g, 2) == 4
-    assert betti(g, 1, {"lam": Fraction(5), "k": Fraction(9)}) == 2
+    assert betti_numbers(g)[:2] == (2, 4)
+    assert betti_numbers(g.bind({"lam": Fraction(5), "k": Fraction(9)}))[0] == 2
 
 
 def test_betti_non_generic_binding(pctx):
@@ -218,14 +215,14 @@ def test_betti_non_generic_binding(pctx):
     lam = k = 0 the table is the abelian one, b1 = 6, while the generic
     value is 2.  Unbound tables are still sampled at two seeded points."""
     g = parse_salamon("0,lam*35,k*15,-lam*15+k*25,0,lam*13", pctx)
-    assert betti(g, 1, {"lam": Fraction(0), "k": Fraction(0)}) == 6
-    assert betti(g, 1, {"lam": Fraction(0), "k": Fraction(1)}) == 4
-    assert betti(g, 1) == 2
+    assert betti_numbers(g.bind({"lam": Fraction(0), "k": Fraction(0)}))[0] == 6
+    assert betti_numbers(g.bind({"lam": Fraction(0), "k": Fraction(1)}))[0] == 4
+    assert betti_numbers(g)[0] == 2
     # seed 0 samples lam = 2, a zero of the coefficient; seed 1 does not
     h = parse_salamon("0,0,0,0,0,(lam-2)*12", pctx)
     with pytest.raises(GenericEvaluationError):
-        betti(h, 1)
-    assert betti(h, 1, seed=1) == 5
+        betti_numbers(h)
+    assert betti_numbers(h, seed=1)[0] == 5
 
 
 def test_euler_characteristic_vanishes(pctx):
@@ -233,26 +230,64 @@ def test_euler_characteristic_vanishes(pctx):
                   "0,0,0,0,0,0", "0,0,12,13,23,14-25"):
         g = parse_salamon(table, pctx)
         total = 1  # b0
-        for k in range(1, 7):
-            total += (-1) ** k * betti(g, k)
+        for k, b in enumerate(betti_numbers(g), start=1):
+            total += (-1) ** k * b
         assert total == 0
 
 
 def test_b1_at_least_two_nonabelian(pctx):
     for table in ("0,0,12,13,23,14", "0,0,0,12,23,14+35", "0,0,0,0,13+42,14+23"):
-        assert betti(parse_salamon(table, pctx), 1) >= 2
+        assert betti_numbers(parse_salamon(table, pctx))[0] >= 2
 
 
 def test_series_dims_golden(pctx):
-    case2 = parse_salamon("0,lam*35,0,-lam*15,(z+a1)*13,a1*14+z*23+lam*13", pctx)
-    lower, derived, upper = series_dims(case2)
-    assert lower == (6, 4, 3, 1, 0)
-    assert derived == (6, 4, 0)
-    assert upper == (1, 3, 4, 6)
+    case2 = fingerprint(parse_salamon("0,lam*35,0,-lam*15,(z+a1)*13,a1*14+z*23+lam*13", pctx))
+    assert case2.lower_central == (6, 4, 3, 1, 0)
+    assert case2.derived == (6, 4, 0)
+    assert case2.upper_central == (1, 3, 4, 6)
     case3 = parse_salamon("0,lam*35,0,-lam*15,0,a1*14-a1*23+lam*13", pctx)
-    assert series_dims(case3)[0] == (6, 3, 1, 0)
+    assert fingerprint(case3).lower_central == (6, 3, 1, 0)
     torus = parse_salamon("0,0,0,0,0,0", pctx)
-    assert series_dims(torus)[0] == (6, 0)
+    assert fingerprint(torus).lower_central == (6, 0)
+
+
+# ---------------------------------------------------------------------------
+# binding
+# ---------------------------------------------------------------------------
+
+
+def test_bind_gives_the_table_at_the_binding(pctx):
+    case1 = parse_salamon(FAMILIES["case1"].table, pctx)
+    bound = case1.bind({"lam": Fraction(1), "k": Fraction(2)})
+    expected = parse_salamon("0,35,2*15,-15+2*25,0,13", ParameterContext(()))
+    assert bound.d_table == expected.d_table
+    assert not bound.params()
+
+
+def test_bind_errors_are_scalar_errors(pctx):
+    case1 = parse_salamon(FAMILIES["case1"].table, pctx)
+    with pytest.raises(ScalarError, match="^unbound parameter 'k'$"):
+        case1.bind({"lam": Fraction(1)})
+    g = parse_salamon("0,0,0,0,0,1/(lam-1)*12", pctx)
+    with pytest.raises(ScalarError, match="denominator vanishes at binding"):
+        g.bind({"lam": Fraction(1)})
+
+
+def test_bound_instantiate_binds_the_cached_family(pctx, monkeypatch):
+    """A bound family is the memoized symbolic one, bound: once that is
+    cached, binding parses no table."""
+    binding = {"lam": Fraction(1), "k": Fraction(2)}
+    first, _ = families.instantiate("case1", binding, params=pctx)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse_salamon(*args, **kwargs)
+
+    monkeypatch.setattr(families, "parse_salamon", counting)
+    again, _ = families.instantiate("case1", binding, params=pctx)
+    assert calls == []
+    assert again == first == families.instantiate("case1", params=pctx)[0].bind(binding)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,23 @@ def _merge_sign(a: int, b: int) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _wedge(a: Mapping, b: Mapping) -> dict:
+    """The components of a ^ b from those of a and b, whatever their values
+    (Scalars or ints); a sum that cancels is kept as a zero."""
+    comps: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            term = ca * cb
+            if _merge_sign(ma, mb) < 0:
+                term = -term
+            prev = comps.get(m)
+            comps[m] = term if prev is None else prev + term
+    return comps
+
+
 class FrameContext:
     """An orthonormal coframe e^1..e^n, n in {6, 7}; for n = 7, e^7 = dt."""
 
@@ -217,19 +234,7 @@ class Form:
 
     def wedge(self, other: "Form") -> "Form":
         self._require_same(other)
-        comps: Dict[int, Scalar] = {}
-        for ma, ca in self.comps.items():
-            for mb, cb in other.comps.items():
-                if ma & mb:
-                    continue
-                sign = _merge_sign(ma, mb)
-                m = ma | mb
-                term = ca * cb
-                if sign < 0:
-                    term = -term
-                prev = comps.get(m)
-                comps[m] = term if prev is None else prev + term
-        return Form(self.ctx, comps)
+        return Form(self.ctx, _wedge(self.comps, other.comps))
 
     def __str__(self):
         return form_str(self)

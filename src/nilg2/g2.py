@@ -141,9 +141,8 @@ def _lee_solver(star_phi: Form):
     pivot (a 1-form mask) records the combination of equations that gave
     it.  Returns, per pivot, that combination as its nonzero ``(mask, entry)``
     pairs: the pivot's component of theta is their dot product with d*phi,
-    and free unknowns are zero, as in ``linalg.solve``.  For the standard
-    *phi the columns are orthogonal with Gram 3 I and each combination has
-    one entry.
+    and free unknowns are zero.  For the standard *phi the columns are
+    orthogonal with Gram 3 I and each combination has one entry.
     """
     ctx = star_phi.ctx
     one = ctx.params.one

@@ -4,11 +4,13 @@ An algebra is given by the 2-forms d e^i (Salamon notation); the bracket is
 recovered by the Chevalley-Eilenberg convention d e^i(X, Y) = -e^i([X, Y]).
 The differential extends to all grades as the unique degree +1 derivation.
 
-The invariants (``betti_numbers``, ``fingerprint``) are computed by exact
-elimination over Q; the fingerprint section lists which elimination gives
-which field.  ``LieAlgebra.bind`` evaluates the table at a binding; a
-binding that leaves a parameter unbound or makes a denominator vanish raises
-``ScalarError``.  An invariant of a table with unbound parameters is
+The invariants (``betti_numbers``, ``fingerprint``) of a parameter-free
+table are computed in Python ints on L*d, the table times the lcm L of its
+denominators, by fraction-free elimination.  No invariant changes: d enters
+linearly, and a rank, kernel or preimage is that of any nonzero multiple.
+The fingerprint section lists which elimination gives which field.
+``LieAlgebra.bind`` evaluates the table at a binding; a binding that leaves
+a parameter unbound or makes a denominator vanish raises ``ScalarError``.  An invariant of a table with unbound parameters is
 evaluated at two points with disjoint prime coordinates, moved by ``seed``;
 the two values must agree, else :class:`GenericEvaluationError` is raised.
 That is a sampled generic value, not an identity in the parameters.
@@ -20,7 +22,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -33,8 +35,10 @@ from .exterior import (
     _last_top_level_star,
     _merge_sign,
     _split_signed_terms,
+    _wedge,
 )
-from .scalars import ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _fold_with_origins
+from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly,
+                      _eval_poly, _fold_unicode, _fold_with_origins)
 
 __all__ = [
     "LieAlgebra",
@@ -70,25 +74,42 @@ class SalamonSyntaxError(ValueError):
         self.position = position
 
 
-def _d_on_form(d_table: Sequence[Form], a: Form) -> Form:
+def _leibniz(table: Sequence[Mapping], comps: Mapping, one) -> dict:
     """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0).
 
-    A coefficient that is the context's one multiplies nothing: d on a basis
-    word takes the table entries with their signs."""
-    one = a.ctx.params.one
-    comps: Dict[int, Scalar] = {}
-    for mask, coeff in a.comps.items():
+    ``table`` holds the components of the d e^i and ``comps`` those of the
+    form, with Scalar or int values whose unit is ``one``.  A coefficient
+    that is ``one`` multiplies nothing: d on a basis word takes the table
+    entries with their signs.  A sum that cancels is kept as a zero."""
+    out: dict = {}
+    for mask, coeff in comps.items():
         for j, idx in enumerate(_bits(mask)):
             rest = mask & ~(1 << (idx - 1))
-            for m2, c2 in d_table[idx - 1].comps.items():
+            for m2, c2 in table[idx - 1].items():
                 if m2 & rest:
                     continue
                 term = c2 if coeff is one else c2 * coeff
                 if (j % 2 == 1) != (_merge_sign(m2, rest) < 0):
                     term = -term
-                prev = comps.get(m2 | rest)
-                comps[m2 | rest] = term if prev is None else prev + term
-    return Form(a.ctx, comps)
+                prev = out.get(m2 | rest)
+                out[m2 | rest] = term if prev is None else prev + term
+    return out
+
+
+def _d_on_form(d_table: Sequence[Form], a: Form) -> Form:
+    return Form(a.ctx, _leibniz([f.comps for f in d_table], a.comps, a.ctx.params.one))
+
+
+def _nonzero(comps: Mapping) -> dict:
+    return {m: c for m, c in comps.items() if c}
+
+
+def _integer_table(table: Sequence[Mapping]) -> List[Dict[int, int]]:
+    """L*d as {mask: int} maps, from the {mask: Fraction} maps of a
+    parameter-free table, L the lcm of their denominators."""
+    scale = lcm(*{x.denominator for row in table for x in row.values()})
+    return [{m: x.numerator * (scale // x.denominator) for m, x in row.items() if x}
+            for row in table]
 
 
 def jacobi_certificates(d_table: Sequence[Form]) -> List[Tuple[int, Form]]:
@@ -159,14 +180,20 @@ class LieAlgebra:
         return True
 
     def _check_filtration(self) -> bool:
-        """V_{j+1} = {x : d x in Lambda^2 V_j} must exhaust Lambda^1."""
-        kernel = _d_on_one_forms(self.d_table, self.ctx)[1]
-        return _climb(self.d_table, self.ctx, _pair_wedges, kernel)[-1] == self.ctx.dim
+        """V_{j+1} = {x : d x in Lambda^2 V_j} must exhaust Lambda^1; a
+        parameter-free table climbs in ints, as the invariants do."""
+        n = self.ctx.dim
+        table, one = (([f.comps for f in self.d_table], self.ctx.params.one) if self.params()
+                      else (_integer_table(_bind_table(self.d_table, {})), 1))
+        kernel = _reduce_one_forms(table, n, one)[1]
+        return _climb(table, n, one, _pair_wedges, kernel)[-1] == n
 
     def bind(self, bindings: Mapping[str, Fraction]) -> "LieAlgebra":
         """The algebra at ``bindings``, over the empty parameter context;
         Jacobi and nilpotency are checked again."""
-        return LieAlgebra(*_bind_table(self.d_table, bindings))
+        ctx = FrameContext(self.ctx.dim, ParameterContext(()))
+        return LieAlgebra(ctx, [Form(ctx, {m: Scalar(ctx.params, x) for m, x in row.items()})
+                                for row in _bind_table(self.d_table, bindings)])
 
     def params(self) -> frozenset:
         used = set()
@@ -316,57 +343,65 @@ def _generic_bindings(names: Sequence[str], seed: int = 0):
 
 
 def _bind_table(d_table: Sequence[Form], bindings: Mapping[str, Fraction]):
-    """``(ctx, table)``: the d-table at ``bindings``, over the empty parameter
-    context.  A parameter left unbound or a vanishing denominator raises
-    ScalarError."""
-    ctx = FrameContext(len(d_table), ParameterContext(()))
-    scalar = ctx.params.scalar
-    table = tuple(Form(ctx, {m: scalar(c.evaluate(bindings)) for m, c in f.comps.items()})
-                  for f in d_table)
-    return ctx, table
+    """The d-table at ``bindings`` as {mask: Fraction} maps, with the bindings
+    folded once: a native polynomial is evaluated here, a field value by
+    ``Scalar.evaluate``.  A parameter of the table left unbound (the first in
+    the context's order) or a vanishing denominator raises ScalarError."""
+    names = d_table[0].ctx.params.names
+    folded = {_fold_unicode(k): Fraction(v) for k, v in bindings.items()}
+    symbolic = [c for f in d_table for c in f.comps.values() if type(c.raw) is not Fraction]
+    for i, nm in enumerate(names):
+        if nm not in folded and any(any(mono[i] for mono in c.raw.coeffs)
+                                    if type(c.raw) is _Poly else nm in c.params()
+                                    for c in symbolic):
+            raise ScalarError(f"unbound parameter {nm!r}")
+
+    def value(c: Scalar) -> Fraction:
+        if type(c.raw) is _Poly:
+            return _eval_poly(c.raw.numer, names, folded) / c.raw.den
+        return c.raw if type(c.raw) is Fraction else c.evaluate(folded)
+
+    return [{m: value(c) for m, c in f.comps.items()} for f in d_table]
 
 
 def _generic_value(g: LieAlgebra, seed: int, compute):
-    """``compute(table, ctx)`` on a parameter-free table; a table with
-    parameters is bound at the two seeded points, where the values must agree
-    and a vanishing denominator is a non-generic evaluation."""
+    """``compute(table, n)`` on the integer table of a parameter-free
+    algebra; a table with parameters is bound at the two seeded points, where
+    the values must agree and a vanishing denominator is a non-generic
+    evaluation."""
     names = g.params()
-    if not names:
-        return compute(g.d_table, g.ctx)
     values = set()
-    for point in _generic_bindings(names, seed):
+    for point in _generic_bindings(names, seed) if names else [{}]:
         try:
-            ctx, table = _bind_table(g.d_table, point)
+            table = _bind_table(g.d_table, point)
         except ScalarError as exc:
             raise GenericEvaluationError(f"binding failed: {exc}") from None
-        values.add(compute(table, ctx))
+        values.add(compute(_integer_table(table), g.ctx.dim))
     if len(values) > 1:
         raise GenericEvaluationError("non-generic evaluation")
     return values.pop()
 
 
-def _rank_d_on_grade(d_table: Sequence[Form], ctx: FrameContext, k: int) -> int:
-    images = [_d_on_form(d_table, Form(ctx, {m: ctx.params.one})).comps
-              for m in _basis_masks(ctx.dim, k)]
-    return linalg.sparse_rank(images, _basis_masks(ctx.dim, k + 1))
+def _rank_d_on_grade(table: Sequence[Mapping], n: int, k: int) -> int:
+    images = [_nonzero(_leibniz(table, {m: 1}, 1)) for m in _basis_masks(n, k)]
+    return linalg.sparse_rank(images, _basis_masks(n, k + 1))
 
 
-def _betti_of_table(d_table: Sequence[Form], ctx: FrameContext, rank_1: Optional[int] = None):
-    """(b_1, ..., b_n) of a parameter-free table; rank(d|Lambda^1) may be given.
+def _betti_of_table(table: Sequence[Mapping], n: int, rank_1: Optional[int] = None):
+    """(b_1, ..., b_n) of an integer table; rank(d|Lambda^1) may be given.
 
     Each rank of d is computed at most once: rank d_0 = rank d_n = 0, and
     when rank d_{n-1} = 0 the algebra is unimodular and Poincare duality
     gives rank d_k = rank d_{n-1-k} (Koszul, Bull. SMF 78, 1950).
     """
-    n = ctx.dim
     ranks = [0] * (n + 1)
-    ranks[1] = _rank_d_on_grade(d_table, ctx, 1) if rank_1 is None else rank_1
-    ranks[n - 1] = _rank_d_on_grade(d_table, ctx, n - 1)
+    ranks[1] = _rank_d_on_grade(table, n, 1) if rank_1 is None else rank_1
+    ranks[n - 1] = _rank_d_on_grade(table, n, n - 1)
     for k in range(2, n - 1):
         if ranks[n - 1] == 0 and n - 1 - k < k:
             ranks[k] = ranks[n - 1 - k]
         else:
-            ranks[k] = _rank_d_on_grade(d_table, ctx, k)
+            ranks[k] = _rank_d_on_grade(table, n, k)
     return tuple(comb(n, k) - ranks[k] - ranks[k - 1] for k in range(1, n + 1))
 
 
@@ -378,47 +413,40 @@ def betti_numbers(g: LieAlgebra, seed: int = 0) -> Tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # characteristic series, read off the dual filtrations of Lambda^1
+#
+# These helpers take the table as the components of the d e^i, {mask: value}
+# maps, with ``one`` the unit of the values: ints for the invariants, the
+# context's Scalars for the nilpotency check of a table with parameters.
 # ---------------------------------------------------------------------------
 
 
-def _transpose(forms: Sequence[Form]) -> List[Dict[int, Scalar]]:
+def _transpose(forms: Sequence[Mapping]) -> List[dict]:
     """Sparse rows of the matrix whose column j holds the components of forms[j]."""
-    rows: Dict[int, Dict[int, Scalar]] = {}
+    rows: Dict[int, dict] = {}
     for j, f in enumerate(forms):
-        for mask, c in f.comps.items():
+        for mask, c in f.items():
             rows.setdefault(mask, {})[j] = c
     return list(rows.values())
 
 
-def _d_on_one_forms(d_table: Sequence[Form], ctx: FrameContext):
-    """Bases of d Lambda^1 and ker d|Lambda^1 from one reduction of the rows
-    [d e^i | e_i], with columns Lambda^2, then e^n, ..., e^1: the rows with a
-    pivot in Lambda^2 and those with an empty Lambda^2 part.  Each kernel form
-    is 1 at its highest index, where the others vanish, as in ``_preimage``."""
-    one = ctx.params.one
-    rows = [{**f.comps, 1 << i: one} for i, f in enumerate(d_table)]
-    cols = _basis_masks(ctx.dim, 2) + [1 << i for i in reversed(range(ctx.dim))]
-    reduced = list(zip(*linalg.sparse_rref(rows, cols, ctx.params)))
-    image = [Form(ctx, {m: c for m, c in row.items() if m & (m - 1)})
-             for row, pivot in reduced if pivot & (pivot - 1)]
-    return image, [Form(ctx, row) for row, pivot in reduced if not pivot & (pivot - 1)]
+def _reduce_one_forms(table: Sequence[Mapping], n: int, one, span: Sequence[Mapping] = ()):
+    """(image, preimage) from one echelon form of the rows [s | 0], for the
+    2-forms s of ``span``, and [d e^i | e_i], with columns Lambda^2, then
+    e^n, ..., e^1.
+
+    The Lambda^2 parts of the rows with a pivot there are a basis of ``span``
+    + d Lambda^1, the image.  The rows with an empty Lambda^2 part are a basis
+    of the 1-forms x with d x in the span of ``span`` (with no span, ker
+    d|Lambda^1), each with its pivot at its highest index."""
+    rows = list(span) + [{**t, 1 << i: one} for i, t in enumerate(table)]
+    cols = _basis_masks(n, 2) + [1 << i for i in reversed(range(n))]
+    reduced, pivots = linalg._eliminate(rows, cols, full=False)
+    image = [{m: c for m, c in row.items() if m & (m - 1)}
+             for row, pivot in zip(reduced, pivots) if pivot & (pivot - 1)]
+    return image, [row for row, pivot in zip(reduced, pivots) if not pivot & (pivot - 1)]
 
 
-def _preimage(d_table: Sequence[Form], ctx: FrameContext, span: Sequence[Form]) -> List[Form]:
-    """A basis of the 1-forms x with d x in the span of independent 2-forms.
-
-    These are the x-parts of the kernel of (y, x) -> sum y_j s_j + sum x_i d e^i;
-    the span's columns, placed first, are all pivots.  A free column's kernel
-    vector is 1 there and elsewhere nonzero only in earlier pivot columns: each
-    x-part is 1 at its highest index, where the others vanish.
-    """
-    m = len(span)
-    forms = list(span) + list(d_table)
-    solutions = linalg.sparse_kernel(_transpose(forms), range(len(forms)), ctx.params)
-    return [Form(ctx, {1 << (j - m): c for j, c in v.items() if j >= m}) for v in solutions]
-
-
-def _climb(d_table: Sequence[Form], ctx: FrameContext, generators, w: List[Form]) -> List[int]:
+def _climb(table: Sequence[Mapping], n: int, one, generators, w: List[dict]) -> List[int]:
     """Dimensions of 0 c W_1 c W_2 ... with W_{k+1} = d^{-1} span generators(W_k),
     from the basis ``w`` of W_1 = ker d|Lambda^1.
 
@@ -427,64 +455,72 @@ def _climb(d_table: Sequence[Form], ctx: FrameContext, generators, w: List[Form]
     dims = [0]
     while len(w) > dims[-1]:
         dims.append(len(w))
-        if len(w) == ctx.dim:
+        if len(w) == n:
             break
-        w = _preimage(d_table, ctx, generators(ctx, w))
+        w = _reduce_one_forms(table, n, one, generators(w, n, one))[1]
     return dims
 
 
-def _pair_wedges(ctx: FrameContext, w: Sequence[Form]) -> List[Form]:
+def _pair_wedges(w: Sequence[Mapping], n: int, one) -> List[dict]:
     """Lambda^2 W: ann g^{k+1} = {a : d a in Lambda^2 ann g^k}."""
-    return [a.wedge(b) for a, b in itertools.combinations(w, 2)]
+    return [_nonzero(_wedge(a, b)) for a, b in itertools.combinations(w, 2)]
 
 
-def _ideal_wedges(ctx: FrameContext, w: Sequence[Form]) -> List[Form]:
+def _ideal_wedges(w: Sequence[Mapping], n: int, one) -> List[dict]:
     """W ^ Lambda^1: ann g^(k+1) = {a : d a in ann g^(k) ^ Lambda^1}.
 
-    A basis: Lambda^2 W and w ^ e^j for j outside the highest indices of
-    the w (in the shape ``_preimage`` returns), whose e^j complement W.
+    A spanning set: Lambda^2 W and w ^ e^j for j outside the highest indices
+    of the w (in the shape ``_reduce_one_forms`` returns), whose e^j
+    complement W.
     """
-    leads = {max(a.comps) for a in w}
-    rest = [ctx.basis(i) for i in range(1, ctx.dim + 1) if 1 << (i - 1) not in leads]
-    return _pair_wedges(ctx, w) + [a.wedge(e) for a in w for e in rest]
+    leads = {max(a) for a in w}
+    rest = [{1 << i: one} for i in range(n) if 1 << i not in leads]
+    return _pair_wedges(w, n, one) + [_nonzero(_wedge(a, e)) for a in w for e in rest]
 
 
-def _series(d_table: Sequence[Form], ctx: FrameContext, kernel: List[Form]):
-    """(lower central, derived, upper central) dimensions of a parameter-free
-    table, given a basis of ker d|Lambda^1 from ``_d_on_one_forms``."""
-    n = ctx.dim
-    lower = tuple(n - k for k in _climb(d_table, ctx, _pair_wedges, kernel))
-    derived = tuple(n - k for k in _climb(d_table, ctx, _ideal_wedges, kernel))
+def _series(table: Sequence[Mapping], n: int, kernel: List[dict]):
+    """(lower central, derived, upper central) dimensions of an integer
+    table, given a basis of ker d|Lambda^1 from ``_reduce_one_forms``."""
+    lower = tuple(n - k for k in _climb(table, n, 1, _pair_wedges, kernel))
+    derived = tuple(n - k for k in _climb(table, n, 1, _ideal_wedges, kernel))
     # ann Z_{k+1} = span{e_b _| d a : a in ann Z_k}, from ann Z_0 = Lambda^1
     cols = [1 << i for i in range(n)]
     upper: List[int] = []
-    images = d_table
+    images = table
     while True:
         # each e_b _| d a in one pass over d a: c e^{ij} (i < j) gives c e^j
         # to e_i and -c e^i to e_j
-        rows: Dict[tuple, Dict[int, Scalar]] = {}
+        rows: Dict[tuple, dict] = {}
         for k, da in enumerate(images):
-            for mask, c in da.comps.items():
+            for mask, c in da.items():
                 low = mask & -mask
                 rows.setdefault((k, low), {})[mask ^ low] = c
                 rows.setdefault((k, mask ^ low), {})[low] = -c
-        ann, _ = linalg.sparse_rref(list(rows.values()), cols, ctx.params)
+        ann = linalg._eliminate(list(rows.values()), cols, full=False)[0]
         if upper and upper[-1] == n - len(ann):
             break
         upper.append(n - len(ann))
-        images = [_d_on_form(d_table, Form(ctx, a)) for a in ann]
+        images = [_nonzero(_leibniz(table, a, 1)) for a in ann]
     return lower, derived, tuple(upper)
 
 
 # ---------------------------------------------------------------------------
 # fingerprints
 #
+# A parameter-free table's invariants are computed in Python ints on L*d,
+# the table times the lcm L of its denominators (``_integer_table``).  No
+# invariant changes: the Leibniz rule is linear in the table, so L*d is L
+# times d on every grade, and a rank, a kernel or the preimage of a span is
+# the same for a nonzero multiple of a map (the algebra with brackets L[.,.]
+# is isomorphic to g through x -> L*x).  Every elimination then runs
+# fraction-free in ints (``linalg``).
+#
 # The eliminations of one table and the fields they give:
 # - the rows [d e^i | e_i], once: wedge_data[0] = rank d|Lambda^1, a basis of
 #   d Lambda^1, and a basis of W_1 = ker d|Lambda^1 for both climbs;
 # - two ranks on the products of that basis: wedge_data[1:] (the products
 #   give exact_two_forms_decomposable);
-# - one kernel per climb step after W_1: lower_central and derived;
+# - one reduction per climb step after W_1: lower_central and derived;
 # - one reduction of the contractions e_b _| d a per level: upper_central;
 # - d on Lambda^{n-1} and on each grade duality does not give: betti.
 # ---------------------------------------------------------------------------
@@ -501,13 +537,13 @@ class Fingerprint:
     """(rank of d on 1-forms, dim span{x^y : x,y exact}, dim of the wedge radical)."""
 
 
-def _exact_two_form_data(basis: Sequence[Form], ctx: FrameContext):
+def _exact_two_form_data(basis: Sequence[Mapping], n: int):
     """Rank d|Lambda^1, dim span{x ^ y}, dim of the wedge radical and
     decomposability, from a basis of the exact 2-forms d Lambda^1."""
-    products = [[x.wedge(y) for y in basis] for x in basis]
-    decomposable = all(p.is_zero for row in products for p in row)
-    upper_half = [p.comps for i, row in enumerate(products) for p in row[i:]]
-    wedge_span = linalg.sparse_rank(upper_half, _basis_masks(ctx.dim, 4))
+    products = [[_nonzero(_wedge(x, y)) for y in basis] for x in basis]
+    decomposable = not any(p for row in products for p in row)
+    upper_half = [p for i, row in enumerate(products) for p in row[i:]]
+    wedge_span = linalg.sparse_rank(upper_half, _basis_masks(n, 4))
     # the radical: combinations y of the basis with x ^ y = 0 for every x
     radical_rows = [row for x_products in products for row in _transpose(x_products)]
     radical_dim = len(basis) - linalg.sparse_rank(radical_rows, range(len(basis)))
@@ -518,12 +554,12 @@ def fingerprint(g: LieAlgebra, seed: int = 0) -> Fingerprint:
     return _generic_value(g, seed, _fingerprint_of_table)
 
 
-def _fingerprint_of_table(table: Sequence[Form], ctx: FrameContext) -> Fingerprint:
-    image, kernel = _d_on_one_forms(table, ctx)
-    rank_d, wedge_span, radical, decomposable = _exact_two_form_data(image, ctx)
-    series = _series(table, ctx, kernel)
+def _fingerprint_of_table(table: Sequence[Mapping], n: int) -> Fingerprint:
+    image, kernel = _reduce_one_forms(table, n, 1)
+    rank_d, wedge_span, radical, decomposable = _exact_two_form_data(image, n)
+    series = _series(table, n, kernel)
     return Fingerprint(
-        betti=_betti_of_table(table, ctx, rank_d),
+        betti=_betti_of_table(table, n, rank_d),
         lower_central=series[0],
         derived=series[1],
         upper_central=series[2],

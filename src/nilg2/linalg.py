@@ -1,14 +1,23 @@
-"""Exact sparse linear algebra over the scalar field.
+"""Exact sparse linear algebra.
 
-The ``sparse_*`` functions take rows as mappings ``{column: Scalar}`` without
-zero entries plus a column order (a Form's ``comps`` is one, with basis masks
-as columns); ``rref``, ``rank``, ``kernel``, ``solve`` and ``invert`` take dense
-rows (lists of Scalars).  All run the one Gauss-Jordan loop, with exact arithmetic.
+Rows are mappings ``{column: value}`` without zero entries, given with a
+column order (a Form's ``comps`` is one, with basis masks as columns); all
+functions run the one elimination loop on copies of the rows.  Int rows
+reduce fraction-free: a pivot p clears the entry f of another row by
+row := (p*row - f*pivot_row)/gcd(p, f), and the row is then divided by its
+content (Bareiss, Math. Comp. 22, 1968, without his exact division), so
+every value stays an int; ``liealg``'s invariants run this way.  Scalar rows
+without parameters are cleared into int rows, each times the lcm of its
+denominators; ``sparse_rref`` divides their reduced rows by their pivots.
+Rows with parameters are pivoted over the field.  ``kernel`` and ``invert``
+take dense rows (lists of Scalars).
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Sequence, Tuple
+from fractions import Fraction
+from math import gcd, lcm
+from typing import List, Mapping, Optional, Sequence
 
 from .scalars import ParameterContext, Scalar
 
@@ -16,17 +25,14 @@ Row = List[Scalar]
 
 
 def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
-    """The elimination loop: (pivot rows, pivot columns, demoted).
+    """(pivot rows, pivot columns) of the echelon form of copies of ``rows``,
+    whose values are all ints or all Scalars.
 
-    A pivot row is cleared from the later rows and, with ``full`` (the reduced
-    row echelon form; the rank needs none of it), from the earlier pivot rows.
-    Parameter-free matrices are reduced, and left, as plain Fractions (``demoted``).
+    A pivot row is cleared from the later rows and, with ``full`` (the
+    reduced row echelon form up to the scale of each int row; a rank or a
+    basis of the row space needs none of it), from the earlier pivot rows.
     """
-    demoted = all(x.is_rational for row in rows for x in row.values())
-    if demoted:
-        pending = [{c: x.as_fraction() for c, x in row.items()} for row in rows if row]
-    else:
-        pending = [dict(row) for row in rows if row]
+    pending = [dict(row) for row in rows if row]
     done: List[dict] = []
     pivots: list = []
     for c in cols:
@@ -34,13 +40,21 @@ def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
         if pivot is None:
             continue
         row = pending.pop(pivot)
-        if row[c] != 1:
-            inv = 1 / row[c]
+        p = row[c]
+        integer = type(p) is int
+        if not integer and p != 1:
+            inv = 1 / p
             row = {k: x * inv for k, x in row.items()}
         for other in pending + done if full else pending:
             f = other.get(c)
             if f is None:
                 continue
+            if integer:
+                g = gcd(p, f) if p > 0 else -gcd(p, f)
+                s, f = p // g, f // g
+                if s != 1:
+                    for k in other:
+                        other[k] *= s
             for k, b in row.items():
                 a = other.get(k)
                 a = -(f * b) if a is None else a - f * b
@@ -48,21 +62,43 @@ def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
                     other[k] = a
                 else:
                     del other[k]
+            if integer and other:
+                g = gcd(*other.values())
+                if g > 1:
+                    for k in other:
+                        other[k] //= g
         done.append(row)
         pivots.append(c)
-    return done, pivots, demoted
+    return done, pivots
+
+
+def _cleared(rows: Sequence[Mapping]) -> Optional[List[dict]]:
+    """Parameter-free Scalar rows as int rows, each multiplied by the lcm of
+    its denominators; None when a value has parameters."""
+    out = []
+    for row in rows:
+        raws = [x.raw for x in row.values()]
+        if not all(type(r) is Fraction for r in raws):
+            return None
+        scale = lcm(*{r.denominator for r in raws})
+        out.append({c: r.numerator * (scale // r.denominator) for c, r in zip(row, raws)})
+    return out
 
 
 def sparse_rref(rows: Sequence[Mapping], cols: Sequence, ctx: ParameterContext):
     """(nonzero rows of the reduced row echelon form, their pivot columns)."""
-    red, pivots, demoted = _eliminate(rows, cols)
-    if demoted:
-        red = [{c: Scalar(ctx, x) for c, x in row.items()} for row in red]
-    return red, pivots
+    integer = _cleared(rows)
+    if integer is None:
+        return _eliminate(rows, cols)
+    red, pivots = _eliminate(integer, cols)
+    return [{k: Scalar(ctx, Fraction(x, row[p])) for k, x in row.items()}
+            for row, p in zip(red, pivots)], pivots
 
 
 def sparse_rank(rows: Sequence[Mapping], cols: Sequence) -> int:
-    """Number of pivots, read off the echelon form."""
+    """Number of pivots, read off the echelon form; rows of ints or Scalars."""
+    if isinstance(next((x for row in rows for x in row.values()), None), Scalar):
+        rows = _cleared(rows) or rows
     return len(_eliminate(rows, cols, full=False)[1])
 
 
@@ -79,48 +115,13 @@ def _sparse(rows: Sequence[Sequence[Scalar]]) -> List[dict]:
     return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
-def _dense(rows: Sequence[Mapping], ncols: int, ctx: ParameterContext) -> List[Row]:
-    return [[row.get(c, ctx.zero) for c in range(ncols)] for row in rows]
-
-
-def rref(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form (zero rows last) and pivot column list."""
-    if not rows:
-        return [], []
-    red, pivots = sparse_rref(_sparse(rows), range(len(rows[0])), ctx)
-    return _dense(red + [{}] * (len(rows) - len(red)), len(rows[0]), ctx), pivots
-
-
-def rank(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> int:
-    """Number of pivots."""
-    return sparse_rank(_sparse(rows), range(len(rows[0]))) if rows else 0
-
-
 def kernel(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> List[Row]:
     """Basis of the right kernel of the matrix."""
     if not rows:
         return []
     n = len(rows[0])
-    return _dense(sparse_kernel(_sparse(rows), range(n), ctx), n, ctx)
-
-
-def solve(
-    rows: Sequence[Sequence[Scalar]],
-    rhs: Sequence[Scalar],
-    ctx: ParameterContext,
-) -> Optional[Row]:
-    """One exact solution of ``rows @ x = rhs``, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return [] if all(b.is_zero for b in rhs) else None
-    n = len(rows[0])
-    aug = _sparse([list(r) + [b] for r, b in zip(rows, rhs)])
-    red, pivots = sparse_rref(aug, range(n + 1), ctx)
-    if n in pivots:
-        return None
-    return _dense([{pc: row[n] for row, pc in zip(red, pivots) if n in row}], n, ctx)[0]
+    return [[v.get(c, ctx.zero) for c in range(n)]
+            for v in sparse_kernel(_sparse(rows), range(n), ctx)]
 
 
 def invert(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Optional[List[Row]]:

@@ -230,8 +230,14 @@ def _dense_lefschetz(a, om, psip, psim, slot):
     columns = [om.wedge(om)] + [ctx.basis(i).wedge(psi) for i in range(1, 7)]
     columns += [w.wedge(om) for w in w2_basis]
     masks = [ctx.basis(*combo) for combo in combinations(range(1, 7), 4)]
-    rows = [[inner(col, m) for col in columns] for m in masks]
-    x = linalg.solve(rows, [inner(a, m) for m in masks], pctx)
+    n = len(columns)
+    rows = [{j: x for j, x in enumerate([inner(col, m) for col in columns] + [inner(a, m)]) if x}
+            for m in masks]
+    red, pivots = linalg.sparse_rref(rows, range(n + 1), pctx)
+    assert n not in pivots
+    x = [pctx.zero] * n
+    for row, pc in zip(red, pivots):
+        x[pc] = row.get(n, pctx.zero)
     gamma = sum((ctx.basis(i + 1).scale(x[1 + i]) for i in range(6)), ctx.zero_form())
     w2 = sum((w.scale(c) for w, c in zip(w2_basis, x[7:])), ctx.zero_form())
     return x[0], gamma, w2
@@ -276,12 +282,12 @@ def test_lefschetz_form_outside_module_rejected(frame6, std_forms):
     e = frame6.basis
     om = e(1, 2) + e(3, 4)
     a = e(3, 4, 5, 6)
-    pctx = frame6.params
     masks = [e(*combo) for combo in combinations(range(1, 7), 4)]
     columns = [om.wedge(om)] + [e(i).wedge(psip) for i in range(1, 7)]
     columns += [w.wedge(om) for w in primitive_11_basis(om, psip, psim)]
-    span = [[inner(col, m) for m in masks] for col in columns]
-    assert linalg.rank(span + [[inner(a, m) for m in masks]], pctx) > linalg.rank(span, pctx)
+    span = [{j: inner(col, m) for j, m in enumerate(masks) if inner(col, m)} for col in columns]
+    outside = {j: inner(a, m) for j, m in enumerate(masks) if inner(a, m)}
+    assert linalg.sparse_rank(span + [outside], range(15)) > linalg.sparse_rank(span, range(15))
     with pytest.raises(ExteriorError, match="outside expected module"):
         lefschetz_coefficients(a, om, psip, psim)
 

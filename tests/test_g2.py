@@ -307,14 +307,11 @@ def test_v7_projector_sanity(iwasawa_product):
 
 
 def _full_system(g):
-    """The 21x7 Lee-form system d*phi = theta ^ *phi, written out densely."""
-    pctx = g.ctx.params
-    columns = [g.ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)]
-    target = g.d(g.star_phi)
-    masks = sorted(set().union(*[set(c.comps) for c in columns], set(target.comps)))
-    rows = [[col.comps.get(m, pctx.zero) for col in columns] for m in masks]
-    rhs = [target.comps.get(m, pctx.zero) for m in masks]
-    return rows, rhs
+    """The 21x7 Lee-form system d*phi = theta ^ *phi as sparse augmented rows:
+    columns 0 to 6 hold the unknowns' coefficients, column 7 the right side."""
+    columns = [g.ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)] + [g.d(g.star_phi)]
+    masks = sorted(set().union(*[set(c.comps) for c in columns]))
+    return [{j: col.comps[m] for j, col in enumerate(columns) if m in col.comps} for m in masks]
 
 
 def _bumped(g, *word):
@@ -338,8 +335,9 @@ def _rotated_products(pctx, seed, count):
 
 
 def test_lee_solver_matches_full_solve(pctx, iwasawa_product):
-    """The cached elimination gives the theta that linalg.solve gives on the
-    whole 21x7 system, and fails exactly where that system is inconsistent."""
+    """The cached elimination gives the theta that the reduced whole 21x7
+    system gives (free unknowns zero), and fails exactly where that system
+    is inconsistent."""
     repo = Path(__file__).resolve().parents[1]
     products = [build_product(instantiate(name, params=pctx)[1])
                 for name in ("case1", "case2", "case3")]
@@ -348,14 +346,14 @@ def test_lee_solver_matches_full_solve(pctx, iwasawa_product):
     products += [_bumped(iwasawa_product, 1, 2, 5), _bumped(iwasawa_product, 1, 3, 6)]
     outcomes = set()
     for g in products:
-        rows, rhs = _full_system(g)
-        sol = linalg.solve(rows, rhs, g.ctx.params)
-        if sol is None:
+        red, pivots = linalg.sparse_rref(_full_system(g), range(8), g.ctx.params)
+        if 7 in pivots:
             with pytest.raises(G2Error, match="not a G2T-structure"):
                 extract_theta(g)
         else:
-            assert extract_theta(g) == Form(g.ctx, {1 << i: sol[i] for i in range(7)})
-        outcomes.add(sol is None)
+            theta = {1 << pc: row[7] for row, pc in zip(red, pivots) if 7 in row}
+            assert extract_theta(g) == Form(g.ctx, theta)
+        outcomes.add(7 in pivots)
     assert outcomes == {True, False}
 
 
@@ -363,10 +361,9 @@ def test_lee_error_residual_is_rref_witness(pctx, iwasawa_product):
     """The e136 bump reports the residual of the rref witness: pivot unknowns
     read from the reduced augmented system, free unknowns zero."""
     g = _bumped(iwasawa_product, 1, 3, 6)
-    rows, rhs = _full_system(g)
-    red, pivots = linalg.rref([r + [b] for r, b in zip(rows, rhs)], pctx)
+    red, pivots = linalg.sparse_rref(_full_system(g), range(8), pctx)
     assert 7 in pivots          # inconsistent
-    attempt = {1 << pc: red[r][7] for r, pc in enumerate(pivots) if pc < 7}
+    attempt = {1 << pc: row[7] for row, pc in zip(red, pivots) if pc < 7 and 7 in row}
     witness = g.d(g.star_phi) - Form(g.ctx, attempt).wedge(g.star_phi)
     with pytest.raises(G2Error) as err:
         extract_theta(g)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilg2.exterior import FormSyntaxError, FrameContext, parse_form
-from nilg2 import families, linalg
+from nilg2.exterior import FormSyntaxError, FrameContext, _basis_masks, _wedge, parse_form
+from nilg2 import families, liealg, linalg
 from nilg2.families import FAMILIES, case2_gauge_rotation
 from nilg2.liealg import (
     NAMED_ALGEBRAS,
@@ -271,6 +271,11 @@ def test_bind_errors_are_scalar_errors(pctx):
     g = parse_salamon("0,0,0,0,0,1/(lam-1)*12", pctx)
     with pytest.raises(ScalarError, match="denominator vanishes at binding"):
         g.bind({"lam": Fraction(1)})
+    # the first unbound parameter of the whole table in the context's order,
+    # not the first met in the table
+    g = parse_salamon("0,0,0,0,z*12,a1*13+1/(lam-1)*12", pctx)
+    with pytest.raises(ScalarError, match="^unbound parameter 'a1'$"):
+        g.bind({"lam": Fraction(1)})
 
 
 def test_bound_instantiate_binds_the_cached_family(pctx, monkeypatch):
@@ -370,6 +375,29 @@ def test_fingerprint_basis_invariance(pctx, iwasawa):
         for _ in range(8):
             B = random_invertible(rng, pctx)
             assert fingerprint(change_basis(g, B)) == fp, name
+
+
+def test_wedge_radical_of_entry_14m25_in_a_seeded_basis(pctx):
+    """entry_14m25 in a seeded basis has wedge data (4, 3, 1).  A rank that
+    reduced the shared wedge-product rows in place gave radical 0 here; the
+    integer path must leave its input rows as they were."""
+    g = parse_salamon("4*16+(-2)*26+2*46,-12+14+8*16+(-4)*26+4*46,"
+                      "-1/2*14+1/4*24+56,-12+14,-1/4*16,0", pctx)
+    assert fingerprint(g).wedge_data == (4, 3, 1)
+    assert fingerprint(g) == fingerprint(parse_salamon(NAMED_ALGEBRAS["entry_14m25"], pctx))
+    table = liealg._integer_table(liealg._bind_table(g.d_table, {}))
+    assert all(type(x) is int for row in table for x in row.values())
+    copies = [dict(row) for row in table]
+    image, kernel = liealg._reduce_one_forms(table, 6, 1)
+    image_copies = [dict(row) for row in image]
+    assert liealg._exact_two_form_data(image, 6) == (4, 3, 1, False)
+    products = [liealg._nonzero(_wedge(x, y)) for x in image for y in image]
+    product_copies = [dict(p) for p in products]
+    assert linalg.sparse_rank(products, _basis_masks(6, 4)) == 3
+    assert products == product_copies
+    assert liealg._series(table, 6, kernel) == (
+        fingerprint(g).lower_central, fingerprint(g).derived, fingerprint(g).upper_central)
+    assert (table, image) == (copies, image_copies)
 
 
 def test_jacobi_preserved_by_change_basis(pctx, iwasawa):

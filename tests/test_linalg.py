@@ -1,6 +1,8 @@
-"""The sparse entry points of linalg against the dense ones and the oracle."""
+"""The sparse entry points of linalg against the oracle, the definition of
+the reduced row echelon form and the integer path."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 from oracle import _row_basis
@@ -30,24 +32,34 @@ def _sparse_matrices(draw, symbolic):
 
 
 def _check_against_dense(pctx, rows, cols):
+    """The sparse results are the reduced row echelon form, its rank and its
+    kernel (as the dense ``kernel`` gives it), and leave the rows alone."""
     copies = [dict(row) for row in rows]
-    dense = [[row.get(c, pctx.zero) for c in cols] for row in rows]
     red, pivots = linalg.sparse_rref(rows, cols, pctx)
     rank = linalg.sparse_rank(rows, cols)
     kernel = linalg.sparse_kernel(rows, cols, pctx)
     assert rows == copies  # the inputs are not modified
-    assert rank == len(pivots) == linalg.rank(dense, pctx)
-    dense_red, dense_pivots = linalg.rref(dense, pctx)
-    assert pivots == [cols[p] for p in dense_pivots]
-    densified = [[row.get(c, pctx.zero) for c in cols] for row in red]
-    assert dense_red == densified + [[pctx.zero] * len(cols)] * (len(rows) - rank)
-    assert all(x for row in red for x in row.values())
+    assert rank == len(pivots)
+    assert pivots == sorted(pivots, key=cols.index)
+    for row, pc in zip(red, pivots):
+        assert all(x for x in row.values())
+        assert row[pc] == 1 and not any(row.get(p) for p in pivots if p != pc)
+        assert all(cols.index(c) >= cols.index(pc) for c in row)
+    # each row is the combination of the reduced rows read off its pivot entries
+    for row in rows:
+        rebuilt = {}
+        for r, pc in zip(red, pivots):
+            for c, x in r.items():
+                rebuilt[c] = rebuilt.get(c, pctx.zero) + row.get(pc, pctx.zero) * x
+        assert {c: x for c, x in rebuilt.items() if x} == row
     assert len(kernel) == len(cols) - rank
     for vec in kernel:
         for row in rows:
             assert sum((x * vec[c] for c, x in row.items() if c in vec), pctx.zero) == 0
     if rows:
+        dense = [[row.get(c, pctx.zero) for c in cols] for row in rows]
         assert linalg.kernel(dense, pctx) == [[v.get(c, pctx.zero) for c in cols] for v in kernel]
+    densified = [[row.get(c, pctx.zero) for c in cols] for row in red]
     return densified, pivots
 
 
@@ -66,3 +78,26 @@ def test_sparse_rational_matches_dense_and_oracle(matrix):
 @given(_sparse_matrices(symbolic=True))
 def test_sparse_symbolic_matches_dense(matrix):
     _check_against_dense(*matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_matrices(symbolic=False), st.integers(1, 6))
+def test_integer_rows_reduce_fraction_free(matrix, scale):
+    """Int rows keep their values in the ints and give the pivots and rank of
+    the same rows as Scalars; each reduced row is a nonzero multiple of the
+    matching row of the reduced row echelon form, and the inputs are left
+    unmodified."""
+    pctx, rows, cols = matrix
+    ints = []
+    for row in rows:
+        den = lcm(*(x.as_fraction().denominator for x in row.values()))
+        ints.append({c: int(x.as_fraction() * den * scale) for c, x in row.items()})
+    copies = [dict(row) for row in ints]
+    red, pivots = linalg.sparse_rref(rows, cols, pctx)
+    int_red, int_pivots = linalg._eliminate(ints, cols)
+    assert ints == copies
+    assert int_pivots == pivots and linalg.sparse_rank(ints, cols) == len(pivots)
+    assert all(type(x) is int and x for row in int_red for x in row.values())
+    for row, int_row, pc in zip(red, int_red, pivots):
+        assert {c: Fraction(x, int_row[pc]) for c, x in int_row.items()} == \
+            {c: x.as_fraction() for c, x in row.items()}

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ORACLE_OMEGA, oracle_family_table, oracle_table, table_to_oracle
 from oracle import (
@@ -28,6 +29,7 @@ from nilg2.exterior import FrameContext, parse_form
 from nilg2.families import FAMILIES, ContractionError, contraction_limit, instantiate
 from nilg2.liealg import (
     NAMED_ALGEBRAS,
+    BasisChange,
     LieAlgebra,
     change_basis,
     fingerprint,
@@ -200,6 +202,44 @@ def test_fingerprint_matches_oracle(pctx):
     assert (6, 9, 0, False) in seen
     assert {True, False} == {data[3] for data in seen}
     assert any(0 < data[2] < data[0] for data in seen)
+
+
+_NONZERO = st.sampled_from([Fraction(p, q) for p in (1, -1, 2, -3, 5) for q in (1, 2, 3, 7)])
+
+
+@st.composite
+def _rational_basis_changes(draw):
+    """A signed permutation scaled by fractions, then one to three shears
+    with fractional multipliers: invertible by construction."""
+    perm = draw(st.permutations(range(6)))
+    rows = [[draw(_NONZERO) if j == perm[i] else Fraction(0) for j in range(6)]
+            for i in range(6)]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+        c = draw(_NONZERO)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ALGEBRAS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(rows=_rational_basis_changes(), c=_NONZERO)
+def test_fingerprint_invariant_under_basis_change_and_scaling(pctx, name, rows, c):
+    """A rational basis change with denominators and a nonzero multiple c*d
+    of the table are isomorphic algebras: each gives the fingerprint of the
+    entry, and it equals the oracle's values on the moved, scaled table.  The
+    integer kernel relies on this invariance under scaling (12 seeded
+    examples for each of the 9 entries)."""
+    g = parse_salamon(NAMED_ALGEBRAS[name], pctx)
+    moved = change_basis(g, BasisChange(pctx, rows))
+    scaled = [LieAlgebra(h.ctx, [f.scale(c) for f in h.d_table], require_nilpotent=False)
+              for h in (g, moved)]
+    fp = fingerprint(g)
+    assert fingerprint(moved) == fingerprint(scaled[0]) == fingerprint(scaled[1]) == fp
+    table = table_to_oracle(scaled[1])
+    assert fp.betti == betti_numbers(table)
+    assert (fp.lower_central, fp.derived, fp.upper_central) == oracle_series_dims(table)
+    assert (*fp.wedge_data, fp.exact_two_forms_decomposable) == exact_two_form_data(table)
 
 
 def _terms(g):

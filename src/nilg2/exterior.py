@@ -15,14 +15,19 @@ Conventions fixed here (and pinned by tests):
   ``J e^{2m} = e^{2m-1}``; its factor-wise extension sends the standard
   ``psi_plus`` to ``psi_minus``.
 * Contraction is metric-adjoint: ``<x _| a, b> = <a, x ^ b>``.
+
+A coframe substitution, a basis change or J, is one routine,
+``substitute_coframe``: the algebra map sending e^i to a given 1-form and
+each index word to the wedge product of the images of its letters.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .scalars import (
@@ -44,6 +49,7 @@ __all__ = [
     "lefschetz_coefficients",
     "parse_form",
     "standard_su3_forms",
+    "substitute_coframe",
 ]
 
 
@@ -300,22 +306,20 @@ def interior(x: Form, a: Form) -> Form:
 class ComplexStructure:
     """The standard orthogonal almost complex structure on a 6d frame.
 
-    Acts on the coframe by J e^{2m-1} = -e^{2m}, J e^{2m} = e^{2m-1}; the
-    grade-k extension applies J to every slot.
+    Acts on the coframe by J e^{2m-1} = -e^{2m}, J e^{2m} = e^{2m-1}: ``rows``
+    is that signed permutation, and ``j_apply`` substitutes it.
     """
 
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FrameContext):
         if ctx.dim != 6:
             raise ExteriorError("complex structure requires a 6-dimensional frame")
         self.ctx = ctx
-
-    def on_index(self, idx: int) -> Tuple[int, int]:
-        """(sign, image index) of J e^idx."""
-        if idx % 2 == 1:
-            return -1, idx + 1
-        return 1, idx - 1
+        # e^i (i = 0..5 here) goes to -e^{i+1} for even i and e^{i-1} for odd i
+        one, zero = ctx.params.one, ctx.params.zero
+        self.rows = tuple(tuple((one if i & 1 else -one) if j == i ^ 1 else zero
+                                for j in range(6)) for i in range(6))
 
     def __eq__(self, other):
         return isinstance(other, ComplexStructure) and self.ctx == other.ctx
@@ -327,21 +331,27 @@ class ComplexStructure:
 def j_apply(J: ComplexStructure, a: Form) -> Form:
     if a.ctx != J.ctx:
         raise ExteriorError("frame context mismatch")
-    comps: Dict[int, Scalar] = {}
-    for m, c in a.comps.items():
-        sign = 1
-        images = []
-        for idx in _bits(m):
-            s, im = J.on_index(idx)
-            sign *= s
-            images.append(im)
-        psign, pmask = _mask(images)
-        if psign == 0:
-            continue
-        total = sign * psign
-        term = c if total == 1 else -c
-        prev = comps.get(pmask)
-        comps[pmask] = term if prev is None else prev + term
+    return substitute_coframe(a, J.rows)
+
+
+def substitute_coframe(a: Form, rows: Sequence[Sequence[Scalar]]) -> Form:
+    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j applied to ``a``.
+
+    Each e^I = e^{i1} ^ ... ^ e^{ik} goes to the wedge product of the rows
+    it names, so the signs are those of ``_wedge``; the words of a partial
+    product that meet are merged before the next factor.  A basis change
+    f = B e pulls a form written in the f^i back to the e^i with the rows of
+    B, and the volume goes to det(B) times itself.
+    """
+    images = [{1 << j: c for j, c in enumerate(row) if c} for row in rows]
+    comps: dict = {}
+    for mask, coeff in a.comps.items():
+        words = {0: coeff}
+        for idx in _bits(mask):
+            words = _wedge(words, images[idx - 1])
+        for m, c in words.items():
+            prev = comps.get(m)
+            comps[m] = c if prev is None else prev + c
     return Form(a.ctx, comps)
 
 
@@ -350,10 +360,9 @@ def j_apply(J: ComplexStructure, a: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 
-def _basis_masks(dim: int, grade: int) -> List[int]:
-    from itertools import combinations
-
-    return [sum(1 << (i - 1) for i in combo) for combo in combinations(range(1, dim + 1), grade)]
+@functools.lru_cache(maxsize=None)
+def _basis_masks(dim: int, grade: int) -> Tuple[int, ...]:
+    return tuple(sum(1 << i for i in combo) for combo in itertools.combinations(range(dim), grade))
 
 
 def primitive_11_basis(omega: Form, psi_plus: Form, psi_minus: Form) -> List[Form]:
@@ -361,20 +370,12 @@ def primitive_11_basis(omega: Form, psi_plus: Form, psi_minus: Form) -> List[For
     ctx = omega.ctx
     pctx = ctx.params
     two_masks = _basis_masks(ctx.dim, 2)
-    omega2 = omega.wedge(omega)
     rows: List[List[Scalar]] = []
-    constraints = []
-    for target in (psi_plus, psi_minus, omega2):
-        masks_out = _basis_masks(ctx.dim, 2 + target.homogeneous_grade())
-        constraints.append((target, masks_out))
-    for target, masks_out in constraints:
-        for mo in masks_out:
-            row = []
-            for mb in two_masks:
-                prod = Form(ctx, {mb: pctx.one}).wedge(target)
-                row.append(prod.comps.get(mo, pctx.zero))
-            rows.append(row)
-    # transpose: we built constraint rows indexed by output mask; columns are x-coords
+    for target in (psi_plus, psi_minus, omega.wedge(omega)):
+        # one constraint row per output mask; its columns are the x-coords
+        products = [Form(ctx, {mb: pctx.one}).wedge(target).comps for mb in two_masks]
+        for mo in _basis_masks(ctx.dim, 2 + target.homogeneous_grade()):
+            rows.append([prod.get(mo, pctx.zero) for prod in products])
     basis_vecs = linalg.kernel(rows, pctx)
     return [Form(ctx, dict(zip(two_masks, vec))) for vec in basis_vecs]
 
@@ -458,25 +459,27 @@ def lefschetz_coefficients(
 # ---------------------------------------------------------------------------
 
 
+# omega, psi_plus and psi_minus of the standard model, in form-literal syntax
+_STANDARD_SU3 = ("12 + 34 + 56", "135 - 146 - 236 - 245", "136 + 145 + 235 - 246")
+
+
+@functools.lru_cache(maxsize=32)
 def standard_su3_forms(ctx: FrameContext) -> Tuple[Form, Form, Form]:
     """(omega, psi_plus, psi_minus) of the standard model in this frame.
 
     omega = e12 + e34 + e56 and psi_plus + i psi_minus is the product of the
-    complex 1-forms (e1 + i e2)(e3 + i e4)(e5 + i e6).
+    complex 1-forms (e1 + i e2)(e3 + i e4)(e5 + i e6).  The identity
+    psi+ ^ psi- = (2/3) omega^3 = 4 e^{123456} is checked once per frame, when
+    the forms are first built; a coframe substitution multiplies both sides
+    alike, so no adaptation can break it.
     """
-    om = ctx.basis(1, 2) + ctx.basis(3, 4) + ctx.basis(5, 6)
-    psip = (
-        ctx.basis(1, 3, 5)
-        - ctx.basis(1, 4, 6)
-        - ctx.basis(2, 3, 6)
-        - ctx.basis(2, 4, 5)
-    )
-    psim = (
-        ctx.basis(1, 3, 6)
-        + ctx.basis(1, 4, 5)
-        + ctx.basis(2, 3, 5)
-        - ctx.basis(2, 4, 6)
-    )
+    om, psip, psim = (parse_form(ctx, text) for text in _STANDARD_SU3)
+    volume = psip.wedge(psim)
+    for name, value in (("(2/3) omega^3", om.wedge(om).wedge(om).scale(Fraction(2, 3))),
+                        ("4 e^{123456}", ctx.basis(1, 2, 3, 4, 5, 6).scale(4))):
+        if volume != value:
+            raise ExteriorError(f"standard forms broken: psi+ ^ psi- - {name} "
+                                f"residual {volume - value}")
     return om, psip, psim
 
 

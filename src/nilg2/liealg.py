@@ -36,6 +36,7 @@ from .exterior import (
     _merge_sign,
     _split_signed_terms,
     _wedge,
+    substitute_coframe,
 )
 from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly,
                       _eval_poly, _fold_unicode, _fold_with_origins)
@@ -358,7 +359,7 @@ def _bind_table(d_table: Sequence[Form], bindings: Mapping[str, Fraction]):
 
     def value(c: Scalar) -> Fraction:
         if type(c.raw) is _Poly:
-            return _eval_poly(c.raw.numer, names, folded) / c.raw.den
+            return _eval_poly(c.raw.coeffs, c.raw.den, names, folded)
         return c.raw if type(c.raw) is Fraction else c.evaluate(folded)
 
     return [{m: value(c) for m, c in f.comps.items()} for f in d_table]
@@ -439,7 +440,7 @@ def _reduce_one_forms(table: Sequence[Mapping], n: int, one, span: Sequence[Mapp
     of the 1-forms x with d x in the span of ``span`` (with no span, ker
     d|Lambda^1), each with its pivot at its highest index."""
     rows = list(span) + [{**t, 1 << i: one} for i, t in enumerate(table)]
-    cols = _basis_masks(n, 2) + [1 << i for i in reversed(range(n))]
+    cols = [*_basis_masks(n, 2), *(1 << i for i in reversed(range(n)))]
     reduced, pivots = linalg._eliminate(rows, cols, full=False)
     image = [{m: c for m, c in row.items() if m & (m - 1)}
              for row, pivot in zip(reduced, pivots) if pivot & (pivot - 1)]
@@ -626,45 +627,11 @@ class BasisChange:
         self._inverse = tuple(zip(*self.rows))
         return True
 
-    def pull_standard(self, a: Form) -> Form:
-        """Express a form written in the *new* coframe in the old one (f^i -> rows)."""
-        return substitute_coframe(a, self.rows, a.ctx)
-
     def __repr__(self):
         body = "; ".join(
             " ".join(str(v) for v in row) for row in self.rows
         )
         return f"BasisChange([{body}])"
-
-
-def substitute_coframe(a: Form, matrix_rows, ctx: FrameContext) -> Form:
-    """Substitute e^i -> sum_j matrix_rows[i][j] f^j throughout the form."""
-    pctx = ctx.params
-    out: Dict[int, Scalar] = {}
-    n = ctx.dim
-    for mask, coeff in a.comps.items():
-        words = [(0, coeff)]
-        for idx in _bits(mask):
-            row = matrix_rows[idx - 1]
-            new_words = []
-            for wmask, wcoeff in words:
-                for j in range(n):
-                    c = row[j]
-                    if c.is_zero:
-                        continue
-                    bit = 1 << j
-                    if wmask & bit:
-                        continue
-                    swaps = bin(wmask >> (j + 1)).count("1")
-                    term = wcoeff * c
-                    if swaps % 2:
-                        term = -term
-                    new_words.append((wmask | bit, term))
-            words = new_words
-        for wmask, wcoeff in words:
-            prev = out.get(wmask)
-            out[wmask] = wcoeff if prev is None else prev + wcoeff
-    return Form(ctx, out)
 
 
 def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
@@ -679,7 +646,7 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
             c = B.rows[i][j]
             if not c.is_zero:
                 df = df + g.d_table[j].scale(c)
-        new_table.append(substitute_coframe(df, inv, g.ctx))
+        new_table.append(substitute_coframe(df, inv))
     return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
 
 

@@ -17,9 +17,10 @@ value of a Scalar is one of three kinds, fixed by the value itself:
 
 A ``_Poly`` is the (numerator, denominator) pair that ``cancel`` builds
 for the same value.  Its ``numer`` and ``denom`` read like those of a field
-element (``terms()`` in descending graded-lex order, ``monoms()``,
-``is_ground``), so printing, ``params`` and ``evaluate`` treat both kinds
-alike.
+element (``terms()`` in descending graded-lex order and ``is_ground``), so
+printing treats both kinds alike.  ``params`` and ``evaluate`` read a
+``_Poly``'s coefficient dict directly, in one unsorted pass; ``evaluate``
+sums it in ints.
 
 Arithmetic takes one of three paths.  Two Fractions combine as Fractions.
 When both operands are Fractions or ``_Poly``s, ``+``, ``-``, ``*`` and
@@ -116,8 +117,8 @@ def _grlex(term):
 
 
 class _IntPoly:
-    """A sparse integer polynomial, read the way sympy's ``PolyElement`` is
-    read: ``terms()`` in descending graded-lex order, ``monoms()`` and
+    """A sparse integer polynomial, read for printing the way sympy's
+    ``PolyElement`` is read: ``terms()`` in descending graded-lex order and
     ``is_ground``."""
 
     __slots__ = ("coeffs",)
@@ -131,9 +132,6 @@ class _IntPoly:
 
     def terms(self):
         return sorted(self.coeffs.items(), key=_grlex, reverse=True)
-
-    def monoms(self):
-        return [monom for monom, _ in self.terms()]
 
 
 class _Poly:
@@ -414,13 +412,9 @@ class Scalar:
     def params(self) -> frozenset:
         if isinstance(self.raw, Fraction):
             return frozenset()
-        used = set()
-        for poly in (self.raw.numer, self.raw.denom):
-            for mono in poly.monoms():
-                for name, exp in zip(self.ctx.names, mono):
-                    if exp:
-                        used.add(name)
-        return frozenset(used)
+        monos = self.raw.coeffs if type(self.raw) is _Poly else [*self.raw.numer, *self.raw.denom]
+        return frozenset(name for mono in monos
+                         for name, exp in zip(self.ctx.names, mono) if exp)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -504,11 +498,14 @@ class Scalar:
         for name in self.ctx.names:  # sorted, so the message does not follow hashing
             if name in used and name not in folded:
                 raise ScalarError(f"unbound parameter {name!r}")
-        num = _eval_poly(self.raw.numer, self.ctx.names, folded)
-        den = _eval_poly(self.raw.denom, self.ctx.names, folded)
+        if type(self.raw) is _Poly:
+            return _eval_poly(self.raw.coeffs, self.raw.den, self.ctx.names, folded)
+        num, den = ({m: _qq_to_fraction(c) for m, c in poly.items()}
+                    for poly in (self.raw.numer, self.raw.denom))
+        den = _eval_poly(den, 1, self.ctx.names, folded)
         if den == 0:
             raise ScalarError("denominator vanishes at binding")
-        return num / den
+        return _eval_poly(num, 1, self.ctx.names, folded) / den
 
     # -- printing -----------------------------------------------------------
 
@@ -519,15 +516,21 @@ class Scalar:
         return f"Scalar({_render(self)})"
 
 
-def _eval_poly(poly, names, bindings) -> Fraction:
-    total = Fraction(0)
-    for mono, coeff in poly.terms():
-        term = _qq_to_fraction(coeff)
-        for name, exp in zip(names, mono):
-            if exp:
-                term *= bindings[name] ** exp
-        total += term
-    return total
+def _eval_poly(coeffs: Mapping, den: int, names, bindings) -> Fraction:
+    """The value of the polynomial ``coeffs`` (exponent tuple -> int) over
+    ``den`` at ``bindings``, summed in one pass in ints: a bound value p/q of
+    highest exponent E enters a term of exponent e as p^e q^(E-e), over the
+    common denominator den q^E.  Fraction coefficients work the same way."""
+    tops = [max(exps) for exps in zip(*coeffs)]
+    values = [(i, bindings[name], top) for i, (name, top) in enumerate(zip(names, tops)) if top]
+    total = 0
+    for mono, c in coeffs.items():
+        for i, x, top in values:
+            c *= x.numerator ** mono[i] * x.denominator ** (top - mono[i])
+        total += c
+    for _, x, top in values:
+        den *= x.denominator ** top
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .exterior import (
     j_apply,
     lefschetz_coefficients,
     standard_su3_forms,
+    substitute_coframe,
 )
 from .liealg import BasisChange, LieAlgebra, change_basis, parse_salamon
 from .scalars import ParameterContext, Scalar, _fold_unicode
@@ -88,10 +89,12 @@ class SU3Structure:
 def build_structure(g: LieAlgebra, adaptation: BasisChange) -> SU3Structure:
     """Adapt the algebra; the adaptation must be orthogonal and orientation-preserving.
 
-    The compatibility anchor is checked in the presentation coframe: the
-    pulled-back volume identity psi+ ^ psi- = 4 e^{123456} must hold with the
-    positive orientation (a sign flip of a single coframe axis reverses it and
-    is rejected, with the residual reported).
+    The standard forms satisfy psi+ ^ psi- = 4 e^{123456} in every frame
+    (``standard_su3_forms`` checks it once per frame), and the adaptation
+    pulls 4 e^{123456} back to 4 det(B) e^{123456}.  So the orientation is
+    read off the pulled-back volume: a reflection (det B = -1, e.g. the sign
+    flip of a single coframe axis) is rejected with the residual
+    4 det(B) e^{123456} - 4 e^{123456} = -8 e^{123456}.
     """
     if g.ctx.dim != 6:
         raise StructureError("SU(3)-structures require a 6-dimensional algebra")
@@ -101,25 +104,17 @@ def build_structure(g: LieAlgebra, adaptation: BasisChange) -> SU3Structure:
         raise StructureError("adaptation is not orthogonal under the declared metric")
     ctx = g.ctx
     omega, psi_plus, psi_minus = standard_su3_forms(ctx)
-    # forms as seen in the presentation coframe
-    om_pres = adaptation.pull_standard(omega)
-    psip_pres = adaptation.pull_standard(psi_plus)
-    psim_pres = adaptation.pull_standard(psi_minus)
     volume = ctx.volume().scale(4)
-    psi_square = psip_pres.wedge(psim_pres)
-    residual = psi_square - volume
+    residual = substitute_coframe(volume, adaptation.rows) - volume
     if not residual.is_zero:
         raise StructureError(
-            f"compatibility failure: psi+ ^ psi- - (2/3) omega^3 residual {residual}"
+            "compatibility failure: the adaptation reverses the orientation; "
+            f"pulled-back 4 e^123456 - 4 e^123456 residual {residual}"
         )
-    compat = psi_square - om_pres.wedge(om_pres).wedge(om_pres).scale(Fraction(2, 3))
-    if not compat.is_zero:
-        raise StructureError(f"compatibility failure: residual {compat}")
-    adapted = change_basis(g, adaptation)
     return SU3Structure(
         algebra=g,
         adaptation=adaptation,
-        adapted=adapted,
+        adapted=change_basis(g, adaptation),
         omega=omega,
         psi_plus=psi_plus,
         psi_minus=psi_minus,

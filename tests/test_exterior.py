@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import form_to_oracle
 from oracle import is_type_22
 
 from nilg2 import linalg
+from nilg2 import exterior
 from nilg2.exterior import (
     ExteriorError,
     FrameContext,
@@ -22,6 +23,7 @@ from nilg2.exterior import (
     parse_form,
     primitive_11_basis,
     standard_su3_forms,
+    substitute_coframe,
 )
 from nilg2.families import FAMILIES, instantiate
 from nilg2.g2 import build_product, drop_dt, torsion
@@ -50,6 +52,31 @@ def test_volume_identities(std_forms, frame6):
     assert om.wedge(om).wedge(om) == vol(frame6).scale(6)
     assert psip.wedge(psim) == om.wedge(om).wedge(om).scale(Fraction(2, 3))
     assert om.wedge(psip).is_zero and om.wedge(psim).is_zero
+
+
+def test_standard_forms_checked_once_per_frame(frame6):
+    standard_su3_forms(frame6)
+    before = standard_su3_forms.cache_info()
+    assert standard_su3_forms(FrameContext(6, frame6.params)) == standard_su3_forms(frame6)
+    after = standard_su3_forms.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+
+
+@pytest.mark.parametrize("forms, message", [
+    # psi- with one sign flipped: psi+ ^ psi- = 2 e^{123456}
+    (("12 + 34 + 56", "135 - 146 - 236 - 245", "136 + 145 + 235 + 246"),
+     r"psi\+ \^ psi- - \(2/3\) omega\^3 residual -2\*123456"),
+    # both sides scaled alike, away from 4 e^{123456}
+    (("2*12 + 2*34 + 2*56", "8*135 - 8*146 - 8*236 - 8*245", "136 + 145 + 235 - 246"),
+     r"psi\+ \^ psi- - 4 e\^\{123456\} residual 28\*123456"),
+])
+def test_broken_standard_forms_raise(monkeypatch, forms, message):
+    """A frame not built before (its own parameter context) runs the check."""
+    monkeypatch.setattr(exterior, "_STANDARD_SU3", forms)
+    ctx = FrameContext(6, ParameterContext(("broken",)))
+    for _ in range(2):  # a raising call leaves no cache entry
+        with pytest.raises(ExteriorError, match="standard forms broken: " + message):
+            standard_su3_forms(ctx)
 
 
 def test_context_mismatch():
@@ -139,12 +166,21 @@ def test_interior_k_form_brute_force(frame6, std_forms):
 
 
 def test_j_apply(J, std_forms, frame6):
+    """J on each of the 64 basis words is the wedge product of J on its
+    letters, J e^{2m-1} = -e^{2m} and J e^{2m} = e^{2m-1}."""
     om, psip, psim = std_forms
     assert j_apply(J, psip) == psim
     assert j_apply(J, om) == om
-    for i in range(1, 7):
-        e = frame6.basis(i)
-        assert j_apply(J, j_apply(J, e)) == -e
+    e = frame6.basis
+    J_letter = {i: -e(i + 1) if i % 2 else e(i - 1) for i in range(1, 7)}
+    words = [word for k in range(7) for word in combinations(range(1, 7), k)]
+    assert len(words) == 64
+    for word in words:
+        expected = e()
+        for i in word:
+            expected = expected.wedge(J_letter[i])
+        assert j_apply(J, e(*word)) == expected, word
+        assert j_apply(J, j_apply(J, e(*word))) == e(*word).scale((-1) ** len(word))
 
 
 def test_j_invariance_is_type_22_on_random_4_forms(J, frame6, pctx):
@@ -387,3 +423,56 @@ def test_interior_adjunction(frame6, data):
     a = data.draw(_forms(frame6, k))
     b = data.draw(_forms(frame6, k - 1))
     assert inner(interior(x, a), b) == inner(a, x.wedge(b))
+
+
+_SIGNED_PERMUTATIONS = [
+    (perm, (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(6), 2)))
+    for perm in permutations(range(6))
+]
+
+
+def _leibniz_det(rows, pctx):
+    """det M as the sum over permutations p of sign(p) M[0][p0] ... M[5][p5]."""
+    total = pctx.zero
+    for perm, sign in _SIGNED_PERMUTATIONS:
+        term = pctx.scalar(sign)
+        for row, j in zip(rows, perm):
+            term = term * row[j]
+            if term.is_zero:
+                break
+        total = total + term
+    return total
+
+
+@st.composite
+def _matrices(draw, pctx):
+    """6x6 matrices, sparse or dense, with rational entries and entries in a
+    family parameter; a singular one repeats a multiple of another row."""
+    lam, k, z, a1 = (pctx.param(name) for name in ("lam", "k", "z", "a1"))
+    rational = [pctx.scalar(c) for c in (1, -1, 2, Fraction(1, 2), Fraction(-3, 4), 3)]
+    symbolic = [lam, -k, z / 2 + 1, a1 - 1, lam * 3 - k]
+    sparse = draw(st.booleans())
+    pool = rational + symbolic + [pctx.zero] * (12 if sparse else 2)
+    entries = draw(st.lists(st.sampled_from(pool), min_size=36, max_size=36))
+    rows = [entries[6 * i:6 * i + 6] for i in range(6)]
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(6)))[:2]
+        rows[i] = [x * draw(st.sampled_from(rational)) for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_substitute_coframe_is_the_algebra_map(frame6, pctx, data):
+    """It is multiplicative, sends e^i to row i and the volume to det(M) vol."""
+    rows = data.draw(_matrices(pctx))
+    ga = data.draw(st.integers(0, 4))
+    a = data.draw(_forms(frame6, ga))
+    b = data.draw(_forms(frame6, data.draw(st.integers(0, 6 - ga))))
+    sub = lambda f: substitute_coframe(f, rows)  # noqa: E731
+    assert sub(a.wedge(b)) == sub(a).wedge(sub(b))
+    for i, row in enumerate(rows, start=1):
+        image = sum((frame6.basis(j).scale(x) for j, x in enumerate(row, start=1)),
+                    frame6.zero_form())
+        assert sub(frame6.basis(i)) == image
+    assert sub(vol(frame6)) == vol(frame6).scale(_leibniz_det(rows, pctx))

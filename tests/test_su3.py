@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
 from nilg2.exterior import hodge, inner
-from nilg2.families import instantiate
+from nilg2.families import case2_gauge_rotation, instantiate
 from nilg2.liealg import BasisChange, parse_salamon
 from nilg2.su3 import (
     StructureError,
@@ -44,9 +47,33 @@ def test_iwasawa_adaptation(iwasawa_structure):
 
 
 def test_orientation_reversal_rejected(pctx, iwasawa):
-    flipped = BasisChange.diagonal(pctx, [1, -1, 1, -1, 1, -1])
-    with pytest.raises(StructureError, match="compatibility failure"):
-        build_structure(iwasawa, flipped)
+    """Seeded signed permutations times gauge rotations: each is accepted
+    exactly when its determinant is +1, else rejected with the residual
+    4 det(B) e^{123456} - 4 e^{123456}."""
+    rng = random.Random(1717)
+    points = [(1, 0), (Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13)),
+              (Fraction(8, 17), Fraction(-15, 17))]
+    cases = [([1, -1, 1, -1, 1, -1], list(range(6)), (1, 0))]
+    for _ in range(24):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        cases.append(([rng.choice((1, -1)) for _ in range(6)], perm, rng.choice(points)))
+    seen = set()
+    for signs, perm, (c, s) in cases:
+        R = case2_gauge_rotation(pctx, c, s)
+        B = BasisChange(pctx, [[R.rows[perm[i]][j] * signs[i] for j in range(6)]
+                               for i in range(6)])
+        # det R = 1, so det B is the sign of the signed permutation
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(6), 2))
+        det = (-1) ** inversions * prod(signs)
+        seen.add(det)
+        if det == 1:
+            assert build_structure(iwasawa, B).adaptation is B
+            continue
+        with pytest.raises(StructureError, match="compatibility failure") as err:
+            build_structure(iwasawa, B)
+        assert str(err.value).endswith("residual -8*123456")
+    assert seen == {1, -1}
 
 
 def test_non_orthogonal_rejected(pctx, iwasawa):

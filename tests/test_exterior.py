@@ -69,7 +69,7 @@ def test_standard_forms_checked_once_per_frame(frame6):
     # both sides scaled alike, away from 4 e^{123456}
     (("2*12 + 2*34 + 2*56", "8*135 - 8*146 - 8*236 - 8*245", "136 + 145 + 235 - 246"),
      r"psi\+ \^ psi- - 4 e\^\{123456\} residual 28\*123456"),
-])
+], ids=["psi-minus-sign-flipped", "both-sides-scaled"])
 def test_broken_standard_forms_raise(monkeypatch, forms, message):
     """A frame not built before (its own parameter context) runs the check."""
     monkeypatch.setattr(exterior, "_STANDARD_SU3", forms)

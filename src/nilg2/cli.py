@@ -4,8 +4,9 @@ Exit status: 0 when every requested check passes, 1 when a check fails
 (reports carry the residuals), 2 on bad input (syntax errors, algebras that
 fail the Jacobi identity or are not presented nilpotently, malformed
 structure files, a --param binding that leaves a parameter unbound, makes
-a denominator vanish or violates a family's nonzero condition, malformed
-options), with a one-line message on standard error.  The shared options
+a denominator vanish or violates a family's nonzero condition, a --param
+given to ``theorem``, malformed options), with a one-line message on
+standard error.  The shared options
 ``--param``, ``--format`` and ``--seed`` may stand before or after the
 subcommand.
 """
@@ -230,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(args, ctx: ParameterContext, bindings: Dict[str, Fraction]) -> Report:
     command = args.command
     if command == "check":
-        return _cmd_check(args.algebra, ctx)
+        return _cmd_check(args.algebra, ctx, bindings)
     if command == "betti":
         return _cmd_betti(args.algebra, ctx, bindings, args.seed)
     if command == "fingerprint":
@@ -240,16 +241,21 @@ def _dispatch(args, ctx: ParameterContext, bindings: Dict[str, Fraction]) -> Rep
     if command == "g2t":
         return _cmd_g2t(args.structure_file, ctx, bindings)
     if command == "theorem":
+        if bindings:
+            raise ValueError("theorem replays fixed rows; --param does not apply")
         return _cmd_theorem()
     if command == "contract":
-        return _cmd_contract(args.algebra, args.exponents, args.direction, ctx)
+        return _cmd_contract(args.algebra, args.exponents, args.direction, ctx, bindings)
     raise AssertionError(command)
 
 
-def _cmd_check(text: str, ctx: ParameterContext) -> Report:
+def _cmd_check(text: str, ctx: ParameterContext,
+               bindings: Dict[str, Fraction]) -> Report:
     report = Report(command="check", input_description=text)
     try:
         g = parse_salamon(text, ctx)
+        if bindings:
+            g = g.bind(bindings)
     except JacobiError as exc:
         report.add("jacobi", False, "d^2 != 0",
                    index=exc.index, certificate=form_str(exc.certificate))
@@ -388,9 +394,11 @@ def _cmd_theorem() -> Report:
 
 
 def _cmd_contract(text: str, exponents: str, direction: str,
-                  ctx: ParameterContext) -> Report:
+                  ctx: ParameterContext, bindings: Dict[str, Fraction]) -> Report:
     report = Report(command="contract", input_description=text)
     g = parse_salamon(text, ctx)
+    if bindings:
+        g = g.bind(bindings)
     try:
         exps = [int(x) for x in exponents.split(",")]
     except ValueError:

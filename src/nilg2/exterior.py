@@ -19,6 +19,10 @@ Conventions fixed here (and pinned by tests):
 A coframe substitution, a basis change or J, is one routine,
 ``substitute_coframe``: the algebra map sending e^i to a given 1-form and
 each index word to the wedge product of the images of its letters.
+
+The splitting of a 4-form as c0 omega^2 + gamma ^ psi + W2 ^ omega,
+``lefschetz_coefficients``, is an orthogonal projection on the lines
+omega^2 and e^i ^ psi, which ``line_norms`` checks orthogonal once per frame.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import linalg
 from .scalars import (
     ParameterContext,
     Scalar,
@@ -365,91 +368,62 @@ def _basis_masks(dim: int, grade: int) -> Tuple[int, ...]:
     return tuple(sum(1 << i for i in combo) for combo in itertools.combinations(range(dim), grade))
 
 
-def primitive_11_basis(omega: Form, psi_plus: Form, psi_minus: Form) -> List[Form]:
-    """Basis of primitive J-invariant 2-forms: x^psi+ = x^psi- = x^omega^2 = 0."""
-    ctx = omega.ctx
-    pctx = ctx.params
-    two_masks = _basis_masks(ctx.dim, 2)
-    rows: List[List[Scalar]] = []
-    for target in (psi_plus, psi_minus, omega.wedge(omega)):
-        # one constraint row per output mask; its columns are the x-coords
-        products = [Form(ctx, {mb: pctx.one}).wedge(target).comps for mb in two_masks]
-        for mo in _basis_masks(ctx.dim, 2 + target.homogeneous_grade()):
-            rows.append([prod.get(mo, pctx.zero) for prod in products])
-    basis_vecs = linalg.kernel(rows, pctx)
-    return [Form(ctx, dict(zip(two_masks, vec))) for vec in basis_vecs]
+def line_norms(lines: Sequence[Form], labels: Sequence[str], error=ExteriorError):
+    """The squared norms <l, l> of ``lines``, checked mutually orthogonal
+    and nonzero, so that a form's component along the line of l is
+    <a, l>/<l, l> l.  Raises ``error`` naming the first pair of lines that
+    is not orthogonal, or the first line of zero norm."""
+    norms = []
+    for i, line in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            value = inner(line, lines[j])
+            if not value.is_zero:
+                raise error(f"lines {labels[i]} and {labels[j]} are not orthogonal: "
+                            f"inner product {value}")
+        norm = inner(line, line)
+        if norm.is_zero:
+            raise error(f"line {labels[i]} has zero norm")
+        norms.append(norm)
+    return tuple(norms)
 
 
 @functools.lru_cache(maxsize=32)
-def _lefschetz_solver(omega: Form, psi_plus: Form, psi_minus: Form, slot: str):
-    """Cached inverse of the (constant per structure) decomposition matrix.
-
-    Each row of the inverse is kept as the ``(column, entry)`` pairs of its
-    nonzero entries (33 of 225 for the standard forms), with the column of
-    each 4-form mask; ``rows`` is None when the matrix is singular.
-    """
-    ctx = omega.ctx
-    pctx = ctx.params
+def _lefschetz_solver(ctx: FrameContext, slot: str) -> Tuple[Tuple[Form, Scalar], ...]:
+    """The lines omega^2 and e^i ^ psi_slot of the standard forms with their
+    squared norms (12 and 2), checked orthogonal once per frame and slot."""
+    omega, psi_plus, psi_minus = standard_su3_forms(ctx)
     psi = psi_plus if slot == "plus" else psi_minus
-    omega2 = omega.wedge(omega)
-    w2_basis = tuple(primitive_11_basis(omega, psi_plus, psi_minus))
-    columns: List[Form] = [omega2]
-    columns += [ctx.basis(i).wedge(psi) for i in range(1, 7)]
-    columns += [w.wedge(omega) for w in w2_basis]
-    masks4 = _basis_masks(6, 4)
-    matrix_rows = [[col.comps.get(m, pctx.zero) for col in columns] for m in masks4]
-    inverse = linalg.invert(matrix_rows, pctx)
-    rows = None if inverse is None else tuple(
-        tuple((j, x) for j, x in enumerate(row) if x) for row in inverse
-    )
-    column_of = {m: j for j, m in enumerate(masks4)}
-    return rows, column_of, w2_basis, psi, omega2
+    lines = (omega.wedge(omega),) + tuple(ctx.basis(i).wedge(psi) for i in range(1, 7))
+    labels = ("omega^2",) + tuple(f"e^{i} ^ psi_{slot}" for i in range(1, 7))
+    return tuple(zip(lines, line_norms(lines, labels)))
 
 
-def lefschetz_coefficients(
-    a: Form,
-    omega: Form,
-    psi_plus: Form,
-    psi_minus: Form,
-    slot: str = "plus",
-) -> Tuple[Scalar, Form, Form]:
-    """Solve a = gamma ^ psi_slot + W2 ^ omega + c0 omega^2 in Lambda^4.
+def lefschetz_coefficients(a: Form, slot: str = "plus") -> Tuple[Scalar, Form, Form]:
+    """Split a = c0 omega^2 + gamma ^ psi_slot + W2 ^ omega in Lambda^4.
 
-    ``slot`` selects whether the 1-form coefficient multiplies psi_plus or
-    psi_minus.  W2 is primitive of type (1,1).  Raises ExteriorError with
-    the residual if the (always square, normally invertible) system is
-    singular for the given structure forms.
-
-    The inverse of the system is cached per structure and kept sparse, so
-    the solve multiplies only nonzero inverse entries by the nonzero
-    components of ``a``; the reconstruction check below still compares
-    the whole 4-form.
+    The forms are the standard ones of ``a.ctx``; ``slot`` selects whether
+    the 1-form coefficient multiplies psi_plus or psi_minus.  The three
+    summands are orthogonal (Chiossi and Salamon, "The intrinsic torsion of
+    SU(3) and G2 structures", 2002), so c0 and gamma are projections on the
+    lines omega^2 and e^i ^ psi, and W2 = -*(a - c0 omega^2 - gamma ^ psi),
+    primitive of type (1,1).
     """
     ctx = a.ctx
-    pctx = ctx.params
     if ctx.dim != 6:
         raise ExteriorError("lefschetz decomposition requires a 6-dimensional frame")
     if a.homogeneous_grade() not in (None, 4):
         raise ExteriorError("lefschetz decomposition expects a 4-form")
-    rows, column_of, w2_basis, psi, omega2 = _lefschetz_solver(
-        omega, psi_plus, psi_minus, slot
-    )
-    if rows is None:
-        raise ExteriorError("form outside expected module")
-    rhs = {column_of[m]: c for m, c in a.comps.items()}
-    sol = [
-        sum((x * rhs[j] for j, x in row if j in rhs), pctx.zero)
-        for row in rows
-    ]
-    c0 = sol[0]
-    gamma = Form(ctx, {1 << i: sol[1 + i] for i in range(6)})
-    w2 = ctx.zero_form()
-    for coeff, basis_form in zip(sol[7:], w2_basis):
-        if coeff:
-            w2 = w2 + basis_form.scale(coeff)
-    # exactness check (guards against inputs outside the module span)
-    recon = gamma.wedge(psi) + w2.wedge(omega) + omega2.scale(c0)
-    if recon != a:
+    omega, psi_plus, psi_minus = standard_su3_forms(ctx)
+    psi = psi_plus if slot == "plus" else psi_minus
+    c0, *coords = (inner(a, line) / norm for line, norm in _lefschetz_solver(ctx, slot))
+    gamma = Form(ctx, {1 << i: c for i, c in enumerate(coords)})
+    rest = a - omega.wedge(omega).scale(c0) - gamma.wedge(psi)
+    w2 = -hodge(rest)
+    # The reconstruction a = c0 omega^2 + gamma ^ psi + W2 ^ omega, that is
+    # W2 ^ omega = rest.  As -L* (L = ^ omega) is +1 on Lambda^2_8 ^ omega,
+    # -1 on Lambda^1 ^ psi and -2 on omega^2, it holds exactly when the
+    # projections left rest in Lambda^2_8 ^ omega: it certifies all three.
+    if w2.wedge(omega) != rest:
         raise ExteriorError("form outside expected module")
     return c0, gamma, w2
 

@@ -5,15 +5,16 @@ the seventh coframe element, phi = omega ^ dt + psi+ and
 *phi = psi- ^ dt + (1/2) omega ^ omega (verified once per frame, when the
 product forms are first built; this pins the orientation convention).
 Everything that depends only on these forms (the *phi check, the V7
-projector forms, the (X _| *phi) ^ omega^2 identity and the elimination of
-the Lee-form system) is built and checked once per form and cached; each
-check's result is a fixed function of its cache key.
+projector forms, the (X _| *phi) ^ omega^2 identity and the lines
+e^i ^ *phi that the Lee form is projected on) is built and checked once per
+form and cached; each check's result is a fixed function of its cache key.
 
 The torsion 3-form of the unique metric connection preserving phi with
 totally skew torsion is computed two ways and cross-checked:
 
 * route A:  T = (1/6) <dphi, *phi> phi - *dphi + *(theta ^ phi), with the
-  Lee form theta solved exactly from d*phi = theta ^ *phi;
+  Lee form theta read off d*phi = theta ^ *phi by orthogonal projection on
+  the lines e^i ^ *phi (Gram 3 I) and the identity then checked exactly;
 * route B, from the six-dimensional torsion components:
   T = *6 d omega - *6 (beta ^ omega) + 2 W1p psi+ + lambda psi-
       - [*6 (W2p ^ omega)] ^ dt.
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from . import linalg
 from .exterior import (
     Form,
     FrameContext,
@@ -38,6 +38,7 @@ from .exterior import (
     inner,
     interior,
     j_apply,
+    line_norms,
 )
 from .liealg import LieAlgebra
 from .scalars import Scalar
@@ -133,56 +134,30 @@ def build_product(s: SU3Structure) -> G2Structure:
 
 
 @functools.lru_cache(maxsize=32)
-def _lee_solver(star_phi: Form):
-    """One elimination of the system d*phi = theta ^ *phi, for any right side.
-
-    The equations are the 5-form masks of the columns e^i ^ *phi; each
-    carries a marker entry keyed by its own mask, so the reduced row of a
-    pivot (a 1-form mask) records the combination of equations that gave
-    it.  Returns, per pivot, that combination as its nonzero ``(mask, entry)``
-    pairs: the pivot's component of theta is their dot product with d*phi,
-    and free unknowns are zero.  For the standard *phi the columns are
-    orthogonal with Gram 3 I and each combination has one entry.
-    """
+def _lee_solver(star_phi: Form) -> Tuple[Tuple[Form, Scalar], ...]:
+    """The lines e^i ^ *phi of Lambda^5 with their squared norms (3 for the
+    standard *phi), checked orthogonal once per form."""
     ctx = star_phi.ctx
-    one = ctx.params.one
-    unknowns = [1 << i for i in range(ctx.dim)]
-    equations: Dict[int, Dict[int, Scalar]] = {}
-    for i, u in enumerate(unknowns, start=1):
-        for m, c in ctx.basis(i).wedge(star_phi).comps.items():
-            equations.setdefault(m, {m: one})[u] = c
-    red, pivots = linalg.sparse_rref(
-        [equations[m] for m in sorted(equations)], unknowns, ctx.params
-    )
-    return tuple(
-        (p, tuple((m, x) for m, x in row.items() if m in equations))
-        for row, p in zip(red, pivots)
-    )
+    lines = tuple(ctx.basis(i).wedge(star_phi) for i in range(1, ctx.dim + 1))
+    labels = tuple(f"e^{i} ^ *phi" for i in range(1, ctx.dim + 1))
+    return tuple(zip(lines, line_norms(lines, labels, G2Error)))
 
 
 def extract_theta(g: G2Structure) -> Form:
-    """The unique 1-form with d*phi = theta ^ *phi, solved exactly.
+    """The unique 1-form with d*phi = theta ^ *phi, by projection.
 
-    Raises G2Error with the residual 5-form when no solution exists
-    (the structure is then not of skew-torsion type); asserts d theta = 0
+    The projection of d*phi on Lambda^1 ^ *phi is theta ^ *phi with
+    theta_i = <d*phi, e^i ^ *phi>/<e^i ^ *phi, e^i ^ *phi>.  Raises
+    G2Error when theta ^ *phi != d*phi (the structure is then not of
+    skew-torsion type), with d*phi itself as the residual: no 1-form solves
+    the system, and d*phi is the residual of theta = 0.  Asserts d theta = 0
     on success.
     """
     ctx = g.ctx
-    pctx = ctx.params
     target = g.d(g.star_phi)
-    b = target.comps
-    theta = Form(ctx, {
-        p: sum((x * b[m] for m, x in row if m in b), pctx.zero)
-        for p, row in _lee_solver(g.star_phi)
-    })
-    # the exact check stands for the consistency test of the whole system
+    theta = Form(ctx, {1 << i: inner(target, line) / norm
+                       for i, (line, norm) in enumerate(_lee_solver(g.star_phi))})
     if theta.wedge(g.star_phi) != target:
-        # theta -> theta ^ *phi is injective, so the solver's theta solves the
-        # system whenever it is consistent.  Here it is not: the reduced
-        # augmented system has a pivot in the right-hand side, whose row
-        # clears that column from every other row, so the rref witness
-        # (pivot unknowns read off, free ones zero) is theta = 0, and the
-        # residual is d*phi itself.
         raise G2Error("not a G2T-structure", target)
     if not g.d(theta).is_zero:
         raise G2Error("extracted Lee form is not closed (convention bug)", g.d(theta))
@@ -245,22 +220,10 @@ def torsion(g: G2Structure) -> TorsionReport:
 
 @functools.lru_cache(maxsize=32)
 def _v7_projector_forms(phi: Form) -> Tuple[Form, ...]:
-    """The seven forms e^i ^ phi; verified independent with diagonal Gram."""
+    """The seven forms e^i ^ phi, checked orthogonal with nonzero norms."""
     ctx = phi.ctx
     forms = tuple(ctx.basis(i).wedge(phi) for i in range(1, 8))
-    gram_diag = None
-    for i, fi in enumerate(forms):
-        for j in range(i, len(forms)):
-            val = inner(fi, forms[j])
-            if i == j:
-                if gram_diag is None:
-                    gram_diag = val
-                elif val != gram_diag:
-                    raise G2Error("V7 projector Gram is not a multiple of identity")
-            elif not val.is_zero:
-                raise G2Error("V7 projector forms are not orthogonal")
-    if gram_diag is None or gram_diag.is_zero:
-        raise G2Error("V7 projector forms are degenerate")
+    line_norms(forms, tuple(f"e^{i} ^ phi" for i in range(1, 8)), G2Error)
     return forms
 
 

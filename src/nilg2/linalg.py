@@ -9,8 +9,8 @@ content (Bareiss, Math. Comp. 22, 1968, without his exact division), so
 every value stays an int; ``liealg``'s invariants run this way.  Scalar rows
 without parameters are cleared into int rows, each times the lcm of its
 denominators; ``sparse_rref`` divides their reduced rows by their pivots.
-Rows with parameters are pivoted over the field.  ``kernel`` and ``invert``
-take dense rows (lists of Scalars).
+Rows with parameters are pivoted over the field.  ``invert`` takes dense
+rows (lists of Scalars).  ``liealg`` is the one client.
 """
 
 from __future__ import annotations
@@ -102,32 +102,11 @@ def sparse_rank(rows: Sequence[Mapping], cols: Sequence) -> int:
     return len(_eliminate(rows, cols, full=False)[1])
 
 
-def sparse_kernel(rows: Sequence[Mapping], cols: Sequence, ctx: ParameterContext):
-    """Basis of the right kernel: one vector per free column, in column order."""
-    red, pivots = sparse_rref(rows, cols, ctx)
-    return [
-        {fc: ctx.one, **{pc: -row[fc] for row, pc in zip(red, pivots) if fc in row}}
-        for fc in cols if fc not in pivots
-    ]
-
-
-def _sparse(rows: Sequence[Sequence[Scalar]]) -> List[dict]:
-    return [{c: x for c, x in enumerate(row) if x} for row in rows]
-
-
-def kernel(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> List[Row]:
-    """Basis of the right kernel of the matrix."""
-    if not rows:
-        return []
-    n = len(rows[0])
-    return [[v.get(c, ctx.zero) for c in range(n)]
-            for v in sparse_kernel(_sparse(rows), range(n), ctx)]
-
-
 def invert(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Optional[List[Row]]:
     """Exact inverse of a square matrix, or None if singular."""
     n = len(rows)
-    aug = [{**row, n + i: ctx.one} for i, row in enumerate(_sparse(rows))]
+    aug = [{**{c: x for c, x in enumerate(row) if x}, n + i: ctx.one}
+           for i, row in enumerate(rows)]
     red, pivots = sparse_rref(aug, range(2 * n), ctx)
     if pivots[:n] != list(range(n)):
         return None

@@ -18,6 +18,10 @@ Intrinsic torsion conventions pinned here (see the class relations below):
   equations imply W4 = beta/4, W5 = -beta/2, i.e. W5 = -2 W4 and
   beta = -2 W5.
 * lambda is read off as 2 W1m when not supplied externally.
+* The splittings of dpsi+ and dpsi- are orthogonal projections on
+  R omega^2 + Lambda^1 ^ psi + [[Lambda^{1,1}_0]] ^ omega
+  (``exterior.lefschetz_coefficients``); the projections are certified by
+  reconstructing the 4-form exactly.
 
 The displayed expansion of d omega used throughout is
 d omega = (1/2) beta ^ omega + Omega + nu_plus psi+ + nu_minus psi- with
@@ -168,8 +172,8 @@ def torsion_classes(s: SU3Structure) -> TorsionClasses:
     W1m = d_psim.wedge(om).comps.get(vol_mask, pctx.zero) / 6
 
     try:
-        c_plus, gamma_plus, W2p = lefschetz_coefficients(d_psip, om, psip, psim, slot="plus")
-        c_minus, gamma_minus, W2m = lefschetz_coefficients(d_psim, om, psip, psim, slot="minus")
+        c_plus, gamma_plus, W2p = lefschetz_coefficients(d_psip, slot="plus")
+        c_minus, gamma_minus, W2m = lefschetz_coefficients(d_psim, slot="minus")
     except ExteriorError as exc:
         raise StructureError(f"dpsi outside SU(3) module: {exc}") from None
     if c_plus != W1p or c_minus != W1m:
@@ -265,8 +269,8 @@ def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict
     bindings applied.  An unbound parameter or a vanishing denominator at
     the binding raises ScalarError; a malformed file (content before a
     header, an unknown or repeated section, a missing [algebra], a bad
-    [params] line, an [adaptation] that is not 6x6) raises
-    StructureFileError.
+    [params] line, an [adaptation] that is not 6x6, an empty one among
+    them) raises StructureFileError.
     """
     sections: dict = {}
     current: Optional[str] = None
@@ -300,7 +304,7 @@ def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict
         values[name] = value.strip()
     params = ParameterContext(params.names + tuple(values))
     algebra = parse_salamon(" ".join(sections["algebra"]), params, dim=6)
-    if "adaptation" in sections and sections["adaptation"]:
+    if "adaptation" in sections:
         rows = []
         for line in sections["adaptation"]:
             parts = [p for chunk in line.split(",") for p in chunk.split()]

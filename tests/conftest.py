@@ -9,7 +9,15 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from oracle import PSI_PLUS
 
-from nilg2.exterior import ComplexStructure, FrameContext, standard_su3_forms
+from nilg2 import linalg
+from nilg2.exterior import (
+    ComplexStructure,
+    FrameContext,
+    _basis_masks,
+    j_apply,
+    parse_form,
+    standard_su3_forms,
+)
 from nilg2.families import family_context
 from nilg2.liealg import BasisChange, parse_salamon
 from nilg2.su3 import build_structure
@@ -58,6 +66,28 @@ def iwasawa(pctx):
 def iwasawa_structure(pctx, iwasawa):
     adaptation = BasisChange.diagonal(pctx, [1, -1, 1, -1, 1, 1])
     return build_structure(iwasawa, adaptation)
+
+
+# A basis of the primitive (1,1)-forms, in form-literal syntax
+_PRIMITIVE_11 = ("12 - 34", "34 - 56", "13 + 24", "14 - 23",
+                 "15 + 26", "16 - 25", "35 + 46", "36 - 45")
+
+
+def is_primitive_11(w):
+    """w ^ psi+ = w ^ psi- = w ^ omega^2 = 0 and J w = w, for the standard
+    forms of the 2-form's frame."""
+    omega, psi_plus, psi_minus = standard_su3_forms(w.ctx)
+    return (w.homogeneous_grade() in (None, 2)
+            and all(w.wedge(f).is_zero for f in (psi_plus, psi_minus, omega.wedge(omega)))
+            and j_apply(ComplexStructure(w.ctx), w) == w)
+
+
+def primitive_11_basis(ctx):
+    """Eight independent primitive (1,1)-forms: a basis of Lambda^{1,1}_0."""
+    basis = [parse_form(ctx, text) for text in _PRIMITIVE_11]
+    assert all(is_primitive_11(w) for w in basis)
+    assert linalg.sparse_rank([w.comps for w in basis], _basis_masks(6, 2)) == 8
+    return basis
 
 
 def form_to_oracle(form, bindings=None):

@@ -331,6 +331,14 @@ def test_shared_options_merge_across_subcommand(capsys):
     (("--param", "lam=0", "--param", "k=1", "g2t", "case1"), "degenerate parameter: lam = 0"),
     (("--param", "lam=1", "--param", "z=1", "--param", "a1=-1", "su3", "case2"),
      "degenerate parameter: z+a1 = 0"),
+    # check and contract bind the table like betti and fingerprint
+    (("--param", "k=1", "check", "0,0,0,0,0,lam*12"), "unbound parameter 'lam'"),
+    (("--param", "lam=2", "check", "0,0,0,0,0,1/(lam-2)*12"), "denominator vanishes at binding"),
+    (("contract", "0,0,0,0,0,lam*12", "--exponents=0,0,0,0,0,0", "--direction", "to-zero",
+      "--param", "k=1"), "unbound parameter 'lam'"),
+    # theorem replays fixed rows
+    (("--param", "lam=1", "theorem"), "theorem replays fixed rows; --param does not apply"),
+    (("theorem", "--param", "k=2"), "theorem replays fixed rows; --param does not apply"),
 ])
 def test_bad_input_exit_2_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -338,6 +346,18 @@ def test_bad_input_exit_2_one_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("--param", "lam=2", "contract", "0,0,0,0,0,lam*12", "--exponents=0,0,0,0,0,0",
+      "--direction", "to-zero"), "limit = 0,0,0,0,0,2*12"),
+    (("check", "0,0,0,0,0,lam*12", "--param", "lam=2"), "algebra = 0,0,0,0,0,2*12"),
+])
+def test_check_and_contract_bind_param(capsys, argv, line):
+    """--param binds the table of check and contract before they run."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert line in [row.strip() for row in out.splitlines()]
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("g2t", "-h")])
@@ -549,6 +569,8 @@ def test_structure_file_bad_binding_exit_2(capsys, tmp_path, text, message):
                  "line 3: repeated section [algebra]", id="repeated-section"),
     pytest.param("[algebra]\n0,0,0,0,0,lam*12\n[params]\nlam = 1\nλ = 2\n",
                  "parameter 'lam' bound twice in [params]", id="parameter-bound-twice"),
+    pytest.param("[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n[params]\n",
+                 "[adaptation] must contain a 6x6 matrix", id="adaptation-empty"),
 ])
 @pytest.mark.parametrize("command", ["su3", "g2t"])
 def test_structure_file_syntax_exit_2(capsys, tmp_path, command, text, message):

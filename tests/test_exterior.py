@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import form_to_oracle
+from conftest import form_to_oracle, is_primitive_11, primitive_11_basis
 from oracle import is_type_22
 
 from nilg2 import linalg
@@ -21,7 +21,6 @@ from nilg2.exterior import (
     j_apply,
     lefschetz_coefficients,
     parse_form,
-    primitive_11_basis,
     standard_su3_forms,
     substitute_coframe,
 )
@@ -233,17 +232,17 @@ def test_j_equals_hodge_on_psi_line(J, iwasawa_structure):
 def test_lefschetz_trivial_slots(std_forms, frame6):
     om, psip, psim = std_forms
     om2 = om.wedge(om)
-    c0, gamma, w2 = lefschetz_coefficients(om2, om, psip, psim)
+    c0, gamma, w2 = lefschetz_coefficients(om2)
     assert c0 == 1 and gamma.is_zero and w2.is_zero
     one = frame6.basis(1)
-    c0, gamma, w2 = lefschetz_coefficients(one.wedge(psip), om, psip, psim)
+    c0, gamma, w2 = lefschetz_coefficients(one.wedge(psip))
     assert c0 == 0 and gamma == one and w2.is_zero
 
 
 def test_lefschetz_iwasawa_value(std_forms, frame6):
     om, psip, psim = std_forms
     a = frame6.basis(1, 2, 3, 4).scale(4)
-    c0, gamma, w2 = lefschetz_coefficients(a, om, psip, psim)
+    c0, gamma, w2 = lefschetz_coefficients(a)
     assert c0 == Fraction(2, 3)
     assert gamma.is_zero
     e = frame6.basis
@@ -252,17 +251,16 @@ def test_lefschetz_iwasawa_value(std_forms, frame6):
     assert gamma.wedge(psip) + w2.wedge(om) + om.wedge(om).scale(c0) == a
 
 
-def test_lefschetz_mixed_grade_rejected(std_forms, frame6):
-    om, psip, psim = std_forms
+def test_lefschetz_mixed_grade_rejected(frame6):
     with pytest.raises(ExteriorError):
-        lefschetz_coefficients(frame6.basis(1, 2), om, psip, psim)
+        lefschetz_coefficients(frame6.basis(1, 2))
 
 
-def _dense_lefschetz(a, om, psip, psim, slot):
-    """The same 15x15 system as lefschetz_coefficients, solved densely."""
+def _dense_lefschetz(a, om, psi):
+    """The 15x15 system a = c0 omega^2 + gamma ^ psi + W2 ^ omega over the
+    primitive (1,1) basis, solved densely."""
     ctx, pctx = a.ctx, a.ctx.params
-    psi = psip if slot == "plus" else psim
-    w2_basis = primitive_11_basis(om, psip, psim)
+    w2_basis = primitive_11_basis(ctx)
     columns = [om.wedge(om)] + [ctx.basis(i).wedge(psi) for i in range(1, 7)]
     columns += [w.wedge(om) for w in w2_basis]
     masks = [ctx.basis(*combo) for combo in combinations(range(1, 7), 4)]
@@ -282,9 +280,11 @@ def _dense_lefschetz(a, om, psip, psim, slot):
 @pytest.mark.parametrize("slot", ["plus", "minus"])
 @pytest.mark.parametrize("symbolic", [False, True])
 def test_lefschetz_sparse_solve_matches_dense(std_forms, frame6, pctx, slot, symbolic):
+    """The projections give the parts a was built from, as the dense solve
+    of the whole system does; the lines are built once per frame and slot."""
     om, psip, psim = std_forms
     psi = psip if slot == "plus" else psim
-    w2_basis = primitive_11_basis(om, psip, psim)
+    w2_basis = primitive_11_basis(frame6)
     params = [pctx.param(name) for name in ("lam", "k", "z")]
     rng = random.Random(f"lefschetz/{slot}/{symbolic}")
 
@@ -302,30 +302,56 @@ def test_lefschetz_sparse_solve_matches_dense(std_forms, frame6, pctx, slot, sym
         w2 = sum((w.scale(coeff()) for w in w2_basis if rng.random() < 0.4),
                  frame6.zero_form())
         a = gamma.wedge(psi) + w2.wedge(om) + om.wedge(om).scale(c0)
-        got = lefschetz_coefficients(a, om, psip, psim, slot)
+        got = lefschetz_coefficients(a, slot)
         assert got == (c0, gamma, w2)
-        assert got == _dense_lefschetz(a, om, psip, psim, slot)
+        assert got == _dense_lefschetz(a, om, psi)
         before = _lefschetz_solver.cache_info()
-        assert lefschetz_coefficients(a, om, psip, psim, slot) == got
+        assert lefschetz_coefficients(a, slot) == got
         after = _lefschetz_solver.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
-def test_lefschetz_form_outside_module_rejected(frame6, std_forms):
-    """With a degenerate omega the 4-forms the decomposition reaches are a
-    proper subspace, and one outside it is refused."""
-    _, psip, psim = std_forms
+@pytest.mark.parametrize("slot", ["plus", "minus"])
+@pytest.mark.parametrize("symbolic", [False, True])
+def test_lefschetz_certificate_on_arbitrary_4_forms(std_forms, frame6, pctx, slot, symbolic):
+    """Every 4-form splits: the reconstruction is exact and W2 is primitive
+    of type (1,1)."""
+    om, psip, psim = std_forms
+    psi = psip if slot == "plus" else psim
+    masks = list(combinations(range(1, 7), 4))
+    params = [pctx.param(name) for name in ("lam", "k", "a1")]
+    rng = random.Random(f"lefschetz-certificate/{slot}/{symbolic}")
+    for _ in range(150):
+        a = frame6.zero_form()
+        for word in rng.sample(masks, rng.randint(0, 15)):
+            value = pctx.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            if symbolic and rng.random() < 0.5:
+                value = value * rng.choice(params) + rng.randint(-2, 2)
+            a = a + frame6.basis(*word).scale(value)
+        c0, gamma, w2 = lefschetz_coefficients(a, slot)
+        assert gamma.wedge(psi) + w2.wedge(om) + om.wedge(om).scale(c0) == a
+        assert gamma.homogeneous_grade() in (None, 1)
+        assert is_primitive_11(w2)
+
+
+def test_lefschetz_corrupted_lines_rejected(std_forms, frame6, monkeypatch):
+    """The reconstruction check does not trust the cached lines: lines built
+    from -psi+, or a line 2 omega^2 with its own norm, project consistently
+    but give the wrong parts, and the check raises."""
+    om, psip, _ = std_forms
     e = frame6.basis
-    om = e(1, 2) + e(3, 4)
-    a = e(3, 4, 5, 6)
-    masks = [e(*combo) for combo in combinations(range(1, 7), 4)]
-    columns = [om.wedge(om)] + [e(i).wedge(psip) for i in range(1, 7)]
-    columns += [w.wedge(om) for w in primitive_11_basis(om, psip, psim)]
-    span = [{j: inner(col, m) for j, m in enumerate(masks) if inner(col, m)} for col in columns]
-    outside = {j: inner(a, m) for j, m in enumerate(masks) if inner(a, m)}
-    assert linalg.sparse_rank(span + [outside], range(15)) > linalg.sparse_rank(span, range(15))
-    with pytest.raises(ExteriorError, match="outside expected module"):
-        lefschetz_coefficients(a, om, psip, psim)
+    a = e(1).wedge(psip) + e(1, 2, 3, 4)
+    good = _lefschetz_solver(frame6, "plus")
+    corrupted = {
+        "-psi": good[:1] + tuple((-line, norm) for line, norm in good[1:]),
+        "2 omega^2": ((good[0][0].scale(2), good[0][1] * 4),) + good[1:],
+    }
+    for lines in corrupted.values():
+        monkeypatch.setattr(exterior, "_lefschetz_solver", lambda ctx, slot, lines=lines: lines)
+        with pytest.raises(ExteriorError, match="outside expected module"):
+            lefschetz_coefficients(a)
+    monkeypatch.undo()
+    assert lefschetz_coefficients(a)[1] == e(1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import form_to_oracle, table_to_oracle
+from conftest import form_to_oracle, primitive_11_basis, table_to_oracle
 from oracle import characteristic_torsion
+from test_cli import _CASE1_NOT_G2T
 
 from nilg2 import linalg
 from nilg2.exterior import Form, FrameContext, hodge, inner, parse_form
@@ -82,30 +84,28 @@ def test_case1_theta_symbolic(pctx):
     assert extract_theta(g) == g.dt.scale(pctx.param("lam"))
 
 
-def test_perturbed_structure_rejected(pctx, iwasawa):
-    """A 3-form perturbation leaving the skew-torsion class has no Lee form.
+# the first pair of lines e^i ^ *phi that a bump of phi by e^word leaves
+# non-orthogonal, and the inner product of that pair
+_BUMPED_LINES = {(1, 2, 5): ("e^1 ^ *phi and e^4 ^ *phi", 1),
+                 (1, 3, 6): ("e^1 ^ *phi and e^2 ^ *phi", -1)}
 
-    (A bare e125 bump keeps d*phi = 0 here, so theta = 0 still solves; the
-    e136 bump genuinely leaves the solvable module and must be rejected
-    with a nonzero residual.)"""
-    from nilg2.liealg import BasisChange
-    from nilg2.su3 import build_structure
 
-    s = build_structure(iwasawa, BasisChange.diagonal(pctx, [1, -1, 1, -1, 1, 1]))
-    g = build_product(s)
-    ctx7 = g.ctx
-    import dataclasses
+def _lines_error(word):
+    pair, value = _BUMPED_LINES[word]
+    return re.escape(f"lines {pair} are not orthogonal: inner product {value}")
 
-    bump = dataclasses.replace(g, phi=g.phi + ctx7.basis(1, 2, 5),
-                               star_phi=hodge(g.phi + ctx7.basis(1, 2, 5)))
-    assert extract_theta(bump).is_zero   # still cocalibrated, theta = 0
 
-    bad_phi = g.phi + ctx7.basis(1, 3, 6)
-    broken = dataclasses.replace(g, phi=bad_phi, star_phi=hodge(bad_phi))
-    with pytest.raises(G2Error) as err:
-        extract_theta(broken)
-    assert err.value.residual is not None
-    assert not err.value.residual.is_zero
+def test_perturbed_structure_rejected(iwasawa_structure):
+    """A 3-form perturbation of phi breaks the orthogonality of the lines
+    e^i ^ *phi that the Lee form is projected on; extract_theta refuses it,
+    naming the first pair, before it projects anything."""
+    g = build_product(iwasawa_structure)
+    for word in _BUMPED_LINES:
+        bad_phi = g.phi + g.ctx.basis(*word)
+        broken = dataclasses.replace(g, phi=bad_phi, star_phi=hodge(bad_phi))
+        with pytest.raises(G2Error, match=_lines_error(word)) as err:
+            extract_theta(broken)
+        assert err.value.residual is None
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +238,12 @@ def test_route_identity_on_formal_components(pctx):
     rng = random.Random(42)
     ctx6 = FrameContext(6, pctx)
     ctx7 = FrameContext(7, pctx)
-    from nilg2.exterior import standard_su3_forms, primitive_11_basis
+    from nilg2.exterior import standard_su3_forms
 
     om, psip, psim = standard_su3_forms(ctx6)
     om2 = om.wedge(om)
     dt = ctx7.basis(7)
-    w2_basis = primitive_11_basis(om, psip, psim)
+    w2_basis = primitive_11_basis(ctx6)
 
     def rand_scalar():
         return pctx.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
@@ -334,16 +334,23 @@ def _rotated_products(pctx, seed, count):
     return out
 
 
-def test_lee_solver_matches_full_solve(pctx, iwasawa_product):
-    """The cached elimination gives the theta that the reduced whole 21x7
-    system gives (free unknowns zero), and fails exactly where that system
-    is inconsistent."""
+def _not_g2t_product(pctx, tmp_path):
+    """The product over case1 in a coframe where the system is inconsistent."""
+    path = tmp_path / "case1_not_g2t.su3"
+    path.write_text(_CASE1_NOT_G2T, encoding="utf-8")
+    return build_product(load_structure_file(path, pctx)[0])
+
+
+def test_lee_solver_matches_full_solve(pctx, iwasawa_product, tmp_path):
+    """The projection gives the theta that the reduced whole 21x7 system
+    gives, and fails exactly where that system is inconsistent; a bumped
+    phi is refused for its lines."""
     repo = Path(__file__).resolve().parents[1]
     products = [build_product(instantiate(name, params=pctx)[1])
                 for name in ("case1", "case2", "case3")]
     products.append(build_product(load_structure_file(repo / "scripts" / "iwasawa.su3", pctx)[0]))
     products += _rotated_products(pctx, seed=20261018, count=9)
-    products += [_bumped(iwasawa_product, 1, 2, 5), _bumped(iwasawa_product, 1, 3, 6)]
+    products.append(_not_g2t_product(pctx, tmp_path))
     outcomes = set()
     for g in products:
         red, pivots = linalg.sparse_rref(_full_system(g), range(8), g.ctx.params)
@@ -355,12 +362,19 @@ def test_lee_solver_matches_full_solve(pctx, iwasawa_product):
             assert extract_theta(g) == Form(g.ctx, theta)
         outcomes.add(7 in pivots)
     assert outcomes == {True, False}
+    for word in _BUMPED_LINES:
+        with pytest.raises(G2Error, match=_lines_error(word)):
+            extract_theta(_bumped(iwasawa_product, *word))
 
 
-def test_lee_error_residual_is_rref_witness(pctx, iwasawa_product):
-    """The e136 bump reports the residual of the rref witness: pivot unknowns
-    read from the reduced augmented system, free unknowns zero."""
-    g = _bumped(iwasawa_product, 1, 3, 6)
+def test_lee_error_residual_is_rref_witness(pctx, iwasawa_product, tmp_path):
+    """A structure outside the G2T class reports the residual of the rref
+    witness: pivot unknowns read from the reduced augmented system, free
+    unknowns zero.  The e136 bump has no residual: its lines are refused."""
+    with pytest.raises(G2Error, match=_lines_error((1, 3, 6))) as err:
+        extract_theta(_bumped(iwasawa_product, 1, 3, 6))
+    assert err.value.residual is None
+    g = _not_g2t_product(pctx, tmp_path)
     red, pivots = linalg.sparse_rref(_full_system(g), range(8), pctx)
     assert 7 in pivots          # inconsistent
     attempt = {1 << pc: row[7] for row, pc in zip(red, pivots) if pc < 7 and 7 in row}
@@ -391,9 +405,11 @@ def test_replaced_phi_gets_its_own_entry(iwasawa_product):
     dT_tests(g, torsion(g))
     bump = _bumped(g, 1, 2, 5)
     assert bump.star_phi != g.star_phi
-    assert extract_theta(bump).is_zero
+    with pytest.raises(G2Error, match=_lines_error((1, 2, 5))):
+        extract_theta(bump)
     assert _lee_solver.cache_info().misses == 2
-    with pytest.raises(G2Error, match="V7 projector"):
+    with pytest.raises(G2Error, match=re.escape(
+            "lines e^1 ^ phi and e^4 ^ phi are not orthogonal: inner product -1")):
         _v7_projector_forms(bump.phi)
     doubled = g.phi.scale(2)
     assert _v7_projector_forms(doubled)[0] == g.ctx.basis(1).wedge(doubled)

@@ -6,9 +6,8 @@ fail the Jacobi identity or are not presented nilpotently, malformed
 structure files, a --param binding that leaves a parameter unbound, makes
 a denominator vanish or violates a family's nonzero condition, a --param
 given to ``theorem``, malformed options), with a one-line message on
-standard error.  The shared options
-``--param``, ``--format`` and ``--seed`` may stand before or after the
-subcommand.
+standard error.  The shared options ``--param``, ``--format`` and
+``--seed`` may stand before or after the subcommand.
 """
 
 from __future__ import annotations

@@ -95,16 +95,13 @@ def _lines_error(word):
     return re.escape(f"lines {pair} are not orthogonal: inner product {value}")
 
 
-def test_perturbed_structure_rejected(iwasawa_structure):
+def test_perturbed_structure_rejected(iwasawa_product):
     """A 3-form perturbation of phi breaks the orthogonality of the lines
     e^i ^ *phi that the Lee form is projected on; extract_theta refuses it,
     naming the first pair, before it projects anything."""
-    g = build_product(iwasawa_structure)
     for word in _BUMPED_LINES:
-        bad_phi = g.phi + g.ctx.basis(*word)
-        broken = dataclasses.replace(g, phi=bad_phi, star_phi=hodge(bad_phi))
         with pytest.raises(G2Error, match=_lines_error(word)) as err:
-            extract_theta(broken)
+            extract_theta(_bumped(iwasawa_product, *word))
         assert err.value.residual is None
 
 

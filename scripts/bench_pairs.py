@@ -13,8 +13,16 @@ sides alike.  Each run's end-to-end metrics (the names, units and better
 directions listed in this checkout's BENCHMARK.json) and the host-loop
 timings that ``bench/run.py`` prints at the start and end of a run are
 collected.  The summary per workload and metric gives both sides' median
-and quartiles over the pairs and the number of pairs each side won (ties
-count for neither).
+and quartiles over the pairs, the parent's IQR (the distance between its
+quartiles), the relative change of the medians, the number of pairs each
+side won (ties count for neither) and a verdict:
+
+* ``gain`` when the change wins at least nine tenths of the pairs and its
+  median is better than the parent's by more than the parent's IQR;
+* ``worse`` when the change's median is worse than the parent's by more
+  than the metric's bound in BENCHMARK.json (a fraction of the parent's
+  median);
+* ``within bound`` otherwise.
 
 Writes ``BENCH_<short-sha>.json`` at the root of this checkout, named after
 its HEAD commit, and prints the summary.  Either side's sha gets a
@@ -77,28 +85,55 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
+def wins(parent, change, better):
+    """(pairs the change won, pairs the parent won); ties count for neither."""
+    sign = 1 if better == "lower" else -1
+    return (sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            sum(sign * (c - p) > 0 for p, c in zip(parent, change)))
+
+
+def verdict(parent, change, better, bound):
+    """``gain``, ``worse`` or ``within bound`` for one metric, from its values
+    on both sides of the same pairs (see the module docstring)."""
+    low, high = quartiles(parent)
+    # positive when the change's median is worse
+    delta = (statistics.median(change) - statistics.median(parent)) * (
+        1 if better == "lower" else -1)
+    if 10 * wins(parent, change, better)[0] >= 9 * len(parent) and -delta > high - low:
+        return "gain"
+    if delta > bound * abs(statistics.median(parent)):
+        return "worse"
+    return "within bound"
+
+
 def summarize(pairs, metrics):
-    """Per metric: both sides' values over the pairs, medians, quartiles and wins."""
+    """Per metric: both sides' values over the pairs, medians, quartiles,
+    the parent's IQR, the relative change of the medians, wins and verdict."""
     summary = {}
     for name, spec in metrics.items():
         parent = [p["parent"]["metrics"].get(name) for p in pairs]
         change = [p["change"]["metrics"].get(name) for p in pairs]
         if None in parent or None in change:
             continue
-        sign = 1 if spec["better"] == "lower" else -1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-        losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        change_wins, parent_wins = wins(parent, change, spec["better"])
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        low, high = quartiles(parent)
         summary[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
+            "bound": spec["bound"],
             "parent": parent,
             "change": change,
-            "parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
-            "parent_quartiles": quartiles(parent),
+            "parent_median": parent_median,
+            "change_median": change_median,
+            "parent_quartiles": [low, high],
             "change_quartiles": quartiles(change),
-            "change_wins": wins,
-            "parent_wins": losses,
+            "parent_iqr": high - low,
+            "relative_change": ((change_median - parent_median) / parent_median
+                                if parent_median else None),
+            "change_wins": change_wins,
+            "parent_wins": parent_wins,
+            "verdict": verdict(parent, change, spec["better"], spec["bound"]),
         }
     return summary
 
@@ -146,10 +181,13 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(doc, indent=2) + "\n")
     for workload, data in doc["workloads"].items():
         for name, s in data["summary"].items():
+            relative = ("n/a" if s["relative_change"] is None
+                        else f"{s['relative_change']:+.1%}")
             print(f"{workload} {name}: parent {s['parent_median']:.4g} "
-                  f"(IQR {s['parent_quartiles'][0]:.4g}..{s['parent_quartiles'][1]:.4g}) "
-                  f"change {s['change_median']:.4g} {s['unit']}; change wins "
-                  f"{s['change_wins']}/{args.pairs}")
+                  f"(quartiles {s['parent_quartiles'][0]:.4g}..{s['parent_quartiles'][1]:.4g}, "
+                  f"IQR {s['parent_iqr']:.4g}) change {s['change_median']:.4g} {s['unit']} "
+                  f"({relative}); change wins {s['change_wins']}/{args.pairs}; "
+                  f"{s['verdict']} (bound {s['bound']:.0%})")
     print(f"wrote {out}")
     return 0 if ok else 1
 

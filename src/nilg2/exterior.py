@@ -60,7 +60,9 @@ class ExteriorError(ValueError):
     """Contract violations: context mismatch, grade errors, module errors."""
 
 
-def _bits(mask: int) -> List[int]:
+@functools.lru_cache(maxsize=None)
+def _bits(mask: int) -> Tuple[int, ...]:
+    """The indices of a bitmask, ascending."""
     out = []
     i = 1
     while mask:
@@ -68,7 +70,7 @@ def _bits(mask: int) -> List[int]:
             out.append(i)
         mask >>= 1
         i += 1
-    return out
+    return tuple(out)
 
 
 def _mask(indices: Iterable[int]) -> Tuple[int, int]:
@@ -86,8 +88,12 @@ def _mask(indices: Iterable[int]) -> Tuple[int, int]:
     return sign, mask
 
 
+@functools.lru_cache(maxsize=None)
 def _merge_sign(a: int, b: int) -> int:
-    """Parity sign of sorting the concatenation (bits of a, bits of b)."""
+    """Parity sign of sorting the concatenation (bits of a, bits of b).
+
+    Called on disjoint masks of a frame, so the cache holds at most 3^7
+    entries."""
     inversions = 0
     bb = b
     while bb:
@@ -100,18 +106,21 @@ def _merge_sign(a: int, b: int) -> int:
 
 def _wedge(a: Mapping, b: Mapping) -> dict:
     """The components of a ^ b from those of a and b, whatever their values
-    (Scalars or ints); a sum that cancels is kept as a zero."""
+    (Scalars or ints); a sum that cancels is kept as a zero.  A coefficient
+    of ``a`` equal to 1 multiplies nothing."""
     comps: dict = {}
     for ma, ca in a.items():
+        unit = ca == 1
         for mb, cb in b.items():
             if ma & mb:
                 continue
             m = ma | mb
-            term = ca * cb
-            if _merge_sign(ma, mb) < 0:
-                term = -term
+            term = cb if unit else ca * cb
             prev = comps.get(m)
-            comps[m] = term if prev is None else prev + term
+            if _merge_sign(ma, mb) > 0:
+                comps[m] = term if prev is None else prev + term
+            else:
+                comps[m] = -term if prev is None else prev - term
     return comps
 
 
@@ -164,7 +173,7 @@ class Form:
 
     def __init__(self, ctx: FrameContext, comps: Mapping[int, Scalar]):
         self.ctx = ctx
-        self.comps = {m: c for m, c in comps.items() if not c.is_zero}
+        self.comps = {m: c for m, c in comps.items() if c.raw}
 
     # -- basic structure ----------------------------------------------------
 
@@ -217,13 +226,20 @@ class Form:
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
-        return self + (-other)
+        self._require_same(other)
+        comps = dict(self.comps)
+        for m, c in other.comps.items():
+            prev = comps.get(m)
+            comps[m] = -c if prev is None else prev - c
+        return Form(self.ctx, comps)
 
     def __neg__(self) -> "Form":
         return Form(self.ctx, {m: -c for m, c in self.comps.items()})
 
     def scale(self, factor) -> "Form":
-        factor = self.ctx.params.scalar(factor) if not isinstance(factor, Scalar) else factor
+        factor = self.ctx.params.scalar(factor)
+        if factor == 1:
+            return self
         return Form(self.ctx, {m: c * factor for m, c in self.comps.items()})
 
     def __mul__(self, factor):
@@ -297,12 +313,12 @@ def interior(x: Form, a: Form) -> Form:
             if mx & ma != mx:
                 continue
             rest = ma & ~mx
-            sign = _merge_sign(mx, rest)
             term = cx * ca
-            if sign < 0:
-                term = -term
             prev = comps.get(rest)
-            comps[rest] = term if prev is None else prev + term
+            if _merge_sign(mx, rest) > 0:
+                comps[rest] = term if prev is None else prev + term
+            else:
+                comps[rest] = -term if prev is None else prev - term
     return Form(a.ctx, comps)
 
 
@@ -346,7 +362,7 @@ def substitute_coframe(a: Form, rows: Sequence[Sequence[Scalar]]) -> Form:
     f = B e pulls a form written in the f^i back to the e^i with the rows of
     B, and the volume goes to det(B) times itself.
     """
-    images = [{1 << j: c for j, c in enumerate(row) if c} for row in rows]
+    images = [{1 << j: c for j, c in enumerate(row) if c.raw} for row in rows]
     comps: dict = {}
     for mask, coeff in a.comps.items():
         words = {0: coeff}
@@ -389,13 +405,14 @@ def line_norms(lines: Sequence[Form], labels: Sequence[str], error=ExteriorError
 
 @functools.lru_cache(maxsize=32)
 def _lefschetz_solver(ctx: FrameContext, slot: str) -> Tuple[Tuple[Form, Scalar], ...]:
-    """The lines omega^2 and e^i ^ psi_slot of the standard forms with their
-    squared norms (12 and 2), checked orthogonal once per frame and slot."""
+    """The lines omega^2 and e^i ^ psi_slot of the standard forms, each with
+    the inverse of its squared norm (1/12 and 1/2), checked orthogonal once
+    per frame and slot."""
     omega, psi_plus, psi_minus = standard_su3_forms(ctx)
     psi = psi_plus if slot == "plus" else psi_minus
     lines = (omega.wedge(omega),) + tuple(ctx.basis(i).wedge(psi) for i in range(1, 7))
     labels = ("omega^2",) + tuple(f"e^{i} ^ psi_{slot}" for i in range(1, 7))
-    return tuple(zip(lines, line_norms(lines, labels)))
+    return tuple((line, 1 / norm) for line, norm in zip(lines, line_norms(lines, labels)))
 
 
 def lefschetz_coefficients(a: Form, slot: str = "plus") -> Tuple[Scalar, Form, Form]:
@@ -415,7 +432,7 @@ def lefschetz_coefficients(a: Form, slot: str = "plus") -> Tuple[Scalar, Form, F
         raise ExteriorError("lefschetz decomposition expects a 4-form")
     omega, psi_plus, psi_minus = standard_su3_forms(ctx)
     psi = psi_plus if slot == "plus" else psi_minus
-    c0, *coords = (inner(a, line) / norm for line, norm in _lefschetz_solver(ctx, slot))
+    c0, *coords = (inner(a, line) * inv for line, inv in _lefschetz_solver(ctx, slot))
     gamma = Form(ctx, {1 << i: c for i, c in enumerate(coords)})
     rest = a - omega.wedge(omega).scale(c0) - gamma.wedge(psi)
     w2 = -hodge(rest)

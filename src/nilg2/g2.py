@@ -135,12 +135,13 @@ def build_product(s: SU3Structure) -> G2Structure:
 
 @functools.lru_cache(maxsize=32)
 def _lee_solver(star_phi: Form) -> Tuple[Tuple[Form, Scalar], ...]:
-    """The lines e^i ^ *phi of Lambda^5 with their squared norms (3 for the
-    standard *phi), checked orthogonal once per form."""
+    """The lines e^i ^ *phi of Lambda^5, each with the inverse of its squared
+    norm (1/3 for the standard *phi), checked orthogonal once per form."""
     ctx = star_phi.ctx
     lines = tuple(ctx.basis(i).wedge(star_phi) for i in range(1, ctx.dim + 1))
     labels = tuple(f"e^{i} ^ *phi" for i in range(1, ctx.dim + 1))
-    return tuple(zip(lines, line_norms(lines, labels, G2Error)))
+    return tuple((line, 1 / norm)
+                 for line, norm in zip(lines, line_norms(lines, labels, G2Error)))
 
 
 def extract_theta(g: G2Structure) -> Form:
@@ -155,8 +156,8 @@ def extract_theta(g: G2Structure) -> Form:
     """
     ctx = g.ctx
     target = g.d(g.star_phi)
-    theta = Form(ctx, {1 << i: inner(target, line) / norm
-                       for i, (line, norm) in enumerate(_lee_solver(g.star_phi))})
+    theta = Form(ctx, {1 << i: inner(target, line) * inv
+                       for i, (line, inv) in enumerate(_lee_solver(g.star_phi))})
     if theta.wedge(g.star_phi) != target:
         raise G2Error("not a G2T-structure", target)
     if not g.d(theta).is_zero:

@@ -75,30 +75,33 @@ class SalamonSyntaxError(ValueError):
         self.position = position
 
 
-def _leibniz(table: Sequence[Mapping], comps: Mapping, one) -> dict:
+def _leibniz(table: Sequence[Mapping], comps: Mapping) -> dict:
     """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0).
 
     ``table`` holds the components of the d e^i and ``comps`` those of the
-    form, with Scalar or int values whose unit is ``one``.  A coefficient
-    that is ``one`` multiplies nothing: d on a basis word takes the table
-    entries with their signs.  A sum that cancels is kept as a zero."""
+    form, with Scalar or int values.  A coefficient equal to 1 multiplies
+    nothing: d on a basis word takes the table entries with their signs.
+    A sum that cancels is kept as a zero."""
     out: dict = {}
     for mask, coeff in comps.items():
+        unit = coeff == 1
         for j, idx in enumerate(_bits(mask)):
             rest = mask & ~(1 << (idx - 1))
             for m2, c2 in table[idx - 1].items():
                 if m2 & rest:
                     continue
-                term = c2 if coeff is one else c2 * coeff
-                if (j % 2 == 1) != (_merge_sign(m2, rest) < 0):
-                    term = -term
-                prev = out.get(m2 | rest)
-                out[m2 | rest] = term if prev is None else prev + term
+                term = c2 if unit else c2 * coeff
+                m = m2 | rest
+                prev = out.get(m)
+                if (j % 2 == 1) == (_merge_sign(m2, rest) < 0):
+                    out[m] = term if prev is None else prev + term
+                else:
+                    out[m] = -term if prev is None else prev - term
     return out
 
 
 def _d_on_form(d_table: Sequence[Form], a: Form) -> Form:
-    return Form(a.ctx, _leibniz([f.comps for f in d_table], a.comps, a.ctx.params.one))
+    return Form(a.ctx, _leibniz([f.comps for f in d_table], a.comps))
 
 
 def _nonzero(comps: Mapping) -> dict:
@@ -384,7 +387,7 @@ def _generic_value(g: LieAlgebra, seed: int, compute):
 
 
 def _rank_d_on_grade(table: Sequence[Mapping], n: int, k: int) -> int:
-    images = [_nonzero(_leibniz(table, {m: 1}, 1)) for m in _basis_masks(n, k)]
+    images = [_nonzero(_leibniz(table, {m: 1})) for m in _basis_masks(n, k)]
     return linalg.sparse_rank(images, _basis_masks(n, k + 1))
 
 
@@ -501,7 +504,7 @@ def _series(table: Sequence[Mapping], n: int, kernel: List[dict]):
         if upper and upper[-1] == n - len(ann):
             break
         upper.append(n - len(ann))
-        images = [_nonzero(_leibniz(table, a, 1)) for a in ann]
+        images = [_nonzero(_leibniz(table, a)) for a in ann]
     return lower, derived, tuple(upper)
 
 

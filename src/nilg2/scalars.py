@@ -17,18 +17,24 @@ value of a Scalar is one of three kinds, fixed by the value itself:
 
 A ``_Poly`` is the (numerator, denominator) pair that ``cancel`` builds
 for the same value.  Its ``numer`` and ``denom`` read like those of a field
-element (``terms()`` in descending graded-lex order and ``is_ground``), so
-printing treats both kinds alike.  ``params`` and ``evaluate`` read a
-``_Poly``'s coefficient dict directly, in one unsorted pass; ``evaluate``
-sums it in ints.
+element (``is_ground``).  Printing, ``params`` and ``evaluate`` read a
+``_Poly``'s coefficient dict and int denominator directly; ``evaluate``
+sums it in ints, in one unsorted pass.
 
-Arithmetic takes one of three paths.  Two Fractions combine as Fractions.
-When both operands are Fractions or ``_Poly``s, ``+``, ``-``, ``*`` and
-division by a constant act on the pairs in Python ints: numerators are
+Each arithmetic operator makes one dispatch on the kinds of the two raw
+values, in this order.  Two Fractions combine as Fractions.  A rational
+operand 0, 1 or -1 next to a symbolic one gives the result by its
+identity, without arithmetic: ``x + 0``, ``0 + x``, ``x - 0``, ``x * 1``,
+``1 * x`` and ``x / 1`` return ``x`` itself and ``x * 0``, ``0 * x`` and
+``0 / x`` the context's zero, while ``0 - x``, ``x * -1``, ``-1 * x`` and
+``x / -1`` give ``-x``.  These are identities on canonical values and
+negation keeps a value canonical, so the result is the one the arithmetic
+would build.  Then Fractions and ``_Poly``s combine as pairs in Python
+ints (``+``, ``-``, ``*`` and division by a constant): numerators are
 scaled by ints and added or multiplied, denominators combine by lcm or
 product, and the result is reduced by the gcd of its denominator and its
-numerator's content.  Everything else (an operand of the third kind, or
-division by a non-constant value) goes through the fraction field and its
+numerator's content.  Everything else, an operand of the third kind or
+division by a non-constant value, goes through the fraction field and its
 ``cancel``, and a result with a constant denominator is turned back into a
 Fraction or a ``_Poly``.
 
@@ -37,13 +43,6 @@ first takes the field path.  Every torsion quantity of the paper's
 families is a polynomial in the parameters, so such runs never load it;
 rational-function values, such as the basis-change witnesses
 (``1/(k*lam)``) that ``families.verify_theorem`` replays, do.
-
-A symbolic operation with a rational operand 0, 1 or -1 takes neither of
-the last two paths: ``x + 0``, ``0 + x`` and ``x - 0`` give ``x``, ``0 - x``
-gives ``-x``, ``x*0``, ``0*x`` and ``0/x`` give 0, and ``x*(±1)``,
-``(±1)*x`` and ``x/(±1)`` give ``±x``.  These are identities on canonical
-values and negation keeps a value canonical, so the result is the one the
-pair arithmetic or the field would build, without the cost.
 """
 
 from __future__ import annotations
@@ -117,9 +116,8 @@ def _grlex(term):
 
 
 class _IntPoly:
-    """A sparse integer polynomial, read for printing the way sympy's
-    ``PolyElement`` is read: ``terms()`` in descending graded-lex order and
-    ``is_ground``."""
+    """A sparse integer polynomial, read the way sympy's ``PolyElement`` is
+    read: ``is_ground``."""
 
     __slots__ = ("coeffs",)
 
@@ -129,9 +127,6 @@ class _IntPoly:
     @property
     def is_ground(self) -> bool:
         return not any(map(any, self.coeffs))
-
-    def terms(self):
-        return sorted(self.coeffs.items(), key=_grlex, reverse=True)
 
 
 class _Poly:
@@ -264,6 +259,12 @@ class ParameterContext:
 
     def parse(self, text: str) -> "Scalar":
         folded, origins = _fold_with_origins(text)
+        literal = _RATIONAL.fullmatch(folded)
+        if literal:  # an integer or p/q, read as the parser reads it
+            sign, p, q = literal.groups()
+            q = int(q or 1)
+            if q:
+                return Scalar(self, Fraction(-int(p) if sign == "-" else int(p), q))
         try:
             return _Parser(self, folded).parse()
         except ScalarSyntaxError as exc:
@@ -296,93 +297,70 @@ class ParameterContext:
         return _reduced({m: int(c.numerator) for m, c in value.numer.items()},
                         int(value.denom.LC.numerator), self._zero_monom)
 
-    def _pair_op(self, op, a, b):
-        """The canonical raw value of ``op`` on two Fractions or ``_Poly``s,
-        at least one of them a ``_Poly``; ``truediv`` only by a Fraction.
+    def _sum(self, a, b, t: int):
+        """The canonical raw value of a + t*b, t = 1 or -1, for raw values
+        ``a`` and ``b`` that are not both Fractions.
 
-        Each operand is a pair (p, d) of a numerator, an int or a coefficient
-        dict, and a positive int denominator.  Sums bring both numerators
-        over the lcm of the denominators, products multiply numerators and
-        denominators, and division by q/e multiplies by e/q; the result is
-        reduced by the gcd of its denominator and the content of its
+        Two Fractions or ``_Poly``s add as pairs (p, d) of a numerator, an
+        int or a coefficient dict, and a positive int denominator: both
+        numerators are brought over the lcm of the denominators and the sum
+        is reduced by the gcd of its denominator and the content of its
         numerator, which gives the pair that the field's ``cancel`` builds.
         """
-        (p, d), (q, e) = _as_pair(a), _as_pair(b)
-        if op is operator.truediv:
-            op, q, e = operator.mul, (e if q > 0 else -e), abs(q)
-        if op is operator.mul:
-            if type(p) is int:
-                (p, d), (q, e) = (q, e), (p, d)
-            if type(q) is not int:
-                return _reduced(_product(p, q), d * e, self._zero_monom)
-            # p/d is canonical and q/e reduced, so the gcd of the content of
-            # q*p and of d*e is gcd(q, d) * gcd(content(p), e)
-            g = gcd(q, d)
-            h = gcd(e, *p.values()) if e > 1 else 1
-            k = q // g
-            if h > 1:
-                coeffs = {m: c // h * k for m, c in p.items()}
-            elif k != 1:
-                coeffs = {m: c * k for m, c in p.items()}
-            else:
-                coeffs = p
-            return _Poly(coeffs, d // g * (e // h))
-        denom = d * e // gcd(d, e)
-        t = denom // e
-        numer = _lincomb(p, denom // d, q, -t if op is operator.sub else t,
-                         self._zero_monom)
-        return _reduced(numer, denom, self._zero_monom)
+        if type(a) in _PAIR_KINDS and type(b) in _PAIR_KINDS:
+            p, d = (a.coeffs, a.den) if type(a) is _Poly else (a.numerator, a.denominator)
+            q, e = (b.coeffs, b.den) if type(b) is _Poly else (b.numerator, b.denominator)
+            denom = d * e // gcd(d, e)
+            zero = self._zero_monom
+            return _reduced(_lincomb(p, denom // d, q, t * (denom // e), zero), denom, zero)
+        return self._via_field(operator.add if t > 0 else operator.sub, a, b)
 
-    def _combine(self, op, a, b):
-        """``op(a, b)`` on raw values of which at least one is symbolic.
+    def _mul(self, a, b):
+        """The canonical raw value of a*b, for a raw value ``a`` that is not
+        a Fraction and a raw value ``b`` that is not 0, 1 or -1.  Two
+        ``_Poly``s multiply numerators and denominators."""
+        if type(a) is _Poly:
+            if type(b) is Fraction:
+                return _scaled(a, b.numerator, b.denominator)
+            if type(b) is _Poly:
+                return _reduced(_product(a.coeffs, b.coeffs), a.den * b.den, self._zero_monom)
+        return self._via_field(operator.mul, a, b)
 
-        A rational operand 0, 1 or -1 gives the result by its identity;
-        Fraction and ``_Poly`` operands take the pair path, ``truediv`` only
-        when the divisor is a Fraction.  Everything else goes through the
-        fraction field.
-        """
-        if isinstance(b, Fraction):
-            if not b:  # x + 0, x - 0, x * 0 (x / 0 is refused by the caller)
-                return b if op is operator.mul else a
-            if op is operator.mul or op is operator.truediv:
-                if b == 1:
-                    return a
-                if b == -1:
-                    return -a
-        elif isinstance(a, Fraction):
-            if not a:  # 0 + x, 0 - x, 0 * x, 0 / x
-                if op is operator.add:
-                    return b
-                return -b if op is operator.sub else a
-            if op is operator.mul:
-                if a == 1:
-                    return b
-                if a == -1:
-                    return -b
-        if type(a) in _PAIR_KINDS and (
-            type(b) is Fraction or (type(b) is _Poly and op is not operator.truediv)
-        ):
-            return self._pair_op(op, a, b)
+    def _via_field(self, op, a, b):
+        """``op(a, b)`` in the fraction field, as a canonical raw value."""
         return self._from_field(op(self._to_field(a), self._to_field(b)))
-
-    def _power(self, raw, n: int):
-        """``raw`` to the non-negative int power ``n``."""
-        if isinstance(raw, Fraction):
-            return raw ** n
-        result = Fraction(1)
-        for _ in range(n):
-            result = self._combine(operator.mul, result, raw)
-        return result
 
 
 _PAIR_KINDS = (Fraction, _Poly)
 
 
-def _as_pair(raw):
-    """A Fraction p/q as (p, q), a ``_Poly`` as (coefficient dict, denominator)."""
-    if type(raw) is _Poly:
-        return raw.coeffs, raw.den
-    return raw.numerator, raw.denominator
+def _scaled(p: _Poly, q: int, e: int) -> _Poly:
+    """The canonical raw value of p*q/e, for a nonzero int q and a positive
+    int e coprime to it."""
+    # p is canonical and q/e reduced, so the gcd of the content of q*p and
+    # of p.den*e is gcd(q, p.den) * gcd(content(p), e)
+    g = gcd(q, p.den)
+    h = gcd(e, *p.coeffs.values()) if e > 1 else 1
+    k = q // g
+    if h > 1:
+        coeffs = {m: c // h * k for m, c in p.coeffs.items()}
+    elif k != 1:
+        coeffs = {m: c * k for m, c in p.coeffs.items()}
+    else:
+        coeffs = p.coeffs
+    return _Poly(coeffs, p.den // g * (e // h))
+
+
+def _operand(ctx: ParameterContext, other):
+    """The raw value of ``other`` as an operand in ``ctx``: a Scalar's own,
+    an int or a Fraction as a Fraction; None for any other type."""
+    if isinstance(other, Scalar):
+        if other.ctx is not ctx:
+            raise ScalarError("mixed parameter contexts")
+        return other.raw
+    if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        return Fraction(other)
+    return None
 
 
 class Scalar:
@@ -418,62 +396,118 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _binary(self, other, op, reflected=False):
-        """``op(self, other)``, or ``op(other, self)`` when ``reflected``."""
-        if isinstance(other, Scalar):
-            if other.ctx is not self.ctx:
-                raise ScalarError("mixed parameter contexts")
-            b = other.raw
-        elif isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            b = Fraction(other)
-        else:
-            return NotImplemented
-        a = self.raw
-        if reflected:
-            a, b = b, a
-        if op is operator.truediv and not b:
-            raise ScalarError("division by zero scalar")
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return Scalar(self.ctx, op(a, b))
-        return Scalar(self.ctx, self.ctx._combine(op, a, b))
+    # Each operator reads the other operand's raw value and dispatches once
+    # on the two kinds, in the order of the module docstring.
 
     def __add__(self, other):
-        return self._binary(other, operator.add)
+        ctx = self.ctx
+        b = other.raw if type(other) is Scalar and other.ctx is ctx else _operand(ctx, other)
+        if b is None:
+            return NotImplemented
+        a = self.raw
+        if type(a) is Fraction:
+            if type(b) is Fraction:
+                return Scalar(ctx, a + b)
+            if not a:
+                return other
+        elif type(b) is Fraction and not b:
+            return self
+        return Scalar(ctx, ctx._sum(a, b, 1))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, operator.sub)
+        ctx = self.ctx
+        b = other.raw if type(other) is Scalar and other.ctx is ctx else _operand(ctx, other)
+        if b is None:
+            return NotImplemented
+        a = self.raw
+        if type(a) is Fraction:
+            if type(b) is Fraction:
+                return Scalar(ctx, a - b)
+            if not a:
+                return Scalar(ctx, -b)
+        elif type(b) is Fraction and not b:
+            return self
+        return Scalar(ctx, ctx._sum(a, b, -1))
 
     def __rsub__(self, other):
-        return self._binary(other, operator.sub, reflected=True)
+        b = _operand(self.ctx, other)
+        return NotImplemented if b is None else Scalar(self.ctx, b) - self
 
     def __mul__(self, other):
-        return self._binary(other, operator.mul)
+        ctx = self.ctx
+        b = other.raw if type(other) is Scalar and other.ctx is ctx else _operand(ctx, other)
+        if b is None:
+            return NotImplemented
+        a, x = self.raw, self
+        if type(a) is Fraction:
+            if type(b) is Fraction:
+                return Scalar(ctx, a * b)
+            a, b, x = b, a, other  # the rational operand second
+        if type(b) is Fraction:
+            if not b:
+                return ctx.zero
+            if b == 1:
+                return x
+            if b == -1:
+                return Scalar(ctx, -a)
+        return Scalar(ctx, ctx._mul(a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, operator.truediv)
+        ctx = self.ctx
+        b = other.raw if type(other) is Scalar and other.ctx is ctx else _operand(ctx, other)
+        if b is None:
+            return NotImplemented
+        a = self.raw
+        if type(b) is Fraction:
+            if not b:
+                raise ScalarError("division by zero scalar")
+            if type(a) is Fraction:
+                return Scalar(ctx, a / b)
+            if b == 1:
+                return self
+            if b == -1:
+                return Scalar(ctx, -a)
+            if type(a) is _Poly:  # times e/q for b = q/e
+                q, e = b.numerator, b.denominator
+                return Scalar(ctx, _scaled(a, e if q > 0 else -e, abs(q)))
+        elif type(a) is Fraction and not a:
+            return self
+        return Scalar(ctx, ctx._via_field(operator.truediv, a, b))
 
     def __rtruediv__(self, other):
-        return self._binary(other, operator.truediv, reflected=True)
+        b = _operand(self.ctx, other)
+        return NotImplemented if b is None else Scalar(self.ctx, b) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
+        ctx = self.ctx
         if exponent < 0:
-            return self.ctx.one / self ** -exponent
-        return Scalar(self.ctx, self.ctx._power(self.raw, exponent))
+            return ctx.one / self ** -exponent
+        raw = self.raw
+        if type(raw) is Fraction:
+            return Scalar(ctx, raw ** exponent)
+        if not exponent:
+            return ctx.one
+        result = raw
+        for _ in range(exponent - 1):
+            result = ctx._mul(result, raw)
+        return Scalar(ctx, result)
 
     def __neg__(self):
         return Scalar(self.ctx, -self.raw)
 
     def __eq__(self, other):
+        if type(other) is int:  # the form kernels compare coefficients with 1
+            return type(self.raw) is Fraction and self.raw == other
         if isinstance(other, Scalar):
             return self.ctx is other.ctx and self.raw == other.raw
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return isinstance(self.raw, Fraction) and self.raw == Fraction(other)
+            return type(self.raw) is Fraction and self.raw == other
         return NotImplemented
 
     def __hash__(self):
@@ -549,35 +583,36 @@ def _mono_str(names, mono) -> str:
 
 
 def _poly_str(terms, names) -> str:
-    chunks = []
-    for mono, coeff in terms:
-        c = _qq_to_fraction(coeff)
+    """(monomial, coefficient) terms, each coefficient an int or a Fraction,
+    as text in the given order."""
+    out = []
+    for mono, c in terms:
         m = _mono_str(names, mono)
-        sign = "-" if c < 0 else "+"
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
         c = abs(c)
-        if not m:
-            body = str(c)
-        elif c == 1:
-            body = m
-        else:
-            body = f"{c}*{m}"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
+        out.append(str(c) if not m else m if c == 1 else f"{c}*{m}")
+    return "".join(out)
 
 
 def _render(s: Scalar) -> str:
-    if isinstance(s.raw, Fraction):
-        return str(s.raw)
-    num, den = s.raw.numer.terms(), s.raw.denom.terms()
+    raw = s.raw
+    if type(raw) is Fraction:
+        return str(raw)
     names = s.ctx.names
-    num_str = _poly_str(num, names)
-    den_str = _poly_str(den, names)
-    if den_str == "1":
-        return num_str
+    if type(raw) is _Poly:
+        num_str = _poly_str(sorted(raw.coeffs.items(), key=_grlex, reverse=True), names)
+        if raw.den == 1:
+            return num_str
+        if len(raw.coeffs) > 1 or num_str.startswith("-"):
+            num_str = f"({num_str})"
+        return f"{num_str}/{raw.den}"
+    # a field element: its denominator is not constant
+    num, den = ([(m, _qq_to_fraction(c)) for m, c in poly.terms()]
+                for poly in (raw.numer, raw.denom))
+    num_str, den_str = _poly_str(num, names), _poly_str(den, names)
     if len(num) > 1 or num_str.startswith("-"):
         num_str = f"({num_str})"
     if len(den) > 1 or "*" in den_str or "^" in den_str:
@@ -588,6 +623,10 @@ def _render(s: Scalar) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+# An optionally signed integer or p/q: ``ParameterContext.parse`` reads one
+# with q nonzero itself and leaves every other text to ``_Parser``.
+_RATIONAL = re.compile(r"\s*([-+]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"

@@ -436,6 +436,15 @@ def _untimed(out):
 _IWASAWA_FILE = str(Path(__file__).resolve().parents[1] / "scripts" / "iwasawa.su3")
 
 
+# case3 in a gauge-rotated adapted coframe: entries such as 3/5 and -4/5,
+# which ParameterContext.parse reads as rational literals
+_CASE3_ROTATED = (
+    "[algebra]\n" + FAMILIES["case3"].table + "\n[adaptation]\n"
+    "3/5 0 -4/5 0 0 0\n0 3/5 0 -4/5 0 0\n4/5 0 3/5 0 0 0\n0 4/5 0 3/5 0 0\n"
+    "0 0 0 0 1 0\n0 0 0 0 0 1\n"
+)
+
+
 def test_polynomial_commands_never_import_sympy(capsys, tmp_path):
     """Every value of these commands is a polynomial in the parameters, so
     sympy is never imported; the reports equal those of this process,
@@ -443,9 +452,13 @@ def test_polynomial_commands_never_import_sympy(capsys, tmp_path):
     residual is d*phi."""
     not_g2t = tmp_path / "case1_not_g2t.su3"
     not_g2t.write_text(_CASE1_NOT_G2T, encoding="utf-8")
+    rotated = tmp_path / "case3_rotated.su3"
+    rotated.write_text(_CASE3_ROTATED, encoding="utf-8")
     commands = [
         ["g2t", str(not_g2t)],
         ["g2t", "case1"],
+        ["g2t", str(rotated)],
+        ["su3", str(rotated)],
         ["g2t", _IWASAWA_FILE],
         ["su3", _IWASAWA_FILE],
         ["su3", "case3"],

@@ -12,6 +12,7 @@ from nilg2 import linalg
 from nilg2 import exterior
 from nilg2.exterior import (
     ExteriorError,
+    Form,
     FrameContext,
     _lefschetz_solver,
     form_str,
@@ -26,7 +27,8 @@ from nilg2.exterior import (
 )
 from nilg2.families import FAMILIES, instantiate
 from nilg2.g2 import build_product, drop_dt, torsion
-from nilg2.scalars import ParameterContext
+from nilg2.liealg import _leibniz
+from nilg2.scalars import ParameterContext, Scalar
 
 
 def vol(ctx):
@@ -336,15 +338,15 @@ def test_lefschetz_certificate_on_arbitrary_4_forms(std_forms, frame6, pctx, slo
 
 def test_lefschetz_corrupted_lines_rejected(std_forms, frame6, monkeypatch):
     """The reconstruction check does not trust the cached lines: lines built
-    from -psi+, or a line 2 omega^2 with its own norm, project consistently
-    but give the wrong parts, and the check raises."""
+    from -psi+, or a line 2 omega^2 with the inverse of its own norm,
+    project consistently but give the wrong parts, and the check raises."""
     om, psip, _ = std_forms
     e = frame6.basis
     a = e(1).wedge(psip) + e(1, 2, 3, 4)
     good = _lefschetz_solver(frame6, "plus")
     corrupted = {
         "-psi": good[:1] + tuple((-line, norm) for line, norm in good[1:]),
-        "2 omega^2": ((good[0][0].scale(2), good[0][1] * 4),) + good[1:],
+        "2 omega^2": ((good[0][0].scale(2), good[0][1] / 4),) + good[1:],
     }
     for lines in corrupted.values():
         monkeypatch.setattr(exterior, "_lefschetz_solver", lambda ctx, slot, lines=lines: lines)
@@ -502,3 +504,107 @@ def test_substitute_coframe_is_the_algebra_map(frame6, pctx, data):
                     frame6.zero_form())
         assert sub(frame6.basis(i)) == image
     assert sub(vol(frame6)) == vol(frame6).scale(_leibniz_det(rows, pctx))
+
+
+# ---------------------------------------------------------------------------
+# memoized index helpers; unit coefficients in the form kernels
+# ---------------------------------------------------------------------------
+
+
+def _indices(mask):
+    return [i + 1 for i in range(7) if mask >> i & 1]
+
+
+def _sign(a, b):
+    """(-1)^(number of inversions of the index word (indices of a, indices of b))."""
+    return (-1) ** sum(i > j for i in _indices(a) for j in _indices(b))
+
+
+def test_merge_sign_on_every_disjoint_pair():
+    pairs = [(a, b) for a in range(128) for b in range(128) if not a & b]
+    assert len(pairs) == 3 ** 7
+    for a, b in pairs:
+        assert exterior._merge_sign(a, b) == _sign(a, b), (a, b)
+
+
+def test_bits_on_every_mask():
+    for mask in range(128):
+        bits = exterior._bits(mask)
+        assert type(bits) is tuple and bits == tuple(_indices(mask))
+
+
+def _reference_wedge(a, b):
+    """The components of a ^ b, every product taken."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if not ma & mb:
+                out[ma | mb] = out.get(ma | mb, 0) + ca * cb * _sign(ma, mb)
+    return out
+
+
+def _reference_leibniz(table, comps):
+    """d of the form ``comps`` by the Leibniz rule, every product taken."""
+    out = {}
+    for mask, coeff in comps.items():
+        for j, idx in enumerate(_indices(mask)):
+            rest = mask & ~(1 << (idx - 1))
+            for m2, c2 in table[idx - 1].items():
+                if not m2 & rest:
+                    term = c2 * coeff * (-1) ** j * _sign(m2, rest)
+                    out[m2 | rest] = out.get(m2 | rest, 0) + term
+    return out
+
+
+def _nonzero(comps):
+    return {m: c for m, c in comps.items() if c}
+
+
+def _unit_inputs(pctx, kind):
+    """Three coefficients of the kind, and the units that can reach a kernel
+    with them: the context's one, a freshly built one and -1 for Scalars,
+    1 and -1 for the ints of the integer fingerprint."""
+    lam, k = pctx.param("lam"), pctx.param("k")
+    if kind == "int":
+        return [3, -2, 5], [1, -1]
+    if kind == "symbolic":
+        values = [lam, k * lam + Fraction(1, 2), lam * -3]
+    else:
+        values = [pctx.scalar(Fraction(3, 2)), pctx.scalar(-2), pctx.scalar(5)]
+    return values, [pctx.one, Scalar(pctx, Fraction(1)), -pctx.one]
+
+
+@pytest.mark.parametrize("kind", ["symbolic", "rational", "int"])
+def test_unit_coefficients_in_wedge_and_leibniz(pctx, kind):
+    """``_wedge`` and ``_leibniz`` give the components of the plain products
+    when a coefficient is a unit, however the unit was built."""
+    values, units = _unit_inputs(pctx, kind)
+    b = {0b000110: values[0], 0b001000: values[1], 0b110001: values[2]}
+    table = [{}, {}, {0b11: values[0]}, {0b101: units[0]},
+             {0b110: values[1]}, {0b1001: values[2], 0b10010: units[-1]}]
+    for unit in units:
+        # a unit on the lowest index and beyond it, next to a general coefficient
+        for a in ({0b1: unit, 0b10000: values[1]}, {0b100: unit, 0b11000: unit}):
+            assert exterior._wedge(a, b) == _reference_wedge(a, b)
+            assert exterior._wedge(b, a) == _reference_wedge(b, a)
+        comps = {0b111000: unit, 0b100100: values[0], 0b10100: unit}
+        assert _leibniz(table, comps) == _reference_leibniz(table, comps)
+
+
+@pytest.mark.parametrize("kind", ["symbolic", "rational"])
+def test_unit_coefficients_in_form_operations(frame6, pctx, kind):
+    """Form.wedge, LieAlgebra.d, Form.scale and Form.__sub__ give the
+    components of the plain products and differences on unit coefficients."""
+    values, units = _unit_inputs(pctx, kind)
+    g = instantiate("case1", params=pctx)[0]
+    table = [f.comps for f in g.d_table]
+    b = Form(frame6, {0b000110: values[0], 0b001000: values[1], 0b110001: values[2]})
+    for unit in units:
+        a = Form(frame6, {0b1: unit, 0b10000: values[1], 0b1100: unit})
+        assert a.wedge(b).comps == _nonzero(_reference_wedge(a.comps, b.comps))
+        assert g.d(a).comps == _nonzero(_reference_leibniz(table, a.comps))
+        for factor in (unit, 1, -1, values[0]):
+            assert a.scale(factor).comps == {m: c * factor for m, c in a.comps.items()}
+        for x, y in ((a, b), (b, a), (a, a), (a, frame6.zero_form())):
+            difference = {m: x.comps.get(m, 0) - y.comps.get(m, 0) for m in {*x.comps, *y.comps}}
+            assert (x - y).comps == _nonzero(difference)

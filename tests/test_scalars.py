@@ -2,7 +2,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from sympy import symbols
 from sympy.parsing.sympy_parser import parse_expr
 from sympy.polys.domains import QQ
@@ -12,6 +12,7 @@ from nilg2.scalars import (
     ParameterContext,
     ScalarError,
     ScalarSyntaxError,
+    _Parser,
 )
 
 
@@ -367,3 +368,46 @@ def test_negative_powers_are_canonical(ctx):
         assert s ** -n == ctx.one / s ** n
     with pytest.raises(ScalarError, match="division by zero scalar"):
         ctx.zero ** -1
+
+
+# ---------------------------------------------------------------------------
+# rational literals: ParameterContext.parse reads them before the parser
+# ---------------------------------------------------------------------------
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+_DIGITS = st.tuples(st.sampled_from(["", "0", "00"]), st.integers(0, 10 ** 6)).map(
+    lambda zeros_n: zeros_n[0] + str(zeros_n[1]))
+
+
+@st.composite
+def _literals(draw):
+    """An integer or p/q with spaces, leading zeros and up to two signs in
+    front of either number; a denominator may be 0."""
+    def number():
+        signs = draw(st.text("+-", max_size=2))
+        return "".join(sign + draw(_SPACE) for sign in signs) + draw(_DIGITS)
+
+    text = draw(_SPACE) + number()
+    if draw(st.booleans()):
+        text += draw(_SPACE) + "/" + draw(_SPACE) + number()
+    return text + draw(_SPACE)
+
+
+def _outcome(parse):
+    """The value parsed, with its raw kind, or the error's message and position."""
+    try:
+        value = parse()
+    except ScalarSyntaxError as exc:
+        return "error", exc.message, exc.position
+    return "value", value, type(value.raw)
+
+
+@given(text=_literals())
+@example(text="1/0")
+@example(text="3/-5")
+@example(text="--4")
+@example(text="1e3")
+@example(text="007/0010")
+@example(text=" - 0 / 5 ")
+def test_rational_literals_parse_as_the_parser_does(ctx, text):
+    assert _outcome(lambda: ctx.parse(text)) == _outcome(lambda: _Parser(ctx, text).parse())

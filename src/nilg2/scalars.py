@@ -25,18 +25,18 @@ Each arithmetic operator makes one dispatch on the kinds of the two raw
 values, in this order.  Two Fractions combine as Fractions.  A rational
 operand 0, 1 or -1 next to a symbolic one gives the result by its
 identity, without arithmetic: ``x + 0``, ``0 + x``, ``x - 0``, ``x * 1``,
-``1 * x`` and ``x / 1`` return ``x`` itself and ``x * 0``, ``0 * x`` and
-``0 / x`` the context's zero, while ``0 - x``, ``x * -1``, ``-1 * x`` and
-``x / -1`` give ``-x``.  These are identities on canonical values and
-negation keeps a value canonical, so the result is the one the arithmetic
-would build.  Then Fractions and ``_Poly``s combine as pairs in Python
-ints (``+``, ``-``, ``*`` and division by a constant): numerators are
-scaled by ints and added or multiplied, denominators combine by lcm or
-product, and the result is reduced by the gcd of its denominator and its
-numerator's content.  Everything else, an operand of the third kind or
-division by a non-constant value, goes through the fraction field and its
-``cancel``, and a result with a constant denominator is turned back into a
-Fraction or a ``_Poly``.
+``1 * x`` and ``x / 1`` return ``x`` itself, ``x * 0`` and ``0 * x`` the
+context's zero and ``0 / x`` its zero operand, while ``0 - x``, ``x * -1``,
+``-1 * x`` and ``x / -1`` give ``-x``.  These are identities on canonical
+values and negation keeps a value canonical, so the result is the one the
+arithmetic would build.  Then Fractions and ``_Poly``s combine as pairs
+in Python ints (``+``, ``-``, ``*`` and division by a constant):
+numerators are scaled by ints and added or multiplied, denominators
+combine by lcm or product, and the result is reduced by the gcd of its
+denominator and its numerator's content.  Everything else, an operand of
+the third kind or division by a non-constant value, goes through the
+fraction field and its ``cancel``, and a result with a constant
+denominator is turned back into a Fraction or a ``_Poly``.
 
 sympy is imported, and a context's field built, only when an operation
 first takes the field path.  Every torsion quantity of the paper's

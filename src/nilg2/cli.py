@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -223,7 +224,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     report.timing_ms = (time.perf_counter() - started) * 1000.0
     report.seed = args.seed
-    print(report.to_json() if args.format == "structured" else report.to_text())
+    try:
+        print(report.to_json() if args.format == "structured" else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``nilg2 theorem | head -1``): no failed check; what is
+        # still buffered goes to devnull, as in the SIGPIPE note of Python's docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.passed else 1
 
 

@@ -485,23 +485,16 @@ def form_str(a: Form) -> str:
     pieces = []
     ordered = sorted(a.comps.items(), key=lambda mc: (bin(mc[0]).count("1"), _bits(mc[0])))
     for mask, coeff in ordered:
-        idx = "".join(str(i) for i in _bits(mask)) or "1"
         text = str(coeff)
-        if text == "1":
-            body = idx if mask else "1"
-        elif text == "-1":
-            body = f"-{idx}" if mask else "-1"
-        else:
-            negated = False
-            if text.startswith("-") and " + " not in text and " - " not in text:
-                negated = True
-                text = text[1:]
-            if " + " in text or " - " in text:
-                text = f"({text})"
-            body = f"{text}*{idx}" if mask else text
-            if negated:
-                body = f"-{body}"
-        pieces.append(body)
+        negated = text.startswith("-") and " + " not in text and " - " not in text
+        if negated:
+            text = text[1:]
+        # a 0-form term is always parenthesized: a bare 2 would read as e^2
+        if not mask or " + " in text or " - " in text:
+            text = f"({text})"
+        idx = "".join(str(i) for i in _bits(mask))
+        body = text if not mask else idx if text == "1" else f"{text}*{idx}"
+        pieces.append(f"-{body}" if negated else body)
     out = pieces[0]
     for body in pieces[1:]:
         if body.startswith("-"):
@@ -523,7 +516,9 @@ def parse_form(ctx: FrameContext, text: str) -> Form:
     Terms are separated by top-level + or -; each term is an optional scalar
     expression followed by '*' and an index word.  Index words are digit
     strings (optionally prefixed with 'e') or 'dt' (dimension 7 only).
-    The bare term '0' denotes the zero form; '1' with no '*' a 0-form.
+    The bare term '0' denotes the zero form.  A term without an index word
+    is a 0-form, so a bare integer reads as an index word: '1' is e^1, and
+    the 0-form 1 is written '(1)', as ``form_str`` prints it.
     """
     folded, origins = _fold_with_origins(text)
 

@@ -150,16 +150,16 @@ def extract_theta(g: G2Structure) -> Form:
     The projection of d*phi on Lambda^1 ^ *phi is theta ^ *phi with
     theta_i = <d*phi, e^i ^ *phi>/<e^i ^ *phi, e^i ^ *phi>.  Raises
     G2Error when theta ^ *phi != d*phi (the structure is then not of
-    skew-torsion type), with d*phi itself as the residual: no 1-form solves
-    the system, and d*phi is the residual of theta = 0.  Asserts d theta = 0
-    on success.
+    skew-torsion type), with the obstruction d*phi - theta ^ *phi as the
+    residual: the part of d*phi orthogonal to every line e^i ^ *phi, which
+    no 1-form removes.  Asserts d theta = 0 on success.
     """
     ctx = g.ctx
     target = g.d(g.star_phi)
     theta = Form(ctx, {1 << i: inner(target, line) * inv
                        for i, (line, inv) in enumerate(_lee_solver(g.star_phi))})
     if theta.wedge(g.star_phi) != target:
-        raise G2Error("not a G2T-structure", target)
+        raise G2Error("not a G2T-structure", target - theta.wedge(g.star_phi))
     if not g.d(theta).is_zero:
         raise G2Error("extracted Lee form is not closed (convention bug)", g.d(theta))
     return theta

@@ -7,12 +7,13 @@ The differential extends to all grades as the unique degree +1 derivation.
 The invariants (``betti_numbers``, ``fingerprint``) of a parameter-free
 table are computed in Python ints on L*d, the table times the lcm L of its
 denominators, by fraction-free elimination.  No invariant changes: d enters
-linearly, and a rank, kernel or preimage is that of any nonzero multiple.
-The fingerprint section lists which elimination gives which field.
+linearly, and a rank or a span is that of any nonzero multiple.  The
+fingerprint section lists which elimination gives which field.
 ``LieAlgebra.bind`` evaluates the table at a binding; a binding that leaves
-a parameter unbound or makes a denominator vanish raises ``ScalarError``.  An invariant of a table with unbound parameters is
-evaluated at two points with disjoint prime coordinates, moved by ``seed``;
-the two values must agree, else :class:`GenericEvaluationError` is raised.
+a parameter unbound or makes a denominator vanish raises ``ScalarError``.
+An invariant of a table with unbound parameters is evaluated at two points
+with disjoint prime coordinates, moved by ``seed``; the two values must
+agree, else :class:`GenericEvaluationError` is raised.
 That is a sampled generic value, not an identity in the parameters.
 """
 
@@ -184,13 +185,11 @@ class LieAlgebra:
         return True
 
     def _check_filtration(self) -> bool:
-        """V_{j+1} = {x : d x in Lambda^2 V_j} must exhaust Lambda^1; a
-        parameter-free table climbs in ints, as the invariants do."""
-        n = self.ctx.dim
-        table, one = (([f.comps for f in self.d_table], self.ctx.params.one) if self.params()
-                      else (_integer_table(_bind_table(self.d_table, {})), 1))
-        kernel = _reduce_one_forms(table, n, one)[1]
-        return _climb(table, n, one, _pair_wedges, kernel)[-1] == n
+        """The lower central series must reach 0; a parameter-free table
+        descends in ints, as the invariants do."""
+        table = ([f.comps for f in self.d_table] if self.params()
+                 else _integer_table(_bind_table(self.d_table, {})))
+        return _lower_central(_structure(table)[0], self.ctx.dim)[-1] == 0
 
     def bind(self, bindings: Mapping[str, Fraction]) -> "LieAlgebra":
         """The algebra at ``bindings``, over the empty parameter context;
@@ -416,96 +415,88 @@ def betti_numbers(g: LieAlgebra, seed: int = 0) -> Tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# characteristic series, read off the dual filtrations of Lambda^1
+# characteristic series, from one descending chain of spans
 #
-# These helpers take the table as the components of the d e^i, {mask: value}
-# maps, with ``one`` the unit of the values: ints for the invariants, the
-# context's Scalars for the nilpotency check of a table with parameters.
+# Each series is a chain V_0 > V_1 > ... with V_{k+1} the span of one step
+# applied to V_k, a span being the echelon basis of one n-column elimination
+# over the masks of Lambda^1 (vectors e_i of g, or 1-forms e^i):
+# - lower central, g^{k+1} = [g, g^k]: the brackets [e_a, v];
+# - derived, g^(k+1) = [g^(k), g^(k)]: the brackets [u, v] within V_k;
+# - upper central, by ann Z_{k+1} = span{e_a _| d x : x in ann Z_k} in Lambda^1.
+# The values are ints for the invariants, the context's Scalars for the
+# nilpotency check of a table with parameters.
 # ---------------------------------------------------------------------------
 
 
-def _transpose(forms: Sequence[Mapping]) -> List[dict]:
-    """Sparse rows of the matrix whose column j holds the components of forms[j]."""
-    rows: Dict[int, dict] = {}
-    for j, f in enumerate(forms):
-        for mask, c in f.items():
-            rows.setdefault(mask, {})[j] = c
-    return list(rows.values())
+def _structure(table: Sequence[Mapping]):
+    """The e^{ab} components C(i, a, b) = d e^i(e_a, e_b) of the d e^i,
+    antisymmetric in a, b, keyed by masks of Lambda^1 as brackets
+    {a: {b: {i: C}}}, which is -[e_a, e_b] (d e^i(X, Y) = -e^i([X, Y])), and
+    as contractions {i: {a: {b: C}}}, which is e_a _| d e^i."""
+    brackets: Dict[int, dict] = {}
+    contractions: Dict[int, dict] = {}
+    for i, row in enumerate(table):
+        for mask, c in row.items():
+            a = mask & -mask
+            for x, y, value in ((a, mask ^ a, c), (mask ^ a, a, -c)):
+                brackets.setdefault(x, {}).setdefault(y, {})[1 << i] = value
+                contractions.setdefault(1 << i, {}).setdefault(x, {})[y] = value
+    return brackets, contractions
 
 
-def _reduce_one_forms(table: Sequence[Mapping], n: int, one, span: Sequence[Mapping] = ()):
-    """(image, preimage) from one echelon form of the rows [s | 0], for the
-    2-forms s of ``span``, and [d e^i | e_i], with columns Lambda^2, then
-    e^n, ..., e^1.
-
-    The Lambda^2 parts of the rows with a pivot there are a basis of ``span``
-    + d Lambda^1, the image.  The rows with an empty Lambda^2 part are a basis
-    of the 1-forms x with d x in the span of ``span`` (with no span, ker
-    d|Lambda^1), each with its pivot at its highest index."""
-    rows = list(span) + [{**t, 1 << i: one} for i, t in enumerate(table)]
-    cols = [*_basis_masks(n, 2), *(1 << i for i in reversed(range(n)))]
-    reduced, pivots = linalg._eliminate(rows, cols, full=False)
-    image = [{m: c for m, c in row.items() if m & (m - 1)}
-             for row, pivot in zip(reduced, pivots) if pivot & (pivot - 1)]
-    return image, [row for row, pivot in zip(reduced, pivots) if not pivot & (pivot - 1)]
+def _contract(structure: Mapping, x: Mapping) -> Dict[int, dict]:
+    """{a: sum_b x_b structure[b][a]} over the keys b of x, in one pass."""
+    out: Dict[int, dict] = {}
+    for b, xb in x.items():
+        for a, vec in structure.get(b, {}).items():
+            row = out.setdefault(a, {})
+            for i, c in vec.items():
+                row[i] = row.get(i, 0) + xb * c
+    return out
 
 
-def _climb(table: Sequence[Mapping], n: int, one, generators, w: List[dict]) -> List[int]:
-    """Dimensions of 0 c W_1 c W_2 ... with W_{k+1} = d^{-1} span generators(W_k),
-    from the basis ``w`` of W_1 = ker d|Lambda^1.
-
-    The climb stops when W stops growing or fills Lambda^1.
-    """
-    dims = [0]
-    while len(w) > dims[-1]:
-        dims.append(len(w))
-        if len(w) == n:
-            break
-        w = _reduce_one_forms(table, n, one, generators(w, n, one))[1]
-    return dims
-
-
-def _pair_wedges(w: Sequence[Mapping], n: int, one) -> List[dict]:
-    """Lambda^2 W: ann g^{k+1} = {a : d a in Lambda^2 ann g^k}."""
-    return [_nonzero(_wedge(a, b)) for a, b in itertools.combinations(w, 2)]
-
-
-def _ideal_wedges(w: Sequence[Mapping], n: int, one) -> List[dict]:
-    """W ^ Lambda^1: ann g^(k+1) = {a : d a in ann g^(k) ^ Lambda^1}.
-
-    A spanning set: Lambda^2 W and w ^ e^j for j outside the highest indices
-    of the w (in the shape ``_reduce_one_forms`` returns), whose e^j
-    complement W.
-    """
-    leads = {max(a) for a in w}
-    rest = [{1 << i: one} for i in range(n) if 1 << i not in leads]
-    return _pair_wedges(w, n, one) + [_nonzero(_wedge(a, e)) for a in w for e in rest]
-
-
-def _series(table: Sequence[Mapping], n: int, kernel: List[dict]):
-    """(lower central, derived, upper central) dimensions of an integer
-    table, given a basis of ker d|Lambda^1 from ``_reduce_one_forms``."""
-    lower = tuple(n - k for k in _climb(table, n, 1, _pair_wedges, kernel))
-    derived = tuple(n - k for k in _climb(table, n, 1, _ideal_wedges, kernel))
-    # ann Z_{k+1} = span{e_b _| d a : a in ann Z_k}, from ann Z_0 = Lambda^1
+def _chain(step, rows: Sequence[Mapping], n: int) -> Tuple[int, ...]:
+    """Dimensions of V_0 > V_1 > ..., from V_0 = span ``rows`` and
+    V_{k+1} = span step(V_k), up to the first V that step does not shrink."""
     cols = [1 << i for i in range(n)]
-    upper: List[int] = []
-    images = table
-    while True:
-        # each e_b _| d a in one pass over d a: c e^{ij} (i < j) gives c e^j
-        # to e_i and -c e^i to e_j
-        rows: Dict[tuple, dict] = {}
-        for k, da in enumerate(images):
-            for mask, c in da.items():
-                low = mask & -mask
-                rows.setdefault((k, low), {})[mask ^ low] = c
-                rows.setdefault((k, mask ^ low), {})[low] = -c
-        ann = linalg._eliminate(list(rows.values()), cols, full=False)[0]
-        if upper and upper[-1] == n - len(ann):
+    v = linalg._eliminate(rows, cols, full=False)[0]
+    dims = [len(v)]
+    while v:
+        v = linalg._eliminate(step(v), cols, full=False)[0]
+        if len(v) == dims[-1]:
             break
-        upper.append(n - len(ann))
-        images = [_nonzero(_leibniz(table, a)) for a in ann]
-    return lower, derived, tuple(upper)
+        dims.append(len(v))
+    return tuple(dims)
+
+
+def _rows(structure: Mapping, v: Sequence[Mapping]) -> List[dict]:
+    """The vectors sum_b x_b structure[b][a], for x in v and every a: the
+    brackets [e_a, x], or the contractions e_a _| d x."""
+    return [_nonzero(row) for x in v for row in _contract(structure, x).values()]
+
+
+def _bracket(brackets: Mapping, x: Mapping, y: Mapping) -> dict:
+    """[x, y] = sum_a x_a [e_a, y]."""
+    out: dict = {}
+    for a, row in _contract(brackets, y).items():
+        if a in x:
+            for i, c in row.items():
+                out[i] = out.get(i, 0) + x[a] * c
+    return _nonzero(out)
+
+
+def _lower_central(brackets: Mapping, n: int) -> Tuple[int, ...]:
+    return _chain(lambda v: _rows(brackets, v), [{1 << i: 1} for i in range(n)], n)
+
+
+def _series(table: Sequence[Mapping], n: int):
+    """(lower central, derived, upper central) dimensions of an integer table."""
+    brackets, contractions = _structure(table)
+    units = [{1 << i: 1} for i in range(n)]
+    derived = _chain(lambda v: [_bracket(brackets, x, y)
+                                for x, y in itertools.combinations(v, 2)], units, n)
+    upper = _chain(lambda v: _rows(contractions, v), _rows(contractions, units), n)
+    return _lower_central(brackets, n), derived, tuple(n - k for k in upper)
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +505,15 @@ def _series(table: Sequence[Mapping], n: int, kernel: List[dict]):
 # A parameter-free table's invariants are computed in Python ints on L*d,
 # the table times the lcm L of its denominators (``_integer_table``).  No
 # invariant changes: the Leibniz rule is linear in the table, so L*d is L
-# times d on every grade, and a rank, a kernel or the preimage of a span is
-# the same for a nonzero multiple of a map (the algebra with brackets L[.,.]
-# is isomorphic to g through x -> L*x).  Every elimination then runs
-# fraction-free in ints (``linalg``).
+# times d on every grade, and a rank or a span is the same for a nonzero
+# multiple of a map (the algebra with brackets L[.,.] is isomorphic to g
+# through x -> L*x).  Every elimination runs fraction-free in ``linalg``.
 #
 # The eliminations of one table and the fields they give:
-# - the rows [d e^i | e_i], once: wedge_data[0] = rank d|Lambda^1, a basis of
-#   d Lambda^1, and a basis of W_1 = ker d|Lambda^1 for both climbs;
-# - two ranks on the products of that basis: wedge_data[1:] (the products
-#   give exact_two_forms_decomposable);
-# - one reduction per climb step after W_1: lower_central and derived;
-# - one reduction of the contractions e_b _| d a per level: upper_central;
+# - the rows d e^i over Lambda^2: wedge_data[0] = rank d|Lambda^1, and a
+#   basis of d Lambda^1 whose products give two ranks, wedge_data[1:], and
+#   exact_two_forms_decomposable;
+# - one n-column span per chain step: lower_central, derived, upper_central;
 # - d on Lambda^{n-1} and on each grade duality does not give: betti.
 # ---------------------------------------------------------------------------
 
@@ -539,6 +527,15 @@ class Fingerprint:
     exact_two_forms_decomposable: bool
     wedge_data: Tuple[int, int, int]
     """(rank of d on 1-forms, dim span{x^y : x,y exact}, dim of the wedge radical)."""
+
+
+def _transpose(forms: Sequence[Mapping]) -> List[dict]:
+    """Sparse rows of the matrix whose column j holds the components of forms[j]."""
+    rows: Dict[int, dict] = {}
+    for j, f in enumerate(forms):
+        for mask, c in f.items():
+            rows.setdefault(mask, {})[j] = c
+    return list(rows.values())
 
 
 def _exact_two_form_data(basis: Sequence[Mapping], n: int):
@@ -559,9 +556,9 @@ def fingerprint(g: LieAlgebra, seed: int = 0) -> Fingerprint:
 
 
 def _fingerprint_of_table(table: Sequence[Mapping], n: int) -> Fingerprint:
-    image, kernel = _reduce_one_forms(table, n, 1)
+    image = linalg._eliminate(table, _basis_masks(n, 2), full=False)[0]
     rank_d, wedge_span, radical, decomposable = _exact_two_form_data(image, n)
-    series = _series(table, n, kernel)
+    series = _series(table, n)
     return Fingerprint(
         betti=_betti_of_table(table, n, rank_d),
         lower_central=series[0],

@@ -250,6 +250,11 @@ def is_type_22(form: OForm) -> bool:
     return True
 
 
+def _cleared(row: List[Fraction], c: int, pivot: List[Fraction]) -> List[Fraction]:
+    f = row[c]
+    return [x - f * y if y else x for x, y in zip(row, pivot)]
+
+
 def _row_basis(vectors: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon basis of the span, with its pivot columns."""
     rows = [list(v) for v in vectors if any(v)]
@@ -260,9 +265,9 @@ def _row_basis(vectors: List[List[Fraction]]) -> Tuple[List[List[Fraction]], Lis
         if pivot is None:
             continue
         pivot = [x / pivot[c] for x in pivot]
-        rows = [[x - r[c] * y for x, y in zip(r, pivot)] for r in rows]
+        rows = [_cleared(r, c, pivot) if r[c] else r for r in rows]
         rows = [r for r in rows if any(r)]
-        basis = [[x - b[c] * y for x, y in zip(b, pivot)] for b in basis]
+        basis = [_cleared(b, c, pivot) if b[c] else b for b in basis]
         basis.append(pivot)
         pivots.append(c)
     return basis, pivots
@@ -378,6 +383,47 @@ def series_dims(table: Dict[int, OForm], dim: int = N - 1):
         if len(center) == dim:
             break
     return descend(lambda space: unit), descend(lambda space: space), tuple(upper)
+
+
+def annihilator_series(table: Dict[int, OForm], dim: int = N - 1):
+    """(lower central, derived) dimension sequences by the annihilator route
+    on 1-forms, a second method beside the brackets of ``series_dims``:
+
+    ann g^{k+1} = {a : da in Lambda^2 ann g^k},
+    ann g^(k+1) = {a : da in ann g^(k) ^ Lambda^1},
+
+    each a preimage under d, climbing from ann g^1 = ann g^(0) = 0 to where
+    it stops growing or fills Lambda^1; dim g^k = dim - dim ann g^k.
+    """
+    keys2 = list(combinations(range(1, dim + 1), 2))
+    units = [{(i,): Fraction(1)} for i in range(1, dim + 1)]
+    # rows [d e^i | e_i], below the rows [s | 0] of a span; the rows left
+    # without a Lambda^2 part span {a : da in span}
+    d_rows = [[d_of(table, e).get(key, Fraction(0)) for key in keys2] + u
+              for e, u in zip(units, _unit(dim))]
+
+    def preimage(span: List[OForm]) -> List[OForm]:
+        rows = [[s.get(key, Fraction(0)) for key in keys2] for s in span]
+        rows = [row + [Fraction(0)] * dim for row in _row_basis(rows)[0]] + d_rows
+        basis, pivots = _row_basis(rows)
+        return [{(i,): x for i, x in enumerate(row[len(keys2):], start=1) if x}
+                for row, p in zip(basis, pivots) if p >= len(keys2)]
+
+    def climb(generators) -> Tuple[int, ...]:
+        w: List[OForm] = []
+        dims = [0]
+        while True:
+            w = preimage(generators(w))
+            if len(w) == dims[-1]:
+                break
+            dims.append(len(w))
+            if len(w) == dim:
+                break
+        return tuple(dim - k for k in dims)
+
+    lower = climb(lambda w: [wedge(a, b) for a, b in combinations(w, 2)])
+    derived = climb(lambda w: [wedge(a, e) for a in w for e in units])
+    return lower, derived
 
 
 def _binary_cubic_discriminant(a, b, c, d) -> Fraction:

@@ -427,6 +427,28 @@ def _fresh_runs(commands):
     return json.loads(proc.stdout)
 
 
+def test_closed_output_pipe_keeps_report_status():
+    """A reader that leaves early is no failed check: the report's own
+    status, and no traceback, whether the pipe is closed before the report
+    is written or after its first line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nilg2.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nilg2", "g2t", "case1"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for argv, status in ((["--format", "structured", "g2t", "case1"], 0), (["theorem"], 1)):
+        proc = subprocess.Popen([sys.executable, "-m", "nilg2", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env, text=True)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert (proc.wait(timeout=300), proc.stderr.read()) == (status, ""), argv
+        proc.stderr.close()
+
+
 def _untimed(out):
     doc = json.loads(out)
     doc.pop("timing_ms")
@@ -449,7 +471,7 @@ def test_polynomial_commands_never_import_sympy(capsys, tmp_path):
     """Every value of these commands is a polynomial in the parameters, so
     sympy is never imported; the reports equal those of this process,
     where sympy is loaded.  This holds for a failed g2t check too: its
-    residual is d*phi."""
+    residual d*phi - theta ^ *phi is a polynomial form."""
     not_g2t = tmp_path / "case1_not_g2t.su3"
     not_g2t.write_text(_CASE1_NOT_G2T, encoding="utf-8")
     rotated = tmp_path / "case3_rotated.su3"

@@ -435,6 +435,26 @@ def test_hodge_involution(frame6, frame7, data):
         assert hodge(hodge(a)) == a.scale(sign)
 
 
+_symbolic_coeffs = st.sampled_from(
+    ["lam", "-lam", "lam + 1", "-k - 2", "1/3*z*a1", "(lam - k)^2", "-3/2*lam^2 + k", "lam/(k + 1)"])
+
+
+@given(data=st.data())
+def test_form_str_roundtrip_mixed_grades(frame6, frame7, data):
+    """parse_form reads form_str back on every grade, the 0-forms included
+    (a bare integer is an index word), with rational and symbolic coefficients
+    and, in dimension 7, the dt direction."""
+    for ctx in (frame6, frame7):
+        masks = st.integers(0, ctx.dim).flatmap(
+            lambda k: st.sampled_from(exterior._basis_masks(ctx.dim, k)))
+        terms = data.draw(st.lists(st.tuples(masks, st.one_of(
+            _coeffs.map(ctx.params.scalar), _symbolic_coeffs.map(ctx.params.parse))), max_size=5))
+        a = ctx.zero_form()
+        for mask, c in terms:
+            a = a + Form(ctx, {mask: c})
+        assert parse_form(ctx, form_str(a)) == a, form_str(a)
+
+
 @given(data=st.data())
 def test_wedge_star_is_inner(frame6, frame7, data):
     for ctx in (frame6, frame7):

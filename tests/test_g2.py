@@ -364,22 +364,27 @@ def test_lee_solver_matches_full_solve(pctx, iwasawa_product, tmp_path):
             extract_theta(_bumped(iwasawa_product, *word))
 
 
-def test_lee_error_residual_is_rref_witness(pctx, iwasawa_product, tmp_path):
-    """A structure outside the G2T class reports the residual of the rref
-    witness: pivot unknowns read from the reduced augmented system, free
-    unknowns zero.  The e136 bump has no residual: its lines are refused."""
+def test_lee_error_residual_is_obstruction(pctx, iwasawa_product, tmp_path):
+    """A structure outside the G2T class, where the whole 21x7 system is
+    inconsistent, reports the obstruction: the residual d*phi - theta ^ *phi
+    of the projection is orthogonal to all seven lines e^i ^ *phi.  The e136
+    bump has no residual: its lines are refused."""
     with pytest.raises(G2Error, match=_lines_error((1, 3, 6))) as err:
         extract_theta(_bumped(iwasawa_product, 1, 3, 6))
     assert err.value.residual is None
     g = _not_g2t_product(pctx, tmp_path)
     red, pivots = linalg.sparse_rref(_full_system(g), range(8), pctx)
     assert 7 in pivots          # inconsistent
-    attempt = {1 << pc: row[7] for row, pc in zip(red, pivots) if pc < 7 and 7 in row}
-    witness = g.d(g.star_phi) - Form(g.ctx, attempt).wedge(g.star_phi)
     with pytest.raises(G2Error) as err:
         extract_theta(g)
-    assert err.value.residual == witness
-    assert str(err.value) == f"not a G2T-structure; residual {witness}"
+    residual = err.value.residual
+    lines = [g.ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)]
+    assert all(inner(residual, line) == 0 for line in lines)
+    d_star_phi = g.d(g.star_phi)
+    theta = Form(g.ctx, {1 << i: inner(d_star_phi, line) / inner(line, line)
+                         for i, line in enumerate(lines)})
+    assert d_star_phi - residual == theta.wedge(g.star_phi) and not theta.is_zero
+    assert str(err.value) == f"not a G2T-structure; residual {residual}"
 
 
 def test_build_product_cache_hit(iwasawa_structure):

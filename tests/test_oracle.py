@@ -11,6 +11,7 @@ from conftest import ORACLE_OMEGA, oracle_family_table, oracle_table, table_to_o
 from oracle import (
     PSI_PLUS,
     add,
+    annihilator_series,
     betti_numbers,
     codifferential,
     contraction,
@@ -34,6 +35,7 @@ from nilg2.liealg import (
     change_basis,
     fingerprint,
     parse_salamon,
+    salamon_str,
 )
 
 
@@ -152,6 +154,43 @@ def test_series_dims_match_bracket_oracle(pctx):
             assert _series_fields(moved) == oracle_series_dims(table_to_oracle(moved)), name
     # the set covers nilpotency steps 1 (the torus) to 4
     assert upper_lengths == {1, 2, 3, 4}
+
+
+def test_series_and_nilpotency_match_both_oracle_routes(pctx):
+    """fingerprint's series and _check_filtration against the oracle's
+    brackets and its annihilator route (the preimage climbs under d): the
+    algebras of the bracket test, each family times a circle at its two
+    bindings, the Iwasawa product, non-nilpotent tables with cyclic support,
+    and seeded basis changes of all of them."""
+    algebras = [parse_salamon(text, pctx) for text in NAMED_ALGEBRAS.values()]
+    for name, bindings in _SERIES_BINDINGS.items():
+        for binding in bindings:
+            g = instantiate(name, binding, params=pctx)[0]
+            algebras += [g, parse_salamon(salamon_str(g) + ",0", pctx)]
+    algebras.append(parse_salamon(NAMED_ALGEBRAS["iwasawa"] + ",0", pctx))
+    for text in ("0,13,12,0,0,0", "0,12,0,0,0,0", "0,12,13,0,0,0", "-23,13,-12,-56,46,-45",
+                 "0,13,12,0,0,0,0"):
+        ctx = FrameContext(len(text.split(",")), pctx)
+        d_table = [ctx.zero_form() if t == "0" else parse_form(ctx, t) for t in text.split(",")]
+        algebras.append(LieAlgebra(ctx, d_table, require_nilpotent=False))
+    rng = random.Random(29)
+    for g in list(algebras):
+        algebras += [change_basis(g, random_invertible(rng, g.ctx.params, g.ctx.dim))
+                    for _ in range(3)]
+    verdicts = {}
+    for g in algebras:
+        table = table_to_oracle(g)
+        lower, derived, upper = oracle_series_dims(table, g.ctx.dim)
+        fp = fingerprint(g)
+        assert (fp.lower_central, fp.derived, fp.upper_central) == (lower, derived, upper), g
+        assert annihilator_series(table, g.ctx.dim) == (lower, derived), g
+        assert g._check_filtration() == (lower[-1] == 0), g
+        key = (g.ctx.dim, lower[-1] == 0, g._support_is_acyclic())
+        verdicts[key] = verdicts.get(key, 0) + 1
+    # both dimensions, both verdicts, and the filtration deciding on cyclic supports
+    assert {(dim, nilpotent) for dim, nilpotent, _ in verdicts} == {
+        (6, True), (6, False), (7, True), (7, False)}
+    assert verdicts[6, True, False] >= 20 and verdicts[7, True, False] >= 10
 
 
 def test_betti_numbers_match_full_rank_oracle(pctx):

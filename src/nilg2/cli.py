@@ -7,7 +7,9 @@ structure files, a --param binding that leaves a parameter unbound, makes
 a denominator vanish or violates a family's nonzero condition, a --param
 given to ``theorem``, malformed options), with a one-line message on
 standard error.  The shared options ``--param``, ``--format`` and
-``--seed`` may stand before or after the subcommand.
+``--seed`` may stand before or after the subcommand.  An algebra whose
+first entry starts with '-' follows ``--``, as in
+``nilg2 check -- "-34-36,0,24+26,-1/2*23,-23+(-4)*26,1/2*23"``.
 """
 
 from __future__ import annotations

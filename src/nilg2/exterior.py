@@ -43,7 +43,6 @@ from .scalars import (
 __all__ = [
     "FrameContext",
     "Form",
-    "ComplexStructure",
     "ExteriorError",
     "hodge",
     "inner",
@@ -81,9 +80,7 @@ def _mask(indices: Iterable[int]) -> Tuple[int, int]:
         bit = 1 << (idx - 1)
         if mask & bit:
             return 0, 0
-        # count already-placed indices greater than idx
-        higher = mask >> idx
-        sign *= -1 if bin(higher).count("1") % 2 else 1
+        sign *= _merge_sign(mask, bit)
         mask |= bit
     return sign, mask
 
@@ -322,35 +319,21 @@ def interior(x: Form, a: Form) -> Form:
     return Form(a.ctx, comps)
 
 
-class ComplexStructure:
-    """The standard orthogonal almost complex structure on a 6d frame.
-
-    Acts on the coframe by J e^{2m-1} = -e^{2m}, J e^{2m} = e^{2m-1}: ``rows``
-    is that signed permutation, and ``j_apply`` substitutes it.
-    """
-
-    __slots__ = ("ctx", "rows")
-
-    def __init__(self, ctx: FrameContext):
-        if ctx.dim != 6:
-            raise ExteriorError("complex structure requires a 6-dimensional frame")
-        self.ctx = ctx
-        # e^i (i = 0..5 here) goes to -e^{i+1} for even i and e^{i-1} for odd i
-        one, zero = ctx.params.one, ctx.params.zero
-        self.rows = tuple(tuple((one if i & 1 else -one) if j == i ^ 1 else zero
-                                for j in range(6)) for i in range(6))
-
-    def __eq__(self, other):
-        return isinstance(other, ComplexStructure) and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash(("J", self.ctx))
+@functools.lru_cache(maxsize=32)
+def _j_rows(ctx: FrameContext) -> Tuple[Tuple[Scalar, ...], ...]:
+    """J e^{2m-1} = -e^{2m}, J e^{2m} = e^{2m-1} as substitution rows: row i
+    sends e^{i+1} (i = 0..5) to -e^{i+2} for even i and to e^i for odd i."""
+    one, zero = ctx.params.one, ctx.params.zero
+    return tuple(tuple((one if i & 1 else -one) if j == i ^ 1 else zero
+                       for j in range(6)) for i in range(6))
 
 
-def j_apply(J: ComplexStructure, a: Form) -> Form:
-    if a.ctx != J.ctx:
-        raise ExteriorError("frame context mismatch")
-    return substitute_coframe(a, J.rows)
+def j_apply(a: Form) -> Form:
+    """The standard almost complex structure of a's 6-dimensional frame,
+    applied to ``a`` factor-wise."""
+    if a.ctx.dim != 6:
+        raise ExteriorError("complex structure requires a 6-dimensional frame")
+    return substitute_coframe(a, _j_rows(a.ctx))
 
 
 def substitute_coframe(a: Form, rows: Sequence[Sequence[Scalar]]) -> Form:
@@ -515,7 +498,8 @@ def parse_form(ctx: FrameContext, text: str) -> Form:
 
     Terms are separated by top-level + or -; each term is an optional scalar
     expression followed by '*' and an index word.  Index words are digit
-    strings (optionally prefixed with 'e') or 'dt' (dimension 7 only).
+    strings (optionally prefixed with 'e') with no digit repeated, or 'dt'
+    (dimension 7 only).
     The bare term '0' denotes the zero form.  A term without an index word
     is a 0-form, so a bare integer reads as an index word: '1' is e^1, and
     the 0-form 1 is written '(1)', as ``form_str`` prints it.
@@ -614,6 +598,8 @@ def _parse_term(ctx: FrameContext, chunk: str, sign: int, error) -> Form:
         indices = tuple(int(d) for d in digits)
         if any(d == 0 for d in indices):
             raise error(f"index 0 in term {chunk!r}")
+        if len(set(indices)) < len(indices):
+            raise error(f"repeated index in term {chunk!r}")
     for idx in indices:
         if idx > ctx.dim:
             raise error(f"index {idx} out of range for dimension {ctx.dim}")

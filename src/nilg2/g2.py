@@ -2,12 +2,12 @@
 
 With base forms (omega, psi+, psi-) and the closed circle coordinate dt as
 the seventh coframe element, phi = omega ^ dt + psi+ and
-*phi = psi- ^ dt + (1/2) omega ^ omega (verified once per frame, when the
-product forms are first built; this pins the orientation convention).
-Everything that depends only on these forms (the *phi check, the V7
-projector forms, the (X _| *phi) ^ omega^2 identity and the lines
-e^i ^ *phi that the Lee form is projected on) is built and checked once per
-form and cached; each check's result is a fixed function of its cache key.
+*phi = psi- ^ dt + (1/2) omega ^ omega (this pins the orientation
+convention).  The base forms are the standard ones of the adapted frame, so
+all that depends on them alone (dt, phi, *phi, the lines e^i ^ *phi that
+the Lee form is projected on, the V7 lines e^i ^ phi, and the checks: the
+*phi identity, the (X _| *phi) ^ omega^2 identity and both families of
+lines orthogonal) is built and checked once per frame, and cached.
 
 The torsion 3-form of the unique metric connection preserving phi with
 totally skew torsion is computed two ways and cross-checked:
@@ -39,6 +39,7 @@ from .exterior import (
     interior,
     j_apply,
     line_norms,
+    standard_su3_forms,
 )
 from .liealg import LieAlgebra
 from .scalars import Scalar
@@ -81,16 +82,67 @@ def drop_dt(a: Form, ctx6: FrameContext) -> Tuple[Form, Form]:
 
 
 @dataclass(frozen=True)
-class G2Structure:
-    base: SU3Structure
-    product: LieAlgebra           # seven-dimensional, d(dt) = 0
+class _ProductFrame:
+    ctx: FrameContext                               # seven-dimensional
+    dt: Form
     phi: Form
     star_phi: Form
-    dt: Form
+    lee_lines: Tuple[Tuple[Form, Scalar], ...]      # (e^i ^ *phi, 1/<l, l>)
+    v7_lines: Tuple[Tuple[Form, Scalar], ...]       # (e^i ^ phi, 1/<l, l>)
+
+
+def _lines(ctx7: FrameContext, form: Form, name: str) -> Tuple[Tuple[Form, Scalar], ...]:
+    """The lines e^i ^ form, checked orthogonal, with their inverse norms."""
+    lines = tuple(ctx7.basis(i).wedge(form) for i in range(1, 8))
+    labels = tuple(f"e^{i} ^ {name}" for i in range(1, 8))
+    return tuple((line, 1 / norm)
+                 for line, norm in zip(lines, line_norms(lines, labels, G2Error)))
+
+
+@functools.lru_cache(maxsize=32)
+def _product_frame(ctx6: FrameContext) -> _ProductFrame:
+    """The product forms over the standard forms of ``ctx6``.  Checks
+    *phi = psi- ^ dt + (1/2) omega^2, the identity behind the V7 statement,
+    (X _| *phi) ^ omega^2 = 0, and both families of lines."""
+    omega, psi_plus, psi_minus = standard_su3_forms(ctx6)
+    ctx7 = FrameContext(7, ctx6.params)
+    dt = ctx7.basis(7)
+    om7 = lift(omega, ctx7)
+    om7_sq = om7.wedge(om7)
+    phi = om7.wedge(dt) + lift(psi_plus, ctx7)
+    expected = lift(psi_minus, ctx7).wedge(dt) + om7_sq.scale(Fraction(1, 2))
+    star_phi = hodge(phi)
+    if star_phi != expected:
+        raise G2Error("orientation convention broken: *phi mismatch", star_phi - expected)
+    for i in range(1, 8):
+        if not interior(ctx7.basis(i), star_phi).wedge(om7_sq).is_zero:
+            raise G2Error("(X _| *phi) ^ omega^2 != 0 (convention bug)")
+    return _ProductFrame(ctx7, dt, phi, star_phi,
+                         _lines(ctx7, star_phi, "*phi"), _lines(ctx7, phi, "phi"))
+
+
+@dataclass(frozen=True)
+class G2Structure:
+    """A structure times a circle; its forms are those of the base's frame."""
+
+    base: SU3Structure
+    product: LieAlgebra           # seven-dimensional, d(dt) = 0
 
     @property
     def ctx(self) -> FrameContext:
-        return self.phi.ctx
+        return self.product.ctx
+
+    @property
+    def phi(self) -> Form:
+        return _product_frame(self.base.adapted.ctx).phi
+
+    @property
+    def star_phi(self) -> Form:
+        return _product_frame(self.base.adapted.ctx).star_phi
+
+    @property
+    def dt(self) -> Form:
+        return _product_frame(self.base.adapted.ctx).dt
 
     def d(self, a: Form) -> Form:
         return self.product.d(a)
@@ -111,37 +163,12 @@ class TorsionReport:
     dT_in_R_plus_S2: Optional[bool] = None
 
 
-@functools.lru_cache(maxsize=32)
-def _product_forms(omega: Form, psi_plus: Form, psi_minus: Form):
-    """(ctx7, dt, phi, *phi) of the product; *phi is checked once per frame."""
-    ctx7 = FrameContext(7, omega.ctx.params)
-    dt = ctx7.basis(7)
-    om7 = lift(omega, ctx7)
-    phi = om7.wedge(dt) + lift(psi_plus, ctx7)
-    expected = lift(psi_minus, ctx7).wedge(dt) + om7.wedge(om7).scale(Fraction(1, 2))
-    star_phi = hodge(phi)
-    if star_phi != expected:
-        raise G2Error("orientation convention broken: *phi mismatch", star_phi - expected)
-    return ctx7, dt, phi, star_phi
-
-
 def build_product(s: SU3Structure) -> G2Structure:
-    ctx7, dt, phi, star_phi = _product_forms(s.omega, s.psi_plus, s.psi_minus)
+    ctx7 = _product_frame(s.adapted.ctx).ctx
     d_table = [lift(f, ctx7) for f in s.adapted.d_table] + [ctx7.zero_form()]
     # nilpotency is inherited from the (already verified) base algebra
     product = LieAlgebra(ctx7, d_table, require_nilpotent=False)
-    return G2Structure(base=s, product=product, phi=phi, star_phi=star_phi, dt=dt)
-
-
-@functools.lru_cache(maxsize=32)
-def _lee_solver(star_phi: Form) -> Tuple[Tuple[Form, Scalar], ...]:
-    """The lines e^i ^ *phi of Lambda^5, each with the inverse of its squared
-    norm (1/3 for the standard *phi), checked orthogonal once per form."""
-    ctx = star_phi.ctx
-    lines = tuple(ctx.basis(i).wedge(star_phi) for i in range(1, ctx.dim + 1))
-    labels = tuple(f"e^{i} ^ *phi" for i in range(1, ctx.dim + 1))
-    return tuple((line, 1 / norm)
-                 for line, norm in zip(lines, line_norms(lines, labels, G2Error)))
+    return G2Structure(base=s, product=product)
 
 
 def extract_theta(g: G2Structure) -> Form:
@@ -154,12 +181,12 @@ def extract_theta(g: G2Structure) -> Form:
     residual: the part of d*phi orthogonal to every line e^i ^ *phi, which
     no 1-form removes.  Asserts d theta = 0 on success.
     """
-    ctx = g.ctx
-    target = g.d(g.star_phi)
-    theta = Form(ctx, {1 << i: inner(target, line) * inv
-                       for i, (line, inv) in enumerate(_lee_solver(g.star_phi))})
-    if theta.wedge(g.star_phi) != target:
-        raise G2Error("not a G2T-structure", target - theta.wedge(g.star_phi))
+    frame = _product_frame(g.base.adapted.ctx)
+    target = g.d(frame.star_phi)
+    theta = Form(frame.ctx, {1 << i: inner(target, line) * inv
+                             for i, (line, inv) in enumerate(frame.lee_lines)})
+    if theta.wedge(frame.star_phi) != target:
+        raise G2Error("not a G2T-structure", target - theta.wedge(frame.star_phi))
     if not g.d(theta).is_zero:
         raise G2Error("extracted Lee form is not closed (convention bug)", g.d(theta))
     return theta
@@ -171,19 +198,19 @@ def torsion(g: G2Structure) -> TorsionReport:
     Both computation routes must agree exactly; a mismatch raises with the
     difference form.
     """
-    ctx7 = g.ctx
-    ctx6 = g.base.omega.ctx
-    pctx = ctx7.params
+    ctx6 = g.base.adapted.ctx
+    frame = _product_frame(ctx6)
+    ctx7 = frame.ctx
     theta = extract_theta(g)
     lam = theta.coefficient(7)
     beta6 = Form(ctx6, {m: c for m, c in theta.comps.items() if not m & (1 << 6)})
 
-    dphi = g.d(g.phi)
-    pairing = inner(dphi, g.star_phi)
+    dphi = g.d(frame.phi)
+    pairing = inner(dphi, frame.star_phi)
     T = (
-        g.phi.scale(pairing * Fraction(1, 6))
+        frame.phi.scale(pairing * Fraction(1, 6))
         - hodge(dphi)
-        + hodge(theta.wedge(g.phi))
+        + hodge(theta.wedge(frame.phi))
     )
 
     classes = torsion_classes(g.base)
@@ -200,7 +227,7 @@ def torsion(g: G2Structure) -> TorsionReport:
     )
     route_b = lift(route_b_pure, ctx7) - lift(
         hodge(classes.W2p.wedge(s.omega)), ctx7
-    ).wedge(g.dt)
+    ).wedge(frame.dt)
     if T != route_b:
         raise G2Error("torsion route disagreement", T - route_b)
 
@@ -219,40 +246,18 @@ def torsion(g: G2Structure) -> TorsionReport:
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _v7_projector_forms(phi: Form) -> Tuple[Form, ...]:
-    """The seven forms e^i ^ phi, checked orthogonal with nonzero norms."""
-    ctx = phi.ctx
-    forms = tuple(ctx.basis(i).wedge(phi) for i in range(1, 8))
-    line_norms(forms, tuple(f"e^{i} ^ phi" for i in range(1, 8)), G2Error)
-    return forms
-
-
-@functools.lru_cache(maxsize=32)
-def _check_contraction_identity(star_phi: Form, omega: Form) -> None:
-    """The identity behind the V7 statement: (X _| *phi) ^ omega^2 = 0."""
-    ctx = star_phi.ctx
-    om7 = lift(omega, ctx)
-    om7_sq = om7.wedge(om7)
-    for i in range(1, 8):
-        contracted = interior(ctx.basis(i), star_phi)
-        if not contracted.wedge(om7_sq).is_zero:
-            raise G2Error("(X _| *phi) ^ omega^2 != 0 (convention bug)")
-
-
 def dT_tests(g: G2Structure, report: TorsionReport) -> TorsionReport:
     """Fill the representation-theoretic flags of the report."""
-    ctx6 = g.base.omega.ctx
-    pure, rest = drop_dt(report.dT, ctx6)
+    pure, rest = drop_dt(report.dT, g.base.adapted.ctx)
 
     # (2,2)-ness: the derivative must live on the base and be pure type (2,2).
     # J acts on a real 4-form of type (p,q) + (q,p) as i^(p-q) with p-q in
     # {-2, 0, 2}, so a 4-form is of type (2,2) exactly when it is J-invariant.
-    type22 = rest.is_zero and j_apply(g.base.J, pure) == pure
+    type22 = rest.is_zero and j_apply(pure) == pure
 
     # V7-component: <dT, e^i ^ phi> = 0 for all i
-    in_r_s2 = all(inner(report.dT, p).is_zero for p in _v7_projector_forms(g.phi))
-    _check_contraction_identity(g.star_phi, g.base.omega)
+    v7_lines = _product_frame(g.base.adapted.ctx).v7_lines
+    in_r_s2 = all(inner(report.dT, line).is_zero for line, _ in v7_lines)
 
     return dataclasses.replace(
         report,

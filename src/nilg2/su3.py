@@ -4,7 +4,10 @@ A structure is an algebra together with an orthogonal, orientation-preserving
 coframe adaptation in which the defining forms take the standard shape
 omega = e12 + e34 + e56, psi_plus + i psi_minus = (e1+ie2)(e3+ie4)(e5+ie6).
 All geometric operations run in the adapted coframe, where the declared
-metric is the flat one.
+metric is the flat one.  There the forms depend on the frame alone: a
+structure holds its algebra, adaptation and adapted algebra, and its
+omega, psi+ and psi- are ``exterior.standard_su3_forms`` of the adapted
+frame, built and checked once per frame.
 
 Intrinsic torsion conventions pinned here (see the class relations below):
 
@@ -37,7 +40,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exterior import (
-    ComplexStructure,
     ExteriorError,
     Form,
     hodge,
@@ -81,10 +83,18 @@ class SU3Structure:
     algebra: LieAlgebra
     adaptation: BasisChange
     adapted: LieAlgebra
-    omega: Form
-    psi_plus: Form
-    psi_minus: Form
-    J: ComplexStructure
+
+    @property
+    def omega(self) -> Form:
+        return standard_su3_forms(self.adapted.ctx)[0]
+
+    @property
+    def psi_plus(self) -> Form:
+        return standard_su3_forms(self.adapted.ctx)[1]
+
+    @property
+    def psi_minus(self) -> Form:
+        return standard_su3_forms(self.adapted.ctx)[2]
 
     def d(self, a: Form) -> Form:
         return self.adapted.d(a)
@@ -106,24 +116,14 @@ def build_structure(g: LieAlgebra, adaptation: BasisChange) -> SU3Structure:
         raise StructureError("adaptation must be a 6x6 basis change")
     if not adaptation.is_orthogonal():
         raise StructureError("adaptation is not orthogonal under the declared metric")
-    ctx = g.ctx
-    omega, psi_plus, psi_minus = standard_su3_forms(ctx)
-    volume = ctx.volume().scale(4)
+    volume = g.ctx.volume().scale(4)
     residual = substitute_coframe(volume, adaptation.rows) - volume
     if not residual.is_zero:
         raise StructureError(
             "compatibility failure: the adaptation reverses the orientation; "
             f"pulled-back 4 e^123456 - 4 e^123456 residual {residual}"
         )
-    return SU3Structure(
-        algebra=g,
-        adaptation=adaptation,
-        adapted=change_basis(g, adaptation),
-        omega=omega,
-        psi_plus=psi_plus,
-        psi_minus=psi_minus,
-        J=ComplexStructure(ctx),
-    )
+    return SU3Structure(algebra=g, adaptation=adaptation, adapted=change_basis(g, adaptation))
 
 
 def standard_structure(g: LieAlgebra) -> SU3Structure:
@@ -159,9 +159,9 @@ class TorsionClasses:
 
 
 def torsion_classes(s: SU3Structure) -> TorsionClasses:
-    ctx = s.omega.ctx
+    ctx = s.adapted.ctx
     pctx = ctx.params
-    om, psip, psim = s.omega, s.psi_plus, s.psi_minus
+    om, psip, psim = standard_su3_forms(ctx)
     d_om = s.d(om)
     d_psip = s.d(psip)
     d_psim = s.d(psim)
@@ -205,7 +205,7 @@ def torsion_classes(s: SU3Structure) -> TorsionClasses:
             "(the second G2T equation fails)"
         )
 
-    vartheta = -j_apply(s.J, codifferential(s, om))
+    vartheta = -j_apply(codifferential(s, om))
     return TorsionClasses(
         W1p=W1p,
         W1m=W1m,
@@ -237,7 +237,7 @@ def g2t_residual(s: SU3Structure, lam: Scalar, beta: Form) -> Tuple[Form, Form]:
 
 def skt_check(s: SU3Structure) -> Form:
     """d(J d omega); vanishes exactly when the structure is strong KT."""
-    return s.d(j_apply(s.J, s.d(s.omega)))
+    return s.d(j_apply(s.d(s.omega)))
 
 
 def codifferential(s: SU3Structure, a: Form) -> Form:

@@ -11,7 +11,6 @@ from oracle import PSI_PLUS
 
 from nilg2 import linalg
 from nilg2.exterior import (
-    ComplexStructure,
     FrameContext,
     _basis_masks,
     j_apply,
@@ -53,11 +52,6 @@ def std_forms(frame6):
 
 
 @pytest.fixture(scope="session")
-def J(frame6):
-    return ComplexStructure(frame6)
-
-
-@pytest.fixture(scope="session")
 def iwasawa(pctx):
     return parse_salamon("0,0,0,0,13+42,14+23", pctx)
 
@@ -79,7 +73,7 @@ def is_primitive_11(w):
     omega, psi_plus, psi_minus = standard_su3_forms(w.ctx)
     return (w.homogeneous_grade() in (None, 2)
             and all(w.wedge(f).is_zero for f in (psi_plus, psi_minus, omega.wedge(omega)))
-            and j_apply(ComplexStructure(w.ctx), w) == w)
+            and j_apply(w) == w)
 
 
 def primitive_11_basis(ctx):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +13,7 @@ from nilg2 import exterior
 from nilg2.exterior import (
     ExteriorError,
     Form,
+    FormSyntaxError,
     FrameContext,
     _lefschetz_solver,
     form_str,
@@ -166,12 +167,12 @@ def test_interior_k_form_brute_force(frame6, std_forms):
 # ---------------------------------------------------------------------------
 
 
-def test_j_apply(J, std_forms, frame6):
+def test_j_apply(std_forms, frame6):
     """J on each of the 64 basis words is the wedge product of J on its
     letters, J e^{2m-1} = -e^{2m} and J e^{2m} = e^{2m-1}."""
     om, psip, psim = std_forms
-    assert j_apply(J, psip) == psim
-    assert j_apply(J, om) == om
+    assert j_apply(psip) == psim
+    assert j_apply(om) == om
     e = frame6.basis
     J_letter = {i: -e(i + 1) if i % 2 else e(i - 1) for i in range(1, 7)}
     words = [word for k in range(7) for word in combinations(range(1, 7), k)]
@@ -180,11 +181,11 @@ def test_j_apply(J, std_forms, frame6):
         expected = e()
         for i in word:
             expected = expected.wedge(J_letter[i])
-        assert j_apply(J, e(*word)) == expected, word
-        assert j_apply(J, j_apply(J, e(*word))) == e(*word).scale((-1) ** len(word))
+        assert j_apply(e(*word)) == expected, word
+        assert j_apply(j_apply(e(*word))) == e(*word).scale((-1) ** len(word))
 
 
-def test_j_invariance_is_type_22_on_random_4_forms(J, frame6, pctx):
+def test_j_invariance_is_type_22_on_random_4_forms(frame6, pctx):
     """On real 4-forms J acts on type (p,q) as i^(p-q), p-q in {-2,0,2}, so
     J-invariance is the (2,2) test; it agrees with the oracle, which uses no
     J (orthogonality to Lambda^1 ^ psi+).  a + J a and a - J a are the (2,2)
@@ -198,32 +199,32 @@ def test_j_invariance_is_type_22_on_random_4_forms(J, frame6, pctx):
         for word in rng.sample(words, rng.randint(1, 6)):
             coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
             a = a + frame6.basis(*word).scale(pctx.scalar(coeff))
-        for b in (a, a + j_apply(J, a), a - j_apply(J, a)):
+        for b in (a, a + j_apply(a), a - j_apply(a)):
             if b.is_zero:
                 continue
-            invariant = j_apply(J, b) == b
+            invariant = j_apply(b) == b
             assert invariant == is_type_22(form_to_oracle(b)), form_str(b)
             seen.add(invariant)
     assert seen == {True, False}
 
 
-def test_j_invariance_is_type_22_on_family_dT(J, pctx):
+def test_j_invariance_is_type_22_on_family_dT(pctx):
     """Exact in the parameters: the oracle reads the symbolic coefficients."""
     for name in FAMILIES:
         _, structure = instantiate(name, params=pctx)
         g = build_product(structure)
         pure, rest = drop_dt(torsion(g).dT, structure.omega.ctx)
         assert rest.is_zero and not pure.is_zero, name
-        assert j_apply(J, pure) == pure, name
+        assert j_apply(pure) == pure, name
         assert is_type_22(dict(pure.terms())), name
 
 
-def test_j_equals_hodge_on_psi_line(J, iwasawa_structure):
+def test_j_equals_hodge_on_psi_line(iwasawa_structure):
     """On the structure with d omega = psi-, J(d omega) = *(d omega)."""
     s = iwasawa_structure
     d_om = s.d(s.omega)
     assert d_om == s.psi_minus
-    assert j_apply(J, d_om) == hodge(d_om)
+    assert j_apply(d_om) == hodge(d_om)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +373,23 @@ def test_parse_form_literals(frame6, frame7, pctx):
     assert withdt.coefficient(1, 3, 5) == -pctx.param("lam")
     # out-of-order indices carry the permutation sign
     assert parse_form(frame6, "13+42") == frame6.basis(1, 3) - frame6.basis(2, 4)
+
+
+@pytest.mark.parametrize("text, term, position", [
+    ("11", "11", 0),
+    ("12 + 11", "11", 5),
+    ("3*122", "3*122", 0),
+    # λ folds to lam: the position counts the characters as typed
+    ("λ*12 + 3*122", "3*122", 7),
+    ("e1 - lam*e1231", "lam*e1231", 5),
+])
+def test_parse_form_rejects_repeated_index(frame6, text, term, position):
+    """A repeated index is an error at its term, as in ``parse_salamon``,
+    not a zero term; the basis word itself is still zero."""
+    with pytest.raises(FormSyntaxError) as err:
+        parse_form(frame6, text)
+    assert str(err.value) == f"repeated index in term {term!r} (at position {position})"
+    assert frame6.basis(1, 1).is_zero
 
 
 def test_form_str_roundtrip(frame6, frame7, pctx):
@@ -545,6 +563,19 @@ def test_merge_sign_on_every_disjoint_pair():
     assert len(pairs) == 3 ** 7
     for a, b in pairs:
         assert exterior._merge_sign(a, b) == _sign(a, b), (a, b)
+
+
+def test_mask_on_every_word_up_to_length_4():
+    """Every index word of length at most 4 in dimension 7, repeats
+    included: the parity of its inversions and its bitmask, or (0, 0)."""
+    words = [word for k in range(5) for word in product(range(1, 8), repeat=k)]
+    assert len(words) == 1 + 7 + 7 ** 2 + 7 ** 3 + 7 ** 4
+    for word in words:
+        expected = (0, 0)
+        if len(set(word)) == len(word):
+            inversions = sum(i > j for k, i in enumerate(word) for j in word[k + 1:])
+            expected = ((-1) ** inversions, sum(1 << (i - 1) for i in word))
+        assert exterior._mask(word) == expected, word
 
 
 def test_bits_on_every_mask():

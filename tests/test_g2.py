@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -10,14 +9,13 @@ from conftest import form_to_oracle, primitive_11_basis, table_to_oracle
 from oracle import characteristic_torsion
 from test_cli import _CASE1_NOT_G2T
 
-from nilg2 import linalg
-from nilg2.exterior import Form, FrameContext, hodge, inner, parse_form
+from nilg2 import g2, linalg
+from nilg2.exterior import Form, FrameContext, hodge, inner, parse_form, standard_su3_forms
 from nilg2.families import case2_gauge_rotation, instantiate
 from nilg2.g2 import (
     G2Error,
-    _lee_solver,
-    _product_forms,
-    _v7_projector_forms,
+    _lines,
+    _product_frame,
     build_product,
     dT_tests,
     extract_theta,
@@ -26,6 +24,7 @@ from nilg2.g2 import (
     torsion,
 )
 from nilg2.liealg import parse_salamon
+from nilg2.scalars import ParameterContext
 from nilg2.su3 import build_structure, load_structure_file, standard_structure
 
 
@@ -84,25 +83,24 @@ def test_case1_theta_symbolic(pctx):
     assert extract_theta(g) == g.dt.scale(pctx.param("lam"))
 
 
-# the first pair of lines e^i ^ *phi that a bump of phi by e^word leaves
-# non-orthogonal, and the inner product of that pair
-_BUMPED_LINES = {(1, 2, 5): ("e^1 ^ *phi and e^4 ^ *phi", 1),
-                 (1, 3, 6): ("e^1 ^ *phi and e^2 ^ *phi", -1)}
-
-
-def _lines_error(word):
-    pair, value = _BUMPED_LINES[word]
-    return re.escape(f"lines {pair} are not orthogonal: inner product {value}")
+# the first pair of lines e^i ^ *phi, and of lines e^i ^ phi, that a bump
+# of phi by e^word leaves non-orthogonal, with the inner product of that pair
+_BUMPED_LINES = {(1, 2, 5): (("e^1 ^ *phi and e^4 ^ *phi", 1), ("e^1 ^ phi and e^4 ^ phi", -1)),
+                 (1, 3, 6): (("e^1 ^ *phi and e^2 ^ *phi", -1), ("e^1 ^ phi and e^2 ^ phi", 1))}
 
 
 def test_perturbed_structure_rejected(iwasawa_product):
     """A 3-form perturbation of phi breaks the orthogonality of the lines
-    e^i ^ *phi that the Lee form is projected on; extract_theta refuses it,
-    naming the first pair, before it projects anything."""
-    for word in _BUMPED_LINES:
-        with pytest.raises(G2Error, match=_lines_error(word)) as err:
-            extract_theta(_bumped(iwasawa_product, *word))
-        assert err.value.residual is None
+    e^i ^ *phi that the Lee form is projected on, and of the V7 lines
+    e^i ^ phi; ``line_norms`` names the first pair, with no residual."""
+    g = iwasawa_product
+    for word, pairs in _BUMPED_LINES.items():
+        phi = g.phi + g.ctx.basis(*word)
+        for form, name, (pair, value) in zip((hodge(phi), phi), ("*phi", "phi"), pairs):
+            with pytest.raises(G2Error, match=re.escape(
+                    f"lines {pair} are not orthogonal: inner product {value}")) as err:
+                _lines(g.ctx, form, name)
+            assert err.value.residual is None
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +282,17 @@ def test_route_identity_on_formal_components(pctx):
 
 
 def test_v7_projector_sanity(iwasawa_product):
-    """The seven projector forms have diagonal Gram; the contraction identity
-    (X _| *phi) ^ omega^2 = 0 holds for every coframe direction."""
+    """The seven projector forms have diagonal Gram, norm 4 each (and the
+    Lee-form lines norm 3); the contraction identity (X _| *phi) ^ omega^2 = 0
+    holds for every coframe direction."""
     g = iwasawa_product
     from nilg2.exterior import interior
 
-    forms = _v7_projector_forms(g.phi)
-    assert len(forms) == 7
-    assert forms == tuple(g.ctx.basis(i).wedge(g.phi) for i in range(1, 8))
+    frame = _product_frame(g.base.adapted.ctx)
+    assert frame.v7_lines == tuple((g.ctx.basis(i).wedge(g.phi), Fraction(1, 4))
+                                   for i in range(1, 8))
+    assert frame.lee_lines == tuple((g.ctx.basis(i).wedge(g.star_phi), Fraction(1, 3))
+                                    for i in range(1, 8))
     om7 = lift(g.base.omega, g.ctx)
     om7_sq = om7.wedge(om7)
     for i in range(1, 8):
@@ -309,11 +310,6 @@ def _full_system(g):
     columns = [g.ctx.basis(i).wedge(g.star_phi) for i in range(1, 8)] + [g.d(g.star_phi)]
     masks = sorted(set().union(*[set(c.comps) for c in columns]))
     return [{j: col.comps[m] for j, col in enumerate(columns) if m in col.comps} for m in masks]
-
-
-def _bumped(g, *word):
-    phi = g.phi + g.ctx.basis(*word)
-    return dataclasses.replace(g, phi=phi, star_phi=hodge(phi))
 
 
 def _rotated_products(pctx, seed, count):
@@ -338,10 +334,9 @@ def _not_g2t_product(pctx, tmp_path):
     return build_product(load_structure_file(path, pctx)[0])
 
 
-def test_lee_solver_matches_full_solve(pctx, iwasawa_product, tmp_path):
+def test_lee_solver_matches_full_solve(pctx, tmp_path):
     """The projection gives the theta that the reduced whole 21x7 system
-    gives, and fails exactly where that system is inconsistent; a bumped
-    phi is refused for its lines."""
+    gives, and fails exactly where that system is inconsistent."""
     repo = Path(__file__).resolve().parents[1]
     products = [build_product(instantiate(name, params=pctx)[1])
                 for name in ("case1", "case2", "case3")]
@@ -359,19 +354,12 @@ def test_lee_solver_matches_full_solve(pctx, iwasawa_product, tmp_path):
             assert extract_theta(g) == Form(g.ctx, theta)
         outcomes.add(7 in pivots)
     assert outcomes == {True, False}
-    for word in _BUMPED_LINES:
-        with pytest.raises(G2Error, match=_lines_error(word)):
-            extract_theta(_bumped(iwasawa_product, *word))
 
 
-def test_lee_error_residual_is_obstruction(pctx, iwasawa_product, tmp_path):
+def test_lee_error_residual_is_obstruction(pctx, tmp_path):
     """A structure outside the G2T class, where the whole 21x7 system is
     inconsistent, reports the obstruction: the residual d*phi - theta ^ *phi
-    of the projection is orthogonal to all seven lines e^i ^ *phi.  The e136
-    bump has no residual: its lines are refused."""
-    with pytest.raises(G2Error, match=_lines_error((1, 3, 6))) as err:
-        extract_theta(_bumped(iwasawa_product, 1, 3, 6))
-    assert err.value.residual is None
+    of the projection is orthogonal to all seven lines e^i ^ *phi."""
     g = _not_g2t_product(pctx, tmp_path)
     red, pivots = linalg.sparse_rref(_full_system(g), range(8), pctx)
     assert 7 in pivots          # inconsistent
@@ -388,42 +376,79 @@ def test_lee_error_residual_is_obstruction(pctx, iwasawa_product, tmp_path):
 
 
 def test_build_product_cache_hit(iwasawa_structure):
+    """A second product over a frame, and its whole report, reuse the
+    frame's entry."""
     build_product(iwasawa_structure)
-    before = _product_forms.cache_info()
+    before = _product_frame.cache_info()
     g = build_product(iwasawa_structure)
-    after = _product_forms.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    extract_theta(g)
-    before = _lee_solver.cache_info()
-    extract_theta(g)
-    after = _lee_solver.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
-
-def test_replaced_phi_gets_its_own_entry(iwasawa_product):
-    g = iwasawa_product
-    _lee_solver.cache_clear()
-    _v7_projector_forms.cache_clear()
     dT_tests(g, torsion(g))
-    bump = _bumped(g, 1, 2, 5)
-    assert bump.star_phi != g.star_phi
-    with pytest.raises(G2Error, match=_lines_error((1, 2, 5))):
-        extract_theta(bump)
-    assert _lee_solver.cache_info().misses == 2
-    with pytest.raises(G2Error, match=re.escape(
-            "lines e^1 ^ phi and e^4 ^ phi are not orthogonal: inner product -1")):
-        _v7_projector_forms(bump.phi)
-    doubled = g.phi.scale(2)
-    assert _v7_projector_forms(doubled)[0] == g.ctx.basis(1).wedge(doubled)
-    assert _v7_projector_forms.cache_info().misses == 3
-    assert _v7_projector_forms.cache_info().currsize == 2
+    after = _product_frame.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
-def test_cached_builder_checks_orientation(std_forms):
-    """With psi- negated the *phi check fails, on every call: a raising
-    call leaves no cache entry."""
-    omega, psi_plus, psi_minus = std_forms
+def test_structure_forms_are_the_frames(pctx, tmp_path):
+    """Every form of a structure and of its product is the cached object of
+    its frame; structures over one frame share them."""
+    repo = Path(__file__).resolve().parents[1]
+    structures = [instantiate(name, params=pctx)[1] for name in ("case1", "case2", "case3")]
+    structures.append(load_structure_file(repo / "scripts" / "iwasawa.su3", pctx)[0])
+    structures.append(instantiate("case1", {"lam": Fraction(2), "k": Fraction(3)},
+                                  params=pctx)[1])
+    products = [build_product(s) for s in structures] + _rotated_products(pctx, 7, 3)
+    products.append(_not_g2t_product(pctx, tmp_path))
+    frames = set()
+    for g in products:
+        s, ctx6 = g.base, g.base.adapted.ctx
+        forms = standard_su3_forms(ctx6)
+        assert all(a is b for a, b in zip((s.omega, s.psi_plus, s.psi_minus), forms))
+        frame = _product_frame(ctx6)
+        assert all(a is b for a, b in zip((g.ctx, g.dt, g.phi, g.star_phi),
+                                          (frame.ctx, frame.dt, frame.phi, frame.star_phi)))
+        frames.add(id(frame))
+    assert len(frames) == 2     # the family context and a bound one
+
+
+def _corrupt(monkeypatch, omega, psi_plus, psi_minus):
+    """Make g2 read the given forms as the standard ones, on a frame no
+    cache has seen (its own parameter context)."""
+    texts = (omega, psi_plus, psi_minus)
+    monkeypatch.setattr(g2, "standard_su3_forms",
+                        lambda ctx: tuple(parse_form(ctx, text) for text in texts))
+    return FrameContext(6, ParameterContext(("corrupt",)))
+
+
+def _raises_uncached(ctx6, message):
+    """The frame builder raises on every call: a raising call leaves no
+    cache entry."""
+    before = _product_frame.cache_info()
     for _ in range(2):
-        with pytest.raises(G2Error, match=r"orientation convention broken: \*phi mismatch") as err:
-            _product_forms(omega, psi_plus, -psi_minus)
-        assert not err.value.residual.is_zero
+        with pytest.raises(G2Error, match=message) as err:
+            _product_frame(ctx6)
+    after = _product_frame.cache_info()
+    assert (after.hits, after.misses, after.currsize) == \
+        (before.hits, before.misses + 2, before.currsize)
+    return err.value
+
+
+def test_cached_builder_checks_orientation(monkeypatch):
+    """With psi- negated the *phi check fails, with the mismatch as residual."""
+    ctx6 = _corrupt(monkeypatch, "12 + 34 + 56", "135 - 146 - 236 - 245",
+                    "-136 - 145 - 235 + 246")
+    error = _raises_uncached(ctx6, r"orientation convention broken: \*phi mismatch")
+    assert not error.residual.is_zero
+
+
+@pytest.mark.parametrize("psi_plus, psi_minus, message", [
+    # e^125 = e^5 ^ e^12 has a component along e^5 ^ omega
+    ("135 - 146 - 236 - 245 + 125", "136 + 145 + 235 - 246 + 346",
+     r"\(X _\| \*phi\) \^ omega\^2 != 0 \(convention bug\)"),
+    ("135 - 146 - 236 - 245 + 136", "136 + 145 + 235 + 245 - 246",
+     r"lines e\^1 \^ \*phi and e\^2 \^ \*phi are not orthogonal: inner product -1"),
+    # phi = omega ^ dt lies in e^7 ^ Lambda^2, so e^7 ^ phi = 0
+    ("0", "0", r"line e\^7 \^ phi has zero norm"),
+], ids=["contraction", "lee-lines", "v7-lines"])
+def test_cached_builder_checks_lines_and_contraction(monkeypatch, psi_plus, psi_minus, message):
+    """Each psi- here is the one that passes the *phi check, so the later
+    checks are reached: each raises and caches nothing."""
+    ctx6 = _corrupt(monkeypatch, "12 + 34 + 56", psi_plus, psi_minus)
+    assert _raises_uncached(ctx6, message).residual is None

@@ -39,7 +39,6 @@ from .liealg import (
     GenericEvaluationError,
     JacobiError,
     NilpotencyError,
-    SalamonSyntaxError,
     betti_numbers,
     fingerprint,
     parse_salamon,
@@ -215,7 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ctx, bindings = _parse_param_args(args.param)
         report = _dispatch(args, ctx, bindings)
-    except (ScalarSyntaxError, SalamonSyntaxError) as exc:
+    except ScalarSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, ScalarError) as exc:

@@ -487,10 +487,8 @@ def form_str(a: Form) -> str:
     return out
 
 
-class FormSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class FormSyntaxError(ScalarSyntaxError):
+    """Malformed form-literal text; carries the offending position."""
 
 
 def parse_form(ctx: FrameContext, text: str) -> Form:
@@ -502,33 +500,31 @@ def parse_form(ctx: FrameContext, text: str) -> Form:
     (dimension 7 only).
     The bare term '0' denotes the zero form.  A term without an index word
     is a 0-form, so a bare integer reads as an index word: '1' is e^1, and
-    the 0-form 1 is written '(1)', as ``form_str`` prints it.
+    the 0-form 1 is written '(1)', as ``form_str`` prints it.  Errors raise
+    FormSyntaxError, or ScalarSyntaxError in a coefficient, at a position
+    counted in ``text`` as typed.
     """
+    if text.strip() == "0":  # the commonest entry of a Salamon table
+        return ctx.zero_form()
     folded, origins = _fold_with_origins(text)
-
-    def error(message: str, at: int) -> FormSyntaxError:
-        # ``at`` counts in the folded text; report it in the text as given
-        return FormSyntaxError(message, origins[at])
-
     total = ctx.zero_form()
-    for sign, start, chunk in _split_signed_terms(folded, error):
-        at = start + len(chunk) - len(chunk.lstrip())
-        chunk = chunk.strip()
-        if not chunk:
-            raise error("empty term", at)
-        try:
-            total = total + _parse_term(ctx, chunk, sign, lambda message: error(message, at))
-        except ScalarSyntaxError as exc:
-            raise ScalarSyntaxError(exc.message, origins[at + exc.position]) from None
+    at = 0  # the splitter raises before any term, at a position in ``folded``
+    try:
+        for sign, start, chunk in _split_signed_terms(folded):
+            at = start + len(chunk) - len(chunk.lstrip())
+            total = total + _parse_term(ctx, chunk.strip(), sign)
+    except ScalarSyntaxError as exc:
+        # a term's errors count from its start; report them in the text as given
+        raise type(exc)(exc.message, origins[at + exc.position]) from None
     return total
 
 
-def _split_signed_terms(text: str, error) -> List[Tuple[int, int, str]]:
+def _split_signed_terms(text: str) -> List[Tuple[int, int, str]]:
     """Split on top-level +/- into (sign, start, chunk) triples, where
     ``chunk`` is ``text[start:...]``.
 
     A sign after an operator or an opening parenthesis belongs to the term;
-    unbalanced parentheses raise ``error(message, position)``.
+    unbalanced parentheses raise FormSyntaxError.
     """
     terms = []
     sign = 1
@@ -540,7 +536,7 @@ def _split_signed_terms(text: str, error) -> List[Tuple[int, int, str]]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise error("unbalanced ')'", i)
+                raise FormSyntaxError("unbalanced ')'", i)
         elif ch in "+-" and depth == 0:
             prev = text[:i].rstrip()
             if prev and prev[-1] not in "+-*/^(":
@@ -551,13 +547,13 @@ def _split_signed_terms(text: str, error) -> List[Tuple[int, int, str]]:
                 sign = sign * (1 if ch == "+" else -1)
                 start = i + 1
     if depth != 0:
-        raise error("unbalanced '('", len(text))
+        raise FormSyntaxError("unbalanced '('", len(text))
     terms.append((sign, start, text[start:]))
     return terms
 
 
-def _last_top_level_star(chunk: str, index_word: re.Pattern) -> Optional[int]:
-    """Position of the last top-level '*' if its right side matches ``index_word``."""
+def _last_top_level_star(chunk: str) -> Optional[int]:
+    """Position of the last top-level '*' if an index word follows it."""
     depth = 0
     for i in range(len(chunk) - 1, -1, -1):
         ch = chunk[i]
@@ -566,15 +562,18 @@ def _last_top_level_star(chunk: str, index_word: re.Pattern) -> Optional[int]:
         elif ch == "(":
             depth -= 1
         elif ch == "*" and depth == 0:
-            return i if index_word.match(chunk[i + 1 :].strip()) else None
+            return i if _INDEX_WORD.match(chunk[i + 1 :].strip()) else None
     return None
 
 
 _INDEX_WORD = re.compile(r"^(?:e)?(\d+)$|^dt$")
 
 
-def _parse_term(ctx: FrameContext, chunk: str, sign: int, error) -> Form:
-    star = _last_top_level_star(chunk, _INDEX_WORD)
+def _parse_term(ctx: FrameContext, chunk: str, sign: int) -> Form:
+    """One stripped term; its errors count from its start."""
+    if not chunk:
+        raise FormSyntaxError("empty term", 0)
+    star = _last_top_level_star(chunk)
     if star is None:
         coeff_text, index_text = None, chunk
     else:
@@ -597,12 +596,12 @@ def _parse_term(ctx: FrameContext, chunk: str, sign: int, error) -> Form:
             return ctx.zero_form()
         indices = tuple(int(d) for d in digits)
         if any(d == 0 for d in indices):
-            raise error(f"index 0 in term {chunk!r}")
+            raise FormSyntaxError(f"index 0 in term {chunk!r}", 0)
         if len(set(indices)) < len(indices):
-            raise error(f"repeated index in term {chunk!r}")
+            raise FormSyntaxError(f"repeated index in term {chunk!r}", 0)
     for idx in indices:
         if idx > ctx.dim:
-            raise error(f"index {idx} out of range for dimension {ctx.dim}")
+            raise FormSyntaxError(f"index {idx} out of range for dimension {ctx.dim}", 0)
     base = ctx.basis(*indices)
     if coeff_text is not None:
         coeff = ctx.params.parse(coeff_text)

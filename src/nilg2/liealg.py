@@ -3,6 +3,9 @@
 An algebra is given by the 2-forms d e^i (Salamon notation); the bracket is
 recovered by the Chevalley-Eilenberg convention d e^i(X, Y) = -e^i([X, Y]).
 The differential extends to all grades as the unique degree +1 derivation.
+``parse_salamon`` reads a table as comma-separated 2-form literals of
+``exterior.parse_form``, and ``salamon_str`` prints each entry's
+``form_str`` without spaces, so tables and forms share one term grammar.
 
 The invariants (``betti_numbers``, ``fingerprint``) of a parameter-free
 table are computed in Python ints on L*d, the table times the lcm L of its
@@ -20,7 +23,6 @@ That is a sampled generic value, not an identity in the parameters.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -33,14 +35,14 @@ from .exterior import (
     FrameContext,
     _basis_masks,
     _bits,
-    _last_top_level_star,
     _merge_sign,
-    _split_signed_terms,
     _wedge,
+    form_str,
+    parse_form,
     substitute_coframe,
 )
 from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly,
-                      _eval_poly, _fold_unicode, _fold_with_origins)
+                      _eval_poly, _fold_unicode)
 
 __all__ = [
     "LieAlgebra",
@@ -70,10 +72,8 @@ class NilpotencyError(ValueError):
     pass
 
 
-class SalamonSyntaxError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class SalamonSyntaxError(ScalarSyntaxError):
+    """Malformed Salamon table; carries the offending position."""
 
 
 def _leibniz(table: Sequence[Mapping], comps: Mapping) -> dict:
@@ -221,108 +221,36 @@ class LieAlgebra:
 # Salamon notation
 # ---------------------------------------------------------------------------
 
-_INDEX_PAIR = re.compile(r"^(?:e)?(\d\d)$")
-
-
 def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None) -> LieAlgebra:
     """Parse comma-separated coframe derivatives, e.g. ``0,0,12,13,23,14``.
 
-    Each entry is 0 or a signed sum of terms ``[scalar*]ij`` with two index
-    digits (possibly out of order, e.g. ``42`` for e4^e2).
+    Each entry is a 2-form literal, read by ``parse_form`` (``42`` is
+    e4^e2).  An error in entry K reads ``entry K: <message>``, at its
+    position in the whole text as typed; an entry of another grade, such as
+    ``123``, is rejected by ``LieAlgebra`` (ExteriorError).
     """
-    folded, origins = _fold_with_origins(text)
-
-    def error(message: str, at: int) -> SalamonSyntaxError:
-        # ``at`` counts in the folded text; report it in the text as given
-        return SalamonSyntaxError(message, origins[at])
-
-    # (position in the folded text, stripped entry): every error is
-    # reported at a position in the whole text
-    entries = []
-    start = 0
-    for piece in folded.split(","):
-        entries.append((start + len(piece) - len(piece.lstrip()), piece.strip()))
-        start += len(piece) + 1
+    entries = text.split(",")
     n = dim if dim is not None else len(entries)
     if len(entries) != n or n not in (6, 7):
-        raise error(f"expected {dim or '6 or 7'} comma-separated entries, got {len(entries)}", 0)
+        raise SalamonSyntaxError(
+            f"expected {dim or '6 or 7'} comma-separated entries, got {len(entries)}", 0)
     ctx = FrameContext(n, params)
     table = []
-    for entry_index, (position, entry) in enumerate(entries, start=1):
-        if entry == "0":
-            table.append(ctx.zero_form())
-            continue
-        if not entry:
-            raise error(f"empty entry {entry_index}", position)
-        form = ctx.zero_form()
-        terms = _split_signed_terms(
-            entry, lambda message, at: error(message, position + at)
-        )
-        for sign, offset, chunk in terms:
-            at = position + offset + len(chunk) - len(chunk.lstrip())
-            chunk = chunk.strip()
-            if not chunk:
-                raise error(f"empty term in entry {entry_index}", at)
-            star = _last_top_level_star(chunk, _INDEX_PAIR)
-            if star is None:
-                scalar_text, index_text = None, chunk
-            else:
-                scalar_text, index_text = chunk[:star], chunk[star + 1 :].strip()
-            m = _INDEX_PAIR.match(index_text)
-            if not m:
-                raise error(
-                    f"expected a two-digit index word in entry {entry_index}: {chunk!r}",
-                    at,
-                )
-            i, j = int(m.group(1)[0]), int(m.group(1)[1])
-            if i == j:
-                raise error(f"repeated index {i} in entry {entry_index}", at)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise error(f"index out of range in entry {entry_index}", at)
-            try:
-                coeff = params.parse(scalar_text) if scalar_text else params.one
-            except ScalarSyntaxError as exc:
-                raise error(
-                    f"bad scalar in entry {entry_index}: {exc.message}", at + exc.position
-                ) from None
-            if sign < 0:
-                coeff = -coeff
-            form = form + ctx.basis(i, j).scale(coeff)
-        table.append(form)
+    start = 0  # of the entry in ``text``; parse_form counts as typed, as this does
+    for k, entry in enumerate(entries, start=1):
+        if not entry.strip():
+            raise SalamonSyntaxError(f"empty entry {k}", start + len(entry))
+        try:
+            table.append(parse_form(ctx, entry))
+        except ScalarSyntaxError as exc:
+            raise SalamonSyntaxError(f"entry {k}: {exc.message}", start + exc.position) from None
+        start += len(entry) + 1
     return LieAlgebra(ctx, table)
 
 
 def salamon_str(g: LieAlgebra) -> str:
-    """Render the d-table back into Salamon notation."""
-    entries = []
-    for f in g.d_table:
-        if f.is_zero:
-            entries.append("0")
-            continue
-        pieces = []
-        ordered = sorted(f.comps.items(), key=lambda mc: _bits(mc[0]))
-        for mask, coeff in ordered:
-            idx = "".join(str(i) for i in _bits(mask))
-            text = str(coeff)
-            if text == "1":
-                body = idx
-            elif text == "-1":
-                body = f"-{idx}"
-            else:
-                if any(op in text for op in (" + ", " - ")) or (
-                    text.startswith("-") and pieces
-                ):
-                    text = f"({text})"
-                body = f"{text}*{idx}"
-            pieces.append(body)
-        out = pieces[0]
-        for body in pieces[1:]:
-            if body.startswith("-"):
-                out += f"-{body[1:]}"
-            else:
-                out += f"+{body}"
-        entries.append(out)
-    return ",".join(entries)
+    """The d-table in Salamon notation: each entry's ``form_str``, without spaces."""
+    return ",".join(form_str(f).replace(" ", "") for f in g.d_table)
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,10 @@ def _render(s: Scalar) -> str:
 # with q nonzero itself and leaves every other text to ``_Parser``.
 _RATIONAL = re.compile(r"\s*([-+]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
+# Parentheses nested deeper than this are a syntax error: each level costs
+# the recursive descent four stack frames.
+_MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
 )
@@ -642,6 +646,7 @@ class _Parser:
         self.tokens = []
         self._tokenize()
         self.index = 0
+        self.depth = 0  # open parentheses around the current token
 
     def _tokenize(self):
         pos = 0
@@ -717,11 +722,11 @@ class _Parser:
                 return value
 
     def _factor(self) -> Scalar:
-        tok = self._peek()
-        if tok and tok[:2] == ("op", "-"):
+        negate = False
+        while (tok := self._peek()) and tok[:2] == ("op", "-"):
             self._next()
-            return -self._factor()
-        base = self._atom()
+            negate = not negate
+        value = self._atom()
         tok = self._peek()
         if tok and tok[:2] == ("op", "^"):
             self._next()
@@ -733,10 +738,10 @@ class _Parser:
             if exp_tok[0] != "num":
                 raise ScalarSyntaxError("exponent must be an integer", exp_tok[2])
             exponent = sign * exp_tok[1]
-            if exponent < 0 and base.is_zero:
+            if exponent < 0 and value.is_zero:
                 raise ScalarSyntaxError("division by zero scalar", exp_tok[2])
-            return base ** exponent
-        return base
+            value = value ** exponent
+        return -value if negate else value
 
     def _atom(self) -> Scalar:
         tok = self._next()
@@ -748,9 +753,13 @@ class _Parser:
                 raise ScalarSyntaxError(f"unknown parameter {value!r}", pos)
             return self.ctx.param(value)
         if (kind, value) == ("op", "("):
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ScalarSyntaxError("expression nested too deeply", pos)
             inner = self._expr()
             closing = self._next()
             if closing[:2] != ("op", ")"):
                 raise ScalarSyntaxError("expected ')'", closing[2])
+            self.depth -= 1
             return inner
         raise ScalarSyntaxError(f"unexpected token {value!r}", pos)

@@ -305,6 +305,9 @@ def test_shared_options_merge_across_subcommand(capsys):
     assert data["torsion"]["T"].startswith("136 + 145 + 2*146")
 
 
+_DEEP = "(" * 300 + "1" + ")" * 300
+
+
 @pytest.mark.parametrize("argv, message", [
     (("betti", "0,0,12,13,23,14+15"), "d(d e^6) != 0"),
     (("fingerprint", "0,12,0,0,0,0"), "not presented nilpotently"),
@@ -339,6 +342,12 @@ def test_shared_options_merge_across_subcommand(capsys):
     # theorem replays fixed rows
     (("--param", "lam=1", "theorem"), "theorem replays fixed rows; --param does not apply"),
     (("theorem", "--param", "k=2"), "theorem replays fixed rows; --param does not apply"),
+    # parentheses nested past the parser's limit, in a table and in a binding
+    (("check", f"0,0,0,0,0,{_DEEP}*12"), "entry 6: expression nested too deeply (at position 110)"),
+    (("--param", f"lam={_DEEP}", "check", "0,0,0,0,0,lam*12"),
+     "expression nested too deeply (at position 100)"),
+    # a well-formed entry of another grade
+    (("check", "0,0,12,13,23,123"), "d e^6 must be a 2-form"),
 ])
 def test_bad_input_exit_2_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -352,6 +361,9 @@ def test_bad_input_exit_2_one_line(capsys, argv, message):
     (("--param", "lam=2", "contract", "0,0,0,0,0,lam*12", "--exponents=0,0,0,0,0,0",
       "--direction", "to-zero"), "limit = 0,0,0,0,0,2*12"),
     (("check", "0,0,0,0,0,lam*12", "--param", "lam=2"), "algebra = 0,0,0,0,0,2*12"),
+    # 2000 unary signs are read in a loop: an even count is +1
+    (("check", "0,0,0,0,0,lam*12", "--param", "lam=" + "-" * 2000 + "1"),
+     "algebra = 0,0,0,0,0,12"),
 ])
 def test_check_and_contract_bind_param(capsys, argv, line):
     """--param binds the table of check and contract before they run."""
@@ -606,6 +618,14 @@ def test_structure_file_bad_binding_exit_2(capsys, tmp_path, text, message):
                  "parameter 'lam' bound twice in [params]", id="parameter-bound-twice"),
     pytest.param("[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n[params]\n",
                  "[adaptation] must contain a 6x6 matrix", id="adaptation-empty"),
+    # the first cell, 1, written 300 parentheses deep
+    pytest.param("[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n"
+                 + _IWASAWA_ROWS.replace("1", _DEEP, 1),
+                 "expression nested too deeply (at position 100)", id="deep-adaptation-cell"),
+    pytest.param(f"[algebra]\n0,0,0,0,0,{_DEEP}*12\n",
+                 "entry 6: expression nested too deeply (at position 110)", id="deep-algebra-entry"),
+    pytest.param(f"[algebra]\n0,0,0,0,0,lam*12\n[params]\nlam = {_DEEP}\n",
+                 "expression nested too deeply (at position 100)", id="deep-params-value"),
 ])
 @pytest.mark.parametrize("command", ["su3", "g2t"])
 def test_structure_file_syntax_exit_2(capsys, tmp_path, command, text, message):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from nilg2.exterior import FormSyntaxError, FrameContext, _basis_masks, _wedge, parse_form
+from nilg2.exterior import (ExteriorError, FormSyntaxError, FrameContext, _basis_masks, _wedge,
+                            form_str, parse_form)
 from nilg2 import families, liealg, linalg
 from nilg2.families import FAMILIES, case2_gauge_rotation
 from nilg2.liealg import (
@@ -49,11 +50,14 @@ def test_parse_errors(pctx):
         parse_salamon("0,0,12,13,23,11", pctx)  # repeated index
     with pytest.raises(SalamonSyntaxError):
         parse_salamon("0,0,12,13,23,19", pctx)  # out of range
+    # an entry of another grade is a well-formed literal, rejected by LieAlgebra
+    with pytest.raises(ExteriorError, match="d e\\^6 must be a 2-form"):
+        parse_salamon("0,0,12,13,23,123", pctx)
 
 
 def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
-    """One splitter and one star finder serve both parsers; each parser
-    keeps its own error class."""
+    """A table entry is read by parse_form; parse_salamon names the entry
+    and counts the position in the whole text."""
     entry = "-(lam+1)*13 - 2*24 + -3*15+e34"
     g = parse_salamon(f"0,0,0,0,0,{entry}", pctx)
     assert g.d_table[5] == parse_form(frame6, entry)
@@ -66,7 +70,7 @@ def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
         with pytest.raises(SalamonSyntaxError) as salamon_error:
             parse_salamon(f"0,0,0,0,0,{text}", pctx)
         assert str(form_error.value) == f"{message} (at position {position})"
-        assert str(salamon_error.value) == f"{message} (at position {10 + position})"
+        assert str(salamon_error.value) == f"entry 6: {message} (at position {10 + position})"
 
 
 @pytest.mark.parametrize("text, message, position", [
@@ -74,16 +78,21 @@ def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
     ("0,0,0,0,0,(lam*12", "unbalanced '('", 17),
     ("0, 0,12,13,23,14 - lam)*25", "unbalanced ')'", 22),
     # term errors: at the term, and inside a bad scalar at the bad token
-    ("0,0,12,13,23,14 +  11", "repeated index 1 in entry 6", 19),
-    ("0,0,12,13,23,14+2*1x", "expected a two-digit index word in entry 6: '2*1x'", 16),
-    ("0,0,12,13,23,14-(lam+$)*25", "bad scalar in entry 6: unexpected character '$'", 21),
+    ("0,0,12,13,23,14 +  11", "repeated index in term '11'", 19),
+    # 1x is no index word, so the whole term 2*1x is read as a scalar
+    ("0,0,12,13,23,14+2*1x", "trailing input 'x'", 19),
+    ("0,0,12,13,23,14-(lam+$)*25", "unexpected character '$'", 21),
     (" 0,0,,13,23,14", "empty entry 3", 5),
 ])
 def test_salamon_errors_at_whole_text_positions(pctx, text, message, position):
+    """An error inside an entry reads ``entry K: <parse_form's message>``,
+    K the entry holding the position; an empty entry names itself."""
     with pytest.raises(SalamonSyntaxError) as err:
         parse_salamon(text, pctx)
+    entry = text[:position].count(",") + 1
+    prefix = "" if message.startswith("empty entry") else f"entry {entry}: "
     assert err.value.position == position
-    assert str(err.value) == f"{message} (at position {position})"
+    assert str(err.value) == f"{prefix}{message} (at position {position})"
 
 
 def test_error_positions_count_characters_as_typed(pctx, frame6):
@@ -112,13 +121,38 @@ def test_parse_rejects_non_jacobi(pctx):
         parse_salamon("0,0,12,13,23,15", pctx)
 
 
+def _two_step_tables(seed: int, count: int):
+    """Seeded 2-step nilpotent tables, d e^i in Lambda^2<e1..e4> for i >= 5,
+    in dimension 6 or 7, with coefficients of both signs: rational,
+    symbolic, multi-term and rational-function."""
+    rng = random.Random(seed)
+    coeffs = ["1", "2", "3/2", "1/7", "lam", "k^2", "(a1+z)", "(lam*k - 1/2)",
+              "1/(lam-1)", "(z+1)/(k+2)", "(2*lam)/3"]
+    pairs = [f"{i}{j}" for i in range(1, 5) for j in range(1, 5) if i != j]
+    for _ in range(count):
+        entries = ["0"] * 4
+        for _ in range(rng.choice((2, 3))):
+            terms = [f"{rng.choice('+-')}{rng.choice(coeffs)}*{word}"
+                     for word in rng.sample(pairs, rng.randint(1, 3))]
+            entries.append("".join(terms))
+        yield ",".join(entries)
+
+
 def test_salamon_roundtrip(pctx):
-    for text in ("0,0,12,13,23,14", "0,0,0,0,13+42,14+23",
-                 "0,lam*35,k*15,-lam*15+k*25,0,lam*13",
-                 "0,lam*35,0,-lam*15,(z+a1)*13,a1*14+z*23+lam*13"):
+    """salamon_str prints each entry's form_str without spaces, and
+    parse_salamon reads it back."""
+    texts = ["0,0,12,13,23,14", "0,0,0,0,13+42,14+23",
+             "0,lam*35,k*15,-lam*15+k*25,0,lam*13",
+             "0,lam*35,0,-lam*15,(z+a1)*13,a1*14+z*23+lam*13",
+             "0,0,0,0,-1/2*12+3*34,(-lam)*13-k*24+(lam-k)*14,1/(lam-1)*12-z*23"]
+    for text in texts + list(_two_step_tables(seed=24, count=40)):
         g = parse_salamon(text, pctx)
-        again = parse_salamon(salamon_str(g), pctx)
-        assert again.d_table == g.d_table
+        printed = salamon_str(g)
+        assert printed == ",".join(form_str(f).replace(" ", "") for f in g.d_table)
+        assert parse_salamon(printed, pctx) == g, (text, printed)
+    # a negative coefficient after the first term prints as a difference
+    assert salamon_str(parse_salamon("0,0,0,0,12,13-lam*24", pctx)) == "0,0,0,0,12,13-lam*24"
+    assert salamon_str(parse_salamon("0,0,0,0,0,(z+a1)*13", pctx)) == "0,0,0,0,0,(a1+z)*13"
 
 
 # ---------------------------------------------------------------------------

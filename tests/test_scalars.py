@@ -94,6 +94,18 @@ def test_parse_errors_carry_positions(ctx):
         ctx.parse("(lam + 1")
 
 
+def test_deep_nesting_raises_a_syntax_error(ctx):
+    """Parentheses past the nesting limit are a syntax error at the opening
+    parenthesis; unary signs are counted, not recursed on."""
+    with pytest.raises(ScalarSyntaxError, match="expression nested too deeply") as err:
+        ctx.parse("(" * 300 + "1" + ")" * 300)
+    assert err.value.position == 100
+    assert ctx.parse("(" * 100 + "lam" + ")" * 100) == ctx.param("lam")
+    assert ctx.parse("-" * 2000 + "lam") == ctx.param("lam")
+    assert ctx.parse("-" * 2001 + "lam^2") == -ctx.param("lam") ** 2
+    assert ctx.parse("2*--k") == ctx.parse("2*k")
+
+
 def test_str_roundtrip(ctx):
     for text in ("lam", "-3/4", "lam^2/2 + k/3", "(3*lam^2 - 1)/(z + a1)",
                  "1/(k^2*lam)", "0", "a1*k*z"):

@@ -236,7 +236,7 @@ def parse_salamon(text: str, params: ParameterContext, dim: Optional[int] = None
             f"expected {dim or '6 or 7'} comma-separated entries, got {len(entries)}", 0)
     ctx = FrameContext(n, params)
     table = []
-    start = 0  # of the entry in ``text``; parse_form counts as typed, as this does
+    start = 0  # where the entry starts in ``text``; parse_form counts in the entry as typed
     for k, entry in enumerate(entries, start=1):
         if not entry.strip():
             raise SalamonSyntaxError(f"empty entry {k}", start + len(entry))

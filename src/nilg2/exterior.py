@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import re
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -38,6 +37,7 @@ from .scalars import (
     Scalar,
     ScalarSyntaxError,
     _fold_with_origins,
+    _Parser,
 )
 
 __all__ = [
@@ -492,120 +492,44 @@ class FormSyntaxError(ScalarSyntaxError):
 
 
 def parse_form(ctx: FrameContext, text: str) -> Form:
-    """Parse the form-literal syntax.
+    """Parse the form-literal syntax, e.g. ``12 + 34 - 3/2*56``.
 
-    Terms are separated by top-level + or -; each term is an optional scalar
-    expression followed by '*' and an index word.  Index words are digit
-    strings (optionally prefixed with 'e') with no digit repeated, or 'dt'
-    (dimension 7 only).
-    The bare term '0' denotes the zero form.  A term without an index word
-    is a 0-form, so a bare integer reads as an index word: '1' is e^1, and
-    the 0-form 1 is written '(1)', as ``form_str`` prints it.  Errors raise
-    FormSyntaxError, or ScalarSyntaxError in a coefficient, at a position
-    counted in ``text`` as typed.
+    The scalar parser reads the literal as a sum of signed terms, each an
+    optional scalar expression followed by '*' and an index word.  An index
+    word is a digit string, optionally after 'e', with no digit 0 or
+    repeated, or 'dt' (dimension 7 only); it ends its term and stands right
+    after '*' or alone in its term, so a bare integer is an index word:
+    '1' is e^1, and the 0-form 1 is written '(1)', as ``form_str`` prints
+    it.  A term without an index word is a 0-form; the bare term '0'
+    denotes the zero form.  Every error raises FormSyntaxError, at a
+    position counted in ``text`` as typed.
     """
     if text.strip() == "0":  # the commonest entry of a Salamon table
         return ctx.zero_form()
     folded, origins = _fold_with_origins(text)
-    total = ctx.zero_form()
-    at = 0  # the splitter raises before any term, at a position in ``folded``
+    params = ctx.params
+    comps: Dict[int, Scalar] = {}
     try:
-        for sign, start, chunk in _split_signed_terms(folded):
-            at = start + len(chunk) - len(chunk.lstrip())
-            total = total + _parse_term(ctx, chunk.strip(), sign)
+        for sign, coeff, word, start, end in _Parser(params, folded).terms():
+            mask = 0
+            if word is not None:
+                digits = word.lstrip("e")
+                if digits == "0" and coeff is None:
+                    continue
+                indices = (7,) if word == "dt" else tuple(map(int, digits))
+                term = folded[start:end].rstrip()
+                if 0 in indices:
+                    raise FormSyntaxError(f"index 0 in term {term!r}", start)
+                if len(set(indices)) < len(indices):
+                    raise FormSyntaxError(f"repeated index in term {term!r}", start)
+                if max(indices) > ctx.dim:
+                    idx = next(i for i in indices if i > ctx.dim)
+                    raise FormSyntaxError(f"index {idx} out of range for dimension {ctx.dim}", start)
+                perm, mask = _mask(indices)
+                sign *= perm
+            value = params.one if coeff is None else coeff
+            prev = comps.get(mask, params.zero)
+            comps[mask] = prev + value if sign > 0 else prev - value
     except ScalarSyntaxError as exc:
-        # a term's errors count from its start; report them in the text as given
-        raise type(exc)(exc.message, origins[at + exc.position]) from None
-    return total
-
-
-def _split_signed_terms(text: str) -> List[Tuple[int, int, str]]:
-    """Split on top-level +/- into (sign, start, chunk) triples, where
-    ``chunk`` is ``text[start:...]``.
-
-    A sign after an operator or an opening parenthesis belongs to the term;
-    unbalanced parentheses raise FormSyntaxError.
-    """
-    terms = []
-    sign = 1
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise FormSyntaxError("unbalanced ')'", i)
-        elif ch in "+-" and depth == 0:
-            prev = text[:i].rstrip()
-            if prev and prev[-1] not in "+-*/^(":
-                terms.append((sign, start, text[start:i]))
-                sign = 1 if ch == "+" else -1
-                start = i + 1
-            elif not prev:
-                sign = sign * (1 if ch == "+" else -1)
-                start = i + 1
-    if depth != 0:
-        raise FormSyntaxError("unbalanced '('", len(text))
-    terms.append((sign, start, text[start:]))
-    return terms
-
-
-def _last_top_level_star(chunk: str) -> Optional[int]:
-    """Position of the last top-level '*' if an index word follows it."""
-    depth = 0
-    for i in range(len(chunk) - 1, -1, -1):
-        ch = chunk[i]
-        if ch == ")":
-            depth += 1
-        elif ch == "(":
-            depth -= 1
-        elif ch == "*" and depth == 0:
-            return i if _INDEX_WORD.match(chunk[i + 1 :].strip()) else None
-    return None
-
-
-_INDEX_WORD = re.compile(r"^(?:e)?(\d+)$|^dt$")
-
-
-def _parse_term(ctx: FrameContext, chunk: str, sign: int) -> Form:
-    """One stripped term; its errors count from its start."""
-    if not chunk:
-        raise FormSyntaxError("empty term", 0)
-    star = _last_top_level_star(chunk)
-    if star is None:
-        coeff_text, index_text = None, chunk
-    else:
-        coeff_text, index_text = chunk[: star], chunk[star + 1 :]
-    index_text = index_text.strip()
-    m = _INDEX_WORD.match(index_text)
-    if not m:
-        # no index word: whole chunk is a scalar (grade-0 term)
-        value = ctx.params.parse(chunk)
-        if sign < 0:
-            value = -value
-        if value.is_zero:
-            return ctx.zero_form()
-        return Form(ctx, {0: value})
-    if index_text == "dt":
-        indices: Tuple[int, ...] = (7,)
-    else:
-        digits = m.group(1)
-        if digits == "0" and coeff_text is None:
-            return ctx.zero_form()
-        indices = tuple(int(d) for d in digits)
-        if any(d == 0 for d in indices):
-            raise FormSyntaxError(f"index 0 in term {chunk!r}", 0)
-        if len(set(indices)) < len(indices):
-            raise FormSyntaxError(f"repeated index in term {chunk!r}", 0)
-    for idx in indices:
-        if idx > ctx.dim:
-            raise FormSyntaxError(f"index {idx} out of range for dimension {ctx.dim}", 0)
-    base = ctx.basis(*indices)
-    if coeff_text is not None:
-        coeff = ctx.params.parse(coeff_text)
-        base = base.scale(coeff)
-    if sign < 0:
-        base = -base
-    return base
+        raise FormSyntaxError(exc.message, origins[exc.position]) from None
+    return Form(ctx, comps)

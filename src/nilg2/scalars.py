@@ -43,6 +43,10 @@ first takes the field path.  Every torsion quantity of the paper's
 families is a polynomial in the parameters, so such runs never load it;
 rational-function values, such as the basis-change witnesses
 (``1/(k*lam)``) that ``families.verify_theorem`` replays, do.
+
+One recursive-descent parser reads text, with ASCII digits:
+``ParameterContext.parse`` a scalar, and ``exterior.parse_form`` a form
+literal, from the same tokens and the same loop over signed terms.
 """
 
 from __future__ import annotations
@@ -74,9 +78,7 @@ class ScalarSyntaxError(ValueError):
         self.position = position
 
 
-# Names that collide with coframe index notation are rejected.
-_RESERVED = re.compile(r"^(e?\d+|dt)$")
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # ASCII aliases for the unicode spellings accepted on input.
 _UNICODE_MAP = {
@@ -217,9 +219,9 @@ class ParameterContext:
             return cached
         self = super().__new__(cls)
         for name in key:
-            if not _IDENT.match(name):
+            if not _IDENT.fullmatch(name):
                 raise ValueError(f"invalid parameter name {name!r}")
-            if _RESERVED.match(name):
+            if _INDEX_WORD.fullmatch(name):
                 raise ValueError(
                     f"parameter name {name!r} collides with coframe index notation"
                 )
@@ -629,44 +631,38 @@ def _render(s: Scalar) -> str:
 _RATIONAL = re.compile(r"\s*([-+]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
 
 # Parentheses nested deeper than this are a syntax error: each level costs
-# the recursive descent four stack frames.
+# the recursive descent five stack frames.
 _MAX_NESTING = 100
 
+# An index word of the form-literal syntax: digits, optionally after 'e', or
+# 'dt'.  No parameter may be named like one.
+_INDEX_WORD = re.compile(r"e?[0-9]+|dt")
+
+# A number, a name, an operator, or any other non-space character, which
+# is an error.  Digits are ASCII.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
-)
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 class _Parser:
-    """Recursive descent for: integers, fractions p/q, parameters, + - * / ^, parens."""
+    """Recursive descent over the tokens of one text: a sum of signed
+    terms, each a product and quotient of factors, a factor an optionally
+    negated number, parameter or parenthesized sum, raised to an integer.
+    ``terms`` reads the text as a form literal, whose top-level terms may
+    end in an index word."""
 
     def __init__(self, ctx: ParameterContext, text: str):
         self.ctx = ctx
         self.text = text
         self.tokens = []
-        self._tokenize()
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ScalarSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+            self.tokens.append((kind, m.group(kind), m.start(kind)))
         self.index = 0
         self.depth = 0  # open parentheses around the current token
-
-    def _tokenize(self):
-        pos = 0
-        text = self.text
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ScalarSyntaxError(
-                    f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-                )
-            if m.group("num") is not None:
-                self.tokens.append(("num", int(m.group("num")), m.start("num")))
-            elif m.group("ident") is not None:
-                self.tokens.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
+        self.words = False  # whether the top level reads index words
 
     def _peek(self):
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -678,38 +674,81 @@ class _Parser:
         self.index += 1
         return tok
 
-    def parse(self) -> Scalar:
-        value = self._expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ScalarSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-        return value
+    def terms(self):
+        """Each term of a form literal as (sign, coefficient, word, start,
+        end): the coefficient a Scalar or None, the index word's text or
+        None (a 0-form term), and ``text[start:end]`` the term after its
+        separating sign.  A number, eN or dt is an index word when it ends
+        its term and stands right after '*' or alone in its term; a sign
+        after an operator or '(' belongs to the term."""
+        self.words = True
+        return self._terms()
 
-    def _expr(self) -> Scalar:
+    def _is_word(self, i: int) -> bool:
+        """Whether token ``i``, at the top level, is a number, eN or dt that
+        ends its term."""
+        tokens = self.tokens
+        if i >= len(tokens) or tokens[i][0] == "op" or (
+                tokens[i][0] == "ident" and not _INDEX_WORD.fullmatch(tokens[i][1])):
+            return False
+        return i + 1 == len(tokens) or tokens[i + 1][1] in ("+", "-")
+
+    def _terms(self):
+        """The one signed-term loop: an optional sign, then terms separated
+        by + or -; at the top level nothing may follow the last term."""
+        top = self.words and not self.depth
+        sign = 1
         tok = self._peek()
-        negate = False
-        if tok and tok[:2] == ("op", "-"):
-            self._next()
-            negate = True
-        elif tok and tok[:2] == ("op", "+"):
-            self._next()
-        value = self._term()
-        if negate:
-            value = -value
+        if tok is not None and tok[1] in ("+", "-"):
+            self.index += 1
+            sign = -1 if tok[1] == "-" else 1
         while True:
             tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self._next()
-                rhs = self._term()
-                value = value + rhs if tok[1] == "+" else value - rhs
+            start = tok[2] if tok else len(self.text)
+            coeff = word = None
+            if top:
+                if tok is None:
+                    raise ScalarSyntaxError("empty term", start)
+                if tok[1] == "+":  # a second sign: the term is not alone
+                    self.index += 1
+                elif self._is_word(self.index):
+                    word = tok[1]
+                    self.index += 1
+            if word is None:
+                coeff = self._term()
+                if top and self.index < len(self.tokens) and self.tokens[self.index][1] == "*":
+                    word = self.tokens[self.index + 1][1]  # _term stops before '*' and a word
+                    self.index += 2
+            tok = self._peek()
+            more = tok is not None and tok[1] in ("+", "-")
+            if tok is not None and not more and not self.depth:
+                if tok[1] == ")":
+                    raise ScalarSyntaxError("unbalanced ')'", tok[2])
+                shown = int(tok[1]) if tok[0] == "num" else tok[1]
+                raise ScalarSyntaxError(f"trailing input {shown!r}", tok[2])
+            yield sign, coeff, word, start, tok[2] if tok else len(self.text)
+            if not more:
+                return
+            self.index += 1
+            sign = -1 if tok[1] == "-" else 1
+
+    def parse(self) -> Scalar:
+        """The value of the text, or of a parenthesized sum."""
+        value = None
+        for sign, term, _, _, _ in self._terms():
+            if value is None:
+                value = -term if sign < 0 else term
             else:
-                return value
+                value = value + term if sign > 0 else value - term
+        return value
 
     def _term(self) -> Scalar:
         value = self._factor()
         while True:
             tok = self._peek()
             if tok and tok[0] == "op" and tok[1] in "*/":
+                if tok[1] == "*" and self.words and not self.depth and self._is_word(self.index + 1):
+                    return value
                 self._next()
                 rhs = self._factor()
                 if tok[1] == "*":
@@ -737,29 +776,34 @@ class _Parser:
                 exp_tok = self._next()
             if exp_tok[0] != "num":
                 raise ScalarSyntaxError("exponent must be an integer", exp_tok[2])
-            exponent = sign * exp_tok[1]
+            exponent = sign * int(exp_tok[1])
             if exponent < 0 and value.is_zero:
                 raise ScalarSyntaxError("division by zero scalar", exp_tok[2])
             value = value ** exponent
         return -value if negate else value
 
     def _atom(self) -> Scalar:
-        tok = self._next()
-        kind, value, pos = tok
+        kind, value, pos = self._next()
         if kind == "num":
-            return self.ctx.scalar(value)
+            return Scalar(self.ctx, Fraction(int(value)))
         if kind == "ident":
-            if value not in self.ctx._gens:
+            gen = self.ctx._gens.get(value)
+            if gen is None:
                 raise ScalarSyntaxError(f"unknown parameter {value!r}", pos)
-            return self.ctx.param(value)
-        if (kind, value) == ("op", "("):
+            return Scalar(self.ctx, gen)
+        if value == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
                 raise ScalarSyntaxError("expression nested too deeply", pos)
-            inner = self._expr()
-            closing = self._next()
-            if closing[:2] != ("op", ")"):
+            inner = self.parse()
+            closing = self._peek()
+            if closing is None:
+                raise ScalarSyntaxError("unbalanced '('", len(self.text))
+            if closing[1] != ")":
                 raise ScalarSyntaxError("expected ')'", closing[2])
+            self.index += 1
             self.depth -= 1
             return inner
+        if value == ")" and not self.depth:
+            raise ScalarSyntaxError("unbalanced ')'", pos)
         raise ScalarSyntaxError(f"unexpected token {value!r}", pos)

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import nilg2
 from nilg2.cli import _build_parser, main
 from nilg2.exterior import FrameContext, parse_form
-from nilg2.families import FAMILIES
-from nilg2.liealg import NAMED_ALGEBRAS
-from nilg2.scalars import ParameterContext
+from nilg2.families import FAMILIES, family_context
+from nilg2.liealg import NAMED_ALGEBRAS, SalamonSyntaxError, parse_salamon
+from nilg2.scalars import ParameterContext, ScalarSyntaxError
 
 
 def _main(argv):
@@ -348,6 +348,13 @@ _DEEP = "(" * 300 + "1" + ")" * 300
      "expression nested too deeply (at position 100)"),
     # a well-formed entry of another grade
     (("check", "0,0,12,13,23,123"), "d e^6 must be a 2-form"),
+    # digits are ASCII: other decimal digits are no numbers and no index words
+    (("check", "0,0,0,0,0,1٣"), "entry 6: unexpected character '٣' (at position 11)"),
+    (("--param", "lam=٣", "check", "0,0,0,0,0,lam*12"),
+     "unexpected character '٣' (at position 0)"),
+    (("check", "0,0,0,0,0,e١٢"), "entry 6: unexpected character '١' (at position 11)"),
+    (("check", "0,0,0,0,12,１２"), "entry 6: unexpected character '１' (at position 11)"),
+    (("check", "0,0,0,0,0,０"), "entry 6: unexpected character '０' (at position 10)"),
 ])
 def test_bad_input_exit_2_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -622,6 +629,9 @@ def test_structure_file_bad_binding_exit_2(capsys, tmp_path, text, message):
     pytest.param("[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n"
                  + _IWASAWA_ROWS.replace("1", _DEEP, 1),
                  "expression nested too deeply (at position 100)", id="deep-adaptation-cell"),
+    pytest.param("[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n"
+                 + _IWASAWA_ROWS.replace("1", "(1", 1),
+                 "unbalanced '(' (at position 2)", id="unbalanced-adaptation-cell"),
     pytest.param(f"[algebra]\n0,0,0,0,0,{_DEEP}*12\n",
                  "entry 6: expression nested too deeply (at position 110)", id="deep-algebra-entry"),
     pytest.param(f"[algebra]\n0,0,0,0,0,lam*12\n[params]\nlam = {_DEEP}\n",
@@ -635,6 +645,37 @@ def test_structure_file_syntax_exit_2(capsys, tmp_path, command, text, message):
     code, out, err = run_cli(capsys, command, str(path))
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("(lam", "unbalanced '('", 4),
+    ("lam)", "unbalanced ')'", 3),
+    ("(λ*(k)", "unbalanced '('", 6),
+    ("a₁-k)", "unbalanced ')'", 4),
+    ("k*)", "unbalanced ')'", 2),
+])
+def test_parenthesis_errors_read_alike_in_every_context(capsys, tmp_path, text, message,
+                                                        position):
+    """A scalar, a form literal, a table entry, a --param value and a
+    structure-file cell report an unbalanced parenthesis alike, at its
+    position as typed; on the command line they exit 2."""
+    ctx = family_context()
+    at = f"{message} (at position {position})"
+    in_entry = f"entry 6: {message} (at position {10 + position})"
+    for parse in (ctx.parse, lambda t: parse_form(FrameContext(6, ctx), t)):
+        with pytest.raises(ScalarSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == at
+    with pytest.raises(SalamonSyntaxError) as err:
+        parse_salamon(f"0,0,0,0,0,{text}", ctx)
+    assert str(err.value) == in_entry
+    path = tmp_path / "cell.su3"
+    path.write_text("[algebra]\n0,0,0,0,13+42,14+23\n[adaptation]\n"
+                    + _IWASAWA_ROWS.replace("1", text, 1), encoding="utf-8")
+    for argv, line in ((("check", f"0,0,0,0,0,{text}"), in_entry),
+                       (("--param", f"k={text}", "check", "0,0,0,0,0,12"), at),
+                       (("su3", str(path)), at)):
+        assert run_cli(capsys, *argv) == (2, "", f"syntax error: {line}\n")
 
 
 def test_structure_file_failed_checks_exit_1(capsys, tmp_path):

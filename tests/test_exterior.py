@@ -392,6 +392,24 @@ def test_parse_form_rejects_repeated_index(frame6, text, term, position):
     assert frame6.basis(1, 1).is_zero
 
 
+@given(name=st.text("edt0123456789ax", min_size=1, max_size=4))
+def test_index_words_are_defined_once(frame7, name):
+    """ParameterContext rejects a name exactly when parse_form reads it as
+    an index word or rejects it with an index error, or when it is no
+    identifier (it starts with a digit)."""
+    try:
+        word = 0 not in parse_form(frame7, name).comps
+    except FormSyntaxError as exc:
+        word = exc.message.startswith(("index", "repeated index"))
+    try:
+        ParameterContext((name,))
+    except ValueError:
+        rejected = True
+    else:
+        rejected = False
+    assert rejected == (word or name[0].isdigit()), name
+
+
 def test_form_str_roundtrip(frame6, frame7, pctx):
     samples = [
         "12 + 34 + 56",

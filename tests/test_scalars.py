@@ -82,6 +82,9 @@ def test_reserved_names_rejected():
         ParameterContext(("dt",))
     with pytest.raises(ValueError):
         ParameterContext(("17",))
+    for name in ("lam\n", "e12\n"):  # a name is the whole string
+        with pytest.raises(ValueError):
+            ParameterContext((name,))
 
 
 def test_parse_errors_carry_positions(ctx):
@@ -421,5 +424,13 @@ def _outcome(parse):
 @example(text="1e3")
 @example(text="007/0010")
 @example(text=" - 0 / 5 ")
+@example(text="٣")
+@example(text="1٣/2")
+@example(text="１２")
+@example(text="-3/０")
 def test_rational_literals_parse_as_the_parser_does(ctx, text):
-    assert _outcome(lambda: ctx.parse(text)) == _outcome(lambda: _Parser(ctx, text).parse())
+    outcome = _outcome(lambda: ctx.parse(text))
+    assert outcome == _outcome(lambda: _Parser(ctx, text).parse())
+    if not text.isascii():  # digits are ASCII: no other decimal digit is a number
+        first = next(ch for ch in text if not ch.isascii())
+        assert outcome[:2] == ("error", f"unexpected character {first!r}")

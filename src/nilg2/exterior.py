@@ -336,25 +336,40 @@ def j_apply(a: Form) -> Form:
     return substitute_coframe(a, _j_rows(a.ctx))
 
 
-def substitute_coframe(a: Form, rows: Sequence[Sequence[Scalar]]) -> Form:
-    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j applied to ``a``.
+def _linear_combination(terms) -> dict:
+    """The components of sum c * a over the (c, a) of ``terms``; a unit c multiplies nothing."""
+    comps: dict = {}
+    for c, a in terms:
+        unit = c == 1
+        for m, x in a.items():
+            term = x if unit else c * x
+            prev = comps.get(m)
+            comps[m] = term if prev is None else prev + term
+    return comps
+
+
+def substitute_coframe(a, rows: Sequence[Sequence[Scalar]]):
+    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j applied to ``a``, a
+    Form or a sequence of Forms (then the list of their images).
 
     Each e^I = e^{i1} ^ ... ^ e^{ik} goes to the wedge product of the rows
-    it names, so the signs are those of ``_wedge``; the words of a partial
-    product that meet are merged before the next factor.  A basis change
-    f = B e pulls a form written in the f^i back to the e^i with the rows of
-    B, and the volume goes to det(B) times itself.
+    it names, so the signs are those of ``_wedge``; each word's image is
+    built once per call, from that of its prefix, for every term of every
+    form.  A basis change f = B e pulls a form written in the f^i back to
+    the e^i with the rows of B, and the volume goes to det(B) times itself.
     """
-    images = [{1 << j: c for j, c in enumerate(row) if c.raw} for row in rows]
-    comps: dict = {}
-    for mask, coeff in a.comps.items():
-        words = {0: coeff}
-        for idx in _bits(mask):
-            words = _wedge(words, images[idx - 1])
-        for m, c in words.items():
-            prev = comps.get(m)
-            comps[m] = c if prev is None else prev + c
-    return Form(a.ctx, comps)
+    if isinstance(a, Form):
+        return substitute_coframe([a], rows)[0]
+    words = {1 << i: {1 << j: c for j, c in enumerate(row) if c.raw} for i, row in enumerate(rows)}
+    words[0] = {0: rows[0][0].ctx.one}  # the empty word: the 0-form 1
+
+    def image(mask: int) -> dict:
+        if mask not in words:
+            last = 1 << (mask.bit_length() - 1)
+            words[mask] = _wedge(image(mask ^ last), words[last])
+        return words[mask]
+
+    return [Form(f.ctx, _linear_combination((c, image(m)) for m, c in f.comps.items())) for f in a]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .exterior import (
     FrameContext,
     _basis_masks,
     _bits,
+    _linear_combination,
     _merge_sign,
     _wedge,
     form_str,
@@ -189,7 +190,8 @@ class LieAlgebra:
         descends in ints, as the invariants do."""
         table = ([f.comps for f in self.d_table] if self.params()
                  else _integer_table(_bind_table(self.d_table, {})))
-        return _lower_central(_structure(table)[0], self.ctx.dim)[-1] == 0
+        brackets, n = _structure(table)[0], self.ctx.dim
+        return _lower_central(brackets, n, _commutator(brackets, n))[-1] == 0
 
     def bind(self, bindings: Mapping[str, Fraction]) -> "LieAlgebra":
         """The algebra at ``bindings``, over the empty parameter context;
@@ -383,17 +385,20 @@ def _contract(structure: Mapping, x: Mapping) -> Dict[int, dict]:
     return out
 
 
-def _chain(step, rows: Sequence[Mapping], n: int) -> Tuple[int, ...]:
-    """Dimensions of V_0 > V_1 > ..., from V_0 = span ``rows`` and
-    V_{k+1} = span step(V_k), up to the first V that step does not shrink."""
-    cols = [1 << i for i in range(n)]
-    v = linalg._eliminate(rows, cols, full=False)[0]
-    dims = [len(v)]
-    while v:
-        v = linalg._eliminate(step(v), cols, full=False)[0]
-        if len(v) == dims[-1]:
-            break
+def _span(rows: Sequence[Mapping], n: int) -> List[dict]:
+    """An echelon basis of the span of ``rows`` in Lambda^1."""
+    return linalg._eliminate(rows, _basis_masks(n, 1), full=False)[0]
+
+
+def _chain(step, v: Sequence[Mapping], n: int, dims: Tuple[int, ...] = ()) -> Tuple[int, ...]:
+    """``dims``, then those of V_k > V_{k+1} > ... from the echelon basis ``v``
+    of V_k and V_{j+1} = span step(V_j), up to the first V that does not shrink."""
+    dims = list(dims)
+    while not dims or len(v) != dims[-1]:
         dims.append(len(v))
+        if not v:
+            break
+        v = _span(step(v), n)
     return tuple(dims)
 
 
@@ -413,18 +418,24 @@ def _bracket(brackets: Mapping, x: Mapping, y: Mapping) -> dict:
     return _nonzero(out)
 
 
-def _lower_central(brackets: Mapping, n: int) -> Tuple[int, ...]:
-    return _chain(lambda v: _rows(brackets, v), [{1 << i: 1} for i in range(n)], n)
+def _commutator(brackets: Mapping, n: int) -> List[dict]:
+    """The echelon basis of [g, g], spanned by the brackets of e_a, e_b, a < b."""
+    return _span([vec for a, row in brackets.items() for b, vec in row.items() if a < b], n)
+
+
+def _lower_central(brackets: Mapping, n: int, commutator: Sequence[Mapping]) -> Tuple[int, ...]:
+    return _chain(lambda v: _rows(brackets, v), commutator, n, (n,))
 
 
 def _series(table: Sequence[Mapping], n: int):
     """(lower central, derived, upper central) dimensions of an integer table."""
     brackets, contractions = _structure(table)
-    units = [{1 << i: 1} for i in range(n)]
+    commutator = _commutator(brackets, n)
     derived = _chain(lambda v: [_bracket(brackets, x, y)
-                                for x, y in itertools.combinations(v, 2)], units, n)
-    upper = _chain(lambda v: _rows(contractions, v), _rows(contractions, units), n)
-    return _lower_central(brackets, n), derived, tuple(n - k for k in upper)
+                                for x, y in itertools.combinations(v, 2)], commutator, n, (n,))
+    ann_z1 = _span([vec for row in contractions.values() for vec in row.values()], n)
+    upper = _chain(lambda v: _rows(contractions, v), ann_z1, n)
+    return _lower_central(brackets, n, commutator), derived, tuple(n - k for k in upper)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +452,8 @@ def _series(table: Sequence[Mapping], n: int):
 # - the rows d e^i over Lambda^2: wedge_data[0] = rank d|Lambda^1, and a
 #   basis of d Lambda^1 whose products give two ranks, wedge_data[1:], and
 #   exact_two_forms_decomposable;
-# - one n-column span per chain step: lower_central, derived, upper_central;
+# - [g, g], one n-column span, the first step of lower_central and derived;
+# - one n-column span per later chain step: lower_central, derived, upper_central;
 # - d on Lambda^{n-1} and on each grade duality does not give: betti.
 # ---------------------------------------------------------------------------
 
@@ -469,10 +481,11 @@ def _transpose(forms: Sequence[Mapping]) -> List[dict]:
 def _exact_two_form_data(basis: Sequence[Mapping], n: int):
     """Rank d|Lambda^1, dim span{x ^ y}, dim of the wedge radical and
     decomposability, from a basis of the exact 2-forms d Lambda^1."""
-    products = [[_nonzero(_wedge(x, y)) for y in basis] for x in basis]
-    decomposable = not any(p for row in products for p in row)
-    upper_half = [p for i, row in enumerate(products) for p in row[i:]]
-    wedge_span = linalg.sparse_rank(upper_half, _basis_masks(n, 4))
+    m = len(basis)  # 2-forms commute: each unordered pair is wedged once
+    pairs = {(i, j): _nonzero(_wedge(basis[i], basis[j])) for i in range(m) for j in range(i, m)}
+    products = [[pairs[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+    decomposable = not any(pairs.values())
+    wedge_span = linalg.sparse_rank(list(pairs.values()), _basis_masks(n, 4))
     # the radical: combinations y of the basis with x ^ y = 0 for every x
     radical_rows = [row for x_products in products for row in _transpose(x_products)]
     radical_dim = len(basis) - linalg.sparse_rank(radical_rows, range(len(basis)))
@@ -563,18 +576,12 @@ class BasisChange:
 
 
 def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
-    """The algebra in the coframe f = B e; Jacobi is re-verified on build."""
+    """The algebra in the coframe f = B e, each d e^j pulled back once; Jacobi is re-verified."""
     if B.dim != g.ctx.dim:
         raise ValueError("dimension mismatch")
-    inv = B.inverse_rows()  # raises on singular input
-    new_table = []
-    for i in range(g.ctx.dim):
-        df = g.ctx.zero_form()
-        for j in range(g.ctx.dim):
-            c = B.rows[i][j]
-            if not c.is_zero:
-                df = df + g.d_table[j].scale(c)
-        new_table.append(substitute_coframe(df, inv))
+    pulled = [f.comps for f in substitute_coframe(g.d_table, B.inverse_rows())]
+    new_table = [Form(g.ctx, _linear_combination((c, d) for c, d in zip(row, pulled) if c.raw))
+                 for row in B.rows]
     return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
 
 

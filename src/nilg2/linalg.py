@@ -36,10 +36,12 @@ def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
     done: List[dict] = []
     pivots: list = []
     for c in cols:
-        pivot = next((i for i, row in enumerate(pending) if c in row), None)
-        if pivot is None:
+        for pivot, row in enumerate(pending):
+            if c in row:
+                break
+        else:
             continue
-        row = pending.pop(pivot)
+        del pending[pivot]
         p = row[c]
         integer = type(p) is int
         if not integer and p != 1:

@@ -257,7 +257,7 @@ class ParameterContext:
             return self.parse(value)
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-        return Scalar(self, Fraction(value))
+        return Scalar(self, value if type(value) is Fraction else Fraction(value))
 
     def parse(self, text: str) -> "Scalar":
         folded, origins = _fold_with_origins(text)
@@ -639,9 +639,9 @@ _MAX_NESTING = 100
 _INDEX_WORD = re.compile(r"e?[0-9]+|dt")
 
 # A number, a name, an operator, or any other non-space character, which
-# is an error.  Digits are ASCII.
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
+# is an error.  Numbers and names are read whole in any script, and are an
+# error at their first non-ASCII character: digits are ASCII.
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 class _Parser:
@@ -654,23 +654,31 @@ class _Parser:
     def __init__(self, ctx: ParameterContext, text: str):
         self.ctx = ctx
         self.text = text
-        self.tokens = []
+        self.tokens, self.bad = [], None  # the tokens before the first bad character
         for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ScalarSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
+            kind, value = m.lastgroup, m.group(m.lastgroup)
+            if kind == "bad" or not value.isascii():
+                at = next((i for i, ch in enumerate(value) if not ch.isascii()), 0)
+                self.bad = (value[at], m.start(kind) + at)
+                break
+            self.tokens.append((kind, value, m.start(kind)))
         self.index = 0
         self.depth = 0  # open parentheses around the current token
         self.words = False  # whether the top level reads index words
 
-    def _peek(self):
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def _peek(self, k: int = 0):
+        """The token ``k`` places ahead, or None past the end.  The bad
+        character raises where the tokens end, so an error left of it wins."""
+        i = self.index + k
+        if i >= len(self.tokens) and self.bad:
+            raise ScalarSyntaxError(f"unexpected character {self.bad[0]!r}", self.bad[1])
+        return self.tokens[i] if i < len(self.tokens) else None
 
     def _next(self):
         tok = self._peek()
         if tok is None:
-            raise ScalarSyntaxError("unexpected end of input", len(self.text))
+            message = "unbalanced '('" if self.depth else "unexpected end of input"
+            raise ScalarSyntaxError(message, len(self.text))
         self.index += 1
         return tok
 
@@ -684,14 +692,14 @@ class _Parser:
         self.words = True
         return self._terms()
 
-    def _is_word(self, i: int) -> bool:
-        """Whether token ``i``, at the top level, is a number, eN or dt that
-        ends its term."""
-        tokens = self.tokens
-        if i >= len(tokens) or tokens[i][0] == "op" or (
-                tokens[i][0] == "ident" and not _INDEX_WORD.fullmatch(tokens[i][1])):
+    def _is_word(self, k: int) -> bool:
+        """Whether the token ``k`` places ahead, at the top level, is a
+        number, eN or dt that ends its term."""
+        tok = self._peek(k)
+        if tok is None or not _INDEX_WORD.fullmatch(tok[1]):
             return False
-        return i + 1 == len(tokens) or tokens[i + 1][1] in ("+", "-")
+        after = self._peek(k + 1)
+        return after is None or after[1] in ("+", "-")
 
     def _terms(self):
         """The one signed-term loop: an optional sign, then terms separated
@@ -711,7 +719,7 @@ class _Parser:
                     raise ScalarSyntaxError("empty term", start)
                 if tok[1] == "+":  # a second sign: the term is not alone
                     self.index += 1
-                elif self._is_word(self.index):
+                elif self._is_word(0):
                     word = tok[1]
                     self.index += 1
             if word is None:
@@ -747,7 +755,7 @@ class _Parser:
         while True:
             tok = self._peek()
             if tok and tok[0] == "op" and tok[1] in "*/":
-                if tok[1] == "*" and self.words and not self.depth and self._is_word(self.index + 1):
+                if tok[1] == "*" and self.words and not self.depth and self._is_word(1):
                     return value
                 self._next()
                 rhs = self._factor()
@@ -796,12 +804,9 @@ class _Parser:
             if self.depth > _MAX_NESTING:
                 raise ScalarSyntaxError("expression nested too deeply", pos)
             inner = self.parse()
-            closing = self._peek()
-            if closing is None:
-                raise ScalarSyntaxError("unbalanced '('", len(self.text))
+            closing = self._next()  # at the end of the text: unbalanced '('
             if closing[1] != ")":
                 raise ScalarSyntaxError("expected ')'", closing[2])
-            self.index += 1
             self.depth -= 1
             return inner
         if value == ")" and not self.depth:

@@ -382,6 +382,8 @@ def test_parse_form_literals(frame6, frame7, pctx):
     # λ folds to lam: the position counts the characters as typed
     ("λ*12 + 3*122", "3*122", 7),
     ("e1 - lam*e1231", "lam*e1231", 5),
+    # the leftmost error wins: the parser never reaches the bad character
+    ("11 + $", "11", 0),
 ])
 def test_parse_form_rejects_repeated_index(frame6, text, term, position):
     """A repeated index is an error at its term, as in ``parse_salamon``,
@@ -560,6 +562,16 @@ def test_substitute_coframe_is_the_algebra_map(frame6, pctx, data):
                     frame6.zero_form())
         assert sub(frame6.basis(i)) == image
     assert sub(vol(frame6)) == vol(frame6).scale(_leibniz_det(rows, pctx))
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_substitute_coframe_of_several_forms_is_each_alone(frame6, pctx, data):
+    """One call over several forms, whose words share one image table,
+    gives each form's image by itself, in order."""
+    rows = data.draw(_matrices(pctx))
+    forms = data.draw(st.lists(_forms(frame6), max_size=4))
+    assert substitute_coframe(forms, rows) == [substitute_coframe(f, rows) for f in forms]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nilg2.exterior import (ExteriorError, FormSyntaxError, FrameContext, _basis_masks, _wedge,
-                            form_str, parse_form)
+                            form_str, parse_form, substitute_coframe)
 from nilg2 import families, liealg, linalg
 from nilg2.families import FAMILIES, case2_gauge_rotation
 from nilg2.liealg import (
@@ -64,6 +64,7 @@ def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
     # the Salamon position counts in the whole text, whose last entry
     # starts at 10
     for text, message, position in (("(lam*12", "unbalanced '('", 7),
+                                    ("12 + (", "unbalanced '('", 6),
                                     ("lam)*12", "unbalanced ')'", 3)):
         with pytest.raises(FormSyntaxError) as form_error:
             parse_form(frame6, text)
@@ -76,6 +77,7 @@ def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
 @pytest.mark.parametrize("text, message, position", [
     # splitter error: the unclosed parenthesis runs to the end of the text
     ("0,0,0,0,0,(lam*12", "unbalanced '('", 17),
+    ("0,0,0,0,12,13+(", "unbalanced '('", 15),
     ("0, 0,12,13,23,14 - lam)*25", "unbalanced ')'", 22),
     # term errors: at the term, and inside a bad scalar at the bad token
     ("0,0,12,13,23,14 +  11", "repeated index in term '11'", 19),
@@ -409,6 +411,44 @@ def test_fingerprint_basis_invariance(pctx, iwasawa):
         for _ in range(8):
             B = random_invertible(rng, pctx)
             assert fingerprint(change_basis(g, B)) == fp, name
+
+
+def _witness_style(rng: random.Random, pctx) -> BasisChange:
+    """A monomial matrix with parameter denominators plus one elementary row
+    operation: its inverse takes the fraction-field path."""
+    entries = ("1/k", "1/(k*lam)", "-1/(k*lam)", "k", "lam", "1", "-1/2")
+    perm = list(range(6))
+    rng.shuffle(perm)
+    rows = [[0] * 6 for _ in range(6)]
+    for i, p in enumerate(perm):
+        rows[i][p] = pctx.parse(rng.choice(entries))
+    i, j = rng.sample(range(6), 2)
+    rows[i][perm[j]] = pctx.parse(rng.choice(entries))
+    return BasisChange(pctx, rows)
+
+
+def test_change_basis_matches_substituting_each_combined_entry(pctx):
+    """change_basis pulls each d e^j back once and combines the images with
+    B's rows; the route it replaced substitutes B^-1 into each combined
+    entry sum_j B_ij d e^j, one entry at a time."""
+    rng = random.Random(26)
+    tables = list(NAMED_ALGEBRAS.values()) + [f.table for f in FAMILIES.values()]
+    rotations = [case2_gauge_rotation(pctx, c, s) for c, s in (
+        (Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13)),
+        (Fraction(8, 17), Fraction(-15, 17)))]
+    for table in tables:
+        g = parse_salamon(table, pctx)
+        changes = ([random_invertible(rng, pctx) for _ in range(3)] + rotations
+                   + [_witness_style(rng, pctx) for _ in range(2)])
+        for B in changes:
+            inverse = B.inverse_rows()
+            expected = []
+            for row in B.rows:
+                entry = g.ctx.zero_form()
+                for c, d_ej in zip(row, g.d_table):
+                    entry = entry + d_ej.scale(c)
+                expected.append(substitute_coframe(entry, inverse))
+            assert change_basis(g, B).d_table == tuple(expected), (table, B)
 
 
 def test_wedge_radical_of_entry_14m25_in_a_seeded_basis(pctx):

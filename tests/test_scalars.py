@@ -87,6 +87,19 @@ def test_reserved_names_rejected():
             ParameterContext((name,))
 
 
+def test_scalar_coerces_into_the_context(ctx):
+    """A Fraction is taken as it is, an int becomes a Fraction; a bool and a
+    Scalar of another context are rejected."""
+    value = Fraction(3, 7)
+    assert ctx.scalar(value).raw is value
+    five = ctx.scalar(5)
+    assert type(five.raw) is Fraction and five.raw == 5
+    with pytest.raises(TypeError):
+        ctx.scalar(True)
+    with pytest.raises(ScalarError, match="different parameter context"):
+        ctx.scalar(ParameterContext(("lam",)).one)
+
+
 def test_parse_errors_carry_positions(ctx):
     with pytest.raises(ScalarSyntaxError) as err:
         ctx.parse("lam + ?")
@@ -95,6 +108,10 @@ def test_parse_errors_carry_positions(ctx):
         ctx.parse("lam + unknown_par")
     with pytest.raises(ScalarSyntaxError):
         ctx.parse("(lam + 1")
+    # the text ending right after '(' is an unbalanced '(' too
+    with pytest.raises(ScalarSyntaxError, match=r"unbalanced '\('") as err:
+        ctx.parse("lam*(")
+    assert err.value.position == 5
 
 
 def test_deep_nesting_raises_a_syntax_error(ctx):
@@ -428,9 +445,13 @@ def _outcome(parse):
 @example(text="1٣/2")
 @example(text="１２")
 @example(text="-3/０")
+@example(text="3/+٣")
 def test_rational_literals_parse_as_the_parser_does(ctx, text):
     outcome = _outcome(lambda: ctx.parse(text))
     assert outcome == _outcome(lambda: _Parser(ctx, text).parse())
     if not text.isascii():  # digits are ASCII: no other decimal digit is a number
-        first = next(ch for ch in text if not ch.isascii())
-        assert outcome[:2] == ("error", f"unexpected character {first!r}")
+        # the leftmost error wins: at the first non-ASCII character, or left of it
+        first = next(i for i, ch in enumerate(text) if not ch.isascii())
+        assert outcome[0] == "error" and outcome[2] <= first
+        if outcome[2] == first:
+            assert outcome[1] == f"unexpected character {text[first]!r}"

@@ -237,6 +237,8 @@ class Form:
         factor = self.ctx.params.scalar(factor)
         if factor == 1:
             return self
+        if not factor.raw:
+            return self.ctx.zero_form()
         return Form(self.ctx, {m: c * factor for m, c in self.comps.items()})
 
     def __mul__(self, factor):
@@ -319,13 +321,10 @@ def interior(x: Form, a: Form) -> Form:
     return Form(a.ctx, comps)
 
 
-@functools.lru_cache(maxsize=32)
-def _j_rows(ctx: FrameContext) -> Tuple[Tuple[Scalar, ...], ...]:
-    """J e^{2m-1} = -e^{2m}, J e^{2m} = e^{2m-1} as substitution rows: row i
-    sends e^{i+1} (i = 0..5) to -e^{i+2} for even i and to e^i for odd i."""
-    one, zero = ctx.params.one, ctx.params.zero
-    return tuple(tuple((one if i & 1 else -one) if j == i ^ 1 else zero
-                       for j in range(6)) for i in range(6))
+# J e^{2m-1} = -e^{2m}, J e^{2m} = e^{2m-1} as int substitution rows: row i
+# sends e^{i+1} (i = 0..5) to -e^{i+2} for even i and to e^i for odd i
+_J_ROWS = tuple(tuple((1 if i & 1 else -1) if j == i ^ 1 else 0 for j in range(6))
+                for i in range(6))
 
 
 def j_apply(a: Form) -> Form:
@@ -333,35 +332,35 @@ def j_apply(a: Form) -> Form:
     applied to ``a`` factor-wise."""
     if a.ctx.dim != 6:
         raise ExteriorError("complex structure requires a 6-dimensional frame")
-    return substitute_coframe(a, _j_rows(a.ctx))
+    return substitute_coframe(a, _J_ROWS)
 
 
 def _linear_combination(terms) -> dict:
-    """The components of sum c * a over the (c, a) of ``terms``; a unit c multiplies nothing."""
+    """The components of sum c * a over the (c, a) of ``terms``; a sum that
+    cancels is kept as a zero.  A unit c multiplies nothing.  When c is a
+    Scalar and the values of a are ints, each term is the Scalar c * x, and
+    c or -c for x = 1 or -1, so no int reaches a Form."""
     comps: dict = {}
     for c, a in terms:
-        unit = c == 1
+        mixed = type(c) is Scalar and type(next(iter(a.values()), c)) is int
+        unit = not mixed and c == 1
         for m, x in a.items():
-            term = x if unit else c * x
+            if mixed:
+                term = c if x == 1 else -c if x == -1 else c * x
+            else:
+                term = x if unit else c * x
             prev = comps.get(m)
             comps[m] = term if prev is None else prev + term
     return comps
 
 
-def substitute_coframe(a, rows: Sequence[Sequence[Scalar]]):
-    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j applied to ``a``, a
-    Form or a sequence of Forms (then the list of their images).
-
-    Each e^I = e^{i1} ^ ... ^ e^{ik} goes to the wedge product of the rows
-    it names, so the signs are those of ``_wedge``; each word's image is
-    built once per call, from that of its prefix, for every term of every
-    form.  A basis change f = B e pulls a form written in the f^i back to
-    the e^i with the rows of B, and the volume goes to det(B) times itself.
-    """
-    if isinstance(a, Form):
-        return substitute_coframe([a], rows)[0]
-    words = {1 << i: {1 << j: c for j, c in enumerate(row) if c.raw} for i, row in enumerate(rows)}
-    words[0] = {0: rows[0][0].ctx.one}  # the empty word: the 0-form 1
+def _pull_back(tables: Sequence[Mapping], rows: Sequence[Sequence]) -> List[dict]:
+    """The components of the images of the forms with components ``tables``
+    under the algebra map e^i -> sum_j rows[i-1][j-1] e^j; each index word's
+    image is built once per call, as the image of the word less its last
+    letter wedged with that letter's row."""
+    words = {1 << i: {1 << j: c for j, c in enumerate(row) if c} for i, row in enumerate(rows)}
+    words[0] = {0: 1}  # the empty word: the 0-form 1
 
     def image(mask: int) -> dict:
         if mask not in words:
@@ -369,7 +368,25 @@ def substitute_coframe(a, rows: Sequence[Sequence[Scalar]]):
             words[mask] = _wedge(image(mask ^ last), words[last])
         return words[mask]
 
-    return [Form(f.ctx, _linear_combination((c, image(m)) for m, c in f.comps.items())) for f in a]
+    return [_linear_combination((c, image(m)) for m, c in table.items()) for table in tables]
+
+
+def substitute_coframe(a, rows: Sequence[Sequence]):
+    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j applied to ``a``, a
+    Form or a sequence of Forms (then the list of their images).
+
+    Each e^I = e^{i1} ^ ... ^ e^{ik} goes to the wedge product of the rows
+    it names, so the signs are those of ``_wedge``; each word's image is
+    built once per call, for every term of every form.  The rows are
+    Scalars, or ints: a matrix R/q scaled to the int matrix R over a
+    positive int q, whose word images are then computed in ints and send a
+    k-form to q^k times its image under R/q (the images are Scalars all the
+    same).  A basis change f = B e pulls a form written in the f^i back to
+    the e^i with the rows of B, and the volume goes to det(B) times itself.
+    """
+    if isinstance(a, Form):
+        return substitute_coframe([a], rows)[0]
+    return [Form(f.ctx, comps) for f, comps in zip(a, _pull_back([f.comps for f in a], rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +419,19 @@ def line_norms(lines: Sequence[Form], labels: Sequence[str], error=ExteriorError
 
 
 @functools.lru_cache(maxsize=32)
+def _omega_squared(ctx: FrameContext) -> Form:
+    """omega ^ omega of the standard forms, once per frame."""
+    omega = standard_su3_forms(ctx)[0]
+    return omega.wedge(omega)
+
+
+@functools.lru_cache(maxsize=32)
 def _lefschetz_solver(ctx: FrameContext, slot: str) -> Tuple[Tuple[Form, Scalar], ...]:
     """The lines omega^2 and e^i ^ psi_slot of the standard forms, each with
     the inverse of its squared norm (1/12 and 1/2), checked orthogonal once
     per frame and slot."""
-    omega, psi_plus, psi_minus = standard_su3_forms(ctx)
-    psi = psi_plus if slot == "plus" else psi_minus
-    lines = (omega.wedge(omega),) + tuple(ctx.basis(i).wedge(psi) for i in range(1, 7))
+    psi = standard_su3_forms(ctx)[1 if slot == "plus" else 2]
+    lines = (_omega_squared(ctx),) + tuple(ctx.basis(i).wedge(psi) for i in range(1, 7))
     labels = ("omega^2",) + tuple(f"e^{i} ^ psi_{slot}" for i in range(1, 7))
     return tuple((line, 1 / norm) for line, norm in zip(lines, line_norms(lines, labels)))
 
@@ -432,7 +455,9 @@ def lefschetz_coefficients(a: Form, slot: str = "plus") -> Tuple[Scalar, Form, F
     psi = psi_plus if slot == "plus" else psi_minus
     c0, *coords = (inner(a, line) * inv for line, inv in _lefschetz_solver(ctx, slot))
     gamma = Form(ctx, {1 << i: c for i, c in enumerate(coords)})
-    rest = a - omega.wedge(omega).scale(c0) - gamma.wedge(psi)
+    # omega^2 comes from its own cache, not from the solver's first line, so
+    # the check below also catches a wrong cached line
+    rest = a - _omega_squared(ctx).scale(c0) - gamma.wedge(psi)
     w2 = -hodge(rest)
     # The reconstruction a = c0 omega^2 + gamma ^ psi + W2 ^ omega, that is
     # W2 ^ omega = rest.  As -L* (L = ^ omega) is +1 on Lambda^2_8 ^ omega,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
@@ -37,10 +37,10 @@ from .exterior import (
     _bits,
     _linear_combination,
     _merge_sign,
+    _pull_back,
     _wedge,
     form_str,
     parse_form,
-    substitute_coframe,
 )
 from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly,
                       _eval_poly, _fold_unicode)
@@ -110,12 +110,20 @@ def _nonzero(comps: Mapping) -> dict:
     return {m: c for m, c in comps.items() if c}
 
 
-def _integer_table(table: Sequence[Mapping]) -> List[Dict[int, int]]:
-    """L*d as {mask: int} maps, from the {mask: Fraction} maps of a
+def _integer_table(table: Sequence[Mapping]) -> Tuple[List[Dict[int, int]], int]:
+    """(L*d as {mask: int} maps, L), from the {mask: Fraction} maps of a
     parameter-free table, L the lcm of their denominators."""
     scale = lcm(*{x.denominator for row in table for x in row.values()})
     return [{m: x.numerator * (scale // x.denominator) for m, x in row.items() if x}
-            for row in table]
+            for row in table], scale
+
+
+def _table_in_ints(d_table: Sequence[Form]) -> Optional[Tuple[List[Dict[int, int]], int]]:
+    """``_integer_table`` of a parameter-free d-table; None when a
+    coefficient has parameters."""
+    if any(type(c.raw) is not Fraction for f in d_table for c in f.comps.values()):
+        return None
+    return _integer_table([{m: c.raw for m, c in f.comps.items()} for f in d_table])
 
 
 def jacobi_certificates(d_table: Sequence[Form]) -> List[Tuple[int, Form]]:
@@ -133,13 +141,21 @@ class LieAlgebra:
 
     Construction verifies d^2 = 0 (raising :class:`JacobiError`) and, unless
     ``require_nilpotent=False``, the existence of the nilpotent filtration
-    V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.
+    V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.  A parameter-free table
+    is also kept in ints, as (L*d, L) (``_integer_table``), built once here:
+    d^2 = 0 is checked on it, as (L*d)^2 = L^2 d^2, and the nilpotency check
+    and the invariants read it.  The Scalar certificate of a failing Jacobi
+    check is computed only to be raised.
     """
 
-    __slots__ = ("ctx", "d_table", "_nilpotent")
+    __slots__ = ("ctx", "d_table", "_nilpotent", "_integer")
 
     def __init__(self, ctx: FrameContext, d_table: Sequence[Form], require_nilpotent: bool = True):
-        d_table = tuple(d_table)
+        self._build(ctx, tuple(d_table), None, require_nilpotent)
+
+    def _build(self, ctx: FrameContext, d_table: Tuple[Form, ...], integer, require_nilpotent: bool):
+        """The constructor, given (L*d, L) in ``integer`` when the caller has
+        it (``change_basis``) and None to derive it here."""
         if len(d_table) != ctx.dim:
             raise ValueError(f"expected {ctx.dim} coframe derivatives, got {len(d_table)}")
         for i, f in enumerate(d_table, start=1):
@@ -147,11 +163,15 @@ class LieAlgebra:
                 raise ExteriorError("frame context mismatch in d-table")
             if f.grades() not in ((), (2,)):
                 raise ExteriorError(f"d e^{i} must be a 2-form")
-        bad = jacobi_certificates(d_table)
-        if bad:
-            raise JacobiError(*bad[0])
+        if integer is None:
+            integer = _table_in_ints(d_table)
+        if integer is None or any(any(_leibniz(integer[0], row).values()) for row in integer[0]):
+            bad = jacobi_certificates(d_table)
+            if bad:
+                raise JacobiError(*bad[0])
         self.ctx = ctx
         self.d_table = d_table
+        self._integer = integer
         self._nilpotent = None
         if require_nilpotent and not self.is_nilpotent_presentation():
             raise NilpotencyError("not presented nilpotently (no admissible filtration)")
@@ -188,8 +208,7 @@ class LieAlgebra:
     def _check_filtration(self) -> bool:
         """The lower central series must reach 0; a parameter-free table
         descends in ints, as the invariants do."""
-        table = ([f.comps for f in self.d_table] if self.params()
-                 else _integer_table(_bind_table(self.d_table, {})))
+        table = [f.comps for f in self.d_table] if self._integer is None else self._integer[0]
         brackets, n = _structure(table)[0], self.ctx.dim
         return _lower_central(brackets, n, _commutator(brackets, n))[-1] == 0
 
@@ -299,17 +318,18 @@ def _bind_table(d_table: Sequence[Form], bindings: Mapping[str, Fraction]):
 
 def _generic_value(g: LieAlgebra, seed: int, compute):
     """``compute(table, n)`` on the integer table of a parameter-free
-    algebra; a table with parameters is bound at the two seeded points, where
-    the values must agree and a vanishing denominator is a non-generic
-    evaluation."""
-    names = g.params()
+    algebra, the one it holds; a table with parameters is bound at the two
+    seeded points, where the values must agree and a vanishing denominator
+    is a non-generic evaluation."""
+    if g._integer is not None:
+        return compute(g._integer[0], g.ctx.dim)
     values = set()
-    for point in _generic_bindings(names, seed) if names else [{}]:
+    for point in _generic_bindings(g.params(), seed):
         try:
             table = _bind_table(g.d_table, point)
         except ScalarError as exc:
             raise GenericEvaluationError(f"binding failed: {exc}") from None
-        values.add(compute(_integer_table(table), g.ctx.dim))
+        values.add(compute(_integer_table(table)[0], g.ctx.dim))
     if len(values) > 1:
         raise GenericEvaluationError("non-generic evaluation")
     return values.pop()
@@ -442,11 +462,14 @@ def _series(table: Sequence[Mapping], n: int):
 # fingerprints
 #
 # A parameter-free table's invariants are computed in Python ints on L*d,
-# the table times the lcm L of its denominators (``_integer_table``).  No
-# invariant changes: the Leibniz rule is linear in the table, so L*d is L
-# times d on every grade, and a rank or a span is the same for a nonzero
-# multiple of a map (the algebra with brackets L[.,.] is isomorphic to g
-# through x -> L*x).  Every elimination runs fraction-free in ``linalg``.
+# the table times the lcm L of its denominators (``_integer_table``).  An
+# algebra builds that integer table once, in its constructor, or takes it
+# from ``change_basis``, and every invariant reads it; a table with
+# parameters is bound at two points and scaled at each.  No invariant
+# changes: the Leibniz rule is linear in the table, so L*d is L times d on
+# every grade, and a rank or a span is the same for a nonzero multiple of a
+# map (the algebra with brackets L[.,.] is isomorphic to g through
+# x -> L*x).  Every elimination runs fraction-free in ``linalg``.
 #
 # The eliminations of one table and the fields they give:
 # - the rows d e^i over Lambda^2: wedge_data[0] = rank d|Lambda^1, and a
@@ -516,9 +539,17 @@ def _fingerprint_of_table(table: Sequence[Mapping], n: int) -> Fingerprint:
 
 
 class BasisChange:
-    """An invertible coframe substitution f = B e (rows express the new coframe)."""
+    """An invertible coframe substitution f = B e (rows express the new coframe).
 
-    __slots__ = ("params", "rows", "_inverse")
+    ``rows`` and ``inverse_rows()`` are Scalars.  The arithmetic runs on a
+    private form built on first use: B = R/q and B^-1 = A/a, with R and A
+    int matrices over positive ints q and a when B is parameter-free (q the
+    lcm of the denominators, A/a from ``linalg.invert`` on R, or R^T/q once
+    ``is_orthogonal`` holds), and the Scalar rows and inverse over 1
+    otherwise.
+    """
+
+    __slots__ = ("params", "rows", "_inverse", "_scaled", "_scaled_inverse")
 
     def __init__(self, params: ParameterContext, rows: Sequence[Sequence]):
         n = len(rows)
@@ -530,6 +561,8 @@ class BasisChange:
             if len(row) != n:
                 raise ValueError("basis change matrix must be square")
         self._inverse = None
+        self._scaled = None
+        self._scaled_inverse = None
 
     @classmethod
     def identity(cls, params: ParameterContext, n: int) -> "BasisChange":
@@ -547,24 +580,55 @@ class BasisChange:
     def dim(self) -> int:
         return len(self.rows)
 
+    def _scaled_rows(self):
+        """(R, q) with B = R/q: int rows over the lcm q of the denominators
+        when B is parameter-free, else the Scalar rows over 1."""
+        if self._scaled is None:
+            raws = [x.raw for row in self.rows for x in row]
+            if all(type(r) is Fraction for r in raws):
+                q = lcm(*{r.denominator for r in raws})
+                self._scaled = tuple(tuple(x.raw.numerator * (q // x.raw.denominator) for x in row)
+                                     for row in self.rows), q
+            else:
+                self._scaled = self.rows, 1
+        return self._scaled
+
+    def _scaled_inverse_rows(self):
+        """(A, a) with B^-1 = A/a, of the kind of ``_scaled_rows()``; a singular B
+        raises ValueError."""
+        if self._scaled_inverse is None:
+            R, q = self._scaled_rows()
+            inverse = linalg.invert(R)
+            if inverse is None:
+                raise ValueError("singular basis change")
+            A, a = inverse
+            if q > 1:  # R^-1 = A/a, so B^-1 = q A/a
+                g = gcd(q, a)
+                A, a = [[x * (q // g) for x in row] for row in A], a // g
+            self._scaled_inverse = tuple(map(tuple, A)), a
+        return self._scaled_inverse
+
     def inverse_rows(self):
         if self._inverse is None:
-            inv = linalg.invert([list(r) for r in self.rows], self.params)
-            if inv is None:
-                raise ValueError("singular basis change")
-            self._inverse = tuple(tuple(r) for r in inv)
+            A, a = self._scaled_inverse_rows()
+            zero = self.params.zero
+            self._inverse = tuple(tuple(x if type(x) is Scalar else Scalar(self.params, Fraction(x, a))
+                                        if x else zero for x in row) for row in A)
         return self._inverse
 
     def is_orthogonal(self) -> bool:
-        """True iff B B^T = I; the transpose is then recorded as the inverse."""
+        """True iff B B^T = I, that is R R^T = q^2 I; the transpose is then
+        recorded as the inverse."""
         n = self.dim
-        nonzero = [{k: x for k, x in enumerate(row) if x} for row in self.rows]
+        R, q = self._scaled_rows()
+        nonzero = [{k: x for k, x in enumerate(row) if x} for row in R]
         for i in range(n):
             for j in range(i, n):
                 ri, rj = nonzero[i], nonzero[j]
-                dot = sum((x * rj[k] for k, x in ri.items() if k in rj), self.params.zero)
-                if dot != (1 if i == j else 0):
+                dot = sum(x * rj[k] for k, x in ri.items() if k in rj)
+                if dot != (q * q if i == j else 0):
                     return False
+        self._scaled_inverse = tuple(zip(*R)), q
         self._inverse = tuple(zip(*self.rows))
         return True
 
@@ -576,13 +640,39 @@ class BasisChange:
 
 
 def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
-    """The algebra in the coframe f = B e, each d e^j pulled back once; Jacobi is re-verified."""
+    """The algebra in the coframe f = B e, d f^i = sum_j B_ij (B^-1)^* d e^j,
+    each d e^j pulled back once; Jacobi is re-verified.
+
+    With B = R/q and B^-1 = A/a, a parameter-free table runs in ints on
+    (L*d, L): the pull-back through A and the combination with R's rows
+    give q a^2 L times the new table, which is divided once, into a Fraction
+    per entry, and handed to the new algebra as its own (L'*d', L').  A
+    table or a matrix with parameters runs on the Scalar rows.
+    """
     if B.dim != g.ctx.dim:
         raise ValueError("dimension mismatch")
-    pulled = [f.comps for f in substitute_coframe(g.d_table, B.inverse_rows())]
-    new_table = [Form(g.ctx, _linear_combination((c, d) for c, d in zip(row, pulled) if c.raw))
-                 for row in B.rows]
-    return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
+    if B.params is not g.ctx.params:  # ints would not notice
+        raise ScalarError("mixed parameter contexts")
+    R, q = B._scaled_rows()
+    if g._integer is None or R is B.rows:  # parameters in the table or in B
+        pulled = _pull_back([f.comps for f in g.d_table], B.inverse_rows())
+        new_table = [Form(g.ctx, _linear_combination((c, d) for c, d in zip(row, pulled) if c))
+                     for row in B.rows]
+        return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
+    A, a = B._scaled_inverse_rows()
+    table, scale = g._integer
+    pulled = _pull_back(table, A)
+    combined = [_linear_combination((c, d) for c, d in zip(row, pulled) if c) for row in R]
+    den = q * a * a * scale
+    common = gcd(den, *(x for row in combined for x in row.values()))
+    den //= common
+    integer = [{m: x // common for m, x in row.items() if x} for row in combined]
+    params = g.ctx.params
+    new_table = tuple(Form(g.ctx, {m: Scalar(params, Fraction(x, den)) for m, x in row.items()})
+                      for row in integer)
+    moved = LieAlgebra.__new__(LieAlgebra)
+    moved._build(g.ctx, new_table, (integer, den), require_nilpotent=False)
+    return moved
 
 
 def is_isomorphic_via(g: LieAlgebra, B: BasisChange, target: LieAlgebra) -> bool:

@@ -10,7 +10,10 @@ every value stays an int; ``liealg``'s invariants run this way.  Scalar rows
 without parameters are cleared into int rows, each times the lcm of its
 denominators; ``sparse_rref`` divides their reduced rows by their pivots.
 Rows with parameters are pivoted over the field.  ``invert`` takes dense
-rows (lists of Scalars).  ``liealg`` is the one client.
+rows, of ints or of Scalars, and returns the inverse as an int matrix over
+one positive int, or as Scalars over 1.  ``liealg`` is the one client: its
+invariants and ``BasisChange``, whose inverse ``invert`` computes from the
+rows scaled to ints.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ from math import gcd, lcm
 from typing import List, Mapping, Optional, Sequence
 
 from .scalars import ParameterContext, Scalar
-
-Row = List[Scalar]
 
 
 def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
@@ -104,12 +105,28 @@ def sparse_rank(rows: Sequence[Mapping], cols: Sequence) -> int:
     return len(_eliminate(rows, cols, full=False)[1])
 
 
-def invert(rows: Sequence[Sequence[Scalar]], ctx: ParameterContext) -> Optional[List[Row]]:
-    """Exact inverse of a square matrix, or None if singular."""
+def invert(rows: Sequence[Sequence]):
+    """(A, a) with A/a the inverse of the square matrix ``rows``, or None if
+    it is singular.  The rows are dense, all ints or all Scalars.
+
+    [rows | I] is reduced by ``_eliminate``.  Int rows end fraction-free as
+    [D | M] with D diagonal, so A = a D^-1 M over a, the lcm of the pivots,
+    in lowest terms with a > 0.  Scalar rows are pivoted over the field: A
+    is the inverse itself, over a = 1.
+    """
     n = len(rows)
-    aug = [{**{c: x for c, x in enumerate(row) if x}, n + i: ctx.one}
+    one = 1 if type(rows[0][0]) is int else rows[0][0].ctx.one
+    aug = [{**{c: x for c, x in enumerate(row) if x}, n + i: one}
            for i, row in enumerate(rows)]
-    red, pivots = sparse_rref(aug, range(2 * n), ctx)
+    red, pivots = _eliminate(aug, range(2 * n))
     if pivots[:n] != list(range(n)):
         return None
-    return [[row.get(n + c, ctx.zero) for c in range(n)] for row in red]
+    if type(one) is not int:
+        return [[row.get(n + c, one.ctx.zero) for c in range(n)] for row in red], 1
+    a = lcm(*(row[i] for i, row in enumerate(red)))
+    A = [[row.get(n + c, 0) * (a // row[i]) for c in range(n)] for i, row in enumerate(red)]
+    g = gcd(a, *(x for row in A for x in row))
+    if g > 1:
+        a //= g
+        A = [[x // g for x in row] for row in A]
+    return A, a

@@ -117,7 +117,8 @@ def build_structure(g: LieAlgebra, adaptation: BasisChange) -> SU3Structure:
     if not adaptation.is_orthogonal():
         raise StructureError("adaptation is not orthogonal under the declared metric")
     volume = g.ctx.volume().scale(4)
-    residual = substitute_coframe(volume, adaptation.rows) - volume
+    rows, q = adaptation._scaled_rows()  # B = R/q pulls the volume back to det(R)/q^6 times it
+    residual = substitute_coframe(volume, rows).scale(Fraction(1, q ** 6)) - volume
     if not residual.is_zero:
         raise StructureError(
             "compatibility failure: the adaptation reverses the orientation; "

@@ -520,3 +520,52 @@ def contraction(table: Dict[int, OForm], exponents, direction: str):
             elif (power < 0) == (direction == "to-zero"):
                 return None
     return limit
+
+
+def inverse(matrix: List[List[Fraction]]) -> Optional[List[List[Fraction]]]:
+    """Gauss-Jordan inverse of a square Fraction matrix; None if singular."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def pull_back(form: OForm, rows: List[List[Fraction]]) -> OForm:
+    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j on a form: each index
+    word goes to the wedge product of the rows it names, in its order."""
+    out: OForm = {}
+    for key, value in form.items():
+        image: OForm = {(): value}
+        for i in key:
+            image = wedge(image, {(j,): c for j, c in enumerate(rows[i - 1], start=1) if c})
+        out = add(out, image)
+    return out
+
+
+def change_basis(table: Dict[int, OForm], matrix: List[List[Fraction]],
+                 dim: int = N - 1) -> Dict[int, OForm]:
+    """The table in the coframe f = B e for B = ``matrix``:
+    d f^i = sum_j B_ij (B^-1)^* d e^j, with e^k = sum_l (B^-1)_kl f^l."""
+    inv = inverse(matrix)
+    if inv is None:
+        raise ValueError("singular matrix")
+    pulled = {j: pull_back(form, inv) for j, form in table.items()}
+    out: Dict[int, OForm] = {}
+    for i in range(1, dim + 1):
+        entry: OForm = {}
+        for j, c in enumerate(matrix[i - 1], start=1):
+            if c and j in pulled:
+                entry = add(entry, scale(pulled[j], c))
+        if entry:
+            out[i] = entry
+    return out

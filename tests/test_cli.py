@@ -45,6 +45,15 @@ def test_check_jacobi_failure(capsys):
     assert "certificate" in out
 
 
+def test_check_jacobi_failure_prints_the_unscaled_certificate(capsys):
+    """The check runs on the table scaled to ints (6 d here); the report
+    names d(d e^6) of the table as typed."""
+    code, out, err = run_cli(capsys, "check", "0,0,1/2*12,0,0,2/3*34")
+    assert (code, err) == (1, "")
+    lines = [line.strip() for line in out.splitlines()]
+    assert lines[1:4] == ["[FAIL] jacobi: d^2 != 0", "index = 6", "certificate = 1/3*124"]
+
+
 def test_check_syntax_error_exit_2(capsys):
     code, _, err = run_cli(capsys, "check", "0,0,12,13,23,")
     assert code == 2

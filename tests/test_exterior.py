@@ -574,6 +574,41 @@ def test_substitute_coframe_of_several_forms_is_each_alone(frame6, pctx, data):
     assert substitute_coframe(forms, rows) == [substitute_coframe(f, rows) for f in forms]
 
 
+@settings(max_examples=100)
+@given(data=st.data())
+def test_substitute_coframe_with_int_rows_is_scaled_and_scalar(frame6, pctx, data):
+    """Int rows R stand for R/q: a k-form goes to q^k times its image under
+    the Scalar rows R/q, and every component is a Scalar."""
+    R = [data.draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=6, max_size=6))
+         for _ in range(6)]
+    q = data.draw(st.sampled_from((1, 2, 3, 6)))
+    k = data.draw(st.integers(0, 6))
+    a = data.draw(_forms(frame6, k))
+    image = substitute_coframe(a, R)
+    assert all(type(c) is Scalar for c in image.comps.values())
+    scalar_rows = [[pctx.scalar(Fraction(x, q)) for x in row] for row in R]
+    assert image == substitute_coframe(a, scalar_rows).scale(q ** k)
+
+
+def test_j_apply_keeps_scalars(pctx):
+    """J's rows are ints; its images hold Scalars only, symbolic or not."""
+    for name in FAMILIES:
+        _, structure = instantiate(name, params=pctx)
+        forms = list(structure.adapted.d_table) + [structure.omega, structure.psi_plus]
+        for a in forms:
+            image = j_apply(a)
+            assert all(type(c) is Scalar for c in image.comps.values()), (name, a)
+            assert j_apply(image) == (a if a.homogeneous_grade() in (0, 2, 4, 6, None) else -a)
+
+
+def test_scale_by_zero_is_the_zero_form(frame6, pctx):
+    a = parse_form(frame6, "lam*12 + 3/2*34")
+    for zero in (0, Fraction(0), pctx.zero):
+        assert a.scale(zero) == frame6.zero_form()
+        assert a.scale(zero).ctx is frame6
+    assert a.scale(1) is a
+
+
 # ---------------------------------------------------------------------------
 # memoized index helpers; unit coefficients in the form kernels
 # ---------------------------------------------------------------------------

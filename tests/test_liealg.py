@@ -123,6 +123,25 @@ def test_parse_rejects_non_jacobi(pctx):
         parse_salamon("0,0,12,13,23,15", pctx)
 
 
+def test_jacobi_failure_in_ints_reports_the_unscaled_certificate(pctx):
+    """A parameter-free table is checked on its integer table, here 6 d;
+    the error still names the first failing index and d(d e^i) of the table
+    as given, as jacobi_certificates computes it."""
+    ctx = FrameContext(6, pctx)
+    table = [parse_form(ctx, t) for t in "0,0,1/2*12,0,0,2/3*34".split(",")]
+    assert all(c.is_rational for f in table for c in f.comps.values())
+    with pytest.raises(JacobiError) as err:
+        LieAlgebra(ctx, table)
+    assert (err.value.index, str(err.value.certificate)) == (6, "1/3*124")
+    assert str(err.value) == "d(d e^6) != 0; certificate 1/3*124"
+    assert jacobi_certificates(table) == [(6, err.value.certificate)]
+    two = [parse_form(ctx, t) for t in "0,0,12,0,1/2*34,3*35".split(",")]
+    with pytest.raises(JacobiError) as err:
+        LieAlgebra(ctx, two)
+    assert (err.value.index, str(err.value.certificate)) == (5, "1/2*124")
+    assert [i for i, _ in jacobi_certificates(two)] == [5, 6]
+
+
 def _two_step_tables(seed: int, count: int):
     """Seeded 2-step nilpotent tables, d e^i in Lambda^2<e1..e4> for i >= 5,
     in dimension 6 or 7, with coefficients of both signs: rational,
@@ -459,8 +478,9 @@ def test_wedge_radical_of_entry_14m25_in_a_seeded_basis(pctx):
                       "-1/2*14+1/4*24+56,-12+14,-1/4*16,0", pctx)
     assert fingerprint(g).wedge_data == (4, 3, 1)
     assert fingerprint(g) == fingerprint(parse_salamon(NAMED_ALGEBRAS["entry_14m25"], pctx))
-    table = liealg._integer_table(liealg._bind_table(g.d_table, {}))
+    table, scale = liealg._integer_table(liealg._bind_table(g.d_table, {}))
     assert all(type(x) is int for row in table for x in row.values())
+    assert g._integer == (table, scale)
     copies = [dict(row) for row in table]
     image = linalg._eliminate(table, _basis_masks(6, 2), full=False)[0]
     image_copies = [dict(row) for row in image]
@@ -495,14 +515,19 @@ def _seeded_orthogonal(rng, pctx):
 
 
 def test_is_orthogonal_records_transpose_as_inverse(pctx):
+    """After is_orthogonal, the inverse is R^T/q; the same matrix as the
+    inverse by elimination, in ints and in lowest terms alike."""
     rng = random.Random(4242)
     for _ in range(12):
         rows = _seeded_orthogonal(rng, pctx)
         B = BasisChange(pctx, rows)
         assert B.is_orthogonal()
-        inverse = linalg.invert(rows, pctx)
-        assert B.inverse_rows() == tuple(tuple(r) for r in inverse)
+        eliminated = BasisChange(pctx, rows)
+        assert B.inverse_rows() == eliminated.inverse_rows()
         assert B.inverse_rows() == tuple(zip(*B.rows))
+        R, q = B._scaled_rows()
+        assert B._scaled_inverse_rows() == (tuple(zip(*R)), q)
+        assert eliminated._scaled_inverse_rows() == B._scaled_inverse_rows()
 
 
 def test_is_orthogonal_rejects_every_one_entry_perturbation(pctx):
@@ -517,9 +542,36 @@ def test_is_orthogonal_rejects_every_one_entry_perturbation(pctx):
             # rows changes, only the norm of row i
             norm_only += all(rows[k][j].is_zero for k in range(6) if k != i)
             B = BasisChange(pctx, bumped)
+            R, _ = B._scaled_rows()
+            assert all(type(x) is int for row in R for x in row)
             assert not B.is_orthogonal(), (i, j)
-            assert B.inverse_rows() == tuple(tuple(r) for r in linalg.invert(bumped, pctx))
+            inverse = B.inverse_rows()  # by elimination, as the check failed
+            assert all(sum((x * inverse[k][c] for k, x in enumerate(B.rows[r])), pctx.zero)
+                       == (1 if r == c else 0) for r in range(6) for c in range(6))
     assert norm_only >= 2
+
+
+def test_singular_basis_change_in_ints_and_with_parameters(pctx):
+    """A singular B says so from inverse_rows and from change_basis, on the
+    integer path and on the Scalar one."""
+    g = parse_salamon(NAMED_ALGEBRAS["entry_14"], pctx)
+    rational = [[Fraction(1, 2) if i == j else 0 for j in range(6)] for i in range(6)]
+    rational[5] = [Fraction(2, 3) * x + y for x, y in zip(rational[4], rational[1])]
+    symbolic = [[pctx.parse("lam") if i == j else pctx.zero for j in range(6)] for i in range(6)]
+    symbolic[0] = [x * pctx.parse("1/k") for x in symbolic[3]]
+    for rows in (rational, symbolic):
+        with pytest.raises(ValueError, match="singular basis change"):
+            change_basis(g, BasisChange(pctx, rows))
+        with pytest.raises(ValueError, match="singular basis change"):
+            BasisChange(pctx, rows).inverse_rows()
+    R, q = BasisChange(pctx, rational)._scaled_rows()
+    assert q == 6 and all(type(x) is int for row in R for x in row)
+
+
+def test_change_basis_rejects_another_parameter_context(pctx):
+    g = parse_salamon(NAMED_ALGEBRAS["entry_14"], pctx)
+    with pytest.raises(ScalarError, match="mixed parameter contexts"):
+        change_basis(g, BasisChange.identity(ParameterContext(()), 6))
 
 
 def test_is_orthogonal_rejects_singular(pctx):

@@ -93,3 +93,22 @@ def test_integer_rows_reduce_fraction_free(matrix, scale):
     for row, int_row, pc in zip(red, int_red, pivots):
         assert {c: Fraction(x, int_row[pc]) for c, x in int_row.items()} == \
             {c: x.as_fraction() for c, x in row.items()}
+
+
+def test_invert_in_ints_and_over_the_field():
+    """invert gives (A, a) with rows A = a I: ints in lowest terms over a
+    positive a, or Scalars over 1 for Scalar rows; None when singular."""
+    rows = [[2, 1, 0], [0, 3, -1], [4, 0, 6]]
+    A, a = linalg.invert(rows)
+    assert a > 0 and all(type(x) is int for row in A for x in row)
+    product = [[sum(rows[i][k] * A[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert product == [[a if i == j else 0 for j in range(3)] for i in range(3)]
+    assert (a, A) == (32, [[18, -6, -1], [-4, 12, 2], [-12, 4, 6]])  # det 32, the adjugate
+    assert linalg.invert([[-2, 0], [0, -3]]) == ([[-3, 0], [0, -2]], 6)
+    assert linalg.invert([[1, 2], [2, 4]]) is None
+    t = SYMBOLIC.param("t")
+    scalar_rows = [[t, SYMBOLIC.one], [SYMBOLIC.zero, t]]
+    inverse, one = linalg.invert(scalar_rows)
+    assert one == 1
+    assert inverse == [[1 / t, -1 / (t * t)], [SYMBOLIC.zero, 1 / t]]
+    assert linalg.invert([[t, t], [t, t]]) is None

@@ -23,11 +23,19 @@ from oracle import (
     scale,
     wedge,
 )
+from oracle import change_basis as oracle_change_basis
 from oracle import series_dims as oracle_series_dims
-from test_liealg import random_invertible
+from test_liealg import _witness_style, random_invertible
 
 from nilg2.exterior import FrameContext, parse_form
-from nilg2.families import FAMILIES, ContractionError, contraction_limit, instantiate
+from nilg2 import liealg
+from nilg2.families import (
+    FAMILIES,
+    ContractionError,
+    case2_gauge_rotation,
+    contraction_limit,
+    instantiate,
+)
 from nilg2.liealg import (
     NAMED_ALGEBRAS,
     BasisChange,
@@ -116,6 +124,45 @@ def test_real_lines_invariant_under_basis_change(pctx):
             B = random_invertible(rng, pctx)
             moved = table_to_oracle(change_basis(algebra, B))
             assert double_bracket_real_lines(moved) == count
+
+
+def test_change_basis_matches_the_oracle_basis_change(pctx):
+    """change_basis against the oracle's plain-Fraction basis change (its own
+    inverse, d f^i = sum_j B_ij (B^-1)^* d e^j), compared at a seeded
+    binding: every named algebra, and the three families both symbolic and
+    bound there, under seeded rational matrices, the three case2 gauge
+    rotations and witness-style matrices with parameter entries (evaluated
+    at the binding for a bound family).  A parameter-free result carries
+    the integer table of its own entries."""
+    rng = random.Random(2727)
+    rotations = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13)),
+                 (Fraction(8, 17), Fraction(-15, 17)))
+
+    def binding():
+        return {p: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for p in ("lam", "k", "z", "a1")}
+
+    cases = [(parse_salamon(text, pctx), binding()) for text in NAMED_ALGEBRAS.values()]
+    for name, spec in FAMILIES.items():
+        point = binding()
+        cases += [(parse_salamon(spec.table, pctx), point), (instantiate(name, point, pctx)[0], point)]
+    integer = 0
+    for g, point in cases:
+        params = g.ctx.params
+        changes = [random_invertible(rng, params) for _ in range(3)]
+        changes += [case2_gauge_rotation(params, c, s) for c, s in rotations]
+        for W in (_witness_style(rng, pctx) for _ in range(2)):
+            changes.append(W if params is pctx else BasisChange(
+                params, [[c.evaluate(point) for c in row] for row in W.rows]))
+        table = table_to_oracle(g, point)
+        for B in changes:
+            matrix = [[c.evaluate(point) for c in row] for row in B.rows]
+            moved = change_basis(g, B)
+            assert table_to_oracle(moved, point) == oracle_change_basis(table, matrix), (g, B)
+            if moved._integer is not None:
+                integer += 1
+                assert moved._integer == liealg._integer_table(
+                    [{m: c.raw for m, c in f.comps.items()} for f in moved.d_table])
+    assert integer == 9 * 6 + 3 * 8 + 2  # the torus stays parameter-free under a witness
 
 
 def test_real_lines_undefined_off_three_step():

@@ -58,11 +58,14 @@ def test_orientation_reversal_rejected(pctx, iwasawa):
         perm = list(range(6))
         rng.shuffle(perm)
         cases.append(([rng.choice((1, -1)) for _ in range(6)], perm, rng.choice(points)))
-    seen = set()
+    seen, denominators = set(), set()
     for signs, perm, (c, s) in cases:
         R = case2_gauge_rotation(pctx, c, s)
         B = BasisChange(pctx, [[R.rows[perm[i]][j] * signs[i] for j in range(6)]
                                for i in range(6)])
+        rows, q = B._scaled_rows()  # the checks run on these int rows
+        assert all(type(x) is int for row in rows for x in row)
+        denominators.add(q)
         # det R = 1, so det B is the sign of the signed permutation
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(6), 2))
         det = (-1) ** inversions * prod(signs)
@@ -74,6 +77,7 @@ def test_orientation_reversal_rejected(pctx, iwasawa):
             build_structure(iwasawa, B)
         assert str(err.value).endswith("residual -8*123456")
     assert seen == {1, -1}
+    assert len(denominators) > 2
 
 
 def test_non_orthogonal_rejected(pctx, iwasawa):

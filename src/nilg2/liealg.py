@@ -7,22 +7,30 @@ The differential extends to all grades as the unique degree +1 derivation.
 ``exterior.parse_form``, and ``salamon_str`` prints each entry's
 ``form_str`` without spaces, so tables and forms share one term grammar.
 
-The invariants (``betti_numbers``, ``fingerprint``) of a parameter-free
-table are computed in Python ints on L*d, the table times the lcm L of its
-denominators, by fraction-free elimination.  No invariant changes: d enters
-linearly, and a rank or a span is that of any nonzero multiple.  The
-fingerprint section lists which elimination gives which field.
+A polynomial table is held in Python ints as its exponent slices:
+L*d = sum_e t^e D_e, with L the lcm of its denominators, t^e a monomial in
+the parameters and each D_e an int table; a parameter-free table is its
+one slice at exponent 0.  Jacobi checks and basis changes by a
+parameter-free matrix run on the slices.  The invariants (``betti_numbers``,
+``fingerprint``) are computed on an int table by fraction-free
+elimination: that of a parameter-free table, or the slices bound at a point
+p, sum_e p^e D_e = L*d(p).  No invariant changes: d enters linearly, and a
+rank or a span is that of any nonzero multiple.  The fingerprint section
+lists which elimination gives which field.
 ``LieAlgebra.bind`` evaluates the table at a binding; a binding that leaves
 a parameter unbound or makes a denominator vanish raises ``ScalarError``.
 An invariant of a table with unbound parameters is evaluated at two points
 with disjoint prime coordinates, moved by ``seed``; the two values must
 agree, else :class:`GenericEvaluationError` is raised.
-That is a sampled generic value, not an identity in the parameters.
+That is a sampled generic value, not an identity in the parameters.  A
+table with a rational-function entry has no slices: it is bound by
+``_bind_table`` at each point and scaled to ints there.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
@@ -43,7 +51,7 @@ from .exterior import (
     parse_form,
 )
 from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly,
-                      _eval_poly, _fold_unicode)
+                      _eval_poly, _fold_unicode, _reduced)
 
 __all__ = [
     "LieAlgebra",
@@ -77,14 +85,16 @@ class SalamonSyntaxError(ScalarSyntaxError):
     """Malformed Salamon table; carries the offending position."""
 
 
-def _leibniz(table: Sequence[Mapping], comps: Mapping) -> dict:
+def _leibniz(table: Sequence[Mapping], comps: Mapping, out: Optional[dict] = None) -> dict:
     """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0).
 
     ``table`` holds the components of the d e^i and ``comps`` those of the
     form, with Scalar or int values.  A coefficient equal to 1 multiplies
     nothing: d on a basis word takes the table entries with their signs.
-    A sum that cancels is kept as a zero."""
-    out: dict = {}
+    The terms are added to ``out`` when it is given.  A sum that cancels is
+    kept as a zero."""
+    if out is None:
+        out = {}
     for mask, coeff in comps.items():
         unit = coeff == 1
         for j, idx in enumerate(_bits(mask)):
@@ -118,12 +128,56 @@ def _integer_table(table: Sequence[Mapping]) -> Tuple[List[Dict[int, int]], int]
             for row in table], scale
 
 
-def _table_in_ints(d_table: Sequence[Form]) -> Optional[Tuple[List[Dict[int, int]], int]]:
-    """``_integer_table`` of a parameter-free d-table; None when a
-    coefficient has parameters."""
-    if any(type(c.raw) is not Fraction for f in d_table for c in f.comps.values()):
-        return None
-    return _integer_table([{m: c.raw for m, c in f.comps.items()} for f in d_table])
+def _table_slices(d_table: Sequence[Form]) -> Optional[Tuple[Dict[tuple, List[dict]], int]]:
+    """(slices, L) with L*d = sum_e t^e D_e for a polynomial d-table: L the
+    lcm of its denominators and each slice D_e, one per exponent tuple e
+    that occurs, a list of {mask: int} maps.  A parameter-free table is the
+    single slice at exponent 0; a rational-function entry gives None."""
+    dens = set()
+    for f in d_table:
+        for c in f.comps.values():
+            kind = type(c.raw)
+            if kind is Fraction:
+                dens.add(c.raw.denominator)
+            elif kind is _Poly:
+                dens.add(c.raw.den)
+            else:
+                return None
+    scale = lcm(*dens)
+    zero = d_table[0].ctx.params._zero_monom
+    slices: Dict[tuple, List[dict]] = {}
+    for i, f in enumerate(d_table):
+        for m, c in f.comps.items():
+            raw = c.raw
+            if type(raw) is Fraction:
+                terms = ((zero, raw.numerator * (scale // raw.denominator)),)
+            else:
+                terms = ((e, x * (scale // raw.den)) for e, x in raw.coeffs.items())
+            for e, x in terms:
+                rows = slices.get(e) or slices.setdefault(e, [{} for _ in d_table])
+                rows[i][m] = x
+    return slices or {zero: [{} for _ in d_table]}, scale
+
+
+def _jacobi_holds(slices: Mapping[tuple, Sequence[Mapping]]) -> bool:
+    """Whether d^2 = 0 on L*d = sum_e t^e D_e, which is L^2 d^2: the
+    coefficient of t^s in d(L d e^i) is the sum of leibniz(D_f, D_e[i])
+    over the exponents e + f = s."""
+    if len(slices) == 1:  # d(D e^i) = leibniz(D, D[i]) for the one slice D
+        (table,) = slices.values()
+        return not any(any(_leibniz(table, row).values()) for row in table)
+    pairs: Dict[tuple, list] = {}
+    for e, outer in slices.items():
+        for f, inner in slices.items():
+            pairs.setdefault(tuple(map(operator.add, e, f)), []).append((inner, outer))
+    for terms in pairs.values():
+        for i in range(len(terms[0][1])):
+            total: dict = {}
+            for inner, outer in terms:
+                _leibniz(inner, outer[i], total)
+            if any(total.values()):
+                return False
+    return True
 
 
 def jacobi_certificates(d_table: Sequence[Form]) -> List[Tuple[int, Form]]:
@@ -141,21 +195,22 @@ class LieAlgebra:
 
     Construction verifies d^2 = 0 (raising :class:`JacobiError`) and, unless
     ``require_nilpotent=False``, the existence of the nilpotent filtration
-    V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.  A parameter-free table
-    is also kept in ints, as (L*d, L) (``_integer_table``), built once here:
-    d^2 = 0 is checked on it, as (L*d)^2 = L^2 d^2, and the nilpotency check
-    and the invariants read it.  The Scalar certificate of a failing Jacobi
-    check is computed only to be raised.
+    V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.  A polynomial table is
+    also kept in ints, as its exponent slices (``_table_slices``), built
+    once here: d^2 = 0 is checked on them, and ``change_basis`` and the
+    invariants read them.  A parameter-free table is its slice at exponent
+    0, ``_integer``, on which the nilpotency check runs too.  The Scalar
+    certificate of a failing Jacobi check is computed only to be raised.
     """
 
-    __slots__ = ("ctx", "d_table", "_nilpotent", "_integer")
+    __slots__ = ("ctx", "d_table", "_nilpotent", "_slices")
 
     def __init__(self, ctx: FrameContext, d_table: Sequence[Form], require_nilpotent: bool = True):
         self._build(ctx, tuple(d_table), None, require_nilpotent)
 
-    def _build(self, ctx: FrameContext, d_table: Tuple[Form, ...], integer, require_nilpotent: bool):
-        """The constructor, given (L*d, L) in ``integer`` when the caller has
-        it (``change_basis``) and None to derive it here."""
+    def _build(self, ctx: FrameContext, d_table: Tuple[Form, ...], slices, require_nilpotent: bool):
+        """The constructor, given (slices, L) in ``slices`` when the caller
+        has them (``change_basis``) and None to derive them here."""
         if len(d_table) != ctx.dim:
             raise ValueError(f"expected {ctx.dim} coframe derivatives, got {len(d_table)}")
         for i, f in enumerate(d_table, start=1):
@@ -163,18 +218,27 @@ class LieAlgebra:
                 raise ExteriorError("frame context mismatch in d-table")
             if f.grades() not in ((), (2,)):
                 raise ExteriorError(f"d e^{i} must be a 2-form")
-        if integer is None:
-            integer = _table_in_ints(d_table)
-        if integer is None or any(any(_leibniz(integer[0], row).values()) for row in integer[0]):
+        if slices is None:
+            slices = _table_slices(d_table)
+        if slices is None or not _jacobi_holds(slices[0]):
             bad = jacobi_certificates(d_table)
             if bad:
                 raise JacobiError(*bad[0])
         self.ctx = ctx
         self.d_table = d_table
-        self._integer = integer
+        self._slices = slices
         self._nilpotent = None
         if require_nilpotent and not self.is_nilpotent_presentation():
             raise NilpotencyError("not presented nilpotently (no admissible filtration)")
+
+    @property
+    def _integer(self) -> Optional[Tuple[List[Dict[int, int]], int]]:
+        """(L*d, L) of a parameter-free table, its one slice; else None."""
+        if self._slices is not None and len(self._slices[0]) == 1:
+            table = self._slices[0].get(self.ctx.params._zero_monom)
+            if table is not None:
+                return table, self._slices[1]
+        return None
 
     def d(self, a: Form) -> Form:
         return _d_on_form(self.d_table, a)
@@ -208,7 +272,8 @@ class LieAlgebra:
     def _check_filtration(self) -> bool:
         """The lower central series must reach 0; a parameter-free table
         descends in ints, as the invariants do."""
-        table = [f.comps for f in self.d_table] if self._integer is None else self._integer[0]
+        integer = self._integer
+        table = [f.comps for f in self.d_table] if integer is None else integer[0]
         brackets, n = _structure(table)[0], self.ctx.dim
         return _lower_central(brackets, n, _commutator(brackets, n))[-1] == 0
 
@@ -289,8 +354,8 @@ class GenericEvaluationError(ArithmeticError):
 def _generic_bindings(names: Sequence[str], seed: int = 0):
     names = sorted(names)
     shift = seed % len(_PRIMES_A)
-    a = {nm: Fraction(_PRIMES_A[(i + shift) % len(_PRIMES_A)]) for i, nm in enumerate(names)}
-    b = {nm: Fraction(_PRIMES_B[(i + shift) % len(_PRIMES_B)]) for i, nm in enumerate(names)}
+    a = {nm: _PRIMES_A[(i + shift) % len(_PRIMES_A)] for i, nm in enumerate(names)}
+    b = {nm: _PRIMES_B[(i + shift) % len(_PRIMES_B)] for i, nm in enumerate(names)}
     return a, b
 
 
@@ -316,20 +381,46 @@ def _bind_table(d_table: Sequence[Form], bindings: Mapping[str, Fraction]):
     return [{m: value(c) for m, c in f.comps.items()} for f in d_table]
 
 
+def _bound_slices(slices: Mapping[tuple, Sequence[Mapping]], names: Sequence[str],
+                  point: Mapping[str, int]) -> List[dict]:
+    """sum_e p^e D_e, which is L*d at the int point p, in ints; a name
+    that no exponent uses may be left out of ``point``."""
+    values = [point.get(nm, 1) for nm in names]
+    table: List[dict] = [{} for _ in next(iter(slices.values()))]
+    for e, rows in slices.items():
+        weight = 1
+        for v, k in zip(values, e):
+            if k:
+                weight *= v ** k
+        for out, row in zip(table, rows):
+            for m, x in row.items():
+                out[m] = out.get(m, 0) + weight * x
+    return [_nonzero(row) for row in table]
+
+
 def _generic_value(g: LieAlgebra, seed: int, compute):
-    """``compute(table, n)`` on the integer table of a parameter-free
-    algebra, the one it holds; a table with parameters is bound at the two
-    seeded points, where the values must agree and a vanishing denominator
-    is a non-generic evaluation."""
-    if g._integer is not None:
-        return compute(g._integer[0], g.ctx.dim)
+    """``compute(table, n)`` on an integer table: once on the one a
+    parameter-free algebra holds, else at the two seeded points, where the
+    values must agree.  A polynomial table binds its slices there; a
+    rational-function table is bound and scaled, and a vanishing
+    denominator is a non-generic evaluation."""
+    n = g.ctx.dim
+    integer = g._integer
+    if integer is not None:
+        return compute(integer[0], n)
     values = set()
-    for point in _generic_bindings(g.params(), seed):
-        try:
-            table = _bind_table(g.d_table, point)
-        except ScalarError as exc:
-            raise GenericEvaluationError(f"binding failed: {exc}") from None
-        values.add(compute(_integer_table(table)[0], g.ctx.dim))
+    if g._slices is not None:
+        slices, names = g._slices[0], g.ctx.params.names
+        used = [nm for i, nm in enumerate(names) if any(e[i] for e in slices)]
+        for point in _generic_bindings(used, seed):
+            values.add(compute(_bound_slices(slices, names, point), n))
+    else:
+        for point in _generic_bindings(g.params(), seed):
+            try:
+                table = _bind_table(g.d_table, point)
+            except ScalarError as exc:
+                raise GenericEvaluationError(f"binding failed: {exc}") from None
+            values.add(compute(_integer_table(table)[0], n))
     if len(values) > 1:
         raise GenericEvaluationError("non-generic evaluation")
     return values.pop()
@@ -461,15 +552,17 @@ def _series(table: Sequence[Mapping], n: int):
 # ---------------------------------------------------------------------------
 # fingerprints
 #
-# A parameter-free table's invariants are computed in Python ints on L*d,
-# the table times the lcm L of its denominators (``_integer_table``).  An
-# algebra builds that integer table once, in its constructor, or takes it
-# from ``change_basis``, and every invariant reads it; a table with
-# parameters is bound at two points and scaled at each.  No invariant
-# changes: the Leibniz rule is linear in the table, so L*d is L times d on
-# every grade, and a rank or a span is the same for a nonzero multiple of a
-# map (the algebra with brackets L[.,.] is isomorphic to g through
-# x -> L*x).  Every elimination runs fraction-free in ``linalg``.
+# Invariants are computed in Python ints on L*d, the table times the lcm L
+# of its denominators.  An algebra builds its exponent slices
+# L*d = sum_e t^e D_e once, in its constructor, or takes them from
+# ``change_basis``.  A parameter-free table is its slice at exponent 0, which
+# every invariant reads; a table with parameters binds its slices at two
+# points, in ints, to sum_e p^e D_e = L*d(p).  A rational-function table is
+# bound by ``_bind_table`` and scaled by ``_integer_table`` at each point.  No
+# invariant changes: the Leibniz rule is linear in the table, so L*d is L
+# times d on every grade, and a rank or a span is the same for a nonzero
+# multiple of a map (the algebra with brackets L[.,.] is isomorphic to g
+# through x -> L*x).  Every elimination runs fraction-free in ``linalg``.
 #
 # The eliminations of one table and the fields they give:
 # - the rows d e^i over Lambda^2: wedge_data[0] = rank d|Lambda^1, and a
@@ -542,11 +635,11 @@ class BasisChange:
     """An invertible coframe substitution f = B e (rows express the new coframe).
 
     ``rows`` and ``inverse_rows()`` are Scalars.  The arithmetic runs on a
-    private form built on first use: B = R/q and B^-1 = A/a, with R and A
-    int matrices over positive ints q and a when B is parameter-free (q the
-    lcm of the denominators, A/a from ``linalg.invert`` on R, or R^T/q once
-    ``is_orthogonal`` holds), and the Scalar rows and inverse over 1
-    otherwise.
+    private form: B = R/q, built with the rows, and B^-1 = A/a, built on
+    first use, with R and A int matrices over positive ints q and a when B
+    is parameter-free (q the lcm of the denominators, A/a from
+    ``linalg.invert`` on R, or R^T/q once ``is_orthogonal`` holds), and the
+    Scalar rows and inverse over 1 otherwise.
     """
 
     __slots__ = ("params", "rows", "_inverse", "_scaled", "_scaled_inverse")
@@ -554,14 +647,36 @@ class BasisChange:
     def __init__(self, params: ParameterContext, rows: Sequence[Sequence]):
         n = len(rows)
         self.params = params
-        self.rows = tuple(
-            tuple(params.scalar(v) for v in row) for row in rows
-        )
+        scalars = []
+        dens: Optional[set] = set()  # None once an entry has parameters
+        for row in rows:
+            out = []
+            for v in row:
+                kind = type(v)  # an int or a Fraction is built directly
+                if kind is Fraction:
+                    x = Scalar(params, v)
+                elif kind is int:
+                    x = Scalar(params, Fraction(v))
+                else:
+                    x = params.scalar(v)
+                if dens is not None:
+                    if type(x.raw) is Fraction:
+                        dens.add(x.raw.denominator)
+                    else:
+                        dens = None
+                out.append(x)
+            scalars.append(tuple(out))
+        self.rows = tuple(scalars)
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("basis change matrix must be square")
+        if dens is None:
+            self._scaled = self.rows, 1
+        else:
+            q = lcm(*dens)
+            self._scaled = tuple(tuple(x.raw.numerator * (q // x.raw.denominator) for x in row)
+                                 for row in self.rows), q
         self._inverse = None
-        self._scaled = None
         self._scaled_inverse = None
 
     @classmethod
@@ -583,14 +698,6 @@ class BasisChange:
     def _scaled_rows(self):
         """(R, q) with B = R/q: int rows over the lcm q of the denominators
         when B is parameter-free, else the Scalar rows over 1."""
-        if self._scaled is None:
-            raws = [x.raw for row in self.rows for x in row]
-            if all(type(r) is Fraction for r in raws):
-                q = lcm(*{r.denominator for r in raws})
-                self._scaled = tuple(tuple(x.raw.numerator * (q // x.raw.denominator) for x in row)
-                                     for row in self.rows), q
-            else:
-                self._scaled = self.rows, 1
         return self._scaled
 
     def _scaled_inverse_rows(self):
@@ -643,10 +750,12 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     """The algebra in the coframe f = B e, d f^i = sum_j B_ij (B^-1)^* d e^j,
     each d e^j pulled back once; Jacobi is re-verified.
 
-    With B = R/q and B^-1 = A/a, a parameter-free table runs in ints on
-    (L*d, L): the pull-back through A and the combination with R's rows
-    give q a^2 L times the new table, which is divided once, into a Fraction
-    per entry, and handed to the new algebra as its own (L'*d', L').  A
+    With B = R/q and B^-1 = A/a, a polynomial table runs in ints on its
+    slices L*d = sum_e t^e D_e, as the map is linear in the table: every
+    slice is pulled back through A in one call, so each word's image is
+    built once, and combined with R's rows.  That gives q a^2 L times the
+    new table, which is divided by one gcd and handed to the new algebra as
+    its own slices; each entry becomes one Scalar.  A rational-function
     table or a matrix with parameters runs on the Scalar rows.
     """
     if B.dim != g.ctx.dim:
@@ -654,24 +763,37 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     if B.params is not g.ctx.params:  # ints would not notice
         raise ScalarError("mixed parameter contexts")
     R, q = B._scaled_rows()
-    if g._integer is None or R is B.rows:  # parameters in the table or in B
+    if g._slices is None or R is B.rows:  # a rational function in the table, or parameters in B
         pulled = _pull_back([f.comps for f in g.d_table], B.inverse_rows())
         new_table = [Form(g.ctx, _linear_combination((c, d) for c, d in zip(row, pulled) if c))
                      for row in B.rows]
         return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
     A, a = B._scaled_inverse_rows()
-    table, scale = g._integer
-    pulled = _pull_back(table, A)
-    combined = [_linear_combination((c, d) for c, d in zip(row, pulled) if c) for row in R]
+    slices, scale = g._slices
+    n = g.ctx.dim
+    pulled = _pull_back([row for rows in slices.values() for row in rows], A)
+    combined = [_linear_combination((c, d) for c, d in zip(row, images) if c)
+                for images in (pulled[k:k + n] for k in range(0, len(pulled), n)) for row in R]
     den = q * a * a * scale
     common = gcd(den, *(x for row in combined for x in row.values()))
     den //= common
-    integer = [{m: x // common for m, x in row.items() if x} for row in combined]
+    combined = [{m: x // common for m, x in row.items() if x} for row in combined]
+    moved_slices = {e: combined[k * n:(k + 1) * n] for k, e in enumerate(slices)}
     params = g.ctx.params
-    new_table = tuple(Form(g.ctx, {m: Scalar(params, Fraction(x, den)) for m, x in row.items()})
-                      for row in integer)
+    zero = params._zero_monom
+    if len(moved_slices) == 1 and zero in moved_slices:  # parameter-free: a Fraction per entry
+        new_table = tuple(Form(g.ctx, {m: Scalar(params, Fraction(x, den)) for m, x in row.items()})
+                          for row in moved_slices[zero])
+    else:
+        numerators: List[Dict[int, dict]] = [{} for _ in range(n)]
+        for e, rows in moved_slices.items():
+            for entries, row in zip(numerators, rows):
+                for m, x in row.items():
+                    entries.setdefault(m, {})[e] = x
+        new_table = tuple(Form(g.ctx, {m: Scalar(params, _reduced(numer, den, zero))
+                                       for m, numer in entries.items()}) for entries in numerators)
     moved = LieAlgebra.__new__(LieAlgebra)
-    moved._build(g.ctx, new_table, (integer, den), require_nilpotent=False)
+    moved._build(g.ctx, new_table, (moved_slices, den), require_nilpotent=False)
     return moved
 
 

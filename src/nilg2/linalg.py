@@ -6,23 +6,18 @@ functions run the one elimination loop on copies of the rows.  Int rows
 reduce fraction-free: a pivot p clears the entry f of another row by
 row := (p*row - f*pivot_row)/gcd(p, f), and the row is then divided by its
 content (Bareiss, Math. Comp. 22, 1968, without his exact division), so
-every value stays an int; ``liealg``'s invariants run this way.  Scalar rows
-without parameters are cleared into int rows, each times the lcm of its
-denominators; ``sparse_rref`` divides their reduced rows by their pivots.
-Rows with parameters are pivoted over the field.  ``invert`` takes dense
-rows, of ints or of Scalars, and returns the inverse as an int matrix over
-one positive int, or as Scalars over 1.  ``liealg`` is the one client: its
-invariants and ``BasisChange``, whose inverse ``invert`` computes from the
-rows scaled to ints.
+every value stays an int; ``liealg``'s invariants run this way.  Scalar
+rows are pivoted over the field, so their full elimination is the reduced
+row echelon form.  ``invert`` takes dense rows, of ints or of Scalars, and
+returns the inverse as an int matrix over one positive int, or as Scalars
+over 1.  ``liealg`` is the one client: its invariants and ``BasisChange``,
+whose inverse ``invert`` computes from the rows scaled to ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Mapping, Optional, Sequence
-
-from .scalars import ParameterContext, Scalar
+from typing import List, Mapping, Sequence
 
 
 def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
@@ -75,33 +70,8 @@ def _eliminate(rows: Sequence[Mapping], cols: Sequence, full: bool = True):
     return done, pivots
 
 
-def _cleared(rows: Sequence[Mapping]) -> Optional[List[dict]]:
-    """Parameter-free Scalar rows as int rows, each multiplied by the lcm of
-    its denominators; None when a value has parameters."""
-    out = []
-    for row in rows:
-        raws = [x.raw for x in row.values()]
-        if not all(type(r) is Fraction for r in raws):
-            return None
-        scale = lcm(*{r.denominator for r in raws})
-        out.append({c: r.numerator * (scale // r.denominator) for c, r in zip(row, raws)})
-    return out
-
-
-def sparse_rref(rows: Sequence[Mapping], cols: Sequence, ctx: ParameterContext):
-    """(nonzero rows of the reduced row echelon form, their pivot columns)."""
-    integer = _cleared(rows)
-    if integer is None:
-        return _eliminate(rows, cols)
-    red, pivots = _eliminate(integer, cols)
-    return [{k: Scalar(ctx, Fraction(x, row[p])) for k, x in row.items()}
-            for row, p in zip(red, pivots)], pivots
-
-
 def sparse_rank(rows: Sequence[Mapping], cols: Sequence) -> int:
     """Number of pivots, read off the echelon form; rows of ints or Scalars."""
-    if isinstance(next((x for row in rows for x in row.values()), None), Scalar):
-        rows = _cleared(rows) or rows
     return len(_eliminate(rows, cols, full=False)[1])
 
 

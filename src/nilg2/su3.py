@@ -42,6 +42,7 @@ from typing import Optional, Tuple
 from .exterior import (
     ExteriorError,
     Form,
+    _omega_squared,
     hodge,
     interior,
     j_apply,
@@ -225,12 +226,12 @@ def is_half_integrable(s: SU3Structure) -> bool:
     """True iff dpsi+ = 0 and d(omega^2) = 0, exactly."""
     if not s.d(s.psi_plus).is_zero:
         return False
-    return s.d(s.omega.wedge(s.omega)).is_zero
+    return s.d(_omega_squared(s.adapted.ctx)).is_zero
 
 
 def g2t_residual(s: SU3Structure, lam: Scalar, beta: Form) -> Tuple[Form, Form]:
     """Residuals of dpsi- = beta^psi- + (lam/2) omega^2 and om^dom = (1/2) beta^om^2."""
-    om2 = s.omega.wedge(s.omega)
+    om2 = _omega_squared(s.adapted.ctx)
     first = s.d(s.psi_minus) - beta.wedge(s.psi_minus) - om2.scale(lam * Fraction(1, 2))
     second = s.omega.wedge(s.d(s.omega)) - beta.wedge(om2).scale(Fraction(1, 2))
     return first, second

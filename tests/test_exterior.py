@@ -270,7 +270,7 @@ def _dense_lefschetz(a, om, psi):
     n = len(columns)
     rows = [{j: x for j, x in enumerate([inner(col, m) for col in columns] + [inner(a, m)]) if x}
             for m in masks]
-    red, pivots = linalg.sparse_rref(rows, range(n + 1), pctx)
+    red, pivots = linalg._eliminate(rows, range(n + 1))
     assert n not in pivots
     x = [pctx.zero] * n
     for row, pc in zip(red, pivots):

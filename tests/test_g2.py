@@ -345,7 +345,7 @@ def test_lee_solver_matches_full_solve(pctx, tmp_path):
     products.append(_not_g2t_product(pctx, tmp_path))
     outcomes = set()
     for g in products:
-        red, pivots = linalg.sparse_rref(_full_system(g), range(8), g.ctx.params)
+        red, pivots = linalg._eliminate(_full_system(g), range(8))
         if 7 in pivots:
             with pytest.raises(G2Error, match="not a G2T-structure"):
                 extract_theta(g)
@@ -361,7 +361,7 @@ def test_lee_error_residual_is_obstruction(pctx, tmp_path):
     inconsistent, reports the obstruction: the residual d*phi - theta ^ *phi
     of the projection is orthogonal to all seven lines e^i ^ *phi."""
     g = _not_g2t_product(pctx, tmp_path)
-    red, pivots = linalg.sparse_rref(_full_system(g), range(8), pctx)
+    red, pivots = linalg._eliminate(_full_system(g), range(8))
     assert 7 in pivots          # inconsistent
     with pytest.raises(G2Error) as err:
         extract_theta(g)

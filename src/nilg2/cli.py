@@ -15,13 +15,13 @@ first entry starts with '-' follows ``--``, as in
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -54,6 +54,19 @@ from .su3 import (
 
 SCHEMA_VERSION = 1
 
+_json_str = encode_basestring_ascii  # a str as ``json.dumps`` writes it
+
+
+def _json_atom(value) -> str:
+    """None, a bool, an int or a finite float as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return repr(value)
+
 
 @dataclass
 class CheckResult:
@@ -82,25 +95,31 @@ class Report:
         return all(c.passed is not False for c in self.checks)
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": f"nilg2 {__version__}",
-            "command": self.command,
-            "input": self.input_description,
-            "passed": self.passed,
-            "seed": self.seed,
-            "timing_ms": round(self.timing_ms, 3),
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                    "data": c.data,
-                }
-                for c in self.checks
-            ],
-        }
-        return json.dumps(doc, indent=2)
+        """The report as ``json.dumps(doc, indent=2)`` writes its fixed
+        schema, byte for byte, with the C string encoder: ``indent`` alone
+        would switch ``json`` to its pure-Python encoder."""
+        checks = ",\n".join(
+            "    {\n"
+            f'      "name": {_json_str(c.name)},\n'
+            f'      "passed": {_json_atom(c.passed)},\n'
+            f'      "detail": {_json_str(c.detail)},\n'
+            '      "data": ' + (
+                "{\n" + ",\n".join(f"        {_json_str(k)}: {_json_str(v)}"
+                                   for k, v in c.data.items()) + "\n      }"
+                if c.data else "{}") + "\n    }"
+            for c in self.checks
+        )
+        return (
+            "{\n"
+            f'  "schema_version": {SCHEMA_VERSION},\n'
+            f'  "tool": {_json_str(f"nilg2 {__version__}")},\n'
+            f'  "command": {_json_str(self.command)},\n'
+            f'  "input": {_json_str(self.input_description)},\n'
+            f'  "passed": {_json_atom(self.passed)},\n'
+            f'  "seed": {_json_atom(self.seed)},\n'
+            f'  "timing_ms": {_json_atom(round(self.timing_ms, 3))},\n'
+            '  "checks": ' + (f"[\n{checks}\n  ]" if checks else "[]") + "\n}"
+        )
 
     def to_text(self) -> str:
         lines = [

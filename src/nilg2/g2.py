@@ -17,7 +17,9 @@ totally skew torsion is computed two ways and cross-checked:
   the lines e^i ^ *phi (Gram 3 I) and the identity then checked exactly;
 * route B, from the six-dimensional torsion components:
   T = *6 d omega - *6 (beta ^ omega) + 2 W1p psi+ + lambda psi-
-      - [*6 (W2p ^ omega)] ^ dt.
+      - [*6 (W2p ^ omega)] ^ dt,
+  with d omega the one the torsion classes were split from (route A
+  differentiates phi on the product, so the routes share no derivative).
 
 Route A is validated in the test suite against an independent oracle that
 solves the connection equations directly.
@@ -220,7 +222,7 @@ def torsion(g: G2Structure) -> TorsionReport:
         raise G2Error("<dphi, *phi> != 12 W1+ (convention bug)")
     s = g.base
     route_b_pure = (
-        hodge(s.d(s.omega))
+        hodge(classes.d_omega)
         - hodge(classes.beta.wedge(s.omega))
         + s.psi_plus.scale(classes.W1p * 2)
         + s.psi_minus.scale(lam)

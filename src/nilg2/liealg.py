@@ -10,13 +10,16 @@ The differential extends to all grades as the unique degree +1 derivation.
 A polynomial table is held in Python ints as its exponent slices:
 L*d = sum_e t^e D_e, with L the lcm of its denominators, t^e a monomial in
 the parameters and each D_e an int table; a parameter-free table is its
-one slice at exponent 0.  Jacobi checks and basis changes by a
-parameter-free matrix run on the slices.  The invariants (``betti_numbers``,
-``fingerprint``) are computed on an int table by fraction-free
-elimination: that of a parameter-free table, or the slices bound at a point
-p, sum_e p^e D_e = L*d(p).  No invariant changes: d enters linearly, and a
-rank or a span is that of any nonzero multiple.  The fingerprint section
-lists which elimination gives which field.
+one slice at exponent 0.  Basis changes by a parameter-free matrix run on
+the slices.  A table with parameters is also held by entry, as the
+numerators {mask: {exponent: int}} of L*d: its Jacobi check, and ``d`` of
+a form with polynomial coefficients, sum the Leibniz rule on them in ints.
+A parameter-free table is checked on its one slice.  The invariants
+(``betti_numbers``, ``fingerprint``) are computed on an int table by
+fraction-free elimination: that of a parameter-free table, or the slices
+bound at a point p, sum_e p^e D_e = L*d(p).  No invariant changes: d
+enters linearly, and a rank or a span is that of any nonzero multiple.
+The fingerprint section lists which elimination gives which field.
 ``LieAlgebra.bind`` evaluates the table at a binding; a binding that leaves
 a parameter unbound or makes a denominator vanish raises ``ScalarError``.
 An invariant of a table with unbound parameters is evaluated at two points
@@ -85,27 +88,57 @@ class SalamonSyntaxError(ScalarSyntaxError):
     """Malformed Salamon table; carries the offending position."""
 
 
-def _leibniz(table: Sequence[Mapping], comps: Mapping, out: Optional[dict] = None) -> dict:
+def _leibniz(table: Sequence[Mapping], comps: Mapping, out: Optional[dict] = None,
+             zero: Optional[tuple] = None) -> dict:
     """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0).
 
     ``table`` holds the components of the d e^i and ``comps`` those of the
-    form, with Scalar or int values.  A coefficient equal to 1 multiplies
-    nothing: d on a basis word takes the table entries with their signs.
-    The terms are added to ``out`` when it is given.  A sum that cancels is
-    kept as a zero."""
+    form, with Scalar or int values, or, when ``zero`` (the zero exponent
+    tuple) is given, with numerators {exponent: int}.  A coefficient equal
+    to 1 multiplies nothing: d on a basis word takes the table entries with
+    their signs.  The terms are added to ``out`` when it is given; numerators
+    are summed in place, and a constant one, {zero: c}, scales the table's
+    numerators without adding exponents.  A sum that cancels is kept as a
+    zero."""
     if out is None:
         out = {}
+    numerators = zero is not None
+    if numerators:
+        sums: Dict[tuple, tuple] = {}  # exponent sums e + f, by (e, f)
     for mask, coeff in comps.items():
-        unit = coeff == 1
+        if numerators:
+            const = coeff.get(zero) if len(coeff) == 1 else None
+        else:
+            unit = coeff == 1
         for j, idx in enumerate(_bits(mask)):
             rest = mask & ~(1 << (idx - 1))
+            odd = j % 2 == 1
             for m2, c2 in table[idx - 1].items():
                 if m2 & rest:
                     continue
-                term = c2 if unit else c2 * coeff
                 m = m2 | rest
+                plus = odd == (_merge_sign(m2, rest) < 0)
+                if numerators:
+                    acc = out.get(m)
+                    if acc is None:
+                        acc = out[m] = {}
+                    if const is not None:
+                        k = const if plus else -const
+                        for e, x in c2.items():
+                            acc[e] = acc.get(e, 0) + k * x
+                    else:
+                        for f, y in coeff.items():
+                            if not plus:
+                                y = -y
+                            for e, x in c2.items():
+                                s = sums.get((e, f))
+                                if s is None:
+                                    s = sums[e, f] = tuple(map(operator.add, e, f))
+                                acc[s] = acc.get(s, 0) + x * y
+                    continue
+                term = c2 if unit else c2 * coeff
                 prev = out.get(m)
-                if (j % 2 == 1) == (_merge_sign(m2, rest) < 0):
+                if plus:
                     out[m] = term if prev is None else prev + term
                 else:
                     out[m] = -term if prev is None else prev - term
@@ -128,14 +161,14 @@ def _integer_table(table: Sequence[Mapping]) -> Tuple[List[Dict[int, int]], int]
             for row in table], scale
 
 
-def _table_slices(d_table: Sequence[Form]) -> Optional[Tuple[Dict[tuple, List[dict]], int]]:
-    """(slices, L) with L*d = sum_e t^e D_e for a polynomial d-table: L the
-    lcm of its denominators and each slice D_e, one per exponent tuple e
-    that occurs, a list of {mask: int} maps.  A parameter-free table is the
-    single slice at exponent 0; a rational-function entry gives None."""
+def _as_numerators(forms: Sequence[Mapping], zero: tuple) -> Optional[Tuple[List[dict], int]]:
+    """(N, M): the components of ``forms`` as numerators {exponent: int}
+    over one positive int M, the lcm of their denominators, one {mask:
+    numerator} map per form; a Fraction is a numerator at ``zero`` alone.
+    A rational-function coefficient gives None."""
     dens = set()
-    for f in d_table:
-        for c in f.comps.values():
+    for comps in forms:
+        for c in comps.values():
             kind = type(c.raw)
             if kind is Fraction:
                 dens.add(c.raw.denominator)
@@ -144,36 +177,50 @@ def _table_slices(d_table: Sequence[Form]) -> Optional[Tuple[Dict[tuple, List[di
             else:
                 return None
     scale = lcm(*dens)
-    zero = d_table[0].ctx.params._zero_monom
-    slices: Dict[tuple, List[dict]] = {}
-    for i, f in enumerate(d_table):
-        for m, c in f.comps.items():
+    out = []
+    for comps in forms:
+        row = {}
+        for m, c in comps.items():
             raw = c.raw
             if type(raw) is Fraction:
-                terms = ((zero, raw.numerator * (scale // raw.denominator)),)
+                row[m] = {zero: raw.numerator * (scale // raw.denominator)}
             else:
-                terms = ((e, x * (scale // raw.den)) for e, x in raw.coeffs.items())
-            for e, x in terms:
-                rows = slices.get(e) or slices.setdefault(e, [{} for _ in d_table])
+                k = scale // raw.den
+                row[m] = raw.coeffs if k == 1 else {e: x * k for e, x in raw.coeffs.items()}
+        out.append(row)
+    return out, scale
+
+
+def _slices_of(numerators: Sequence[Mapping], zero: tuple) -> Dict[tuple, List[dict]]:
+    """The exponent slices {e: D_e} of a table of numerators: D_e holds the
+    coefficients of t^e, one {mask: int} map per entry."""
+    slices: Dict[tuple, List[dict]] = {}
+    for i, row in enumerate(numerators):
+        for m, numer in row.items():
+            for e, x in numer.items():
+                rows = slices.get(e) or slices.setdefault(e, [{} for _ in numerators])
                 rows[i][m] = x
-    return slices or {zero: [{} for _ in d_table]}, scale
+    return slices or {zero: [{} for _ in numerators]}
 
 
-def _jacobi_holds(slices: Mapping[tuple, Sequence[Mapping]]) -> bool:
-    """Whether d^2 = 0 on L*d = sum_e t^e D_e, which is L^2 d^2: the
-    coefficient of t^s in d(L d e^i) is the sum of leibniz(D_f, D_e[i])
-    over the exponents e + f = s."""
-    pairs: Dict[tuple, list] = {}
-    for e, outer in slices.items():
-        for f, inner in slices.items():
-            pairs.setdefault(tuple(map(operator.add, e, f)), []).append((inner, outer))
-    for terms in pairs.values():
-        for i in range(len(terms[0][1])):
-            total: dict = {}
-            for inner, outer in terms:
-                _leibniz(inner, outer[i], total)
-            if any(total.values()):
-                return False
+def _numerators_of(slices: Mapping[tuple, Sequence[Mapping]]) -> List[Dict[int, dict]]:
+    """The numerators {mask: {exponent: int}} of each entry, from the slices."""
+    out: List[Dict[int, dict]] = [{} for _ in next(iter(slices.values()))]
+    for e, rows in slices.items():
+        for entries, row in zip(out, rows):
+            for m, x in row.items():
+                entries.setdefault(m, {})[e] = x
+    return out
+
+
+def _jacobi_holds(table: Sequence[Mapping], zero: Optional[tuple] = None) -> bool:
+    """Whether d(d e^i) = 0 for every i, in ints: on the int table L*d of a
+    parameter-free algebra, or on the numerators of L*d (``zero`` given).
+    Either way this is L^2 d^2, one entry at a time."""
+    for row in table:
+        out = _leibniz(table, row, None, zero)
+        if any(any(x.values()) for x in out.values()) if zero is not None else any(out.values()):
+            return False
     return True
 
 
@@ -193,18 +240,21 @@ class LieAlgebra:
     Construction verifies d^2 = 0 (raising :class:`JacobiError`) and, unless
     ``require_nilpotent=False``, the existence of the nilpotent filtration
     V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.  A polynomial table is
-    also kept in ints, as its exponent slices (``_table_slices``), built
-    once here: d^2 = 0 is checked on them, and ``change_basis`` and the
-    invariants read them.  A parameter-free table is its slice at exponent
-    0, ``_integer``, on which the nilpotency check runs too.  The Scalar
+    also kept in ints, built once here: as its exponent slices
+    (``_slices_of``), which ``change_basis`` and the invariants read,
+    and, when it has parameters, as the numerators of its entries over the
+    same L, {mask: {exponent: int}} per entry, on which d^2 = 0 is checked
+    and ``d`` runs.  A parameter-free table is its slice at exponent 0,
+    ``_integer``, on which the Jacobi and nilpotency checks run.  The Scalar
     certificate of a failing Jacobi check is computed only to be raised.
     """
 
-    __slots__ = ("ctx", "d_table", "_nilpotent", "_slices")
+    __slots__ = ("ctx", "d_table", "_nilpotent", "_slices", "_numerators")
 
     def __init__(self, ctx: FrameContext, d_table: Sequence[Form], require_nilpotent: bool = True,
-                 *, _slices=None):
-        """``_slices`` is (slices, L) when the caller has them
+                 *, _slices=None, _numerators=None):
+        """``_slices`` is (slices, L) and ``_numerators`` the numerators of
+        the entries over the same L when the caller has them
         (``change_basis``); None derives them here."""
         d_table = tuple(d_table)
         if len(d_table) != ctx.dim:
@@ -214,14 +264,29 @@ class LieAlgebra:
                 raise ExteriorError("frame context mismatch in d-table")
             if f.grades() not in ((), (2,)):
                 raise ExteriorError(f"d e^{i} must be a 2-form")
-        slices = _table_slices(d_table) if _slices is None else _slices
-        if slices is None or not _jacobi_holds(slices[0]):
+        zero = ctx.params._zero_monom
+        if _slices is None:
+            scaled = _as_numerators([f.comps for f in d_table], zero)
+            if scaled is not None:
+                _numerators, scale = scaled
+                _slices = _slices_of(_numerators, zero), scale
+        if _slices is None:
+            holds = False
+        elif len(_slices[0]) == 1 and zero in _slices[0]:  # parameter-free
+            _numerators = None
+            holds = _jacobi_holds(_slices[0][zero])
+        else:
+            if _numerators is None:
+                _numerators = _numerators_of(_slices[0])
+            holds = _jacobi_holds(_numerators, zero)
+        if not holds:
             bad = jacobi_certificates(d_table)
             if bad:
                 raise JacobiError(*bad[0])
         self.ctx = ctx
         self.d_table = d_table
-        self._slices = slices
+        self._slices = _slices
+        self._numerators = _numerators
         self._nilpotent = None
         if require_nilpotent and not self.is_nilpotent_presentation():
             raise NilpotencyError("not presented nilpotently (no admissible filtration)")
@@ -229,13 +294,29 @@ class LieAlgebra:
     @property
     def _integer(self) -> Optional[Tuple[List[Dict[int, int]], int]]:
         """(L*d, L) of a parameter-free table, its one slice; else None."""
-        if self._slices is not None and len(self._slices[0]) == 1:
-            table = self._slices[0].get(self.ctx.params._zero_monom)
-            if table is not None:
-                return table, self._slices[1]
+        if self._slices is not None and self._numerators is None:
+            return self._slices[0][self.ctx.params._zero_monom], self._slices[1]
         return None
 
     def d(self, a: Form) -> Form:
+        """d a.  A table with parameters runs in ints when no coefficient of
+        ``a`` is a rational function: a is written as numerators over one
+        int M, d is summed on them and its table's numerators over L, and
+        each component is reduced once, over L*M.  Otherwise on Scalars."""
+        params = self.ctx.params
+        if self._numerators is not None and a.ctx.params is params:
+            zero = params._zero_monom
+            scaled = _as_numerators([a.comps], zero)
+            if scaled is not None:
+                den = self._slices[1] * scaled[1]
+                comps = {}
+                for m, numer in _leibniz(self._numerators, scaled[0][0], None, zero).items():
+                    if not all(numer.values()):
+                        numer = {e: x for e, x in numer.items() if x}
+                        if not numer:
+                            continue
+                    comps[m] = Scalar(params, _reduced(numer, den, zero))
+                return Form(a.ctx, comps)
         return _d_on_form(self.d_table, a)
 
     def is_nilpotent_presentation(self) -> bool:
@@ -550,9 +631,12 @@ def _series(table: Sequence[Mapping], n: int):
 # Invariants are computed in Python ints on L*d, the table times the lcm L
 # of its denominators.  An algebra builds its exponent slices
 # L*d = sum_e t^e D_e once, in its constructor, or takes them from
-# ``change_basis``.  A parameter-free table is its slice at exponent 0, which
-# every invariant reads; a table with parameters binds its slices at two
-# points, in ints, to sum_e p^e D_e = L*d(p).  A rational-function table is
+# ``change_basis``; a table with parameters also keeps the same L*d by
+# entry, as numerators {mask: {exponent: int}}, which its Jacobi check and
+# ``LieAlgebra.d`` read and no invariant does.  A parameter-free table is
+# its slice at exponent 0, which every invariant reads; a table with
+# parameters binds its slices at two points, in ints, to
+# sum_e p^e D_e = L*d(p).  A rational-function table is
 # bound by ``_bind_table`` and scaled by ``_integer_table`` at each point.  No
 # invariant changes: the Leibniz rule is linear in the table, so L*d is L
 # times d on every grade, and a rank or a span is the same for a nonzero
@@ -776,14 +860,11 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     moved_slices = {e: combined[k * n:(k + 1) * n] for k, e in enumerate(slices)}
     params = g.ctx.params
     zero = params._zero_monom
-    numerators: List[Dict[int, dict]] = [{} for _ in range(n)]
-    for e, rows in moved_slices.items():
-        for entries, row in zip(numerators, rows):
-            for m, x in row.items():
-                entries.setdefault(m, {})[e] = x
+    numerators = _numerators_of(moved_slices)
     new_table = [Form(g.ctx, {m: Scalar(params, _reduced(numer, den, zero))
                               for m, numer in entries.items()}) for entries in numerators]
-    return LieAlgebra(g.ctx, new_table, require_nilpotent=False, _slices=(moved_slices, den))
+    return LieAlgebra(g.ctx, new_table, require_nilpotent=False, _slices=(moved_slices, den),
+                      _numerators=numerators)
 
 
 def is_isomorphic_via(g: LieAlgebra, B: BasisChange, target: LieAlgebra) -> bool:

@@ -35,7 +35,8 @@ symbol; the primitive part is what is meant.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -140,16 +141,31 @@ def standard_structure(g: LieAlgebra) -> SU3Structure:
 
 @dataclass(frozen=True)
 class TorsionClasses:
+    """The torsion components of a structure.  W4 and vartheta are computed
+    on first access, from d omega and the structure, which are kept out of
+    equality and repr: both are functions of the other fields."""
+
     W1p: Scalar
     W1m: Scalar
     W2p: Form
     W2m: Form
     Omega: Form            # the primitive (2,1)+(1,2) component of d omega
-    W4: Form
     W5: Form
     beta: Form             # Lee form; equals the common psi-slot 1-form
-    vartheta: Form         # six-dimensional Lee form -J d* omega
     lam: Scalar            # 2 W1m
+    d_omega: Form = field(compare=False, repr=False)
+    structure: SU3Structure = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def W4(self) -> Form:
+        """(1/4) omega _| d omega."""
+        om = self.structure.omega
+        return interior(om, self.d_omega).scale(Fraction(1, 4))
+
+    @functools.cached_property
+    def vartheta(self) -> Form:
+        """The six-dimensional Lee form -J d* omega."""
+        return -j_apply(codifferential(self.structure, self.structure.omega))
 
     @property
     def nu_plus(self) -> Scalar:
@@ -186,9 +202,7 @@ def torsion_classes(s: SU3Structure) -> TorsionClasses:
         )
     beta = gamma_plus
 
-    quarter = pctx.scalar(Fraction(1, 4))
-    W4 = interior(om, d_om).scale(quarter)
-    W5 = interior(psip, d_psip).scale(quarter)
+    W5 = interior(psip, d_psip).scale(Fraction(1, 4))
     if W5 != beta.scale(Fraction(-1, 2)):
         raise StructureError("W5 does not match the Lee form channel (convention bug)")
 
@@ -207,18 +221,17 @@ def torsion_classes(s: SU3Structure) -> TorsionClasses:
             "(the second G2T equation fails)"
         )
 
-    vartheta = -j_apply(codifferential(s, om))
     return TorsionClasses(
         W1p=W1p,
         W1m=W1m,
         W2p=W2p,
         W2m=W2m,
         Omega=Omega,
-        W4=W4,
         W5=W5,
         beta=beta,
-        vartheta=vartheta,
         lam=lam,
+        d_omega=d_om,
+        structure=s,
     )
 
 

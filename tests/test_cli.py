@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nilg2
-from nilg2.cli import _build_parser, main
+from nilg2.cli import SCHEMA_VERSION, Report, _build_parser, main
 from nilg2.exterior import FrameContext, parse_form
 from nilg2.families import FAMILIES, family_context
 from nilg2.liealg import NAMED_ALGEBRAS, SalamonSyntaxError, parse_salamon
@@ -766,3 +766,54 @@ def test_readme_scripts_exit_status():
     assert proc.stderr == ""
     assert proc.returncode == 0
     assert not [line for line in proc.stdout.splitlines() if line.startswith("[FAIL]")]
+
+
+def _json_doc(report):
+    """The schema of ``Report.to_json`` as a dict, for ``json.dumps``."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": f"nilg2 {nilg2.__version__}",
+        "command": report.command,
+        "input": report.input_description,
+        "passed": report.passed,
+        "seed": report.seed,
+        "timing_ms": round(report.timing_ms, 3),
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail, "data": c.data}
+                   for c in report.checks],
+    }
+
+
+def test_structured_report_is_what_json_dumps_writes(capsys, monkeypatch, tmp_path):
+    """``to_json`` writes its schema itself; the text is byte for byte
+    ``json.dumps(doc, indent=2)`` on a report of every command, passing and
+    failing, with non-ASCII text, an empty data map, a check without a
+    verdict and no checks at all."""
+    reports = []
+    to_json = Report.to_json
+    monkeypatch.setattr(Report, "to_json", lambda r: (reports.append(r), to_json(r))[1])
+    not_g2t = tmp_path / "not_g2t.su3"
+    not_g2t.write_text(_CASE1_NOT_G2T, encoding="utf-8")
+    rotated = tmp_path / "case3_rotated.su3"
+    rotated.write_text(_CASE3_ROTATED, encoding="utf-8")
+    commands = [
+        ["check", "0,0,12,13,23,14"], ["check", "0,0,12,13,23,15"], ["check", "0,13,12,0,0,0"],
+        ["check", "0,0,0,0,12,13-λ*24"], ["--seed", "7", "betti", "0,0,0,12,13,23"],
+        ["fingerprint", "0,0,12,13,23,14-25"], ["su3", _IWASAWA_FILE], ["su3", str(rotated)],
+        ["g2t", "case3"], ["g2t", str(not_g2t)], ["g2t", str(rotated)],
+        ["--param", "λ=1", "--param", "k=2", "g2t", "case1"], ["theorem"],
+        ["contract", "0,0,12,13,23,14+25", "--exponents=-1,1,0,-1,1,-2",
+         "--direction", "to-infinity"],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, "--format", "structured", *argv)
+        assert err == "" and code in (0, 1), argv
+        assert out == json.dumps(_json_doc(reports[-1]), indent=2) + "\n", argv
+    assert len(reports) == len(commands)
+    made = [Report(command="g2t", input_description="λ ϑ₁ é\U0001d4b3 \"\\\n\t")]
+    made.append(Report(command="check", input_description="", seed=-3, timing_ms=1234.56789))
+    made[1].add("verdict-free", None)
+    made[1].add("non-ascii", True, "ϑ = −1", **{"λ": "ϑ\x00", "empty": ""})
+    made[1].add("failed", False, "d^2 != 0")
+    for report in made:
+        assert report.to_json() == json.dumps(_json_doc(report), indent=2)
+    assert '"checks": []' in made[0].to_json() and '"data": {}' in made[1].to_json()

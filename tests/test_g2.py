@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -220,6 +221,32 @@ def test_strong_eigen_check(pctx, torus_product):
     s_iw = build_structure(iw, BasisChange.diagonal(pctx, [1, -1, 1, -1, 1, 1]))
     with pytest.raises(G2Error):
         strong_eigen_check(build_product(s_iw))
+
+
+def test_a_report_differentiates_eight_times(pctx, monkeypatch):
+    """A torsion report takes d omega for route B from the torsion classes:
+    three base derivatives (omega, psi+, psi-), d*phi and d theta for the
+    Lee form, dphi for route A, and dT and d*T, eight in all; the routes are
+    still compared."""
+    from nilg2.liealg import LieAlgebra
+
+    calls = []
+    d = LieAlgebra.d
+    monkeypatch.setattr(LieAlgebra, "d", lambda g, a: (calls.append(g.ctx.dim), d(g, a))[1])
+    rotation = case2_gauge_rotation(pctx, Fraction(3, 5), Fraction(4, 5))
+    for name in ("case1", "case2", "case3"):
+        algebra, structure = instantiate(name, params=pctx)
+        for s in (structure, build_structure(algebra, rotation)):
+            product = build_product(s)
+            calls.clear()
+            report = dT_tests(product, torsion(product))
+            assert sorted(calls) == [6, 6, 6, 7, 7, 7, 7, 7], name
+            assert report.dT_type_22 is True
+    real = g2.torsion_classes
+    monkeypatch.setattr(g2, "torsion_classes", lambda s: dataclasses.replace(
+        real(s), d_omega=real(s).d_omega + s.psi_plus))
+    with pytest.raises(G2Error, match="torsion route disagreement"):
+        torsion(build_product(structure))
 
 
 def test_route_identity_on_formal_components(pctx):

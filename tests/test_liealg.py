@@ -619,7 +619,8 @@ def test_symbolic_change_basis_carries_the_slices_of_its_own_table(pctx):
         expected = tuple(sum((d.scale(c) for c, d in zip(row, pulled)), g.ctx.zero_form())
                          for row in B.rows)
         assert moved.d_table == expected, (name, B)
-        assert moved._slices == liealg._table_slices(moved.d_table), (name, B)
+        rebuilt = LieAlgebra(moved.ctx, moved.d_table, require_nilpotent=False)
+        assert moved._slices == rebuilt._slices, (name, B)
         assert moved._integer is None and len(moved._slices[0]) > 1
 
 
@@ -641,13 +642,14 @@ def test_symbolic_invariants_match_the_bound_table_route(pctx):
 
 
 def test_polynomial_jacobi_failure_reports_the_unscaled_certificate(pctx):
-    """A table with parameters is checked on its slices, here of 6 d; the
-    error still names the first failing index and d(d e^i) of the table as
-    given, as jacobi_certificates computes it."""
+    """A table with parameters is checked on the numerators of its entries,
+    here over L = 6; the error still names the first failing index and
+    d(d e^i) of the table as given, as jacobi_certificates computes it."""
     ctx = FrameContext(6, pctx)
     table = [parse_form(ctx, t) for t in "0,0,lam/2*12,0,0,2/3*k*34".split(",")]
-    slices, scale = liealg._table_slices(table)
-    assert scale == 6 and len(slices) == 2
+    numerators, scale = liealg._as_numerators([f.comps for f in table], pctx._zero_monom)
+    assert scale == 6 and len(liealg._slices_of(numerators, pctx._zero_monom)) == 2
+    assert not liealg._jacobi_holds(numerators, pctx._zero_monom)
     with pytest.raises(JacobiError) as err:
         LieAlgebra(ctx, table)
     assert (err.value.index, str(err.value.certificate)) == (6, "k*lam/3*124")
@@ -687,6 +689,101 @@ def test_parameters_in_the_matrix_or_a_rational_function_keep_the_scalar_path(pc
         assert fingerprint(moved) == expected
         assert len(bindings) == (0 if moved._slices else 2)
     assert moved._slices is not None
+
+
+_POLYNOMIAL_COEFFICIENTS = ("1", "-1", "3/2", "-5/7", "2/9", "lam", "k*z/3", "(a1+z)^2/2",
+                            "-lam^2*k/5", "t + 1/3", "3*a1*lam - 2/9", "k - lam/4")
+
+
+def _seeded_forms(rng, ctx, pctx, coefficients=_POLYNOMIAL_COEFFICIENTS):
+    """One form of every grade 0..n, each on up to five seeded basis words
+    with coefficients drawn from ``coefficients``, and one mixed-grade form."""
+    forms = []
+    for k in range(ctx.dim + 1):
+        masks = rng.sample(_basis_masks(ctx.dim, k), min(5, len(_basis_masks(ctx.dim, k))))
+        forms.append(liealg.Form(ctx, {m: pctx.parse(rng.choice(coefficients)) for m in masks}))
+    forms.append(sum(forms[1:4], ctx.zero_form()))
+    return forms
+
+
+def _product(g):
+    """The seven-dimensional algebra g x R, d(e^7) = 0."""
+    ctx7 = FrameContext(7, g.ctx.params)
+    return LieAlgebra(ctx7, [liealg.Form(ctx7, dict(f.comps)) for f in g.d_table]
+                      + [ctx7.zero_form()], require_nilpotent=False)
+
+
+def _scalar_hashes(form):
+    return {m: (hash(c), type(c.raw)) for m, c in form.comps.items()}
+
+
+def test_numerator_d_matches_the_scalar_route(pctx, monkeypatch):
+    """On a table with parameters, d of a form with polynomial and rational
+    coefficients runs on numerators in ints; it equals d on Scalars
+    (``_d_on_form``), Scalar by Scalar, for every grade, on the three
+    families, 20 seeded basis changes and the gauge rotations of each, and
+    their seven-dimensional products."""
+    scalar_route = liealg._d_on_form
+    fallbacks = []
+    monkeypatch.setattr(liealg, "_d_on_form", lambda table, a: (
+        fallbacks.append(a), scalar_route(table, a))[1])
+    rng = random.Random(2929)
+    algebras = []
+    for _, _, _, moved in _family_basis_changes(pctx):
+        algebras += [moved, _product(moved)]
+    for spec in FAMILIES.values():
+        g = parse_salamon(spec.table, pctx)
+        algebras += [g, _product(g)]
+    for g in algebras:
+        assert g._numerators is not None and g._integer is None
+        for a in _seeded_forms(rng, g.ctx, pctx):
+            fast, slow = g.d(a), scalar_route(g.d_table, a)
+            assert fast == slow, (salamon_str(g), form_str(a))
+            assert _scalar_hashes(fast) == _scalar_hashes(slow)
+    assert fallbacks == []
+
+
+def test_numerators_are_the_slices_of_the_table_by_entry(pctx):
+    """The numerators an algebra holds, derived in its constructor or handed
+    on by ``change_basis``, are the entries of L*d, {mask: {exponent: int}};
+    a parameter-free table holds none and keeps its int table."""
+    for _, _, _, moved in _family_basis_changes(pctx)[::7]:
+        slices, scale = moved._slices
+        numerators = liealg._numerators_of(slices)
+        assert moved._numerators == numerators
+        assert LieAlgebra(moved.ctx, moved.d_table, require_nilpotent=False)._numerators == numerators
+        assert liealg._as_numerators([f.comps for f in moved.d_table], pctx._zero_monom) == (
+            numerators, scale)
+    plain = parse_salamon("0,0,1/2*12,13,23,14", pctx)
+    assert plain._numerators is None and plain._integer == ([{}, {}, {3: 1}, {5: 2}, {6: 2},
+                                                             {9: 2}], 2)
+
+
+def test_rational_functions_keep_the_scalar_d(pctx, monkeypatch):
+    """A witness-style table with a rational-function entry holds neither
+    slices nor numerators, and a form with a rational-function coefficient
+    is differentiated on Scalars by a polynomial table too."""
+    scalar_route = liealg._d_on_form
+    fallbacks = []
+    monkeypatch.setattr(liealg, "_d_on_form", lambda table, a: (
+        fallbacks.append(a), scalar_route(table, a))[1])
+    rng = random.Random(31)
+    family = parse_salamon(FAMILIES["case1"].table, pctx)
+    witnesses = [change_basis(family, _witness_style(rng, pctx)) for _ in range(6)]
+    witnesses = [g for g in witnesses if g._slices is None]
+    assert witnesses
+    for g in witnesses + [parse_salamon("0,0,0,0,(1/lam)*12,k*13+15", pctx)]:
+        assert g._numerators is None
+        for a in _seeded_forms(rng, g.ctx, pctx):
+            fallbacks.clear()
+            assert g.d(a) == scalar_route(g.d_table, a)
+            assert fallbacks == [a]
+    rational = _seeded_forms(rng, family.ctx, pctx, ("1/lam", "k/(z+a1)", "lam"))
+    for a in rational[1:]:
+        fallbacks.clear()
+        family.d(a)
+        assert fallbacks == ([a] if any(type(c.raw) not in (Fraction, liealg._Poly)
+                                        for c in a.comps.values()) else [])
 
 
 def test_is_orthogonal_rejects_singular(pctx):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -169,6 +170,38 @@ def test_g2t_class_relations_symbolic(pctx):
         assert c.W2m.is_zero
         assert c.W1m == c.lam / 2
         assert c.W5 == c.W4.scale(-2)
+
+
+def test_w4_and_vartheta_on_first_access(pctx, iwasawa_structure, monkeypatch):
+    """W4 and vartheta are computed when first read, from the d omega the
+    classes were split from, and equal (1/4) omega _| d omega and
+    -J d* omega; d omega and the structure take no part in equality or
+    repr, and building the classes takes no codifferential."""
+    from nilg2 import su3
+    from nilg2.exterior import interior, j_apply
+
+    calls = []
+    codiff = su3.codifferential
+    monkeypatch.setattr(su3, "codifferential", lambda s, a: (calls.append(a), codiff(s, a))[1])
+    structures = [iwasawa_structure] + [instantiate(n, params=pctx)[1]
+                                        for n in ("case1", "case2", "case3")]
+    structures.append(build_structure(structures[1].algebra,
+                                      case2_gauge_rotation(pctx, Fraction(3, 5), Fraction(4, 5))))
+    for s in structures:
+        c = torsion_classes(s)
+        assert calls == [] and "W4" not in vars(c) and "vartheta" not in vars(c)
+        assert c.d_omega == s.d(s.omega)
+        assert c.W4 == interior(s.omega, s.d(s.omega)).scale(Fraction(1, 4))
+        assert c.vartheta == -j_apply(codiff(s, s.omega))
+        assert len(calls) == 1 and c.vartheta is c.vartheta and len(calls) == 1
+        calls.clear()
+        assert "d_omega" not in repr(c) and "structure" not in repr(c)
+        other = torsion_classes(s)
+        assert other == c and hash(other) == hash(c)
+    # omega _| (omega ^ e^1) = 2 e^1, as |omega ^ e^1|^2 = 2: W4 = e^1/2
+    e1 = s.omega.ctx.basis(1)
+    moved = dataclasses.replace(c, d_omega=c.d_omega + s.omega.wedge(e1))
+    assert moved.W4 == c.W4 + e1.scale(Fraction(1, 2)) and moved == c
 
 
 # ---------------------------------------------------------------------------

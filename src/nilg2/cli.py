@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _json_str  # a str as json.dumps writes it
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -53,8 +53,6 @@ from .su3 import (
 )
 
 SCHEMA_VERSION = 1
-
-_json_str = encode_basestring_ascii  # a str as ``json.dumps`` writes it
 
 
 def _json_atom(value) -> str:

@@ -218,8 +218,8 @@ def _jacobi_holds(table: Sequence[Mapping], zero: Optional[tuple] = None) -> boo
     parameter-free algebra, or on the numerators of L*d (``zero`` given).
     Either way this is L^2 d^2, one entry at a time."""
     for row in table:
-        out = _leibniz(table, row, None, zero)
-        if any(any(x.values()) for x in out.values()) if zero is not None else any(out.values()):
+        out = _leibniz(table, row, None, zero).values()
+        if any(out if zero is None else (x for numer in out for x in numer.values())):
             return False
     return True
 
@@ -308,9 +308,10 @@ class LieAlgebra:
             zero = params._zero_monom
             scaled = _as_numerators([a.comps], zero)
             if scaled is not None:
-                den = self._slices[1] * scaled[1]
+                (numerators,), scale = scaled
+                den = self._slices[1] * scale
                 comps = {}
-                for m, numer in _leibniz(self._numerators, scaled[0][0], None, zero).items():
+                for m, numer in _leibniz(self._numerators, numerators, None, zero).items():
                     if not all(numer.values()):
                         numer = {e: x for e, x in numer.items() if x}
                         if not numer:

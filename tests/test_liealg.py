@@ -751,7 +751,8 @@ def test_numerators_are_the_slices_of_the_table_by_entry(pctx):
         slices, scale = moved._slices
         numerators = liealg._numerators_of(slices)
         assert moved._numerators == numerators
-        assert LieAlgebra(moved.ctx, moved.d_table, require_nilpotent=False)._numerators == numerators
+        rebuilt = LieAlgebra(moved.ctx, moved.d_table, require_nilpotent=False)
+        assert rebuilt._numerators == numerators
         assert liealg._as_numerators([f.comps for f in moved.d_table], pctx._zero_monom) == (
             numerators, scale)
     plain = parse_salamon("0,0,1/2*12,13,23,14", pctx)

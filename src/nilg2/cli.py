@@ -38,6 +38,7 @@ from .g2 import G2Error, build_product, dT_tests, torsion
 from .liealg import (
     GenericEvaluationError,
     JacobiError,
+    LieAlgebra,
     NilpotencyError,
     betti_numbers,
     fingerprint,
@@ -273,13 +274,17 @@ def _dispatch(args, ctx: ParameterContext, bindings: Dict[str, Fraction]) -> Rep
     raise AssertionError(command)
 
 
+def _load_algebra(text: str, ctx: ParameterContext, bindings: Dict[str, Fraction]) -> LieAlgebra:
+    """The algebra of a Salamon table, bound by --param when it binds anything."""
+    g = parse_salamon(text, ctx)
+    return g.bind(bindings) if bindings else g
+
+
 def _cmd_check(text: str, ctx: ParameterContext,
                bindings: Dict[str, Fraction]) -> Report:
     report = Report(command="check", input_description=text)
     try:
-        g = parse_salamon(text, ctx)
-        if bindings:
-            g = g.bind(bindings)
+        g = _load_algebra(text, ctx, bindings)
     except JacobiError as exc:
         report.add("jacobi", False, "d^2 != 0",
                    index=exc.index, certificate=form_str(exc.certificate))
@@ -297,9 +302,7 @@ def _cmd_check(text: str, ctx: ParameterContext,
 def _cmd_betti(text: str, ctx: ParameterContext,
                bindings: Dict[str, Fraction], seed: int) -> Report:
     report = Report(command="betti", input_description=text)
-    g = parse_salamon(text, ctx)
-    if bindings:
-        g = g.bind(bindings)
+    g = _load_algebra(text, ctx, bindings)
     try:
         values = dict(enumerate(betti_numbers(g, seed), start=1))
     except GenericEvaluationError as exc:
@@ -313,9 +316,7 @@ def _cmd_betti(text: str, ctx: ParameterContext,
 def _cmd_fingerprint(text: str, ctx: ParameterContext,
                      bindings: Dict[str, Fraction], seed: int) -> Report:
     report = Report(command="fingerprint", input_description=text)
-    g = parse_salamon(text, ctx)
-    if bindings:
-        g = g.bind(bindings)
+    g = _load_algebra(text, ctx, bindings)
     try:
         fp = fingerprint(g, seed)
     except GenericEvaluationError as exc:
@@ -420,9 +421,7 @@ def _cmd_theorem() -> Report:
 def _cmd_contract(text: str, exponents: str, direction: str,
                   ctx: ParameterContext, bindings: Dict[str, Fraction]) -> Report:
     report = Report(command="contract", input_description=text)
-    g = parse_salamon(text, ctx)
-    if bindings:
-        g = g.bind(bindings)
+    g = _load_algebra(text, ctx, bindings)
     try:
         exps = [int(x) for x in exponents.split(",")]
     except ValueError:

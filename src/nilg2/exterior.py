@@ -371,22 +371,19 @@ def _pull_back(tables: Sequence[Mapping], rows: Sequence[Sequence]) -> List[dict
     return [_linear_combination((c, image(m)) for m, c in table.items()) for table in tables]
 
 
-def substitute_coframe(a, rows: Sequence[Sequence]):
-    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j applied to ``a``, a
-    Form or a sequence of Forms (then the list of their images).
+def substitute_coframe(a: Form, rows: Sequence[Sequence]) -> Form:
+    """The algebra map e^i -> sum_j rows[i-1][j-1] e^j applied to ``a``.
 
     Each e^I = e^{i1} ^ ... ^ e^{ik} goes to the wedge product of the rows
     it names, so the signs are those of ``_wedge``; each word's image is
-    built once per call, for every term of every form.  The rows are
-    Scalars, or ints: a matrix R/q scaled to the int matrix R over a
-    positive int q, whose word images are then computed in ints and send a
-    k-form to q^k times its image under R/q (the images are Scalars all the
-    same).  A basis change f = B e pulls a form written in the f^i back to
-    the e^i with the rows of B, and the volume goes to det(B) times itself.
+    built once, by ``_pull_back``.  The rows are Scalars, or ints: a matrix
+    R/q scaled to the int matrix R over a positive int q, whose word images
+    are then computed in ints and send a k-form to q^k times its image
+    under R/q (the images are Scalars all the same).  A basis change
+    f = B e pulls a form written in the f^i back to the e^i with the rows
+    of B, and the volume goes to det(B) times itself.
     """
-    if isinstance(a, Form):
-        return substitute_coframe([a], rows)[0]
-    return [Form(f.ctx, comps) for f, comps in zip(a, _pull_back([f.comps for f in a], rows))]
+    return Form(a.ctx, _pull_back([a.comps], rows)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,16 @@ The differential extends to all grades as the unique degree +1 derivation.
 ``exterior.parse_form``, and ``salamon_str`` prints each entry's
 ``form_str`` without spaces, so tables and forms share one term grammar.
 
-A polynomial table is held in Python ints as its exponent slices:
-L*d = sum_e t^e D_e, with L the lcm of its denominators, t^e a monomial in
-the parameters and each D_e an int table; a parameter-free table is its
-one slice at exponent 0.  Basis changes by a parameter-free matrix run on
-the slices.  A table with parameters is also held by entry, as the
-numerators {mask: {exponent: int}} of L*d: its Jacobi check, and ``d`` of
-a form with polynomial coefficients, sum the Leibniz rule on them in ints.
-A parameter-free table is checked on its one slice.  The invariants
+A polynomial table is held in Python ints as the numerators of L*d, L the
+lcm of its denominators: {mask: {exponent: int}} per entry, a parameter-free
+table having every numerator at exponent 0 alone.  Its Jacobi check, and
+``d`` of a form with polynomial coefficients, sum the Leibniz rule on them;
+a basis change by a parameter-free matrix slices them by exponent,
+L*d = sum_e t^e D_e, for its one pull-back.  The invariants
 (``betti_numbers``, ``fingerprint``) are computed on an int table by
-fraction-free elimination: that of a parameter-free table, or the slices
-bound at a point p, sum_e p^e D_e = L*d(p).  No invariant changes: d
-enters linearly, and a rank or a span is that of any nonzero multiple.
+fraction-free elimination: the numerators bound at a point p, L*d(p), which
+at the empty point is a parameter-free table's L*d.  No invariant changes:
+d enters linearly, and a rank or a span is that of any nonzero multiple.
 The fingerprint section lists which elimination gives which field.
 ``LieAlgebra.bind`` evaluates the table at a binding; a binding that leaves
 a parameter unbound or makes a denominator vanish raises ``ScalarError``.
@@ -26,7 +24,7 @@ An invariant of a table with unbound parameters is evaluated at two points
 with disjoint prime coordinates, moved by ``seed``; the two values must
 agree, else :class:`GenericEvaluationError` is raised.
 That is a sampled generic value, not an identity in the parameters.  A
-table with a rational-function entry has no slices: it is bound by
+table with a rational-function entry has no numerators: it is bound by
 ``_bind_table`` at each point and scaled to ints there.
 """
 
@@ -88,20 +86,17 @@ class SalamonSyntaxError(ScalarSyntaxError):
     """Malformed Salamon table; carries the offending position."""
 
 
-def _leibniz(table: Sequence[Mapping], comps: Mapping, out: Optional[dict] = None,
-             zero: Optional[tuple] = None) -> dict:
+def _leibniz(table: Sequence[Mapping], comps: Mapping, zero: Optional[tuple] = None) -> dict:
     """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0).
 
     ``table`` holds the components of the d e^i and ``comps`` those of the
     form, with Scalar or int values, or, when ``zero`` (the zero exponent
     tuple) is given, with numerators {exponent: int}.  A coefficient equal
     to 1 multiplies nothing: d on a basis word takes the table entries with
-    their signs.  The terms are added to ``out`` when it is given; numerators
-    are summed in place, and a constant one, {zero: c}, scales the table's
-    numerators without adding exponents.  A sum that cancels is kept as a
-    zero."""
-    if out is None:
-        out = {}
+    their signs.  Numerators are summed in place, and a constant one,
+    {zero: c}, scales the table's numerators without adding exponents.  A
+    sum that cancels is kept as a zero."""
+    out: dict = {}
     numerators = zero is not None
     if numerators:
         sums: Dict[tuple, tuple] = {}  # exponent sums e + f, by (e, f)
@@ -203,23 +198,11 @@ def _slices_of(numerators: Sequence[Mapping], zero: tuple) -> Dict[tuple, List[d
     return slices or {zero: [{} for _ in numerators]}
 
 
-def _numerators_of(slices: Mapping[tuple, Sequence[Mapping]]) -> List[Dict[int, dict]]:
-    """The numerators {mask: {exponent: int}} of each entry, from the slices."""
-    out: List[Dict[int, dict]] = [{} for _ in next(iter(slices.values()))]
-    for e, rows in slices.items():
-        for entries, row in zip(out, rows):
-            for m, x in row.items():
-                entries.setdefault(m, {})[e] = x
-    return out
-
-
-def _jacobi_holds(table: Sequence[Mapping], zero: Optional[tuple] = None) -> bool:
-    """Whether d(d e^i) = 0 for every i, in ints: on the int table L*d of a
-    parameter-free algebra, or on the numerators of L*d (``zero`` given).
-    Either way this is L^2 d^2, one entry at a time."""
-    for row in table:
-        out = _leibniz(table, row, None, zero).values()
-        if any(out if zero is None else (x for numer in out for x in numer.values())):
+def _jacobi_holds(numerators: Sequence[Mapping], zero: tuple) -> bool:
+    """Whether d(d e^i) = 0 for every i, in ints, on the numerators of L*d:
+    this is L^2 d^2, one entry at a time."""
+    for row in numerators:
+        if any(x for numer in _leibniz(numerators, row, zero).values() for x in numer.values()):
             return False
     return True
 
@@ -239,79 +222,62 @@ class LieAlgebra:
 
     Construction verifies d^2 = 0 (raising :class:`JacobiError`) and, unless
     ``require_nilpotent=False``, the existence of the nilpotent filtration
-    V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.  A polynomial table is
-    also kept in ints, built once here: as its exponent slices
-    (``_slices_of``), which ``change_basis`` and the invariants read,
-    and, when it has parameters, as the numerators of its entries over the
-    same L, {mask: {exponent: int}} per entry, on which d^2 = 0 is checked
-    and ``d`` runs.  A parameter-free table is its slice at exponent 0,
-    ``_integer``, on which the Jacobi and nilpotency checks run.  The Scalar
-    certificate of a failing Jacobi check is computed only to be raised.
+    V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.  A polynomial table,
+    parameter-free or not, is also kept in ints, built once here or handed
+    on by ``change_basis``: ``_numerators`` is (N, L), N the numerators
+    {mask: {exponent: int}} of L*d per entry.  The Jacobi check and ``d``
+    run on them, ``change_basis`` slices them by exponent and the
+    invariants bind them.  The Scalar certificate of a failing Jacobi check
+    is computed only to be raised.
     """
 
-    __slots__ = ("ctx", "d_table", "_nilpotent", "_slices", "_numerators")
+    __slots__ = ("ctx", "d_table", "_nilpotent", "_numerators")
 
     def __init__(self, ctx: FrameContext, d_table: Sequence[Form], require_nilpotent: bool = True,
-                 *, _slices=None, _numerators=None):
-        """``_slices`` is (slices, L) and ``_numerators`` the numerators of
-        the entries over the same L when the caller has them
+                 *, _numerators=None):
+        """``_numerators`` is (numerators, L) when the caller has them
         (``change_basis``); None derives them here."""
         d_table = tuple(d_table)
         if len(d_table) != ctx.dim:
             raise ValueError(f"expected {ctx.dim} coframe derivatives, got {len(d_table)}")
+        two_forms = frozenset(_basis_masks(ctx.dim, 2))
         for i, f in enumerate(d_table, start=1):
             if f.ctx != ctx:
                 raise ExteriorError("frame context mismatch in d-table")
-            if f.grades() not in ((), (2,)):
+            if not f.comps.keys() <= two_forms:
                 raise ExteriorError(f"d e^{i} must be a 2-form")
         zero = ctx.params._zero_monom
-        if _slices is None:
-            scaled = _as_numerators([f.comps for f in d_table], zero)
-            if scaled is not None:
-                _numerators, scale = scaled
-                _slices = _slices_of(_numerators, zero), scale
-        if _slices is None:
-            holds = False
-        elif len(_slices[0]) == 1 and zero in _slices[0]:  # parameter-free
-            _numerators = None
-            holds = _jacobi_holds(_slices[0][zero])
-        else:
-            if _numerators is None:
-                _numerators = _numerators_of(_slices[0])
-            holds = _jacobi_holds(_numerators, zero)
-        if not holds:
+        if _numerators is None:
+            _numerators = _as_numerators([f.comps for f in d_table], zero)
+        if _numerators is None or not _jacobi_holds(_numerators[0], zero):
             bad = jacobi_certificates(d_table)
             if bad:
                 raise JacobiError(*bad[0])
         self.ctx = ctx
         self.d_table = d_table
-        self._slices = _slices
         self._numerators = _numerators
         self._nilpotent = None
         if require_nilpotent and not self.is_nilpotent_presentation():
             raise NilpotencyError("not presented nilpotently (no admissible filtration)")
 
-    @property
-    def _integer(self) -> Optional[Tuple[List[Dict[int, int]], int]]:
-        """(L*d, L) of a parameter-free table, its one slice; else None."""
-        if self._slices is not None and self._numerators is None:
-            return self._slices[0][self.ctx.params._zero_monom], self._slices[1]
-        return None
-
     def d(self, a: Form) -> Form:
-        """d a.  A table with parameters runs in ints when no coefficient of
-        ``a`` is a rational function: a is written as numerators over one
-        int M, d is summed on them and its table's numerators over L, and
-        each component is reduced once, over L*M.  Otherwise on Scalars."""
-        params = self.ctx.params
-        if self._numerators is not None and a.ctx.params is params:
+        """d a.  A polynomial table runs in ints when no coefficient of ``a``
+        is a rational function: a is written as numerators over one int M,
+        d is summed on them and its table's numerators over L, and each
+        component is reduced once, over L*M.  Otherwise on Scalars.  A form
+        of another frame raises ExteriorError."""
+        if a.ctx != self.ctx:
+            raise ExteriorError("frame context mismatch")
+        if self._numerators is not None:
+            params = self.ctx.params
             zero = params._zero_monom
             scaled = _as_numerators([a.comps], zero)
             if scaled is not None:
                 (numerators,), scale = scaled
-                den = self._slices[1] * scale
+                table, den = self._numerators
+                den *= scale
                 comps = {}
-                for m, numer in _leibniz(self._numerators, numerators, None, zero).items():
+                for m, numer in _leibniz(table, numerators, zero).items():
                     if not all(numer.values()):
                         numer = {e: x for e, x in numer.items() if x}
                         if not numer:
@@ -348,9 +314,11 @@ class LieAlgebra:
 
     def _check_filtration(self) -> bool:
         """The lower central series must reach 0; a parameter-free table
-        descends in ints, as the invariants do."""
-        integer = self._integer
-        table = [f.comps for f in self.d_table] if integer is None else integer[0]
+        descends in ints, bound at the empty point as the invariants are."""
+        if self._numerators is None or self.params():
+            table = [f.comps for f in self.d_table]
+        else:
+            table = _bound(self._numerators[0], self.ctx.params.names, {})
         brackets, n = _structure(table)[0], self.ctx.dim
         return _lower_central(brackets, n, _commutator(brackets, n))[-1] == 0
 
@@ -362,6 +330,12 @@ class LieAlgebra:
                                 for row in _bind_table(self.d_table, bindings)])
 
     def params(self) -> frozenset:
+        """The parameters of the table: those whose exponents occur in its
+        numerators, else those of its Scalars."""
+        if self._numerators is not None:
+            exponents = {e for row in self._numerators[0] for numer in row.values() for e in numer}
+            return frozenset(nm for i, nm in enumerate(self.ctx.params.names)
+                             if any(e[i] for e in exponents))
         used = set()
         for f in self.d_table:
             for c in f.comps.values():
@@ -458,46 +432,51 @@ def _bind_table(d_table: Sequence[Form], bindings: Mapping[str, Fraction]):
     return [{m: value(c) for m, c in f.comps.items()} for f in d_table]
 
 
-def _bound_slices(slices: Mapping[tuple, Sequence[Mapping]], names: Sequence[str],
-                  point: Mapping[str, int]) -> List[dict]:
-    """sum_e p^e D_e, which is L*d at the int point p, in ints; a name
-    that no exponent uses may be left out of ``point``."""
+def _bound(numerators: Sequence[Mapping], names: Sequence[str],
+           point: Mapping[str, int]) -> List[dict]:
+    """L*d at the int point p, {mask: int} per entry: each numerator summed
+    as sum_e x p^e, in ints.  A name that no exponent uses may be left out
+    of ``point``; at the empty point this is a parameter-free table's L*d."""
     values = [point.get(nm, 1) for nm in names]
-    table: List[dict] = [{} for _ in next(iter(slices.values()))]
-    for e, rows in slices.items():
-        weight = 1
-        for v, k in zip(values, e):
-            if k:
-                weight *= v ** k
-        for out, row in zip(table, rows):
-            for m, x in row.items():
-                out[m] = out.get(m, 0) + weight * x
-    return [_nonzero(row) for row in table]
+    weights: Dict[tuple, int] = {}
+    table = []
+    for row in numerators:
+        out = {}
+        for m, numer in row.items():
+            total = 0
+            for e, x in numer.items():
+                weight = weights.get(e)
+                if weight is None:
+                    weight = 1
+                    for v, k in zip(values, e):
+                        if k:
+                            weight *= v ** k
+                    weights[e] = weight
+                total += weight * x
+            if total:
+                out[m] = total
+        table.append(out)
+    return table
 
 
 def _generic_value(g: LieAlgebra, seed: int, compute):
-    """``compute(table, n)`` on an integer table: once on the one a
-    parameter-free algebra holds, else at the two seeded points, where the
-    values must agree.  A polynomial table binds its slices there; a
+    """``compute(table, n)`` on an integer table: once, at the empty point,
+    when the table has no parameters, else at the two seeded points, where
+    the values must agree.  A polynomial table binds its numerators there; a
     rational-function table is bound and scaled, and a vanishing
     denominator is a non-generic evaluation."""
     n = g.ctx.dim
-    integer = g._integer
-    if integer is not None:
-        return compute(integer[0], n)
+    used = g.params()
     values = set()
-    if g._slices is not None:
-        slices, names = g._slices[0], g.ctx.params.names
-        used = [nm for i, nm in enumerate(names) if any(e[i] for e in slices)]
-        for point in _generic_bindings(used, seed):
-            values.add(compute(_bound_slices(slices, names, point), n))
-    else:
-        for point in _generic_bindings(g.params(), seed):
+    for point in _generic_bindings(used, seed) if used else ({},):
+        if g._numerators is not None:
+            table = _bound(g._numerators[0], g.ctx.params.names, point)
+        else:
             try:
-                table = _bind_table(g.d_table, point)
+                table = _integer_table(_bind_table(g.d_table, point))[0]
             except ScalarError as exc:
                 raise GenericEvaluationError(f"binding failed: {exc}") from None
-            values.add(compute(_integer_table(table)[0], n))
+        values.add(compute(table, n))
     if len(values) > 1:
         raise GenericEvaluationError("non-generic evaluation")
     return values.pop()
@@ -630,19 +609,16 @@ def _series(table: Sequence[Mapping], n: int):
 # fingerprints
 #
 # Invariants are computed in Python ints on L*d, the table times the lcm L
-# of its denominators.  An algebra builds its exponent slices
-# L*d = sum_e t^e D_e once, in its constructor, or takes them from
-# ``change_basis``; a table with parameters also keeps the same L*d by
-# entry, as numerators {mask: {exponent: int}}, which its Jacobi check and
-# ``LieAlgebra.d`` read and no invariant does.  A parameter-free table is
-# its slice at exponent 0, which every invariant reads; a table with
-# parameters binds its slices at two points, in ints, to
-# sum_e p^e D_e = L*d(p).  A rational-function table is
-# bound by ``_bind_table`` and scaled by ``_integer_table`` at each point.  No
-# invariant changes: the Leibniz rule is linear in the table, so L*d is L
-# times d on every grade, and a rank or a span is the same for a nonzero
-# multiple of a map (the algebra with brackets L[.,.] is isomorphic to g
-# through x -> L*x).  Every elimination runs fraction-free in ``linalg``.
+# of its denominators.  An algebra holds L*d by entry, as numerators
+# {mask: {exponent: int}}, built once in its constructor or taken from
+# ``change_basis``; the invariants bind them, in ints, to L*d(p): once at
+# the empty point when the table has no parameters, else at two points.  A
+# rational-function table is bound by ``_bind_table`` and scaled by
+# ``_integer_table`` at each point.  No invariant changes: the Leibniz
+# rule is linear in the table, so L*d is L times d on every grade, and a
+# rank or a span is the same for a nonzero multiple of a map (the algebra
+# with brackets L[.,.] is isomorphic to g through x -> L*x).  Every
+# elimination runs fraction-free in ``linalg``.
 #
 # The eliminations of one table and the fields they give:
 # - the rows d e^i over Lambda^2: wedge_data[0] = rank d|Lambda^1, and a
@@ -831,25 +807,29 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     each d e^j pulled back once; Jacobi is re-verified.
 
     With B = R/q and B^-1 = A/a, a polynomial table runs in ints on its
-    slices L*d = sum_e t^e D_e, as the map is linear in the table: every
-    slice is pulled back through A in one call, so each word's image is
-    built once, and combined with R's rows.  That gives q a^2 L times the
-    new table, which is divided by one gcd and handed to the new algebra as
-    its own slices; each entry becomes one Scalar.  A rational-function
-    table or a matrix with parameters runs on the Scalar rows.
+    numerators, sliced by exponent as L*d = sum_e t^e D_e, since the map is
+    linear in the table: every slice is pulled back through A in one call,
+    so each word's image is built once, and combined with R's rows.  That
+    gives q a^2 L times the new table, which is divided by one gcd and
+    handed to the new algebra as its numerators; each entry becomes one
+    Scalar.  A rational-function table or a matrix with parameters runs on
+    the Scalar rows.
     """
     if B.dim != g.ctx.dim:
         raise ValueError("dimension mismatch")
     if B.params is not g.ctx.params:  # ints would not notice
         raise ScalarError("mixed parameter contexts")
     R, q = B._scaled_rows()
-    if g._slices is None or R is B.rows:  # a rational function in the table, or parameters in B
+    if g._numerators is None or R is B.rows:  # a rational function in the table, or parameters in B
         pulled = _pull_back([f.comps for f in g.d_table], B.inverse_rows())
         new_table = [Form(g.ctx, _linear_combination((c, d) for c, d in zip(row, pulled) if c))
                      for row in B.rows]
         return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
     A, a = B._scaled_inverse_rows()
-    slices, scale = g._slices
+    numerators, scale = g._numerators
+    params = g.ctx.params
+    zero = params._zero_monom
+    slices = _slices_of(numerators, zero)
     n = g.ctx.dim
     pulled = _pull_back([row for rows in slices.values() for row in rows], A)
     combined = [_linear_combination((c, d) for c, d in zip(row, images) if c)
@@ -857,15 +837,15 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     den = q * a * a * scale
     common = gcd(den, *(x for row in combined for x in row.values()))
     den //= common
-    combined = [{m: x // common for m, x in row.items() if x} for row in combined]
-    moved_slices = {e: combined[k * n:(k + 1) * n] for k, e in enumerate(slices)}
-    params = g.ctx.params
-    zero = params._zero_monom
-    numerators = _numerators_of(moved_slices)
+    moved: List[Dict[int, dict]] = [{} for _ in range(n)]
+    for k, e in enumerate(slices):
+        for entries, row in zip(moved, combined[k * n:(k + 1) * n]):
+            for m, x in row.items():
+                if x:
+                    entries.setdefault(m, {})[e] = x // common
     new_table = [Form(g.ctx, {m: Scalar(params, _reduced(numer, den, zero))
-                              for m, numer in entries.items()}) for entries in numerators]
-    return LieAlgebra(g.ctx, new_table, require_nilpotent=False, _slices=(moved_slices, den),
-                      _numerators=numerators)
+                              for m, numer in entries.items()}) for entries in moved]
+    return LieAlgebra(g.ctx, new_table, require_nilpotent=False, _numerators=(moved, den))
 
 
 def is_isomorphic_via(g: LieAlgebra, B: BasisChange, target: LieAlgebra) -> bool:

@@ -16,6 +16,7 @@ from nilg2.exterior import (
     FormSyntaxError,
     FrameContext,
     _lefschetz_solver,
+    _pull_back,
     form_str,
     hodge,
     inner,
@@ -567,11 +568,13 @@ def test_substitute_coframe_is_the_algebra_map(frame6, pctx, data):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_substitute_coframe_of_several_forms_is_each_alone(frame6, pctx, data):
-    """One call over several forms, whose words share one image table,
-    gives each form's image by itself, in order."""
+    """One ``_pull_back`` call over several forms, whose words share one
+    image table, gives each form's image by itself, in order."""
     rows = data.draw(_matrices(pctx))
     forms = data.draw(st.lists(_forms(frame6), max_size=4))
-    assert substitute_coframe(forms, rows) == [substitute_coframe(f, rows) for f in forms]
+    images = _pull_back([f.comps for f in forms], rows)
+    assert [Form(frame6, comps) for comps in images] == [
+        substitute_coframe(f, rows) for f in forms]
 
 
 @settings(max_examples=100)

@@ -53,6 +53,10 @@ def test_parse_errors(pctx):
     # an entry of another grade is a well-formed literal, rejected by LieAlgebra
     with pytest.raises(ExteriorError, match="d e\\^6 must be a 2-form"):
         parse_salamon("0,0,12,13,23,123", pctx)
+    # so is one that mixes a 2-form with a 0-, 1- or 3-form
+    for entry in ("12+3", "12+(2)", "12+345"):
+        with pytest.raises(ExteriorError, match="d e\\^6 must be a 2-form"):
+            parse_salamon(f"0,0,12,13,23,{entry}", pctx)
 
 
 def test_salamon_and_form_parsers_split_terms_alike(pctx, frame6):
@@ -196,6 +200,16 @@ def test_d_squared_zero(iwasawa, pctx):
         for k in range(1, 5):
             probe = g.ctx.basis(*range(1, k + 1))
             assert g.d(g.d(probe)).is_zero
+
+
+def test_d_rejects_a_form_of_another_frame(pctx):
+    """A form of another dimension, or of a frame with other parameters,
+    is a frame context mismatch, as in the Form operations."""
+    g = parse_salamon("0,0,lam*12,13,23,14", ParameterContext(["lam"]))
+    for ctx in (FrameContext(7, g.ctx.params), FrameContext(6, ParameterContext(["mu"]))):
+        with pytest.raises(ExteriorError, match="frame context mismatch"):
+            g.d(parse_form(ctx, "4"))
+    assert g.d(parse_form(g.ctx, "4")) == parse_form(g.ctx, "13")
 
 
 def test_check_jacobi_certificate(pctx):
@@ -480,7 +494,8 @@ def test_wedge_radical_of_entry_14m25_in_a_seeded_basis(pctx):
     assert fingerprint(g) == fingerprint(parse_salamon(NAMED_ALGEBRAS["entry_14m25"], pctx))
     table, scale = liealg._integer_table(liealg._bind_table(g.d_table, {}))
     assert all(type(x) is int for row in table for x in row.values())
-    assert g._integer == (table, scale)
+    numerators, den = g._numerators
+    assert (liealg._bound(numerators, pctx.names, {}), den) == (table, scale)
     copies = [dict(row) for row in table]
     image = linalg._eliminate(table, _basis_masks(6, 2), full=False)[0]
     image_copies = [dict(row) for row in image]
@@ -613,28 +628,29 @@ def _family_basis_changes(pctx):
 def test_symbolic_change_basis_carries_the_slices_of_its_own_table(pctx):
     """A family changed by a rational matrix runs on its exponent slices:
     the new table is the one B's rows give on the pulled-back Scalar
-    entries, and the slices it hands on are those of that table."""
+    entries, and the numerators it hands on are those of that table."""
     for name, g, B, moved in _family_basis_changes(pctx):
-        pulled = substitute_coframe(list(g.d_table), B.inverse_rows())
+        pulled = [substitute_coframe(f, B.inverse_rows()) for f in g.d_table]
         expected = tuple(sum((d.scale(c) for c, d in zip(row, pulled)), g.ctx.zero_form())
                          for row in B.rows)
         assert moved.d_table == expected, (name, B)
         rebuilt = LieAlgebra(moved.ctx, moved.d_table, require_nilpotent=False)
-        assert moved._slices == rebuilt._slices, (name, B)
-        assert moved._integer is None and len(moved._slices[0]) > 1
+        assert moved._numerators == rebuilt._numerators, (name, B)
+        assert moved.params() and len(liealg._slices_of(moved._numerators[0],
+                                                        pctx._zero_monom)) > 1
 
 
 def test_symbolic_invariants_match_the_bound_table_route(pctx):
-    """At each seeded point the slices bind to L times the table that
+    """At each seeded point the numerators bind to L times the table that
     ``_bind_table`` gives there, and ``fingerprint`` and ``betti_numbers``
     equal the values of that bound table."""
     names = pctx.names
     for name, _, B, moved in _family_basis_changes(pctx):
-        slices, scale = moved._slices
+        numerators, scale = moved._numerators
         fp, betti = fingerprint(moved), betti_numbers(moved)
         for point in liealg._generic_bindings(moved.params()):
             bound = liealg._bind_table(moved.d_table, point)
-            assert liealg._bound_slices(slices, names, point) == [
+            assert liealg._bound(numerators, names, point) == [
                 {m: x * scale for m, x in row.items() if x} for row in bound]
             table = liealg._integer_table(bound)[0]
             assert liealg._fingerprint_of_table(table, 6) == fp, (name, B)
@@ -664,7 +680,7 @@ def test_polynomial_jacobi_failure_reports_the_unscaled_certificate(pctx):
 
 def test_parameters_in_the_matrix_or_a_rational_function_keep_the_scalar_path(pctx, monkeypatch):
     """A matrix with parameters, or a table with a rational-function entry,
-    is pulled back through Scalar rows; such a table has no slices, so its
+    is pulled back through Scalar rows; such a table has no numerators, so its
     invariants bind the Scalar table at both points.  A polynomial table
     under a rational matrix pulls back through int rows and binds nothing."""
     pulled_through, bindings = [], []
@@ -676,7 +692,7 @@ def test_parameters_in_the_matrix_or_a_rational_function_keep_the_scalar_path(pc
     rng = random.Random(29)
     family = parse_salamon(FAMILIES["case2"].table, pctx)
     rational_function = parse_salamon("0,0,0,0,(1/lam)*12,k*13+15", pctx)
-    assert rational_function._slices is None
+    assert rational_function._numerators is None
     cases = [(family, _witness_style(rng, pctx), liealg.Scalar),
              (rational_function, random_invertible(rng, pctx), liealg.Scalar),
              (family, random_invertible(rng, pctx), int)]
@@ -687,21 +703,23 @@ def test_parameters_in_the_matrix_or_a_rational_function_keep_the_scalar_path(pc
         expected = fingerprint(g)
         bindings.clear()
         assert fingerprint(moved) == expected
-        assert len(bindings) == (0 if moved._slices else 2)
-    assert moved._slices is not None
+        assert len(bindings) == (0 if moved._numerators else 2)
+    assert moved._numerators is not None
 
 
 _POLYNOMIAL_COEFFICIENTS = ("1", "-1", "3/2", "-5/7", "2/9", "lam", "k*z/3", "(a1+z)^2/2",
                             "-lam^2*k/5", "t + 1/3", "3*a1*lam - 2/9", "k - lam/4")
 
 
-def _seeded_forms(rng, ctx, pctx, coefficients=_POLYNOMIAL_COEFFICIENTS):
+def _seeded_forms(rng, ctx, coefficients=_POLYNOMIAL_COEFFICIENTS):
     """One form of every grade 0..n, each on up to five seeded basis words
-    with coefficients drawn from ``coefficients``, and one mixed-grade form."""
+    with coefficients drawn from ``coefficients`` and read in the frame's
+    parameter context, and one mixed-grade form."""
     forms = []
     for k in range(ctx.dim + 1):
         masks = rng.sample(_basis_masks(ctx.dim, k), min(5, len(_basis_masks(ctx.dim, k))))
-        forms.append(liealg.Form(ctx, {m: pctx.parse(rng.choice(coefficients)) for m in masks}))
+        forms.append(liealg.Form(ctx, {m: ctx.params.parse(rng.choice(coefficients))
+                                       for m in masks}))
     forms.append(sum(forms[1:4], ctx.zero_form()))
     return forms
 
@@ -718,11 +736,13 @@ def _scalar_hashes(form):
 
 
 def test_numerator_d_matches_the_scalar_route(pctx, monkeypatch):
-    """On a table with parameters, d of a form with polynomial and rational
+    """On a polynomial table, d of a form with polynomial and rational
     coefficients runs on numerators in ints; it equals d on Scalars
     (``_d_on_form``), Scalar by Scalar, for every grade, on the three
     families, 20 seeded basis changes and the gauge rotations of each, and
-    their seven-dimensional products."""
+    their seven-dimensional products.  So does a parameter-free table: every
+    named algebra, each family bound at a rational point, and their
+    products, with forms in each table's own parameter context."""
     scalar_route = liealg._d_on_form
     fallbacks = []
     monkeypatch.setattr(liealg, "_d_on_form", lambda table, a: (
@@ -734,9 +754,17 @@ def test_numerator_d_matches_the_scalar_route(pctx, monkeypatch):
     for spec in FAMILIES.values():
         g = parse_salamon(spec.table, pctx)
         algebras += [g, _product(g)]
-    for g in algebras:
-        assert g._numerators is not None and g._integer is None
-        for a in _seeded_forms(rng, g.ctx, pctx):
+    assert all(g.params() for g in algebras)
+    point = {"lam": Fraction(1, 2), "k": 3, "z": Fraction(-2, 3), "a1": Fraction(5, 4)}
+    plain = [parse_salamon(text, pctx) for text in NAMED_ALGEBRAS.values()]
+    plain += [parse_salamon(spec.table, pctx).bind(point) for spec in FAMILIES.values()]
+    plain += [_product(g) for g in plain]
+    assert not any(g.params() for g in plain)
+    for g in algebras + plain:
+        assert g._numerators is not None
+        # the first five coefficients are rational: a bound table's frame has no parameters
+        coefficients = _POLYNOMIAL_COEFFICIENTS[:None if g.ctx.params is pctx else 5]
+        for a in _seeded_forms(rng, g.ctx, coefficients):
             fast, slow = g.d(a), scalar_route(g.d_table, a)
             assert fast == slow, (salamon_str(g), form_str(a))
             assert _scalar_hashes(fast) == _scalar_hashes(slow)
@@ -745,24 +773,29 @@ def test_numerator_d_matches_the_scalar_route(pctx, monkeypatch):
 
 def test_numerators_are_the_slices_of_the_table_by_entry(pctx):
     """The numerators an algebra holds, derived in its constructor or handed
-    on by ``change_basis``, are the entries of L*d, {mask: {exponent: int}};
-    a parameter-free table holds none and keeps its int table."""
+    on by ``change_basis``, are the entries of L*d, {mask: {exponent: int}},
+    and its exponent slices by entry; a parameter-free table holds each at
+    exponent 0 alone, which bind at the empty point to its int table."""
+    zero = pctx._zero_monom
     for _, _, _, moved in _family_basis_changes(pctx)[::7]:
-        slices, scale = moved._slices
-        numerators = liealg._numerators_of(slices)
-        assert moved._numerators == numerators
+        numerators, scale = moved._numerators
+        for e, rows in liealg._slices_of(numerators, zero).items():
+            assert rows == [{m: numer[e] for m, numer in row.items() if e in numer}
+                            for row in numerators]
         rebuilt = LieAlgebra(moved.ctx, moved.d_table, require_nilpotent=False)
-        assert rebuilt._numerators == numerators
-        assert liealg._as_numerators([f.comps for f in moved.d_table], pctx._zero_monom) == (
+        assert rebuilt._numerators == (numerators, scale)
+        assert liealg._as_numerators([f.comps for f in moved.d_table], zero) == (
             numerators, scale)
     plain = parse_salamon("0,0,1/2*12,13,23,14", pctx)
-    assert plain._numerators is None and plain._integer == ([{}, {}, {3: 1}, {5: 2}, {6: 2},
-                                                             {9: 2}], 2)
+    numerators, scale = plain._numerators
+    assert scale == 2 and numerators == [{}, {}, {3: {zero: 1}}, {5: {zero: 2}}, {6: {zero: 2}},
+                                         {9: {zero: 2}}]
+    assert liealg._bound(numerators, pctx.names, {}) == [{}, {}, {3: 1}, {5: 2}, {6: 2}, {9: 2}]
 
 
 def test_rational_functions_keep_the_scalar_d(pctx, monkeypatch):
-    """A witness-style table with a rational-function entry holds neither
-    slices nor numerators, and a form with a rational-function coefficient
+    """A witness-style table with a rational-function entry holds no
+    numerators, and a form with a rational-function coefficient
     is differentiated on Scalars by a polynomial table too."""
     scalar_route = liealg._d_on_form
     fallbacks = []
@@ -771,15 +804,15 @@ def test_rational_functions_keep_the_scalar_d(pctx, monkeypatch):
     rng = random.Random(31)
     family = parse_salamon(FAMILIES["case1"].table, pctx)
     witnesses = [change_basis(family, _witness_style(rng, pctx)) for _ in range(6)]
-    witnesses = [g for g in witnesses if g._slices is None]
+    witnesses = [g for g in witnesses if g._numerators is None]
     assert witnesses
     for g in witnesses + [parse_salamon("0,0,0,0,(1/lam)*12,k*13+15", pctx)]:
         assert g._numerators is None
-        for a in _seeded_forms(rng, g.ctx, pctx):
+        for a in _seeded_forms(rng, g.ctx):
             fallbacks.clear()
             assert g.d(a) == scalar_route(g.d_table, a)
             assert fallbacks == [a]
-    rational = _seeded_forms(rng, family.ctx, pctx, ("1/lam", "k/(z+a1)", "lam"))
+    rational = _seeded_forms(rng, family.ctx, ("1/lam", "k/(z+a1)", "lam"))
     for a in rational[1:]:
         fallbacks.clear()
         family.d(a)

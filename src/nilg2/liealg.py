@@ -12,20 +12,20 @@ lcm of its denominators: {mask: {exponent: int}} per entry, a parameter-free
 table having every numerator at exponent 0 alone.  Its Jacobi check, and
 ``d`` of a form with polynomial coefficients, sum the Leibniz rule on them;
 a basis change by a parameter-free matrix slices them by exponent,
-L*d = sum_e t^e D_e, for its one pull-back.  The invariants
-(``betti_numbers``, ``fingerprint``) are computed on an int table by
-fraction-free elimination: the numerators bound at a point p, L*d(p), which
-at the empty point is a parameter-free table's L*d.  No invariant changes:
-d enters linearly, and a rank or a span is that of any nonzero multiple.
-The fingerprint section lists which elimination gives which field.
-``LieAlgebra.bind`` evaluates the table at a binding; a binding that leaves
-a parameter unbound or makes a denominator vanish raises ``ScalarError``.
-An invariant of a table with unbound parameters is evaluated at two points
-with disjoint prime coordinates, moved by ``seed``; the two values must
-agree, else :class:`GenericEvaluationError` is raised.
-That is a sampled generic value, not an identity in the parameters.  A
-table with a rational-function entry has no numerators: it is bound by
-``_bind_table`` at each point and scaled to ints there.
+L*d = sum_e t^e D_e, for its one pull-back.  ``LieAlgebra._integers_at``
+is the one place a table is evaluated, as ints over one denominator: a
+polynomial table's numerators by ``scalars._evaluate``, a table with a
+rational-function entry, which has no numerators, entry by entry by
+``Scalar.evaluate``.  ``bind`` hands the result on as numerators; a
+binding that leaves a parameter unbound or makes a denominator vanish
+raises ``ScalarError``.  The invariants (``betti_numbers``,
+``fingerprint``) run fraction-free elimination on it.  No invariant
+changes: d enters linearly, and a rank or a span is that of any nonzero
+multiple.  The fingerprint section lists which elimination gives which
+field.  An invariant of a table with unbound parameters is evaluated at two
+points with disjoint prime coordinates, moved by ``seed``; the two values
+must agree, else :class:`GenericEvaluationError` is raised.  That is a
+sampled generic value, not an identity in the parameters.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .exterior import (
     parse_form,
 )
 from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly,
-                      _eval_poly, _fold_unicode, _reduced)
+                      _evaluate, _fold_unicode, _reduced)
 
 __all__ = [
     "LieAlgebra",
@@ -148,14 +148,6 @@ def _nonzero(comps: Mapping) -> dict:
     return {m: c for m, c in comps.items() if c}
 
 
-def _integer_table(table: Sequence[Mapping]) -> Tuple[List[Dict[int, int]], int]:
-    """(L*d as {mask: int} maps, L), from the {mask: Fraction} maps of a
-    parameter-free table, L the lcm of their denominators."""
-    scale = lcm(*{x.denominator for row in table for x in row.values()})
-    return [{m: x.numerator * (scale // x.denominator) for m, x in row.items() if x}
-            for row in table], scale
-
-
 def _as_numerators(forms: Sequence[Mapping], zero: tuple) -> Optional[Tuple[List[dict], int]]:
     """(N, M): the components of ``forms`` as numerators {exponent: int}
     over one positive int M, the lcm of their denominators, one {mask:
@@ -226,9 +218,9 @@ class LieAlgebra:
     parameter-free or not, is also kept in ints, built once here or handed
     on by ``change_basis``: ``_numerators`` is (N, L), N the numerators
     {mask: {exponent: int}} of L*d per entry.  The Jacobi check and ``d``
-    run on them, ``change_basis`` slices them by exponent and the
-    invariants bind them.  The Scalar certificate of a failing Jacobi check
-    is computed only to be raised.
+    run on them, ``change_basis`` slices them by exponent and
+    ``_integers_at`` evaluates them.  The Scalar certificate of a failing
+    Jacobi check is computed only to be raised.
     """
 
     __slots__ = ("ctx", "d_table", "_nilpotent", "_numerators")
@@ -314,20 +306,45 @@ class LieAlgebra:
 
     def _check_filtration(self) -> bool:
         """The lower central series must reach 0; a parameter-free table
-        descends in ints, bound at the empty point as the invariants are."""
-        if self._numerators is None or self.params():
+        descends in ints, evaluated at the empty point as the invariants are."""
+        if self.params():
             table = [f.comps for f in self.d_table]
         else:
-            table = _bound(self._numerators[0], self.ctx.params.names, {})
+            table = self._integers_at({})[0]
         brackets, n = _structure(table)[0], self.ctx.dim
         return _lower_central(brackets, n, _commutator(brackets, n))[-1] == 0
 
     def bind(self, bindings: Mapping[str, Fraction]) -> "LieAlgebra":
-        """The algebra at ``bindings``, over the empty parameter context;
-        Jacobi and nilpotency are checked again."""
+        """The algebra at ``bindings``, over the empty parameter context, with
+        the table's value T/D, divided by gcd(D, T), as its numerators;
+        Jacobi and nilpotency are checked again.  The first parameter of the
+        table left unbound, in context order, raises ScalarError."""
+        folded = {_fold_unicode(k): Fraction(v) for k, v in bindings.items()}
+        used = self.params()
+        for name in self.ctx.params.names:
+            if name in used and name not in folded:
+                raise ScalarError(f"unbound parameter {name!r}")
+        table, den = self._integers_at(folded)
+        common = gcd(den, *(x for row in table for x in row.values()))
+        numerators = [{m: {(): x // common} for m, x in row.items()} for row in table]
+        den //= common
         ctx = FrameContext(self.ctx.dim, ParameterContext(()))
-        return LieAlgebra(ctx, [Form(ctx, {m: Scalar(ctx.params, x) for m, x in row.items()})
-                                for row in _bind_table(self.d_table, bindings)])
+        return LieAlgebra(ctx, [Form(ctx, {m: Scalar(ctx.params, Fraction(x[()], den))
+                                           for m, x in row.items()}) for row in numerators],
+                          _numerators=(numerators, den))
+
+    def _integers_at(self, point: Mapping[str, Fraction]) -> Tuple[List[Dict[int, int]], int]:
+        """(T, D), the table at ``point`` (folded names) as T/D, one {mask:
+        int} map per entry: the numerators summed by ``_evaluate``, over L,
+        or else each entry's ``Scalar.evaluate``, which raises ScalarError at
+        a pole, scaled over the lcm of the values' denominators."""
+        if self._numerators is not None:
+            table, den = _evaluate(self._numerators[0], self.ctx.params.names, point)
+            return table, den * self._numerators[1]
+        values = [{m: c.evaluate(point) for m, c in f.comps.items()} for f in self.d_table]
+        den = lcm(*{x.denominator for row in values for x in row.values()})
+        return [{m: x.numerator * (den // x.denominator) for m, x in row.items() if x}
+                for row in values], den
 
     def params(self) -> frozenset:
         """The parameters of the table: those whose exponents occur in its
@@ -410,72 +427,20 @@ def _generic_bindings(names: Sequence[str], seed: int = 0):
     return a, b
 
 
-def _bind_table(d_table: Sequence[Form], bindings: Mapping[str, Fraction]):
-    """The d-table at ``bindings`` as {mask: Fraction} maps, with the bindings
-    folded once: a native polynomial is evaluated here, a field value by
-    ``Scalar.evaluate``.  A parameter of the table left unbound (the first in
-    the context's order) or a vanishing denominator raises ScalarError."""
-    names = d_table[0].ctx.params.names
-    folded = {_fold_unicode(k): Fraction(v) for k, v in bindings.items()}
-    symbolic = [c for f in d_table for c in f.comps.values() if type(c.raw) is not Fraction]
-    for i, nm in enumerate(names):
-        if nm not in folded and any(any(mono[i] for mono in c.raw.coeffs)
-                                    if type(c.raw) is _Poly else nm in c.params()
-                                    for c in symbolic):
-            raise ScalarError(f"unbound parameter {nm!r}")
-
-    def value(c: Scalar) -> Fraction:
-        if type(c.raw) is _Poly:
-            return _eval_poly(c.raw.coeffs, c.raw.den, names, folded)
-        return c.raw if type(c.raw) is Fraction else c.evaluate(folded)
-
-    return [{m: value(c) for m, c in f.comps.items()} for f in d_table]
-
-
-def _bound(numerators: Sequence[Mapping], names: Sequence[str],
-           point: Mapping[str, int]) -> List[dict]:
-    """L*d at the int point p, {mask: int} per entry: each numerator summed
-    as sum_e x p^e, in ints.  A name that no exponent uses may be left out
-    of ``point``; at the empty point this is a parameter-free table's L*d."""
-    values = [point.get(nm, 1) for nm in names]
-    weights: Dict[tuple, int] = {}
-    table = []
-    for row in numerators:
-        out = {}
-        for m, numer in row.items():
-            total = 0
-            for e, x in numer.items():
-                weight = weights.get(e)
-                if weight is None:
-                    weight = 1
-                    for v, k in zip(values, e):
-                        if k:
-                            weight *= v ** k
-                    weights[e] = weight
-                total += weight * x
-            if total:
-                out[m] = total
-        table.append(out)
-    return table
-
-
 def _generic_value(g: LieAlgebra, seed: int, compute):
-    """``compute(table, n)`` on an integer table: once, at the empty point,
-    when the table has no parameters, else at the two seeded points, where
-    the values must agree.  A polynomial table binds its numerators there; a
-    rational-function table is bound and scaled, and a vanishing
-    denominator is a non-generic evaluation."""
+    """``compute(table, n)`` on the integer table of ``g._integers_at``:
+    once, at the empty point, when the table has no parameters, else at the
+    two seeded points, where the values must agree.  No algebra is built at
+    a point, so nothing is checked again there; a vanishing denominator is a
+    non-generic evaluation."""
     n = g.ctx.dim
     used = g.params()
     values = set()
     for point in _generic_bindings(used, seed) if used else ({},):
-        if g._numerators is not None:
-            table = _bound(g._numerators[0], g.ctx.params.names, point)
-        else:
-            try:
-                table = _integer_table(_bind_table(g.d_table, point))[0]
-            except ScalarError as exc:
-                raise GenericEvaluationError(f"binding failed: {exc}") from None
+        try:
+            table = g._integers_at(point)[0]
+        except ScalarError as exc:
+            raise GenericEvaluationError(f"binding failed: {exc}") from None
         values.add(compute(table, n))
     if len(values) > 1:
         raise GenericEvaluationError("non-generic evaluation")
@@ -608,16 +573,15 @@ def _series(table: Sequence[Mapping], n: int):
 # ---------------------------------------------------------------------------
 # fingerprints
 #
-# Invariants are computed in Python ints on L*d, the table times the lcm L
-# of its denominators.  An algebra holds L*d by entry, as numerators
-# {mask: {exponent: int}}, built once in its constructor or taken from
-# ``change_basis``; the invariants bind them, in ints, to L*d(p): once at
-# the empty point when the table has no parameters, else at two points.  A
-# rational-function table is bound by ``_bind_table`` and scaled by
-# ``_integer_table`` at each point.  No invariant changes: the Leibniz
-# rule is linear in the table, so L*d is L times d on every grade, and a
+# Invariants are computed in Python ints on D*d(p), the table at a point p
+# times one int D, which ``LieAlgebra._integers_at`` gives: once at the
+# empty point when the table has no parameters, else at two points.  A
+# polynomial table sums its numerators, L*d by entry, at p; a
+# rational-function table evaluates each entry there and scales the values
+# over the lcm of their denominators.  No invariant changes: the Leibniz
+# rule is linear in the table, so D*d is D times d on every grade, and a
 # rank or a span is the same for a nonzero multiple of a map (the algebra
-# with brackets L[.,.] is isomorphic to g through x -> L*x).  Every
+# with brackets D[.,.] is isomorphic to g through x -> D*x).  Every
 # elimination runs fraction-free in ``linalg``.
 #
 # The eliminations of one table and the fields they give:

@@ -16,10 +16,11 @@ value of a Scalar is one of three kinds, fixed by the value itself:
   constant.
 
 A ``_Poly`` is the (numerator, denominator) pair that ``cancel`` builds
-for the same value.  Its ``numer`` and ``denom`` read like those of a field
-element (``is_ground``).  Printing, ``params`` and ``evaluate`` read a
-``_Poly``'s coefficient dict and int denominator directly; ``evaluate``
-sums it in ints, in one unsorted pass.
+for the same value.  Printing, ``params`` and ``evaluate`` read its
+coefficient dict and int denominator directly.  ``evaluate`` sums a
+``_Poly``, or a field value's numerator and denominator, with
+``_evaluate``, the one polynomial evaluator, which evaluates Lie algebra
+tables too.
 
 Each arithmetic operator makes one dispatch on the kinds of the two raw
 values, in this order.  Two Fractions combine as Fractions.  A rational
@@ -54,8 +55,8 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Union
+from math import gcd, prod
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "Scalar",
@@ -119,7 +120,7 @@ def _grlex(term):
 
 class _IntPoly:
     """A sparse integer polynomial, read the way sympy's ``PolyElement`` is
-    read: ``is_ground``."""
+    read: ``is_ground``.  Only ``_Poly.denom`` builds one."""
 
     __slots__ = ("coeffs",)
 
@@ -142,10 +143,8 @@ class _Poly:
         self.coeffs = coeffs
         self.den = den
 
-    @property
-    def numer(self) -> _IntPoly:
-        return _IntPoly(self.coeffs)
-
+    # The benchmark's tracer reads ``raw.denom.is_ground`` of every symbolic
+    # result, a field value or a ``_Poly``; nothing in the package does.
     @property
     def denom(self) -> _IntPoly:
         zero = (0,) * len(next(iter(self.coeffs)))
@@ -495,10 +494,14 @@ class Scalar:
             return Scalar(ctx, raw ** exponent)
         if not exponent:
             return ctx.one
-        result = raw
-        for _ in range(exponent - 1):
-            result = ctx._mul(result, raw)
-        return Scalar(ctx, result)
+        result = None  # square and multiply, from the lowest bit of the exponent
+        while True:
+            if exponent & 1:
+                result = raw if result is None else ctx._mul(result, raw)
+            exponent >>= 1
+            if not exponent:
+                return Scalar(ctx, result)
+            raw = ctx._mul(raw, raw)
 
     def __neg__(self):
         return Scalar(self.ctx, -self.raw)
@@ -535,13 +538,15 @@ class Scalar:
             if name in used and name not in folded:
                 raise ScalarError(f"unbound parameter {name!r}")
         if type(self.raw) is _Poly:
-            return _eval_poly(self.raw.coeffs, self.raw.den, self.ctx.names, folded)
-        num, den = ({m: _qq_to_fraction(c) for m, c in poly.items()}
-                    for poly in (self.raw.numer, self.raw.denom))
-        den = _eval_poly(den, 1, self.ctx.names, folded)
-        if den == 0:
+            (value,), den = _evaluate([{0: self.raw.coeffs}], self.ctx.names, folded)
+            return Fraction(value.get(0, 0), den * self.raw.den)
+        # numerator and denominator over one common denominator, which cancels
+        (num, den), _ = _evaluate([{0: {m: _qq_to_fraction(c) for m, c in poly.items()}}
+                                   for poly in (self.raw.numer, self.raw.denom)],
+                                  self.ctx.names, folded)
+        if not den:
             raise ScalarError("denominator vanishes at binding")
-        return _eval_poly(num, 1, self.ctx.names, folded) / den
+        return Fraction(num.get(0, 0)) / den[0]
 
     # -- printing -----------------------------------------------------------
 
@@ -552,21 +557,44 @@ class Scalar:
         return f"Scalar({_render(self)})"
 
 
-def _eval_poly(coeffs: Mapping, den: int, names, bindings) -> Fraction:
-    """The value of the polynomial ``coeffs`` (exponent tuple -> int) over
-    ``den`` at ``bindings``, summed in one pass in ints: a bound value p/q of
-    highest exponent E enters a term of exponent e as p^e q^(E-e), over the
-    common denominator den q^E.  Fraction coefficients work the same way."""
-    tops = [max(exps) for exps in zip(*coeffs)]
-    values = [(i, bindings[name], top) for i, (name, top) in enumerate(zip(names, tops)) if top]
-    total = 0
-    for mono, c in coeffs.items():
-        for i, x, top in values:
-            c *= x.numerator ** mono[i] * x.denominator ** (top - mono[i])
-        total += c
-    for _, x, top in values:
-        den *= x.denominator ** top
-    return Fraction(total, den)
+def _evaluate(rows: Sequence[Mapping], names: Sequence[str], point: Mapping) -> tuple:
+    """(T, D): the polynomials {exponent tuple: coefficient} of ``rows``, one
+    {key: polynomial} map per row, at ``point``, as {key: value} maps T over
+    one int D, a vanishing value left out; a name ``point`` leaves out counts
+    as 1.  A value p/q whose name has highest exponent E in the rows enters
+    a term of exponent e as p^e q^(E-e), over D, the product of the q^E, so
+    int coefficients sum in ints; each exponent's weight is computed once."""
+    values = [point.get(nm, 1) for nm in names]
+    den, fractions = 1, None
+    if Fraction in map(type, values):
+        exponents = {e for row in rows for poly in row.values() for e in poly}
+        tops = list(map(max, zip(*exponents))) or [0] * len(names)
+        fractions = [(i, v.denominator, tops[i]) for i, v in enumerate(values)
+                     if v.denominator != 1 and tops[i]]
+        den = prod(q ** top for _, q, top in fractions)
+        values = [v.numerator for v in values]
+    weights: dict = {}
+    out = []
+    for row in rows:
+        totals = {}
+        for key, poly in row.items():
+            total = 0
+            for e, c in poly.items():
+                weight = weights.get(e)
+                if weight is None:
+                    weight = 1
+                    for v, k in zip(values, e):
+                        if k:
+                            weight *= v ** k
+                    if fractions:
+                        for i, q, top in fractions:
+                            weight *= q ** (top - e[i])
+                    weights[e] = weight
+                total += weight * c
+            if total:
+                totals[key] = total
+        out.append(totals)
+    return out, den
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,7 +24,7 @@ from nilg2.liealg import (
     parse_salamon,
     salamon_str,
 )
-from nilg2.scalars import ParameterContext, ScalarError, ScalarSyntaxError
+from nilg2.scalars import ParameterContext, Scalar, ScalarError, ScalarSyntaxError
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +348,51 @@ def test_bind_errors_are_scalar_errors(pctx):
         g.bind({"lam": Fraction(1)})
 
 
+def test_bind_hands_on_the_numerators_of_the_table_at_the_binding(pctx):
+    """``bind`` at fractional points of the three families, of seeded basis
+    changes of them and of a rational-function table gives each entry's
+    ``Scalar.evaluate``, with the numerators that the constructor derives
+    from the bound table."""
+    rng = random.Random(3131)
+    empty = ParameterContext(())
+    points = [{"lam": Fraction(1, 2), "k": Fraction(-3, 5), "z": Fraction(-2, 3),
+               "a1": Fraction(5, 4)},
+              {"lam": Fraction(7, 3), "k": Fraction(2), "z": Fraction(1, 6),
+               "a1": Fraction(-9, 8)}]
+    cases = []
+    for spec in FAMILIES.values():
+        g = parse_salamon(spec.table, pctx)
+        cases += [g] + [change_basis(g, random_invertible(rng, pctx)) for _ in range(4)]
+    cases.append(parse_salamon("0,0,0,0,0,1/(lam-2)*12+k^2/3*13", pctx))
+    for g in cases:
+        for point in points:
+            bound = g.bind(point)
+            assert [f.comps for f in bound.d_table] == [
+                {m: Scalar(empty, c.evaluate(point)) for m, c in f.comps.items()
+                 if c.evaluate(point)} for f in g.d_table], (g, point)
+            assert bound._numerators == LieAlgebra(bound.ctx, bound.d_table)._numerators
+            assert not bound.params()
+
+
+def test_invariants_build_no_algebra_at_a_point(pctx, monkeypatch):
+    """The invariants evaluate a table at each point without building an
+    algebra there, so they check nothing again: a rational-function table
+    given with ``require_nilpotent=False`` keeps its sampled values."""
+    ctx = FrameContext(6, pctx)
+    g = LieAlgebra(ctx, [parse_form(ctx, t) for t in "0,1/(lam-2)*13,12,0,0,0".split(",")],
+                   require_nilpotent=False)
+    assert g._numerators is None and not g.is_nilpotent_presentation()
+
+    def no_algebra(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(LieAlgebra, "__init__", no_algebra)
+    assert betti_numbers(g, seed=1) == (4, 7, 8, 7, 4, 1)
+    assert fingerprint(g, seed=1) == liealg.Fingerprint(
+        betti=(4, 7, 8, 7, 4, 1), lower_central=(6, 2), derived=(6, 2, 0),
+        upper_central=(3,), exact_two_forms_decomposable=True, wedge_data=(2, 0, 2))
+
+
 def test_bound_instantiate_binds_the_cached_family(pctx, monkeypatch):
     """A bound family is the memoized symbolic one, bound: once that is
     cached, binding parses no table."""
@@ -492,10 +538,12 @@ def test_wedge_radical_of_entry_14m25_in_a_seeded_basis(pctx):
                       "-1/2*14+1/4*24+56,-12+14,-1/4*16,0", pctx)
     assert fingerprint(g).wedge_data == (4, 3, 1)
     assert fingerprint(g) == fingerprint(parse_salamon(NAMED_ALGEBRAS["entry_14m25"], pctx))
-    table, scale = liealg._integer_table(liealg._bind_table(g.d_table, {}))
+    table, scale = g._integers_at({})
     assert all(type(x) is int for row in table for x in row.values())
-    numerators, den = g._numerators
-    assert (liealg._bound(numerators, pctx.names, {}), den) == (table, scale)
+    values = [{m: c.evaluate({}) for m, c in f.comps.items()} for f in g.d_table]
+    assert scale == g._numerators[1] == lcm(*(x.denominator for row in values
+                                               for x in row.values()))
+    assert table == [{m: x * scale for m, x in row.items()} for row in values]
     copies = [dict(row) for row in table]
     image = linalg._eliminate(table, _basis_masks(6, 2), full=False)[0]
     image_copies = [dict(row) for row in image]
@@ -641,18 +689,19 @@ def test_symbolic_change_basis_carries_the_slices_of_its_own_table(pctx):
 
 
 def test_symbolic_invariants_match_the_bound_table_route(pctx):
-    """At each seeded point the numerators bind to L times the table that
-    ``_bind_table`` gives there, and ``fingerprint`` and ``betti_numbers``
-    equal the values of that bound table."""
-    names = pctx.names
+    """At each seeded point the numerators evaluate to L times the table
+    that ``Scalar.evaluate`` gives entry by entry there, and ``fingerprint``
+    and ``betti_numbers`` equal the values of that table scaled to ints over
+    the lcm of its denominators."""
     for name, _, B, moved in _family_basis_changes(pctx):
-        numerators, scale = moved._numerators
+        scale = moved._numerators[1]
         fp, betti = fingerprint(moved), betti_numbers(moved)
         for point in liealg._generic_bindings(moved.params()):
-            bound = liealg._bind_table(moved.d_table, point)
-            assert liealg._bound(numerators, names, point) == [
-                {m: x * scale for m, x in row.items() if x} for row in bound]
-            table = liealg._integer_table(bound)[0]
+            bound = [{m: c.evaluate(point) for m, c in f.comps.items()} for f in moved.d_table]
+            assert moved._integers_at(point) == (
+                [{m: x * scale for m, x in row.items() if x} for row in bound], scale)
+            lowest = lcm(*(x.denominator for row in bound for x in row.values()))
+            table = [{m: int(x * lowest) for m, x in row.items() if x} for row in bound]
             assert liealg._fingerprint_of_table(table, 6) == fp, (name, B)
             assert liealg._betti_of_table(table, 6) == betti, (name, B)
 
@@ -681,14 +730,15 @@ def test_polynomial_jacobi_failure_reports_the_unscaled_certificate(pctx):
 def test_parameters_in_the_matrix_or_a_rational_function_keep_the_scalar_path(pctx, monkeypatch):
     """A matrix with parameters, or a table with a rational-function entry,
     is pulled back through Scalar rows; such a table has no numerators, so its
-    invariants bind the Scalar table at both points.  A polynomial table
-    under a rational matrix pulls back through int rows and binds nothing."""
-    pulled_through, bindings = [], []
-    pull_back, bind_table = liealg._pull_back, liealg._bind_table
+    invariants evaluate the Scalar table at both points.  A polynomial table
+    under a rational matrix pulls back through int rows and evaluates no
+    Scalar."""
+    pulled_through, bindings = [], set()
+    pull_back, evaluate = liealg._pull_back, Scalar.evaluate
     monkeypatch.setattr(liealg, "_pull_back", lambda tables, rows: (
         pulled_through.append(type(rows[0][0])), pull_back(tables, rows))[1])
-    monkeypatch.setattr(liealg, "_bind_table", lambda table, point: (
-        bindings.append(point), bind_table(table, point))[1])
+    monkeypatch.setattr(Scalar, "evaluate", lambda c, point: (
+        bindings.add(tuple(sorted(point.items()))), evaluate(c, point))[1])
     rng = random.Random(29)
     family = parse_salamon(FAMILIES["case2"].table, pctx)
     rational_function = parse_salamon("0,0,0,0,(1/lam)*12,k*13+15", pctx)
@@ -790,7 +840,7 @@ def test_numerators_are_the_slices_of_the_table_by_entry(pctx):
     numerators, scale = plain._numerators
     assert scale == 2 and numerators == [{}, {}, {3: {zero: 1}}, {5: {zero: 2}}, {6: {zero: 2}},
                                          {9: {zero: 2}}]
-    assert liealg._bound(numerators, pctx.names, {}) == [{}, {}, {3: 1}, {5: 2}, {6: 2}, {9: 2}]
+    assert plain._integers_at({}) == ([{}, {}, {3: 1}, {5: 2}, {6: 2}, {9: 2}], 2)
 
 
 def test_rational_functions_keep_the_scalar_d(pctx, monkeypatch):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,6 @@ from oracle import series_dims as oracle_series_dims
 from test_liealg import _witness_style, random_invertible
 
 from nilg2.exterior import FrameContext, parse_form
-from nilg2 import liealg
 from nilg2.families import (
     FAMILIES,
     ContractionError,
@@ -133,7 +133,8 @@ def test_change_basis_matches_the_oracle_basis_change(pctx):
     bound there, under seeded rational matrices, the three case2 gauge
     rotations and witness-style matrices with parameter entries (evaluated
     at the binding for a bound family).  The numerators of a parameter-free
-    result bind at the empty point to the integer table of its own entries."""
+    result evaluate at the empty point to the integer table of its own
+    entries."""
     rng = random.Random(2727)
     rotations = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13)),
                  (Fraction(8, 17), Fraction(-15, 17)))
@@ -160,10 +161,12 @@ def test_change_basis_matches_the_oracle_basis_change(pctx):
             assert table_to_oracle(moved, point) == oracle_change_basis(table, matrix), (g, B)
             if not moved.params():
                 integer += 1
-                numerators, scale = moved._numerators
-                bound = liealg._bound(numerators, params.names, {})
-                assert (bound, scale) == liealg._integer_table(
-                    [{m: c.raw for m, c in f.comps.items()} for f in moved.d_table])
+                values = [{m: c.raw for m, c in f.comps.items()} for f in moved.d_table]
+                scale = lcm(*(x.denominator for row in values for x in row.values()))
+                assert moved._numerators[1] == scale
+                assert moved._integers_at({}) == ([
+                    {m: x.numerator * (scale // x.denominator) for m, x in row.items() if x}
+                    for row in values], scale)
     assert integer == 9 * 6 + 3 * 8 + 2  # the torus stays parameter-free under a witness
 
 

@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +14,7 @@ from nilg2.scalars import (
     ScalarError,
     ScalarSyntaxError,
     _Parser,
+    _evaluate,
 )
 
 
@@ -61,6 +63,25 @@ def test_evaluate_errors(ctx):
         ctx.parse("lam + k").evaluate({"lam": 1})
     with pytest.raises(ScalarError):
         ctx.parse("1/(lam - 1)").evaluate({"lam": 1})
+
+
+def test_evaluate_sums_rows_over_one_denominator():
+    """``_evaluate`` on Fraction coefficients: a value p/q enters over q^E,
+    E the name's highest exponent in the rows, a vanishing value is left
+    out, and a name the point leaves out counts as 1."""
+    names = ("x", "y", "z")
+    rows = [{1: {(1, 0, 0): Fraction(1, 2), (0, 2, 0): Fraction(1, 3), (0, 0, 0): Fraction(-3, 4)},
+             2: {(0, 1, 0): Fraction(2, 3)}},
+            {4: {(1, 1, 0): Fraction(5, 7)}, 8: {(0, 0, 1): 7}}]
+    assert _evaluate(rows, names, {"x": 0, "y": Fraction(3, 2)}) == ([{2: 4}, {8: 28}], 4)
+    for point in ({"x": Fraction(-2, 5), "y": Fraction(3, 2), "z": 2}, {"x": 3, "y": -1},
+                  {"x": Fraction(7, 3), "y": 0, "z": Fraction(-1, 9)}):
+        table, den = _evaluate(rows, names, point)
+        direct = [{key: value for key, poly in row.items()
+                   if (value := sum(c * prod(Fraction(point.get(nm, 1)) ** k
+                                             for nm, k in zip(names, e))
+                                    for e, c in poly.items()))} for row in rows]
+        assert [{key: Fraction(v) / den for key, v in row.items()} for row in table] == direct, point
 
 
 def test_division_by_zero(ctx):
@@ -400,6 +421,28 @@ def test_negative_powers_are_canonical(ctx):
         assert s ** -n == ctx.one / s ** n
     with pytest.raises(ScalarError, match="division by zero scalar"):
         ctx.zero ** -1
+
+
+def test_powers_square_and_multiply(ctx, monkeypatch):
+    """``x ** n`` is the value repeated multiplication gives, with at most
+    two products per bit of n, so lam^100000000 is immediate."""
+    lam = ctx.param("lam")
+    for x in (lam, ctx.parse("(2 - lam*k)/3"), ctx.parse("1/(lam - 2)")):
+        product = x
+        for n in range(2, 12):
+            product = product * x
+            assert x ** n == product and str(x ** n) == str(product)
+    calls = []
+    mul = ParameterContext._mul
+    monkeypatch.setattr(ParameterContext, "_mul", lambda self, a, b: (
+        calls.append(1), mul(self, a, b))[1])
+    for n in (1, 2, 5, 1000, 2 ** 20 - 1, 100000000):
+        calls.clear()
+        value = lam ** n
+        assert len(calls) <= 2 * n.bit_length(), n
+    assert str(value) == "lam^100000000"
+    assert (value.raw.coeffs, value.raw.den) == ({(0, 0, 100000000, 0): 1}, 1)
+    assert value.evaluate({"lam": -1}) == 1
 
 
 # ---------------------------------------------------------------------------

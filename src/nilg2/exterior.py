@@ -23,6 +23,16 @@ each index word to the wedge product of the images of its letters.
 The splitting of a 4-form as c0 omega^2 + gamma ^ psi + W2 ^ omega,
 ``lefschetz_coefficients``, is an orthogonal projection on the lines
 omega^2 and e^i ^ psi, which ``line_norms`` checks orthogonal once per frame.
+One kernel, ``_projections``, computes every <a, l>/<l, l> of a family of
+fixed lines in one pass over a's components: the lines are held transposed,
+by mask, as ints over one denominator (``_Lines``, built once per frame),
+and a form with polynomial coefficients is summed in ints on its numerators.
+
+A form's components as numerators over one int, ``Form._scaled``, are
+computed once per form and kept, so a frame's cached forms (omega, psi+-,
+phi, *phi) are converted once.  ``Form.__init__`` drops zero components;
+producers that cannot make one (``hodge``, negation, scaling by a nonzero
+factor, ``LieAlgebra.d`` on numerators) build through ``Form._unchecked``.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (
@@ -38,6 +49,8 @@ from .scalars import (
     ScalarSyntaxError,
     _fold_with_origins,
     _Parser,
+    _Poly,
+    _reduced,
 )
 
 __all__ = [
@@ -70,6 +83,15 @@ def _bits(mask: int) -> Tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _letters(mask: int) -> Tuple[Tuple[int, int, bool], ...]:
+    """The letters of an index word, as the Leibniz rule splits it: (i,
+    rest, odd) per letter, i its index less 1, rest the word without it and
+    odd whether its place (from 0) is odd."""
+    return tuple((idx - 1, mask & ~(1 << (idx - 1)), j % 2 == 1)
+                 for j, idx in enumerate(_bits(mask)))
 
 
 def _mask(indices: Iterable[int]) -> Tuple[int, int]:
@@ -121,6 +143,36 @@ def _wedge(a: Mapping, b: Mapping) -> dict:
     return comps
 
 
+def _as_numerators(forms: Sequence[Mapping], zero: tuple) -> Optional[Tuple[List[dict], int]]:
+    """(N, M): the components of ``forms`` as numerators {exponent: int}
+    over one positive int M, the lcm of their denominators, one {mask:
+    numerator} map per form; a Fraction is a numerator at ``zero`` alone.
+    A rational-function coefficient gives None."""
+    dens = set()
+    for comps in forms:
+        for c in comps.values():
+            kind = type(c.raw)
+            if kind is Fraction:
+                dens.add(c.raw.denominator)
+            elif kind is _Poly:
+                dens.add(c.raw.den)
+            else:
+                return None
+    scale = lcm(*dens)
+    out = []
+    for comps in forms:
+        row = {}
+        for m, c in comps.items():
+            raw = c.raw
+            if type(raw) is Fraction:
+                row[m] = {zero: raw.numerator * (scale // raw.denominator)}
+            else:
+                k = scale // raw.den
+                row[m] = raw.coeffs if k == 1 else {e: x * k for e, x in raw.coeffs.items()}
+        out.append(row)
+    return out, scale
+
+
 class FrameContext:
     """An orthonormal coframe e^1..e^n, n in {6, 7}; for n = 7, e^7 = dt."""
 
@@ -166,11 +218,33 @@ class FrameContext:
 class Form:
     """A sparse exterior form; mixed grades are allowed."""
 
-    __slots__ = ("ctx", "comps")
+    __slots__ = ("ctx", "comps", "_numerators")
 
     def __init__(self, ctx: FrameContext, comps: Mapping[int, Scalar]):
         self.ctx = ctx
         self.comps = {m: c for m, c in comps.items() if c.raw}
+        self._numerators = None
+
+    @classmethod
+    def _unchecked(cls, ctx: FrameContext, comps: dict) -> "Form":
+        """The form with components ``comps``, taken as they are: for
+        producers whose components cannot be zero."""
+        form = cls.__new__(cls)
+        form.ctx = ctx
+        form.comps = comps
+        form._numerators = None
+        return form
+
+    def _scaled(self) -> Optional[Tuple[dict, int]]:
+        """(N, M): the components as numerators {exponent: int} over one
+        positive int M, or None when a coefficient is a rational function;
+        computed on first use (``_as_numerators``) and kept, or handed on by
+        the producer (``LieAlgebra.d``)."""
+        scaled = self._numerators
+        if scaled is None:
+            found = _as_numerators([self.comps], self.ctx.params._zero_monom)
+            scaled = self._numerators = False if found is None else (found[0][0], found[1])
+        return scaled or None
 
     # -- basic structure ----------------------------------------------------
 
@@ -231,7 +305,7 @@ class Form:
         return Form(self.ctx, comps)
 
     def __neg__(self) -> "Form":
-        return Form(self.ctx, {m: -c for m, c in self.comps.items()})
+        return Form._unchecked(self.ctx, {m: -c for m, c in self.comps.items()})
 
     def scale(self, factor) -> "Form":
         factor = self.ctx.params.scalar(factor)
@@ -239,7 +313,7 @@ class Form:
             return self
         if not factor.raw:
             return self.ctx.zero_form()
-        return Form(self.ctx, {m: c * factor for m, c in self.comps.items()})
+        return Form._unchecked(self.ctx, {m: c * factor for m, c in self.comps.items()})
 
     def __mul__(self, factor):
         if isinstance(factor, (int, Fraction, Scalar)):
@@ -281,7 +355,7 @@ def hodge(a: Form) -> Form:
         comp = full & ~m
         sign = _merge_sign(m, comp)
         comps[comp] = c if sign == 1 else -c
-    return Form(a.ctx, comps)
+    return Form._unchecked(a.ctx, comps)
 
 
 def inner(a: Form, b: Form) -> Scalar:
@@ -415,6 +489,59 @@ def line_norms(lines: Sequence[Form], labels: Sequence[str], error=ExteriorError
     return tuple(norms)
 
 
+def _line_table(lines: Sequence[Tuple[Form, Scalar]]) -> Tuple[Dict[int, tuple], int]:
+    """(C, W): the components l[m]/<l, l> of the rational lines (l,
+    1/<l, l>) of ``lines`` transposed, {mask: ((i, K), ...)} with l_i[m] *
+    inv_i = K/W, ints over one positive int W."""
+    weights = [(m, i, c.as_fraction() * inv.as_fraction())
+               for i, (line, inv) in enumerate(lines) for m, c in line.comps.items()]
+    den = lcm(*(w.denominator for _, _, w in weights))
+    table: Dict[int, list] = {}
+    for m, i, w in weights:
+        table.setdefault(m, []).append((i, w.numerator * (den // w.denominator)))
+    return {m: tuple(cells) for m, cells in table.items()}, den
+
+
+class _Lines(tuple):
+    """Lines (l, 1/<l, l>), with their transposed table ``_line_table``,
+    built once with them."""
+
+    def __new__(cls, pairs):
+        self = super().__new__(cls, pairs)
+        self.table = _line_table(self)
+        return self
+
+
+def _projections(a: Form, lines: Sequence[Tuple[Form, Scalar]]) -> List[Scalar]:
+    """<a, l>/<l, l> for every (l, 1/<l, l>) of ``lines``, in one pass over
+    a's components through the transposed table (that of a ``_Lines``, else
+    built here).  Numerators of a over M are summed in ints, each value
+    reduced once over M*W; a rational-function coefficient sums Scalars."""
+    table, den = lines.table if isinstance(lines, _Lines) else _line_table(lines)
+    params = a.ctx.params
+    scaled = a._scaled()
+    if scaled is None:
+        totals = [params.zero] * len(lines)
+        for m, x in a.comps.items():
+            for i, k in table.get(m, ()):
+                totals[i] = totals[i] + x * k
+        return [x / den for x in totals]
+    numerators, scale = scaled
+    sums: List[dict] = [{} for _ in lines]
+    for m, numer in numerators.items():
+        for i, k in table.get(m, ()):
+            acc = sums[i]
+            for e, x in numer.items():
+                acc[e] = acc.get(e, 0) + k * x
+    den *= scale
+    zero = params._zero_monom
+    out = []
+    for acc in sums:
+        numer = {e: x for e, x in acc.items() if x}
+        out.append(Scalar(params, _reduced(numer, den, zero)) if numer else params.zero)
+    return out
+
+
 @functools.lru_cache(maxsize=32)
 def _omega_squared(ctx: FrameContext) -> Form:
     """omega ^ omega of the standard forms, once per frame."""
@@ -423,14 +550,14 @@ def _omega_squared(ctx: FrameContext) -> Form:
 
 
 @functools.lru_cache(maxsize=32)
-def _lefschetz_solver(ctx: FrameContext, slot: str) -> Tuple[Tuple[Form, Scalar], ...]:
+def _lefschetz_solver(ctx: FrameContext, slot: str) -> _Lines:
     """The lines omega^2 and e^i ^ psi_slot of the standard forms, each with
     the inverse of its squared norm (1/12 and 1/2), checked orthogonal once
     per frame and slot."""
     psi = standard_su3_forms(ctx)[1 if slot == "plus" else 2]
     lines = (_omega_squared(ctx),) + tuple(ctx.basis(i).wedge(psi) for i in range(1, 7))
     labels = ("omega^2",) + tuple(f"e^{i} ^ psi_{slot}" for i in range(1, 7))
-    return tuple((line, 1 / norm) for line, norm in zip(lines, line_norms(lines, labels)))
+    return _Lines((line, 1 / norm) for line, norm in zip(lines, line_norms(lines, labels)))
 
 
 def lefschetz_coefficients(a: Form, slot: str = "plus") -> Tuple[Scalar, Form, Form]:
@@ -450,7 +577,7 @@ def lefschetz_coefficients(a: Form, slot: str = "plus") -> Tuple[Scalar, Form, F
         raise ExteriorError("lefschetz decomposition expects a 4-form")
     omega, psi_plus, psi_minus = standard_su3_forms(ctx)
     psi = psi_plus if slot == "plus" else psi_minus
-    c0, *coords = (inner(a, line) * inv for line, inv in _lefschetz_solver(ctx, slot))
+    c0, *coords = _projections(a, _lefschetz_solver(ctx, slot))
     gamma = Form(ctx, {1 << i: c for i, c in enumerate(coords)})
     # omega^2 comes from its own cache, not from the solver's first line, so
     # the check below also catches a wrong cached line
@@ -498,13 +625,24 @@ def standard_su3_forms(ctx: FrameContext) -> Tuple[Form, Form, Form]:
 # form literal syntax
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _word(mask: int) -> Tuple[Tuple[int, Tuple[int, ...]], str]:
+    """The sort key (grade, indices) and the index word of a mask, for
+    ``form_str``; a frame has at most 2^7 masks."""
+    bits = _bits(mask)
+    return (len(bits), bits), "".join(map(str, bits))
+
+
+def _sort_key(item) -> Tuple[int, Tuple[int, ...]]:
+    return _word(item[0])[0]
+
+
 def form_str(a: Form) -> str:
     """Render in the form-literal syntax, e.g. ``12 + 34 - 3/2*56``."""
     if not a.comps:
         return "0"
     pieces = []
-    ordered = sorted(a.comps.items(), key=lambda mc: (bin(mc[0]).count("1"), _bits(mc[0])))
-    for mask, coeff in ordered:
+    for mask, coeff in sorted(a.comps.items(), key=_sort_key):
         text = str(coeff)
         negated = text.startswith("-") and " + " not in text and " - " not in text
         if negated:
@@ -512,7 +650,7 @@ def form_str(a: Form) -> str:
         # a 0-form term is always parenthesized: a bare 2 would read as e^2
         if not mask or " + " in text or " - " in text:
             text = f"({text})"
-        idx = "".join(str(i) for i in _bits(mask))
+        idx = _word(mask)[1]
         body = text if not mask else idx if text == "1" else f"{text}*{idx}"
         pieces.append(f"-{body}" if negated else body)
     out = pieces[0]

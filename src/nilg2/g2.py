@@ -5,9 +5,11 @@ the seventh coframe element, phi = omega ^ dt + psi+ and
 *phi = psi- ^ dt + (1/2) omega ^ omega (this pins the orientation
 convention).  The base forms are the standard ones of the adapted frame, so
 all that depends on them alone (dt, phi, *phi, the lines e^i ^ *phi that
-the Lee form is projected on, the V7 lines e^i ^ phi, and the checks: the
-*phi identity, the (X _| *phi) ^ omega^2 identity and both families of
-lines orthogonal) is built and checked once per frame, and cached.
+the Lee form is projected on, the V7 lines e^i ^ phi, each family with its
+transposed table for ``exterior._projections``, and the checks: the *phi
+identity, the (X _| *phi) ^ omega^2 identity and both families of lines
+orthogonal) is built and checked once per frame, and cached.  The product
+algebra is the base's numerators with an empty d(dt) row.
 
 The torsion 3-form of the unique metric connection preserving phi with
 totally skew torsion is computed two ways and cross-checked:
@@ -36,6 +38,8 @@ from typing import Dict, Optional, Tuple
 from .exterior import (
     Form,
     FrameContext,
+    _Lines,
+    _projections,
     hodge,
     inner,
     interior,
@@ -67,7 +71,7 @@ class G2Error(ValueError):
 
 def lift(a: Form, ctx7: FrameContext) -> Form:
     """A 6-dimensional form viewed on the product."""
-    return Form(ctx7, dict(a.comps))
+    return Form._unchecked(ctx7, dict(a.comps))
 
 
 def drop_dt(a: Form, ctx6: FrameContext) -> Tuple[Form, Form]:
@@ -89,16 +93,17 @@ class _ProductFrame:
     dt: Form
     phi: Form
     star_phi: Form
-    lee_lines: Tuple[Tuple[Form, Scalar], ...]      # (e^i ^ *phi, 1/<l, l>)
-    v7_lines: Tuple[Tuple[Form, Scalar], ...]       # (e^i ^ phi, 1/<l, l>)
+    lee_lines: _Lines       # (e^i ^ *phi, 1/<l, l>)
+    v7_lines: _Lines        # (e^i ^ phi, 1/<l, l>)
 
 
-def _lines(ctx7: FrameContext, form: Form, name: str) -> Tuple[Tuple[Form, Scalar], ...]:
-    """The lines e^i ^ form, checked orthogonal, with their inverse norms."""
+def _lines(ctx7: FrameContext, form: Form, name: str) -> _Lines:
+    """The lines e^i ^ form, checked orthogonal, with their inverse norms
+    and their transposed table."""
     lines = tuple(ctx7.basis(i).wedge(form) for i in range(1, 8))
     labels = tuple(f"e^{i} ^ {name}" for i in range(1, 8))
-    return tuple((line, 1 / norm)
-                 for line, norm in zip(lines, line_norms(lines, labels, G2Error)))
+    return _Lines((line, 1 / norm)
+                  for line, norm in zip(lines, line_norms(lines, labels, G2Error)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -166,10 +171,18 @@ class TorsionReport:
 
 
 def build_product(s: SU3Structure) -> G2Structure:
+    """The base algebra times a circle, d(dt) = 0: the base's numerators
+    with an empty seventh row, else (a rational-function table) its lifted
+    Scalar table with a zero one."""
     ctx7 = _product_frame(s.adapted.ctx).ctx
-    d_table = [lift(f, ctx7) for f in s.adapted.d_table] + [ctx7.zero_form()]
+    base = s.adapted
+    if base._numerators is None:
+        d_table, numerators = [lift(f, ctx7) for f in base.d_table] + [ctx7.zero_form()], None
+    else:
+        rows, den = base._numerators
+        d_table, numerators = None, (rows + [{}], den)
     # nilpotency is inherited from the (already verified) base algebra
-    product = LieAlgebra(ctx7, d_table, require_nilpotent=False)
+    product = LieAlgebra(ctx7, d_table, require_nilpotent=False, _numerators=numerators)
     return G2Structure(base=s, product=product)
 
 
@@ -177,7 +190,8 @@ def extract_theta(g: G2Structure) -> Form:
     """The unique 1-form with d*phi = theta ^ *phi, by projection.
 
     The projection of d*phi on Lambda^1 ^ *phi is theta ^ *phi with
-    theta_i = <d*phi, e^i ^ *phi>/<e^i ^ *phi, e^i ^ *phi>.  Raises
+    theta_i = <d*phi, e^i ^ *phi>/<e^i ^ *phi, e^i ^ *phi>, all seven read
+    by ``exterior._projections`` in one pass over d*phi.  Raises
     G2Error when theta ^ *phi != d*phi (the structure is then not of
     skew-torsion type), with the obstruction d*phi - theta ^ *phi as the
     residual: the part of d*phi orthogonal to every line e^i ^ *phi, which
@@ -185,8 +199,7 @@ def extract_theta(g: G2Structure) -> Form:
     """
     frame = _product_frame(g.base.adapted.ctx)
     target = g.d(frame.star_phi)
-    theta = Form(frame.ctx, {1 << i: inner(target, line) * inv
-                             for i, (line, inv) in enumerate(frame.lee_lines)})
+    theta = Form(frame.ctx, {1 << i: c for i, c in enumerate(_projections(target, frame.lee_lines))})
     if theta.wedge(frame.star_phi) != target:
         raise G2Error("not a G2T-structure", target - theta.wedge(frame.star_phi))
     if not g.d(theta).is_zero:
@@ -258,8 +271,7 @@ def dT_tests(g: G2Structure, report: TorsionReport) -> TorsionReport:
     type22 = rest.is_zero and j_apply(pure) == pure
 
     # V7-component: <dT, e^i ^ phi> = 0 for all i
-    v7_lines = _product_frame(g.base.adapted.ctx).v7_lines
-    in_r_s2 = all(inner(report.dT, line).is_zero for line, _ in v7_lines)
+    in_r_s2 = not any(_projections(report.dT, _product_frame(g.base.adapted.ctx).v7_lines))
 
     return dataclasses.replace(
         report,

@@ -9,27 +9,33 @@ The differential extends to all grades as the unique degree +1 derivation.
 
 A polynomial table is held in Python ints as the numerators of L*d, L the
 lcm of its denominators: {mask: {exponent: int}} per entry, a parameter-free
-table having every numerator at exponent 0 alone.  Its Jacobi check, and
-``d`` of a form with polynomial coefficients, sum the Leibniz rule on them;
-a basis change by a parameter-free matrix slices them by exponent,
+table having every numerator at exponent 0 alone, and then also its int
+table {mask: int} over L.  The numerators are the data: an algebra that
+``change_basis``, ``bind`` or ``g2.build_product`` builds holds them alone
+and builds its Scalar ``d_table`` only when something reads it.  The
+Jacobi check, and ``d`` of a form with polynomial coefficients, sum the
+Leibniz rule on them (a parameter-free table's Jacobi check on its int
+table); a basis change by a parameter-free matrix slices them by exponent,
 L*d = sum_e t^e D_e, for its one pull-back.  ``LieAlgebra._integers_at``
 is the one place a table is evaluated, as ints over one denominator: a
-polynomial table's numerators by ``scalars._evaluate``, a table with a
-rational-function entry, which has no numerators, entry by entry by
-``Scalar.evaluate``.  ``bind`` hands the result on as numerators; a
-binding that leaves a parameter unbound or makes a denominator vanish
-raises ``ScalarError``.  The invariants (``betti_numbers``,
-``fingerprint``) run fraction-free elimination on it.  No invariant
-changes: d enters linearly, and a rank or a span is that of any nonzero
-multiple.  The fingerprint section lists which elimination gives which
-field.  An invariant of a table with unbound parameters is evaluated at two
-points with disjoint prime coordinates, moved by ``seed``; the two values
-must agree, else :class:`GenericEvaluationError` is raised.  That is a
-sampled generic value, not an identity in the parameters.
+parameter-free table's kept int table, a polynomial table's numerators by
+``scalars._evaluate``, a table with a rational-function entry, which has
+no numerators, entry by entry by ``Scalar.evaluate`` at the point folded
+once.  ``bind`` hands the result on as numerators; a binding that leaves a
+parameter unbound or makes a denominator vanish raises ``ScalarError``.
+The invariants (``betti_numbers``, ``fingerprint``) and the nilpotency
+check run fraction-free elimination on it.  No invariant changes: d enters
+linearly, and a rank or a span is that of any nonzero multiple.  The
+fingerprint section lists which elimination gives which field.  An
+invariant of a table with unbound parameters is evaluated at two points
+with disjoint prime coordinates, moved by ``seed``; the two values must
+agree, else :class:`GenericEvaluationError` is raised.  That is a sampled
+generic value, not an identity in the parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -42,8 +48,10 @@ from .exterior import (
     ExteriorError,
     Form,
     FrameContext,
+    _as_numerators,
     _basis_masks,
     _bits,
+    _letters,
     _linear_combination,
     _merge_sign,
     _pull_back,
@@ -51,8 +59,8 @@ from .exterior import (
     form_str,
     parse_form,
 )
-from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly,
-                      _evaluate, _fold_unicode, _reduced)
+from .scalars import (ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _evaluate,
+                      _point, _reduced)
 
 __all__ = [
     "LieAlgebra",
@@ -86,57 +94,61 @@ class SalamonSyntaxError(ScalarSyntaxError):
     """Malformed Salamon table; carries the offending position."""
 
 
-def _leibniz(table: Sequence[Mapping], comps: Mapping, zero: Optional[tuple] = None) -> dict:
+def _leibniz(table: Sequence[Mapping], comps: Mapping) -> dict:
     """Leibniz rule: d e^I = sum_j (-1)^j d e^{i_j} ^ e^{I - i_j} (j from 0).
 
     ``table`` holds the components of the d e^i and ``comps`` those of the
-    form, with Scalar or int values, or, when ``zero`` (the zero exponent
-    tuple) is given, with numerators {exponent: int}.  A coefficient equal
-    to 1 multiplies nothing: d on a basis word takes the table entries with
-    their signs.  Numerators are summed in place, and a constant one,
-    {zero: c}, scales the table's numerators without adding exponents.  A
+    form, with Scalar or int values.  A coefficient equal to 1 multiplies
+    nothing: d on a basis word takes the table entries with their signs.  A
     sum that cancels is kept as a zero."""
     out: dict = {}
-    numerators = zero is not None
-    if numerators:
-        sums: Dict[tuple, tuple] = {}  # exponent sums e + f, by (e, f)
     for mask, coeff in comps.items():
-        if numerators:
-            const = coeff.get(zero) if len(coeff) == 1 else None
-        else:
-            unit = coeff == 1
-        for j, idx in enumerate(_bits(mask)):
-            rest = mask & ~(1 << (idx - 1))
-            odd = j % 2 == 1
-            for m2, c2 in table[idx - 1].items():
+        unit = coeff == 1
+        for i, rest, odd in _letters(mask):
+            for m2, c2 in table[i].items():
                 if m2 & rest:
                     continue
                 m = m2 | rest
-                plus = odd == (_merge_sign(m2, rest) < 0)
-                if numerators:
-                    acc = out.get(m)
-                    if acc is None:
-                        acc = out[m] = {}
-                    if const is not None:
-                        k = const if plus else -const
-                        for e, x in c2.items():
-                            acc[e] = acc.get(e, 0) + k * x
-                    else:
-                        for f, y in coeff.items():
-                            if not plus:
-                                y = -y
-                            for e, x in c2.items():
-                                s = sums.get((e, f))
-                                if s is None:
-                                    s = sums[e, f] = tuple(map(operator.add, e, f))
-                                acc[s] = acc.get(s, 0) + x * y
-                    continue
                 term = c2 if unit else c2 * coeff
                 prev = out.get(m)
-                if plus:
+                if odd == (_merge_sign(m2, rest) < 0):
                     out[m] = term if prev is None else prev + term
                 else:
                     out[m] = -term if prev is None else prev - term
+    return out
+
+
+def _leibniz_numerators(table: Sequence[Mapping], comps: Mapping, zero: tuple) -> dict:
+    """``_leibniz`` on numerators {exponent: int}, ``zero`` the zero exponent
+    tuple: sums are taken in place, and a constant numerator, {zero: c},
+    scales the table's numerators without adding exponents.  A sum that
+    cancels is kept as a zero."""
+    out: dict = {}
+    sums: Dict[tuple, tuple] = {}  # exponent sums e + f, by (e, f)
+    for mask, coeff in comps.items():
+        const = coeff.get(zero) if len(coeff) == 1 else None
+        for i, rest, odd in _letters(mask):
+            for m2, c2 in table[i].items():
+                if m2 & rest:
+                    continue
+                m = m2 | rest
+                acc = out.get(m)
+                if acc is None:
+                    acc = out[m] = {}
+                minus = odd != (_merge_sign(m2, rest) < 0)
+                if const is not None:
+                    k = -const if minus else const
+                    for e, x in c2.items():
+                        acc[e] = acc.get(e, 0) + k * x
+                    continue
+                for f, y in coeff.items():
+                    if minus:
+                        y = -y
+                    for e, x in c2.items():
+                        s = sums.get((e, f))
+                        if s is None:
+                            s = sums[e, f] = tuple(map(operator.add, e, f))
+                        acc[s] = acc.get(s, 0) + x * y
     return out
 
 
@@ -146,36 +158,6 @@ def _d_on_form(d_table: Sequence[Form], a: Form) -> Form:
 
 def _nonzero(comps: Mapping) -> dict:
     return {m: c for m, c in comps.items() if c}
-
-
-def _as_numerators(forms: Sequence[Mapping], zero: tuple) -> Optional[Tuple[List[dict], int]]:
-    """(N, M): the components of ``forms`` as numerators {exponent: int}
-    over one positive int M, the lcm of their denominators, one {mask:
-    numerator} map per form; a Fraction is a numerator at ``zero`` alone.
-    A rational-function coefficient gives None."""
-    dens = set()
-    for comps in forms:
-        for c in comps.values():
-            kind = type(c.raw)
-            if kind is Fraction:
-                dens.add(c.raw.denominator)
-            elif kind is _Poly:
-                dens.add(c.raw.den)
-            else:
-                return None
-    scale = lcm(*dens)
-    out = []
-    for comps in forms:
-        row = {}
-        for m, c in comps.items():
-            raw = c.raw
-            if type(raw) is Fraction:
-                row[m] = {zero: raw.numerator * (scale // raw.denominator)}
-            else:
-                k = scale // raw.den
-                row[m] = raw.coeffs if k == 1 else {e: x * k for e, x in raw.coeffs.items()}
-        out.append(row)
-    return out, scale
 
 
 def _slices_of(numerators: Sequence[Mapping], zero: tuple) -> Dict[tuple, List[dict]]:
@@ -190,11 +172,31 @@ def _slices_of(numerators: Sequence[Mapping], zero: tuple) -> Dict[tuple, List[d
     return slices or {zero: [{} for _ in numerators]}
 
 
-def _jacobi_holds(numerators: Sequence[Mapping], zero: tuple) -> bool:
-    """Whether d(d e^i) = 0 for every i, in ints, on the numerators of L*d:
-    this is L^2 d^2, one entry at a time."""
+def _constant_table(numerators: Sequence[Mapping], zero: tuple) -> Optional[List[dict]]:
+    """The int table {mask: int} of numerators that are all constants,
+    {zero: c}; None when one has a parameter."""
+    table = []
     for row in numerators:
-        if any(x for numer in _leibniz(numerators, row, zero).values() for x in numer.values()):
+        ints = {}
+        for m, numer in row.items():
+            x = numer.get(zero)
+            if x is None or len(numer) != 1:
+                return None
+            ints[m] = x
+        table.append(ints)
+    return table
+
+
+def _jacobi_holds(numerators: Sequence[Mapping], zero: Optional[tuple]) -> bool:
+    """Whether d(d e^i) = 0 for every i, in ints, on the numerators of L*d:
+    this is L^2 d^2, one entry at a time.  With ``zero`` None the table is
+    an int table, {mask: int} per entry."""
+    for row in numerators:
+        if zero is None:
+            if any(_leibniz(numerators, row).values()):
+                return False
+        elif any(x for numer in _leibniz_numerators(numerators, row, zero).values()
+                 for x in numer.values()):
             return False
     return True
 
@@ -215,67 +217,106 @@ class LieAlgebra:
     Construction verifies d^2 = 0 (raising :class:`JacobiError`) and, unless
     ``require_nilpotent=False``, the existence of the nilpotent filtration
     V_1 c V_2 c ... with d V_{j+1} c Lambda^2 V_j.  A polynomial table,
-    parameter-free or not, is also kept in ints, built once here or handed
-    on by ``change_basis``: ``_numerators`` is (N, L), N the numerators
-    {mask: {exponent: int}} of L*d per entry.  The Jacobi check and ``d``
-    run on them, ``change_basis`` slices them by exponent and
-    ``_integers_at`` evaluates them.  The Scalar certificate of a failing
-    Jacobi check is computed only to be raised.
+    parameter-free or not, is held in ints: ``_numerators`` is (N, L), N
+    the numerators {mask: {exponent: int}} of L*d per entry, canonical (L
+    the least such int).  It is derived here from a table of Forms, or it
+    is the table itself: ``change_basis``, ``bind`` and ``g2.build_product``
+    hand on numerators alone, and the Scalar ``d_table`` is then built on
+    first read.  A parameter-free table also keeps its int table {mask:
+    int} over L, which its Jacobi check, nilpotency check and invariants
+    read.  The Jacobi check and ``d`` run on the numerators,
+    ``change_basis`` slices them by exponent and ``_integers_at`` evaluates
+    them.  The Scalar certificate of a failing Jacobi check is computed only
+    to be raised.
     """
 
-    __slots__ = ("ctx", "d_table", "_nilpotent", "_numerators")
+    __slots__ = ("ctx", "_d_table", "_nilpotent", "_numerators", "_ints", "_params")
 
-    def __init__(self, ctx: FrameContext, d_table: Sequence[Form], require_nilpotent: bool = True,
-                 *, _numerators=None):
-        """``_numerators`` is (numerators, L) when the caller has them
-        (``change_basis``); None derives them here."""
-        d_table = tuple(d_table)
-        if len(d_table) != ctx.dim:
-            raise ValueError(f"expected {ctx.dim} coframe derivatives, got {len(d_table)}")
-        two_forms = frozenset(_basis_masks(ctx.dim, 2))
-        for i, f in enumerate(d_table, start=1):
-            if f.ctx != ctx:
-                raise ExteriorError("frame context mismatch in d-table")
-            if not f.comps.keys() <= two_forms:
-                raise ExteriorError(f"d e^{i} must be a 2-form")
+    def __init__(self, ctx: FrameContext, d_table: Optional[Sequence[Form]],
+                 require_nilpotent: bool = True, *, _numerators=None):
+        """``_numerators`` is (numerators, L) when the caller has them; None
+        derives them here from ``d_table``, which may be None only when they
+        are given."""
         zero = ctx.params._zero_monom
+        if d_table is None:
+            rows = _numerators[0]
+        else:
+            d_table = tuple(d_table)
+            rows = d_table
+        if len(rows) != ctx.dim:
+            raise ValueError(f"expected {ctx.dim} coframe derivatives, got {len(rows)}")
+        two_forms = _two_forms(ctx.dim)
+        for i, row in enumerate(rows, start=1):
+            if d_table is not None:
+                if row.ctx != ctx:
+                    raise ExteriorError("frame context mismatch in d-table")
+                row = row.comps
+            if not row.keys() <= two_forms:
+                raise ExteriorError(f"d e^{i} must be a 2-form")
         if _numerators is None:
             _numerators = _as_numerators([f.comps for f in d_table], zero)
-        if _numerators is None or not _jacobi_holds(_numerators[0], zero):
-            bad = jacobi_certificates(d_table)
+        self.ctx = ctx
+        self._d_table = d_table
+        self._numerators = _numerators
+        self._nilpotent = self._ints = self._params = None
+        if _numerators is None:
+            holds = False
+        else:
+            constant = _constant_table(_numerators[0], zero)
+            if constant is None:
+                holds = _jacobi_holds(_numerators[0], zero)
+            else:
+                self._ints, self._params = (constant, _numerators[1]), frozenset()
+                holds = _jacobi_holds(constant, None)
+        if not holds:
+            bad = jacobi_certificates(self.d_table)
             if bad:
                 raise JacobiError(*bad[0])
-        self.ctx = ctx
-        self.d_table = d_table
-        self._numerators = _numerators
-        self._nilpotent = None
         if require_nilpotent and not self.is_nilpotent_presentation():
             raise NilpotencyError("not presented nilpotently (no admissible filtration)")
 
+    @property
+    def d_table(self) -> Tuple[Form, ...]:
+        """The d e^i as Forms; an algebra built from numerators builds them
+        from N/L on first read."""
+        if self._d_table is None:
+            params = self.ctx.params
+            zero = params._zero_monom
+            rows, den = self._numerators
+            self._d_table = tuple(
+                Form._unchecked(self.ctx, {m: Scalar(params, _reduced(numer, den, zero))
+                                           for m, numer in row.items()}) for row in rows)
+        return self._d_table
+
     def d(self, a: Form) -> Form:
         """d a.  A polynomial table runs in ints when no coefficient of ``a``
-        is a rational function: a is written as numerators over one int M,
-        d is summed on them and its table's numerators over L, and each
-        component is reduced once, over L*M.  Otherwise on Scalars.  A form
-        of another frame raises ExteriorError."""
+        is a rational function: a is written as numerators over one int M
+        (``Form._scaled``, computed once per form), d is summed on them and
+        its table's numerators over L, and each component is reduced once,
+        over L*M; the image keeps those numerators as its own.  Otherwise on
+        Scalars.  A form of another frame raises
+        ExteriorError."""
         if a.ctx != self.ctx:
             raise ExteriorError("frame context mismatch")
         if self._numerators is not None:
-            params = self.ctx.params
-            zero = params._zero_monom
-            scaled = _as_numerators([a.comps], zero)
+            scaled = a._scaled()
             if scaled is not None:
-                (numerators,), scale = scaled
+                numerators, scale = scaled
+                params = self.ctx.params
+                zero = params._zero_monom
                 table, den = self._numerators
                 den *= scale
-                comps = {}
-                for m, numer in _leibniz(table, numerators, zero).items():
+                comps, numers = {}, {}
+                for m, numer in _leibniz_numerators(table, numerators, zero).items():
                     if not all(numer.values()):
                         numer = {e: x for e, x in numer.items() if x}
                         if not numer:
                             continue
+                    numers[m] = numer
                     comps[m] = Scalar(params, _reduced(numer, den, zero))
-                return Form(a.ctx, comps)
+                image = Form._unchecked(a.ctx, comps)
+                image._numerators = numers, den  # its numerators over L*M, for a later d or projection
+                return image
         return _d_on_form(self.d_table, a)
 
     def is_nilpotent_presentation(self) -> bool:
@@ -291,9 +332,11 @@ class LieAlgebra:
         nilpotency; a self-loop counts as a cycle.  False means only "not
         certified here".
         """
-        succ = [set() for _ in self.d_table]
-        for i, f in enumerate(self.d_table):
-            for mask in f.comps:
+        rows = self._numerators[0] if self._numerators is not None else \
+            [f.comps for f in self.d_table]
+        succ = [set() for _ in rows]
+        for i, row in enumerate(rows):
+            for mask in row:
                 succ[i].update(j - 1 for j in _bits(mask))
         # Kahn's algorithm: repeatedly drop vertices without successors
         remaining = set(range(len(succ)))
@@ -306,11 +349,8 @@ class LieAlgebra:
 
     def _check_filtration(self) -> bool:
         """The lower central series must reach 0; a parameter-free table
-        descends in ints, evaluated at the empty point as the invariants are."""
-        if self.params():
-            table = [f.comps for f in self.d_table]
-        else:
-            table = self._integers_at({})[0]
+        descends in ints, on its int table, as the invariants do."""
+        table = self._ints[0] if self._ints is not None else [f.comps for f in self.d_table]
         brackets, n = _structure(table)[0], self.ctx.dim
         return _lower_central(brackets, n, _commutator(brackets, n))[-1] == 0
 
@@ -319,28 +359,30 @@ class LieAlgebra:
         the table's value T/D, divided by gcd(D, T), as its numerators;
         Jacobi and nilpotency are checked again.  The first parameter of the
         table left unbound, in context order, raises ScalarError."""
-        folded = {_fold_unicode(k): Fraction(v) for k, v in bindings.items()}
+        point = _point(bindings)
         used = self.params()
         for name in self.ctx.params.names:
-            if name in used and name not in folded:
+            if name in used and name not in point:
                 raise ScalarError(f"unbound parameter {name!r}")
-        table, den = self._integers_at(folded)
+        table, den = self._integers_at(point)
         common = gcd(den, *(x for row in table for x in row.values()))
         numerators = [{m: {(): x // common} for m, x in row.items()} for row in table]
-        den //= common
         ctx = FrameContext(self.ctx.dim, ParameterContext(()))
-        return LieAlgebra(ctx, [Form(ctx, {m: Scalar(ctx.params, Fraction(x[()], den))
-                                           for m, x in row.items()}) for row in numerators],
-                          _numerators=(numerators, den))
+        return LieAlgebra(ctx, None, _numerators=(numerators, den // common))
 
     def _integers_at(self, point: Mapping[str, Fraction]) -> Tuple[List[Dict[int, int]], int]:
         """(T, D), the table at ``point`` (folded names) as T/D, one {mask:
-        int} map per entry: the numerators summed by ``_evaluate``, over L,
-        or else each entry's ``Scalar.evaluate``, which raises ScalarError at
-        a pole, scaled over the lcm of the values' denominators."""
+        int} map per entry: the int table of a parameter-free table, the
+        numerators summed by ``_evaluate``, over L, or else each entry's
+        ``Scalar.evaluate`` at the point folded once, which raises
+        ScalarError at a pole, scaled over the lcm of the values'
+        denominators.  The result is shared: callers do not change it."""
+        if self._ints is not None:
+            return self._ints
         if self._numerators is not None:
             table, den = _evaluate(self._numerators[0], self.ctx.params.names, point)
             return table, den * self._numerators[1]
+        point = _point(point)
         values = [{m: c.evaluate(point) for m, c in f.comps.items()} for f in self.d_table]
         den = lcm(*{x.denominator for row in values for x in row.values()})
         return [{m: x.numerator * (den // x.denominator) for m, x in row.items() if x}
@@ -348,27 +390,37 @@ class LieAlgebra:
 
     def params(self) -> frozenset:
         """The parameters of the table: those whose exponents occur in its
-        numerators, else those of its Scalars."""
-        if self._numerators is not None:
-            exponents = {e for row in self._numerators[0] for numer in row.values() for e in numer}
-            return frozenset(nm for i, nm in enumerate(self.ctx.params.names)
-                             if any(e[i] for e in exponents))
-        used = set()
-        for f in self.d_table:
-            for c in f.comps.values():
-                used |= c.params()
-        return frozenset(used)
+        numerators, else those of its Scalars; found once."""
+        if self._params is None:
+            if self._numerators is not None:
+                exponents = {e for row in self._numerators[0] for numer in row.values()
+                             for e in numer}
+                self._params = frozenset(nm for i, nm in enumerate(self.ctx.params.names)
+                                         if any(e[i] for e in exponents))
+            else:
+                self._params = frozenset().union(*(c.params() for f in self.d_table
+                                                   for c in f.comps.values()))
+        return self._params
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self.ctx == other.ctx and self.d_table == other.d_table
+        if self.ctx != other.ctx:
+            return False
+        if self._numerators is not None and other._numerators is not None:
+            return self._numerators == other._numerators  # canonical, so equal tables agree
+        return self.d_table == other.d_table
 
     def __hash__(self):
         return hash((self.ctx, self.d_table))
 
     def __repr__(self):
         return f"LieAlgebra({salamon_str(self)})"
+
+
+@functools.lru_cache(maxsize=None)
+def _two_forms(dim: int) -> frozenset:
+    return frozenset(_basis_masks(dim, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +626,8 @@ def _series(table: Sequence[Mapping], n: int):
 # fingerprints
 #
 # Invariants are computed in Python ints on D*d(p), the table at a point p
-# times one int D, which ``LieAlgebra._integers_at`` gives: once at the
-# empty point when the table has no parameters, else at two points.  A
+# times one int D, which ``LieAlgebra._integers_at`` gives: the kept int
+# table when the table has no parameters, else at two points.  A
 # polynomial table sums its numerators, L*d by entry, at p; a
 # rational-function table evaluates each entry there and scales the values
 # over the lcm of their denominators.  No invariant changes: the Leibniz
@@ -655,47 +707,49 @@ class BasisChange:
     """An invertible coframe substitution f = B e (rows express the new coframe).
 
     ``rows`` and ``inverse_rows()`` are Scalars.  The arithmetic runs on a
-    private form: B = R/q, built with the rows, and B^-1 = A/a, built on
-    first use, with R and A int matrices over positive ints q and a when B
-    is parameter-free (q the lcm of the denominators, A/a from
-    ``linalg.invert`` on R, or R^T/q once ``is_orthogonal`` holds), and the
-    Scalar rows and inverse over 1 otherwise.
+    private form: B = R/q and B^-1 = A/a, built on first use, with R and A
+    int matrices over positive ints q and a when B is parameter-free (q the
+    lcm of the denominators, A/a from ``linalg.invert`` on R, or R^T/q once
+    ``is_orthogonal`` holds), and the Scalar rows and inverse over 1
+    otherwise.  A parameter-free B holds (R, q) alone, read off its entries
+    as given, and builds its Scalar ``rows`` on first read.
     """
 
-    __slots__ = ("params", "rows", "_inverse", "_scaled", "_scaled_inverse")
+    __slots__ = ("params", "_rows", "_inverse", "_scaled", "_scaled_inverse")
 
     def __init__(self, params: ParameterContext, rows: Sequence[Sequence]):
         n = len(rows)
         self.params = params
-        scalars = []
-        dens: Optional[set] = set()  # None once an entry has parameters
+        values = []
+        rational = True
         for row in rows:
             out = []
             for v in row:
-                kind = type(v)  # an int or a Fraction is built directly
+                kind = type(v)  # an int or a Fraction is read directly
                 if kind is Fraction:
-                    x = Scalar(params, v)
+                    x = v
                 elif kind is int:
-                    x = Scalar(params, Fraction(v))
+                    x = Fraction(v)
                 else:
                     x = params.scalar(v)
-                if dens is not None:
                     if type(x.raw) is Fraction:
-                        dens.add(x.raw.denominator)
+                        x = x.raw
                     else:
-                        dens = None
+                        rational = False
                 out.append(x)
-            scalars.append(tuple(out))
-        self.rows = tuple(scalars)
-        for row in self.rows:
+            values.append(out)
+        for row in values:
             if len(row) != n:
                 raise ValueError("basis change matrix must be square")
-        if dens is None:
-            self._scaled = self.rows, 1
+        if rational:
+            q = lcm(*(x.denominator for row in values for x in row))
+            self._scaled = tuple(tuple(x.numerator * (q // x.denominator) for x in row)
+                                 for row in values), q
+            self._rows = None
         else:
-            q = lcm(*dens)
-            self._scaled = tuple(tuple(x.raw.numerator * (q // x.raw.denominator) for x in row)
-                                 for row in self.rows), q
+            self._scaled = None
+            self._rows = tuple(tuple(Scalar(params, x) if type(x) is Fraction else x for x in row)
+                               for row in values)
         self._inverse = None
         self._scaled_inverse = None
 
@@ -712,13 +766,23 @@ class BasisChange:
         )
 
     @property
+    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """The rows as Scalars; a parameter-free B builds them from R/q on first read."""
+        if self._rows is None:
+            R, q = self._scaled
+            params = self.params
+            self._rows = tuple(tuple(Scalar(params, Fraction(x, q)) if x else params.zero
+                                     for x in row) for row in R)
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows if self._scaled is None else self._scaled[0])
 
     def _scaled_rows(self):
         """(R, q) with B = R/q: int rows over the lcm q of the denominators
         when B is parameter-free, else the Scalar rows over 1."""
-        return self._scaled
+        return self._scaled or (self._rows, 1)
 
     def _scaled_inverse_rows(self):
         """(A, a) with B^-1 = A/a, of the kind of ``_scaled_rows()``; a singular B
@@ -756,7 +820,6 @@ class BasisChange:
                 if dot != (q * q if i == j else 0):
                     return False
         self._scaled_inverse = tuple(zip(*R)), q
-        self._inverse = tuple(zip(*self.rows))
         return True
 
     def __repr__(self):
@@ -775,48 +838,44 @@ def change_basis(g: LieAlgebra, B: BasisChange) -> LieAlgebra:
     linear in the table: every slice is pulled back through A in one call,
     so each word's image is built once, and combined with R's rows.  That
     gives q a^2 L times the new table, which is divided by one gcd and
-    handed to the new algebra as its numerators; each entry becomes one
-    Scalar.  A rational-function table or a matrix with parameters runs on
-    the Scalar rows.
+    handed to the new algebra as its numerators, its only table until its
+    Scalar ``d_table`` is read.  A rational-function table or a matrix with
+    parameters runs on the Scalar rows.
     """
     if B.dim != g.ctx.dim:
         raise ValueError("dimension mismatch")
     if B.params is not g.ctx.params:  # ints would not notice
         raise ScalarError("mixed parameter contexts")
-    R, q = B._scaled_rows()
-    if g._numerators is None or R is B.rows:  # a rational function in the table, or parameters in B
+    if g._numerators is None or B._scaled is None:  # a rational function in the table, or parameters in B
         pulled = _pull_back([f.comps for f in g.d_table], B.inverse_rows())
         new_table = [Form(g.ctx, _linear_combination((c, d) for c, d in zip(row, pulled) if c))
                      for row in B.rows]
         return LieAlgebra(g.ctx, new_table, require_nilpotent=False)
+    R, q = B._scaled
     A, a = B._scaled_inverse_rows()
     numerators, scale = g._numerators
-    params = g.ctx.params
-    zero = params._zero_monom
-    slices = _slices_of(numerators, zero)
+    slices = _slices_of(numerators, g.ctx.params._zero_monom)
     n = g.ctx.dim
     pulled = _pull_back([row for rows in slices.values() for row in rows], A)
     combined = [_linear_combination((c, d) for c, d in zip(row, images) if c)
                 for images in (pulled[k:k + n] for k in range(0, len(pulled), n)) for row in R]
     den = q * a * a * scale
     common = gcd(den, *(x for row in combined for x in row.values()))
-    den //= common
     moved: List[Dict[int, dict]] = [{} for _ in range(n)]
     for k, e in enumerate(slices):
         for entries, row in zip(moved, combined[k * n:(k + 1) * n]):
             for m, x in row.items():
                 if x:
                     entries.setdefault(m, {})[e] = x // common
-    new_table = [Form(g.ctx, {m: Scalar(params, _reduced(numer, den, zero))
-                              for m, numer in entries.items()}) for entries in moved]
-    return LieAlgebra(g.ctx, new_table, require_nilpotent=False, _numerators=(moved, den))
+    return LieAlgebra(g.ctx, None, require_nilpotent=False, _numerators=(moved, den // common))
 
 
 def is_isomorphic_via(g: LieAlgebra, B: BasisChange, target: LieAlgebra) -> bool:
-    """True iff change_basis(g, B) has exactly the target d-table."""
+    """True iff change_basis(g, B) has exactly the target d-table (compared
+    on numerators when both tables have them)."""
     if g.ctx.dim != target.ctx.dim:
         raise ValueError("dimension mismatch")
-    return change_basis(g, B).d_table == target.d_table
+    return change_basis(g, B) == target
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ literal, from the same tokens and the same loop over signed terms.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -529,21 +530,26 @@ class Scalar:
         return self.raw
 
     def evaluate(self, bindings: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        """Exact value at the binding; every occurring parameter must be bound."""
+        """Exact value at the binding; every occurring parameter must be bound.
+        A ``_Point`` is read as it is, so a caller that evaluates many values
+        at one binding folds and converts it once."""
         if isinstance(self.raw, Fraction):
             return self.raw
-        folded = {_fold_unicode(k): Fraction(v) for k, v in bindings.items()}
-        used = self.params()
-        for name in self.ctx.names:  # sorted, so the message does not follow hashing
-            if name in used and name not in folded:
-                raise ScalarError(f"unbound parameter {name!r}")
+        point = _point(bindings)
+        names = self.ctx.names
+        missing = [name for name in names if name not in point]  # sorted, not by hashing
+        if missing:
+            used = self.params()
+            for name in missing:
+                if name in used:
+                    raise ScalarError(f"unbound parameter {name!r}")
         if type(self.raw) is _Poly:
-            (value,), den = _evaluate([{0: self.raw.coeffs}], self.ctx.names, folded)
+            (value,), den = _evaluate([{0: self.raw.coeffs}], names, point)
             return Fraction(value.get(0, 0), den * self.raw.den)
         # numerator and denominator over one common denominator, which cancels
         (num, den), _ = _evaluate([{0: {m: _qq_to_fraction(c) for m, c in poly.items()}}
                                    for poly in (self.raw.numer, self.raw.denom)],
-                                  self.ctx.names, folded)
+                                  names, point)
         if not den:
             raise ScalarError("denominator vanishes at binding")
         return Fraction(num.get(0, 0)) / den[0]
@@ -555,6 +561,18 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({_render(self)})"
+
+
+class _Point(dict):
+    """A binding folded once: ASCII parameter names to Fractions."""
+
+
+def _point(bindings: Mapping) -> _Point:
+    """``bindings`` as a ``_Point``: names folded, values made Fractions;
+    a ``_Point`` is returned as it is."""
+    if type(bindings) is _Point:
+        return bindings
+    return _Point({_fold_unicode(k): Fraction(v) for k, v in bindings.items()})
 
 
 def _evaluate(rows: Sequence[Mapping], names: Sequence[str], point: Mapping) -> tuple:
@@ -602,6 +620,7 @@ def _evaluate(rows: Sequence[Mapping], names: Sequence[str], point: Mapping) -> 
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def _mono_str(names, mono) -> str:
     pieces = []
     for name, exp in zip(names, mono):

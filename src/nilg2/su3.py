@@ -52,7 +52,7 @@ from .exterior import (
     substitute_coframe,
 )
 from .liealg import BasisChange, LieAlgebra, change_basis, parse_salamon
-from .scalars import ParameterContext, Scalar, _fold_unicode
+from .scalars import ParameterContext, Scalar, _fold_unicode, _point
 
 __all__ = [
     "SU3Structure",
@@ -334,8 +334,9 @@ def load_structure_file(path, params, bindings=None) -> Tuple[SU3Structure, dict
         **(bindings or {}),
     }
     if bindings:
-        algebra = algebra.bind(bindings)
+        point = _point(bindings)  # folded once for the table and the 36 cells
+        algebra = algebra.bind(point)
         adaptation = BasisChange(
-            algebra.ctx.params, [[c.evaluate(bindings) for c in row] for row in adaptation.rows]
+            algebra.ctx.params, [[c.evaluate(point) for c in row] for row in adaptation.rows]
         )
     return build_structure(algebra, adaptation), bindings

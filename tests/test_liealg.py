@@ -24,7 +24,7 @@ from nilg2.liealg import (
     parse_salamon,
     salamon_str,
 )
-from nilg2.scalars import ParameterContext, Scalar, ScalarError, ScalarSyntaxError
+from nilg2.scalars import ParameterContext, Scalar, ScalarError, ScalarSyntaxError, _Poly
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +866,7 @@ def test_rational_functions_keep_the_scalar_d(pctx, monkeypatch):
     for a in rational[1:]:
         fallbacks.clear()
         family.d(a)
-        assert fallbacks == ([a] if any(type(c.raw) not in (Fraction, liealg._Poly)
+        assert fallbacks == ([a] if any(type(c.raw) not in (Fraction, _Poly)
                                         for c in a.comps.values()) else [])
 
 

@@ -199,7 +199,8 @@ def extract_theta(g: G2Structure) -> Form:
     """
     frame = _product_frame(g.base.adapted.ctx)
     target = g.d(frame.star_phi)
-    theta = Form(frame.ctx, {1 << i: c for i, c in enumerate(_projections(target, frame.lee_lines))})
+    coords = _projections(target, frame.lee_lines)
+    theta = Form(frame.ctx, {1 << i: c for i, c in enumerate(coords)})
     if theta.wedge(frame.star_phi) != target:
         raise G2Error("not a G2T-structure", target - theta.wedge(frame.star_phi))
     if not g.d(theta).is_zero:

@@ -315,7 +315,7 @@ class LieAlgebra:
                     numers[m] = numer
                     comps[m] = Scalar(params, _reduced(numer, den, zero))
                 image = Form._unchecked(a.ctx, comps)
-                image._numerators = numers, den  # its numerators over L*M, for a later d or projection
+                image._numerators = numers, den  # over L*M, for a later d or projection
                 return image
         return _d_on_form(self.d_table, a)
 

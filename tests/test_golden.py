@@ -45,5 +45,5 @@ def test_golden_timing_mask_touches_only_the_timing():
     writes: one timing per report."""
     for path in GOLDEN.iterdir():
         text = path.read_text(encoding="utf-8")
-        marks = text.count('"timing_ms": 0,') if path.suffix == ".json" else text.count("(0.0 ms)\n")
-        assert marks == 1, path.name
+        mark = '"timing_ms": 0,' if path.suffix == ".json" else "(0.0 ms)\n"
+        assert text.count(mark) == 1, path.name

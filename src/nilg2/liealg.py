@@ -294,8 +294,7 @@ class LieAlgebra:
         (``Form._scaled``, computed once per form), d is summed on them and
         its table's numerators over L, and each component is reduced once,
         over L*M; the image keeps those numerators as its own.  Otherwise on
-        Scalars.  A form of another frame raises
-        ExteriorError."""
+        Scalars.  A form of another frame raises ExteriorError."""
         if a.ctx != self.ctx:
             raise ExteriorError("frame context mismatch")
         if self._numerators is not None:
